@@ -59,8 +59,10 @@ class Tensor:
 
     def accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        self.grad += g
+            # a copy, never `g` itself: add/sub hand one array to both parents
+            self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -135,6 +137,26 @@ def _track(a: Tensor, *rest: Tensor) -> bool:
     if a.requires_grad or a._parents:
         return True
     return any(t.requires_grad or t._parents for t in rest)
+
+
+def needs_grad(t: Tensor) -> bool:
+    """Whether gradients flow into `t`: a parameter or a taped result."""
+    return t.requires_grad or bool(t._parents)
+
+
+def fused(value, inputs: Sequence[Tensor], backward: Callable[[np.ndarray], None]) -> Tensor:
+    """One tape node for a kernel computed outside the tape.
+
+    `backward(g)` receives the gradient of the output and accumulates
+    into every input for which `needs_grad` holds.  Inputs that take no
+    gradient are left off the tape.
+    """
+    if not _grad_enabled:
+        return Tensor(value)
+    parents = tuple(t for t in inputs if needs_grad(t))
+    if not parents:
+        return Tensor(value)
+    return Tensor(value, parents=parents, backward=backward)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -236,30 +258,45 @@ def matmul(a, b) -> Tensor:
 
 
 def index(a: Tensor, key) -> Tensor:
-    """Basic slicing / integer indexing (views become copies)."""
+    """Basic slicing / integer indexing (views become copies).
+
+    Basic keys select each element at most once, so the backward adds
+    straight into the selected part of `a.grad`.
+    """
     out_val = a.value[key]
     if not _track(a):
         return Tensor(np.array(out_val, copy=True))
 
     def backward(g):
-        ga = np.zeros_like(a.value)
-        np.add.at(ga, key, g)
-        a.accumulate(ga)
+        if a.grad is None:
+            a.grad = np.zeros_like(a.value)
+        a.grad[key] += g
 
     return Tensor(np.array(out_val, copy=True), parents=(a,), backward=backward)
 
 
 def take_rows(a: Tensor, idx) -> Tensor:
-    """Row gather; gradients accumulate additively into repeated rows."""
+    """Row gather; gradients accumulate additively into repeated rows.
+
+    The backward adds into `a.grad` in place.  Once `a.grad` holds an
+    earlier gradient, each gathered row's contributions are summed first,
+    in index order, and then added, so the result equals adding a
+    separate zeros + np.add.at buffer, bit for bit.
+    """
     idx = np.asarray(idx)
     out_val = a.value[idx]
     if not _track(a):
         return Tensor(out_val)
 
     def backward(g):
-        ga = np.zeros_like(a.value)
-        np.add.at(ga, idx, g)
-        a.accumulate(ga)
+        if a.grad is None:
+            a.grad = np.zeros_like(a.value)
+            np.add.at(a.grad, idx, g)
+            return
+        rows, slot = np.unique(idx, return_inverse=True)
+        sums = np.zeros((rows.size,) + a.value.shape[1:])
+        np.add.at(sums, slot.reshape(idx.shape), g)
+        a.grad[rows] += sums
 
     return Tensor(out_val, parents=(a,), backward=backward)
 
@@ -431,3 +468,26 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
         a.accumulate(g - sm * g.sum(axis=axis, keepdims=True))
 
     return Tensor(out_val, parents=(a,), backward=backward)
+
+
+def mean_cross_entropy(logits: Tensor, targets) -> Tensor:
+    """Mean over rows of -log softmax(logits)[row, targets[row]], as one node.
+
+    Equals scale(mean_all(take_per_row(log_softmax(logits), targets)), -1)
+    operation for operation, so losses and gradients match that chain.
+    """
+    targets = np.asarray(targets)
+    rows = np.arange(logits.value.shape[0])
+    shifted = logits.value - logits.value.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    out_val = np.asarray(np.mean(shifted[rows, targets] - lse[:, 0])) * -1.0
+    if not _track(logits):
+        return Tensor(out_val)
+
+    def backward(g):
+        per_row = g * -1.0 / len(rows)
+        grad = np.exp(shifted - lse) * -per_row
+        grad[rows, targets] += per_row
+        logits.accumulate(grad)
+
+    return Tensor(out_val, parents=(logits,), backward=backward)

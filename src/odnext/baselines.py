@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,7 +10,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .data import Corpus, Trip
-from .nn import Adam, ContractViolation, embedding_init, glorot_uniform
+from .nn import ContractViolation, embedding_init, glorot_uniform, train_per_user
 from .stlstm import LSTMWeights, init_lstm, lstm_encode
 
 FREQUENCY_KINDS = ("top", "u-top", "taxi")
@@ -82,6 +83,14 @@ class ODLSTMConfig:
     epochs: int = 15
     seed: int = 0
 
+    def __post_init__(self):
+        if self.dim < 1 or self.hdim < 1:
+            raise ContractViolation("dim and hdim must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ContractViolation("lr must be positive and finite")
+        if self.epochs < 0:
+            raise ContractViolation("epochs must be non-negative")
+
 
 class ODLSTM:
     """One shared LSTM over the interleaved (origin, previous destination)
@@ -121,28 +130,16 @@ class ODLSTM:
         targets = np.array([t.dest_loc for t in trips[1:]], dtype=np.int64)
         states, _, _ = lstm_encode(self.lstm, self._inputs(oseq, dseq))
         logits = ag.matmul(states, self.params["out/W_loc"])
-        picked = ag.take_per_row(ag.log_softmax(logits, axis=1), targets)
-        return ag.scale(ag.mean_all(picked), -1.0)
+        return ag.mean_cross_entropy(logits, targets)
 
     def fit(self, train: Corpus) -> list[float]:
         usable = [
             (u, trips) for u, trips in enumerate(train.trips_by_user) if len(trips) >= 2
         ]
-        if not usable:
-            raise ContractViolation("no user has enough trips to train on")
-        opt = Adam(self.params, lr=self.config.lr)
-        order_rng = np.random.default_rng([self.config.seed, 1])
-        self.loss_curve = []
-        for _ in range(self.config.epochs):
-            total = 0.0
-            for pos in order_rng.permutation(len(usable)):
-                user, trips = usable[pos]
-                loss = self.user_loss(user, trips)
-                opt.zero_grad()
-                loss.backward()
-                opt.step()
-                total += loss.item()
-            self.loss_curve.append(total / len(usable))
+        c = self.config
+        self.loss_curve = train_per_user(
+            self.params, c.lr, c.seed, c.epochs, usable, self.user_loss, train.users
+        )
         self._freeze_states(train)
         return self.loss_curve
 

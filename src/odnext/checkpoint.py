@@ -113,8 +113,16 @@ def load_checkpoint(path: str) -> CheckpointBundle:
             utc_offset_hours=config.utc_offset_hours,
         )
         specs = [(t["name"], tuple(t["shape"])) for t in header["tensors"]]
-    except (KeyError, TypeError) as e:
-        raise CheckpointFormatError(f"{path}: incomplete header ({e})") from None
+        d_max_km = float(header["scales"]["d_max_km"])
+        t_max_hours = float(header["scales"]["t_max_hours"])
+        meta = header["cache"]
+        oseq = [np.asarray(s, dtype=np.int64) for s in meta["oseq"]]
+        dseq = [np.asarray(s, dtype=np.int64) for s in meta["dseq"]]
+        last_dest = np.asarray(meta["last_dest"], dtype=np.int64)
+        n_train = np.asarray(meta["n_train"], dtype=np.int64)
+    except (KeyError, TypeError, ValueError) as e:
+        # ValueError covers ContractViolation from an invalid stored config
+        raise CheckpointFormatError(f"{path}: incomplete or invalid header ({e})") from None
 
     arrays: dict[str, np.ndarray] = {}
     offset = header_end + 1
@@ -138,8 +146,8 @@ def load_checkpoint(path: str) -> CheckpointBundle:
     tables = IntervalTables(
         spatial=arrays["tables/spatial"],
         temporal=arrays["tables/temporal"],
-        d_max_km=float(header["scales"]["d_max_km"]),
-        t_max_hours=float(header["scales"]["t_max_hours"]),
+        d_max_km=d_max_km,
+        t_max_hours=t_max_hours,
     )
 
     model = Model(config, vocab, tables)
@@ -160,18 +168,11 @@ def load_checkpoint(path: str) -> CheckpointBundle:
         p.value = arr
 
     n_users = vocab.n_users
-    meta = header["cache"]
     states = []
     for u in range(n_users):
         key = f"cache/states/{u}"
         if key not in arrays:
             raise CheckpointFormatError(f"{path}: missing tensor {key!r}")
         states.append(arrays[key])
-    cache = EncodedCache(
-        states=states,
-        oseq=[np.asarray(s, dtype=np.int64) for s in meta["oseq"]],
-        dseq=[np.asarray(s, dtype=np.int64) for s in meta["dseq"]],
-        last_dest=np.asarray(meta["last_dest"], dtype=np.int64),
-        n_train=np.asarray(meta["n_train"], dtype=np.int64),
-    )
+    cache = EncodedCache(states, oseq, dseq, last_dest, n_train)
     return CheckpointBundle(model=model, cache=cache, location_ids=loc_ids, user_ids=user_ids)

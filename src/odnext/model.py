@@ -21,6 +21,7 @@ pieces; see VARIANTS.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -28,7 +29,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .data import Corpus, IntervalTables, Trip, Vocab
-from .nn import ContractViolation, embedding_init, glorot_uniform, Adam
+from .nn import ContractViolation, embedding_init, glorot_uniform, train_per_user
 from .stlstm import (
     LSTMWeights,
     STLSTMInput,
@@ -75,8 +76,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.dim < 1 or self.hdim < 1:
             raise ContractViolation("dim and hdim must be positive")
-        if self.lr <= 0:
-            raise ContractViolation("lr must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ContractViolation("lr must be positive and finite")
         if self.epochs < 0:
             raise ContractViolation("epochs must be non-negative")
         if self.variant not in VARIANTS:
@@ -87,8 +88,8 @@ class ModelConfig:
             )
         if not 1 <= self.geohash_precision <= 12:
             raise ContractViolation("geohash_precision outside [1, 12]")
-        if self.leaky_slope < 0:
-            raise ContractViolation("leaky_slope must be non-negative")
+        if not (math.isfinite(self.leaky_slope) and self.leaky_slope >= 0):
+            raise ContractViolation("leaky_slope must be non-negative and finite")
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -120,6 +121,50 @@ class _UserData:
     d_slots: np.ndarray
     targets: np.ndarray
     mask: np.ndarray | None
+
+
+def attend(
+    queries: Tensor, states: Tensor, w_a: Tensor, mask: np.ndarray | None, slope: float
+) -> tuple[Tensor, Tensor]:
+    """Per-dimension attention as one tape node.
+
+    queries (E, qw) and states (S, sd) project through the row blocks of
+    w_a (qw + sd, sd); scores = leaky_relu(q_proj[e] + h_proj[s]) plus the
+    optional additive mask (E, S, 1); alpha (E, S, sd) is the softmax over
+    S and the summary (E, sd) the alpha-weighted sum of states.  Returns
+    (summary, alpha); alpha is a constant, no gradient flows through it.
+    The backward is the analytic one of that chain, expression for
+    expression.
+    """
+    q, s, w = queries.value, states.value, w_a.value
+    n_q = q.shape[1]
+    w_q, w_s = w[:n_q], w[n_q:]
+    pre = (q @ w_q)[:, None, :] + (s @ w_s)[None, :, :]
+    positive = pre >= 0
+    alpha = pre * slope  # becomes the scores, then alpha, in place
+    np.copyto(alpha, pre, where=positive)
+    if mask is not None:
+        alpha += mask
+    alpha -= alpha.max(axis=1, keepdims=True)
+    np.exp(alpha, out=alpha)
+    alpha /= alpha.sum(axis=1, keepdims=True)
+    summary = (alpha * s[None]).sum(axis=1)
+
+    def backward(g):
+        d_pre = g[:, None, :] * s[None]  # d alpha, then d scores, then d pre
+        d_pre -= (d_pre * alpha).sum(axis=1, keepdims=True)
+        d_pre *= alpha
+        np.multiply(d_pre, slope, out=d_pre, where=~positive)
+        d_q_proj = d_pre.sum(axis=1)
+        d_s_proj = d_pre.sum(axis=0)
+        if ag.needs_grad(queries):
+            queries.accumulate(d_q_proj @ w_q.T)
+        if ag.needs_grad(states):
+            states.accumulate((g[:, None, :] * alpha).sum(axis=0) + d_s_proj @ w_s.T)
+        if ag.needs_grad(w_a):
+            w_a.accumulate(np.concatenate([q.T @ d_q_proj, s.T @ d_s_proj]))
+
+    return ag.fused(summary, (queries, states, w_a), backward), ag.constant(alpha)
 
 
 def _causal_mask(n_examples: int) -> np.ndarray:
@@ -262,21 +307,7 @@ class Model:
     ) -> tuple[Tensor, Tensor]:
         """Per-dimension attention: queries (E, qw) x states (S, sd) ->
         summary (E, sd) and weights (E, S, sd) summing to one over S."""
-        n_ex = queries.value.shape[0]
-        n_states, sd = states.value.shape
-        w_a = self.params["attn/W_A"]
-        qw = queries.value.shape[1]
-        q_proj = ag.matmul(queries, ag.index(w_a, (slice(0, qw), slice(None))))
-        h_proj = ag.matmul(states, ag.index(w_a, (slice(qw, None), slice(None))))
-        scores = ag.leaky_relu(
-            ag.add(ag.reshape(q_proj, (n_ex, 1, sd)), ag.reshape(h_proj, (1, n_states, sd))),
-            self.config.leaky_slope,
-        )
-        if mask is not None:
-            scores = ag.add(scores, ag.constant(mask))
-        alpha = ag.softmax(scores, axis=1)
-        summary = ag.sum_axis(ag.mul(alpha, ag.reshape(states, (1, n_states, sd))), 1)
-        return summary, alpha
+        return attend(queries, states, self.params["attn/W_A"], mask, self.config.leaky_slope)
 
     def _forward(
         self, ud: _UserData, user: int | None, user_vec_value: np.ndarray | None = None
@@ -330,11 +361,11 @@ class Model:
         """Mean cross-entropy over one user's |trips|-1 training examples."""
         if len(trips) < 2:
             raise ContractViolation("a user needs at least two trips to train on")
-        ud = self._user_data(trips)
+        return self._loss(user, self._user_data(trips))
+
+    def _loss(self, user: int, ud: _UserData) -> Tensor:
         logits, _ = self._forward(ud, user)
-        log_probs = ag.log_softmax(logits, axis=1)
-        picked = ag.take_per_row(log_probs, ud.targets)
-        return ag.scale(ag.mean_all(picked), -1.0)
+        return ag.mean_cross_entropy(logits, ud.targets)
 
     # -- training ---------------------------------------------------------
 
@@ -342,29 +373,15 @@ class Model:
         """Train in place; returns the per-epoch mean user loss curve."""
         if train.n_users != self.vocab.n_users:
             raise ContractViolation("training corpus does not match the vocabulary")
-        data = [
-            (u, self._user_data(trips)) if len(trips) >= 2 else None
+        usable = [
+            (u, self._user_data(trips))
             for u, trips in enumerate(train.trips_by_user)
+            if len(trips) >= 2
         ]
-        usable = [d for d in data if d is not None]
-        if not usable:
-            raise ContractViolation("no user has enough trips to train on")
-        opt = Adam(self.params, lr=self.config.lr)
-        order_rng = np.random.default_rng([self.config.seed, 1])
-        self.loss_curve = []
-        for _ in range(self.config.epochs):
-            total = 0.0
-            for pos in order_rng.permutation(len(usable)):
-                user, ud = usable[pos]
-                logits, _ = self._forward(ud, user)
-                log_probs = ag.log_softmax(logits, axis=1)
-                picked = ag.take_per_row(log_probs, ud.targets)
-                loss = ag.scale(ag.mean_all(picked), -1.0)
-                opt.zero_grad()
-                loss.backward()
-                opt.step()
-                total += loss.item()
-            self.loss_curve.append(total / len(usable))
+        c = self.config
+        self.loss_curve = train_per_user(
+            self.params, c.lr, c.seed, c.epochs, usable, self._loss, train.users
+        )
         return self.loss_curve
 
     def mean_loss(self, corpus: Corpus) -> float:

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+import math
+from typing import Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -91,6 +92,48 @@ class Adam:
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.zero_grad()
+
+
+_Batch = TypeVar("_Batch")
+
+
+def train_per_user(
+    params: Mapping[str, Tensor],
+    lr: float,
+    seed: int,
+    epochs: int,
+    batches: Sequence[tuple[int, _Batch]],
+    loss_fn: Callable[[int, _Batch], Tensor],
+    user_ids: Sequence[str],
+) -> list[float]:
+    """One Adam step per (user, batch) pair, in a fresh seeded order each
+    epoch; returns the per-epoch mean loss.
+
+    A non-finite loss stops training with ContractViolation naming the
+    epoch and the user, before backward/step can spread it into params.
+    """
+    if not batches:
+        raise ContractViolation("no user has enough trips to train on")
+    opt = Adam(params, lr=lr)
+    order_rng = np.random.default_rng([seed, 1])
+    curve = []
+    for epoch in range(epochs):
+        total = 0.0
+        for pos in order_rng.permutation(len(batches)):
+            user, batch = batches[pos]
+            loss = loss_fn(user, batch)
+            value = loss.item()
+            if not math.isfinite(value):
+                raise ContractViolation(
+                    f"training diverged: loss {value} at epoch {epoch + 1}, "
+                    f"user {user_ids[user]!r} (index {user})"
+                )
+            opt.zero_grad()
+            loss.backward()
+            opt.step()
+            total += value
+        curve.append(total / len(batches))
+    return curve
 
 
 def grad_check(

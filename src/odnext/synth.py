@@ -56,6 +56,9 @@ class SynthConfig:
     p_next: float = 0.3  # ... or move to the cyclically next cluster
 
     def __post_init__(self):
+        for name in ("p_noise", "day_half_adherence", "p_stay", "p_next"):
+            if not math.isfinite(getattr(self, name)):
+                raise ContractViolation(f"{name} must be finite")
         if self.n_clusters < 2:
             raise ContractViolation("need at least two clusters")
         if self.n_locations % self.n_clusters != 0:

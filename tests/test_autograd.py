@@ -98,6 +98,24 @@ class TestIndexing:
         expected[3] = 1 / 3
         np.testing.assert_allclose(table.grad, expected)
 
+    def test_take_rows_sums_per_gather_before_adding(self):
+        # Two gathers from one table, each repeating rows: the table's
+        # gradient is (sum of gather 1) + (sum of gather 2) row by row,
+        # bit for bit, whatever order the gathers' backwards run in.
+        r = rng_of(5)
+        table = ag.parameter(r.normal(size=(6, 3)))
+        idx_a, idx_b = np.array([4, 1, 4, 0, 4]), np.array([[4, 2], [4, 4]])
+        g_a, g_b = r.normal(size=(5, 3)) * 1e3, r.normal(size=(2, 2, 3))
+        loss = ag.add(
+            ag.mean_all(ag.mul(ag.take_rows(table, idx_a), ag.constant(g_a))),
+            ag.mean_all(ag.mul(ag.take_rows(table, idx_b), ag.constant(g_b))),
+        )
+        loss.backward()
+        sum_a, sum_b = np.zeros((6, 3)), np.zeros((6, 3))
+        np.add.at(sum_a, idx_a, (1.0 / g_a.size) * g_a)
+        np.add.at(sum_b, idx_b, (1.0 / g_b.size) * g_b)
+        np.testing.assert_array_equal(table.grad, sum_a + sum_b)
+
     def test_take_per_row(self):
         m = ag.parameter(np.arange(6.0).reshape(2, 3))
         out = ag.take_per_row(m, np.array([2, 0]))

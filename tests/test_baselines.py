@@ -117,6 +117,25 @@ class TestODLSTM:
         loss = m.user_loss(0, split.train.trips_by_user[0]).item()
         assert loss == pytest.approx(np.log(corpus.n_locations), rel=0.2)
 
+    @pytest.mark.parametrize(
+        "kw", [{"dim": 0}, {"hdim": 0}, {"lr": 0.0}, {"lr": float("nan")},
+               {"lr": float("inf")}, {"epochs": -1}]
+    )
+    def test_config_rejects_bad_numbers(self, kw):
+        with pytest.raises(ContractViolation):
+            ODLSTMConfig(**kw)
+
+    def test_non_finite_loss_stops_before_any_update(self, od_world):
+        corpus, split = od_world
+        m = ODLSTM(ODLSTMConfig(dim=5, hdim=6, lr=1e-2, epochs=2), corpus.n_locations)
+        m.params["lstm/U_h"].value[0, 0] = np.nan
+        before = {k: p.value.copy() for k, p in m.params.items()}
+        with pytest.raises(ContractViolation, match="epoch 1, user ") as err:
+            m.fit(split.train)
+        assert any(repr(u) in str(err.value) for u in corpus.users)
+        for k, p in m.params.items():
+            np.testing.assert_array_equal(p.value, before[k])
+
     def test_fit_decreases_loss_and_is_deterministic(self, od_world):
         corpus, split = od_world
         cfg = ODLSTMConfig(dim=5, hdim=6, lr=1e-2, epochs=3, seed=2)

@@ -265,6 +265,77 @@ class TestExitCodes:
         capsys.readouterr()
         assert rc == 2
 
+    @pytest.mark.parametrize("key", ["config", "ids", "vocab", "scales", "cache", "tensors"])
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_checkpoint_missing_header_key_is_2(self, pipeline, tmp_path, capsys, key, command):
+        magic, header, payload = pipeline["ckpt"].read_bytes().split(b"\n", 2)
+        fields = json.loads(header)
+        del fields[key]
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(b"\n".join([magic, json.dumps(fields).encode(), payload]))
+        if command == "predict":
+            argv = ["predict", "--checkpoint", str(bad),
+                    "--user", "U0000", "--origin", "L000", "--prev-dest", "L001"]
+        else:
+            argv = ["eval", "--checkpoint", str(bad), "--test", str(pipeline["test"])]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and repr(key) in err
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [("config", "lr", -1.0), ("cache", "n_train", "abc"), ("cache", "oseq", [["x"]])],
+    )
+    def test_checkpoint_invalid_header_value_is_2(
+        self, pipeline, tmp_path, capsys, section, key, value
+    ):
+        magic, header, payload = pipeline["ckpt"].read_bytes().split(b"\n", 2)
+        fields = json.loads(header)
+        fields[section][key] = value
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(b"\n".join([magic, json.dumps(fields).encode(), payload]))
+        rc = main(["eval", "--checkpoint", str(bad), "--test", str(pipeline["test"])])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "text", ['{"lr": NaN}', '{"lr": Infinity}', '{"leaky_slope": NaN}',
+                 '{"leaky_slope": Infinity}']
+    )
+    def test_non_finite_train_config_is_1(self, pipeline, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        rc = main(
+            [
+                "train",
+                "--config", str(cfg),
+                "--trips", str(pipeline["p_trips"]),
+                "--locations", str(pipeline["p_locs"]),
+                "--out", str(tmp_path / "m.ckpt"),
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize(
+        "text", ['{"p_stay": NaN}', '{"p_next": -Infinity}', '{"p_noise": NaN}']
+    )
+    def test_non_finite_synth_config_is_1(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        rc = main(
+            [
+                "synth",
+                "--config", str(cfg),
+                "--out-trips", str(tmp_path / "t.csv"),
+                "--out-locations", str(tmp_path / "l.csv"),
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_unknown_config_key_is_1(self, pipeline, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"dmi": 8}))

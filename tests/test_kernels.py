@@ -1,0 +1,211 @@
+"""Fused kernels against the per-step / per-op compositions they replace.
+
+The recurrent encoders, the attention decoder and the loss each run as
+one tape node with a hand-written backward.  Each is checked here
+against the unfused reference: the step functions, the autograd chain
+the attention layer used to be, and log_softmax + take_per_row +
+mean_all.
+"""
+
+import numpy as np
+import pytest
+
+import odnext.autograd as ag
+from odnext.data import build_interval_tables, build_vocab
+from odnext.model import VARIANTS, Model, ModelConfig, _causal_mask, attend
+from odnext.stlstm import (
+    STLSTMInput,
+    init_lstm,
+    init_st_lstm,
+    lstm_encode,
+    lstm_step,
+    st_lstm_encode,
+    st_lstm_step,
+)
+from odnext.synth import SynthConfig, generate
+
+TOL = 1e-12
+STEPS = (0, 1, 2, 7)
+
+
+def _grads(tensors):
+    return [np.zeros_like(t.value) if t.grad is None else t.grad.copy() for t in tensors]
+
+
+def _zero(tensors):
+    for t in tensors:
+        t.zero_grad()
+
+
+def _close(actual, expected):
+    np.testing.assert_allclose(actual, expected, rtol=0, atol=TOL)
+
+
+def tape_size(root):
+    """Tensors reachable from `root` through the tape, leaves included."""
+    seen = {id(root)}
+    stack = [root]
+    while stack:
+        for p in stack.pop()._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return len(seen)
+
+
+class TestRecurrentKernels:
+    @pytest.mark.parametrize("steps", STEPS)
+    def test_st_lstm_matches_step_loop(self, steps):
+        rng = np.random.default_rng([11, steps])
+        dim, hidden, n_loc = 4, 5, 6
+        w = init_st_lstm(rng, dim, hidden, n_loc)
+        for p in w.params("w").values():  # non-zero biases exercise every column
+            p.value += rng.normal(scale=0.1, size=p.value.shape)
+        inp = STLSTMInput(
+            loc=ag.parameter(rng.normal(size=(steps, dim))),
+            geo=ag.parameter(rng.normal(size=(steps, dim))),
+            slot=ag.parameter(rng.normal(size=(steps, dim))),
+            dspace=ag.parameter(rng.uniform(size=(steps, n_loc))),
+            dtime=ag.parameter(rng.uniform(size=(steps, n_loc))),
+        )
+        probe = ag.constant(rng.normal(size=(steps, hidden)))
+        tensors = [*w.params("w").values(), inp.loc, inp.geo, inp.slot, inp.dspace, inp.dtime]
+
+        fused = st_lstm_encode(w, inp)
+        if steps == 0:
+            assert fused.shape == (0, hidden) and not fused._parents
+            return
+        ag.mean_all(ag.mul(fused, probe)).backward()
+        fused_grads = _grads(tensors)
+        _zero(tensors)
+
+        zero = ag.constant(np.zeros(hidden))
+        h, c, cs, ct = zero, zero, zero, zero
+        states = []
+        for j in range(steps):
+            h, c, cs, ct = st_lstm_step(
+                w, inp.loc[j], inp.geo[j], inp.slot[j], inp.dspace[j], inp.dtime[j],
+                h, c, cs, ct,
+            )
+            states.append(h)
+        unrolled = ag.stack(states)
+        ag.mean_all(ag.mul(unrolled, probe)).backward()
+
+        _close(fused.value, unrolled.value)
+        for got, want in zip(fused_grads, _grads(tensors)):
+            _close(got, want)
+
+    @pytest.mark.parametrize("steps", STEPS)
+    def test_lstm_matches_step_loop(self, steps):
+        rng = np.random.default_rng([12, steps])
+        in_dim, hidden = 3, 5
+        w = init_lstm(rng, in_dim, hidden)
+        w.b.value += rng.normal(scale=0.1, size=w.b.value.shape)
+        x = ag.parameter(rng.normal(size=(steps, in_dim)))
+        h0 = ag.parameter(rng.normal(scale=0.5, size=hidden))
+        c0 = ag.parameter(rng.normal(scale=0.5, size=hidden))
+        probe = ag.constant(rng.normal(size=(steps, hidden)))
+        probe_h = ag.constant(rng.normal(size=hidden))
+        probe_c = ag.constant(rng.normal(size=hidden))
+        tensors = [*w.params("w").values(), x, h0, c0]
+
+        def loss(states, h, c):
+            out = ag.add(ag.mean_all(ag.mul(h, probe_h)), ag.mean_all(ag.mul(c, probe_c)))
+            return ag.add(out, ag.mean_all(ag.mul(states, probe))) if steps else out
+
+        fused = lstm_encode(w, x, h0, c0)
+        loss(*fused).backward()
+        fused_grads = _grads(tensors)
+        _zero(tensors)
+
+        h, c = h0, c0
+        states = []
+        for j in range(steps):
+            h, c = lstm_step(w, x[j], h, c)
+            states.append(h)
+        unrolled = ag.stack(states) if steps else ag.constant(np.zeros((0, hidden)))
+        loss(unrolled, h, c).backward()
+
+        for got, want in zip(fused, (unrolled, h, c)):
+            _close(got.value, want.value)
+        for got, want in zip(fused_grads, _grads(tensors)):
+            _close(got, want)
+
+
+def reference_attend(queries, states, w_a, mask, slope):
+    """The attention layer as the autograd chain the fused kernel replaced."""
+    n_ex, qw = queries.value.shape
+    n_states, sd = states.value.shape
+    q_proj = ag.matmul(queries, ag.index(w_a, (slice(0, qw), slice(None))))
+    h_proj = ag.matmul(states, ag.index(w_a, (slice(qw, None), slice(None))))
+    scores = ag.leaky_relu(
+        ag.add(ag.reshape(q_proj, (n_ex, 1, sd)), ag.reshape(h_proj, (1, n_states, sd))),
+        slope,
+    )
+    if mask is not None:
+        scores = ag.add(scores, ag.constant(mask))
+    alpha = ag.softmax(scores, axis=1)
+    summary = ag.sum_axis(ag.mul(alpha, ag.reshape(states, (1, n_states, sd))), 1)
+    return summary, alpha
+
+
+class TestAttentionKernel:
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("n_ex,qw,sd", [(1, 3, 2), (6, 9, 4), (15, 24, 8)])
+    def test_matches_autograd_composition(self, masked, n_ex, qw, sd):
+        rng = np.random.default_rng([13, n_ex, int(masked)])
+        values = [
+            rng.normal(size=(n_ex, qw)),
+            rng.normal(size=(2 * n_ex, sd)),
+            rng.normal(size=(qw + sd, sd)),
+        ]
+        probe = ag.constant(rng.normal(size=(n_ex, sd)))
+        mask = _causal_mask(n_ex) if masked else None
+        results = []
+        for fn in (attend, reference_attend):
+            tensors = [ag.parameter(v.copy()) for v in values]
+            summary, alpha = fn(*tensors, mask, 0.2)
+            ag.mean_all(ag.mul(summary, probe)).backward()
+            results.append([summary.value, alpha.value, *_grads(tensors)])
+        for got, want in zip(*results):
+            _close(got, want)
+
+
+class TestCrossEntropyKernel:
+    @pytest.mark.parametrize("scale", [1.0, 50.0, 800.0, 1e5])
+    def test_matches_log_softmax_chain(self, scale):
+        rng = np.random.default_rng([14, int(scale)])
+        logits = rng.normal(size=(9, 13)) * scale
+        logits[0, :] = logits[0, 0]  # a row of ties
+        logits[1, 3] = 1e300  # one overwhelming logit
+        targets = rng.integers(0, 13, size=9)
+        targets[1] = 4  # its target is not the overwhelming one
+        fused_in = ag.parameter(logits.copy())
+        fused = ag.mean_cross_entropy(fused_in, targets)
+        fused.backward()
+        chain_in = ag.parameter(logits.copy())
+        log_probs = ag.log_softmax(chain_in, axis=1)
+        chain = ag.scale(ag.mean_all(ag.take_per_row(log_probs, targets)), -1.0)
+        chain.backward()
+        np.testing.assert_array_equal(fused.value, chain.value)
+        np.testing.assert_array_equal(fused_in.grad, chain_in.grad)
+        assert np.isfinite(fused_in.grad).all()
+
+
+class TestTapeSize:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_independent_of_history_length(self, variant):
+        corpus, _ = generate(
+            SynthConfig(n_users=2, n_locations=12, n_clusters=4, trips_per_user=25, seed=5)
+        )
+        model = Model(
+            ModelConfig(dim=4, hdim=5, variant=variant, attention_context="causal"),
+            build_vocab(corpus),
+            build_interval_tables(corpus),
+        )
+        trips = corpus.trips_by_user[0]
+        short = tape_size(model.user_loss(0, trips[:5]))
+        long = tape_size(model.user_loss(0, trips))
+        assert short == long
+        # the per-step tape held 772 tensors for a 21-trip stod-ppa user
+        assert long <= 772 // 10

@@ -60,6 +60,10 @@ class TestConfig:
             {"geohash_precision": 0},
             {"geohash_precision": 13},
             {"leaky_slope": -0.5},
+            {"lr": float("nan")},
+            {"lr": float("inf")},
+            {"leaky_slope": float("nan")},
+            {"leaky_slope": float("inf")},
         ],
     )
     def test_rejects_bad_numbers(self, kw):
@@ -216,6 +220,17 @@ class TestTraining:
         pa = a.predict_batch(cache_a, 3, [1], [0])
         pb = b.predict_batch(cache_b, 3, [1], [0])
         np.testing.assert_array_equal(pa, pb)
+
+    def test_non_finite_loss_stops_before_any_update(self, small_world):
+        corpus, _, _ = small_world
+        m = make_model(small_world, lr=1e-2, epochs=2)
+        m.params["enc_o/U_h"].value[0, 0] = np.nan
+        before = {k: p.value.copy() for k, p in m.params.items()}
+        with pytest.raises(ContractViolation, match="epoch 1, user ") as err:
+            m.fit(corpus)
+        assert any(repr(u) in str(err.value) for u in corpus.users)
+        for k, p in m.params.items():
+            np.testing.assert_array_equal(p.value, before[k])
 
     def test_fit_rejects_foreign_corpus(self, small_world):
         corpus, vocab, tables = small_world

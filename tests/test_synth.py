@@ -32,6 +32,10 @@ class TestConfig:
             SynthConfig(day_half_adherence=0.3)
         with pytest.raises(ContractViolation):
             SynthConfig(n_cold_users=5, cold_trips_min=4, cold_trips_max=3)
+        for name in ("p_noise", "day_half_adherence", "p_stay", "p_next"):
+            for value in (float("nan"), float("inf"), float("-inf")):
+                with pytest.raises(ContractViolation):
+                    SynthConfig(**{name: value})
 
     def test_oracle_accuracy_values(self):
         assert oracle_accuracy(0.0, 60) == 1.0
