@@ -9,7 +9,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .data import Corpus, Trip
+from .data import Corpus, Trip, build_encoder_sequences
 from .nn import ContractViolation, embedding_init, glorot_uniform, train_per_user
 from .stlstm import LSTMWeights, init_lstm, lstm_encode
 
@@ -125,8 +125,7 @@ class ODLSTM:
     def user_loss(self, user: int, trips: list[Trip]) -> Tensor:
         if len(trips) < 2:
             raise ContractViolation("a user needs at least two trips to train on")
-        oseq = np.array([t.origin_loc for t in trips[1:]], dtype=np.int64)
-        dseq = np.array([t.dest_loc for t in trips[:-1]], dtype=np.int64)
+        oseq, dseq = (np.array(s, dtype=np.int64) for s in build_encoder_sequences(trips))
         targets = np.array([t.dest_loc for t in trips[1:]], dtype=np.int64)
         states, _, _ = lstm_encode(self.lstm, self._inputs(oseq, dseq))
         logits = ag.matmul(states, self.params["out/W_loc"])
@@ -152,8 +151,7 @@ class ODLSTM:
                 if len(trips) < 2:
                     self._final.append((np.zeros(hidden), np.zeros(hidden)))
                     continue
-                oseq = np.array([t.origin_loc for t in trips[1:]], dtype=np.int64)
-                dseq = np.array([t.dest_loc for t in trips[:-1]], dtype=np.int64)
+                oseq, dseq = (np.array(s, dtype=np.int64) for s in build_encoder_sequences(trips))
                 _, h, c = lstm_encode(self.lstm, self._inputs(oseq, dseq))
                 self._final.append((h.value.copy(), c.value.copy()))
 

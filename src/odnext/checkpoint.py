@@ -11,6 +11,7 @@ save/load/save round trip reproduces the file byte for byte.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ from .model import EncodedCache, Model, ModelConfig
 from .nn import ContractViolation
 
 MAGIC = "ODNEXT-CKPT 1"
+_TABLES = ("tables/spatial", "tables/temporal")
 
 
 class CheckpointFormatError(ValueError):
@@ -36,8 +38,7 @@ class CheckpointBundle:
 
 def _tensor_list(model: Model, cache: EncodedCache) -> list[tuple[str, np.ndarray]]:
     out = [(f"param/{name}", p.value) for name, p in model.params.items()]
-    out.append(("tables/spatial", model.tables.spatial))
-    out.append(("tables/temporal", model.tables.temporal))
+    out += zip(_TABLES, (model.tables.spatial, model.tables.temporal))
     for u, states in enumerate(cache.states):
         out.append((f"cache/states/{u}", states))
     return out
@@ -85,6 +86,35 @@ def save_checkpoint(
             f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
+def _in_range(ids: np.ndarray, n: int) -> bool:
+    return ids.size == 0 or 0 <= ids.min() <= ids.max() < n
+
+
+def _check_header(vocab: Vocab, shapes: dict, cache_meta: tuple) -> None:
+    """Raise ValueError where the header disagrees with itself: tensor
+    shapes that are not sizes, table shapes against the location ids,
+    geohash ids against the geohash codes, cache fields against the user
+    count and n_train, or cached locations outside the vocabulary."""
+    n_loc = vocab.n_locations
+    if n_loc < 1:
+        raise ValueError("no location ids")
+    if not all(type(n) is int and n >= 0 for shape in shapes.values() for n in shape):
+        raise ValueError("tensor shapes must be non-negative integers")
+    for key in _TABLES:
+        if shapes.get(key) != (n_loc, n_loc):
+            raise ValueError(f"tensor {key} has shape {shapes.get(key)} for {n_loc} locations")
+    if vocab.loc_geohash.shape != (n_loc,) or not _in_range(vocab.loc_geohash, vocab.n_geohashes):
+        raise ValueError(f"loc_geohash is not {n_loc} ids in [0, {vocab.n_geohashes})")
+    oseq, dseq, last_dest, n_train = cache_meta
+    if any(len(field) != vocab.n_users for field in cache_meta):
+        raise ValueError(f"cache metadata does not cover {vocab.n_users} users")
+    lengths = np.maximum(n_train - 1, 0).tolist()
+    if [len(o) for o in oseq] != lengths or [len(d) for d in dseq] != lengths:
+        raise ValueError("cached sequence lengths do not match n_train")
+    if not _in_range(np.concatenate([*oseq, *dseq, last_dest[n_train > 0]]), n_loc):
+        raise ValueError(f"cached location outside [0, {n_loc})")
+
+
 def load_checkpoint(path: str) -> CheckpointBundle:
     with open(path, "rb") as f:
         blob = f.read()
@@ -120,6 +150,7 @@ def load_checkpoint(path: str) -> CheckpointBundle:
         dseq = [np.asarray(s, dtype=np.int64) for s in meta["dseq"]]
         last_dest = np.asarray(meta["last_dest"], dtype=np.int64)
         n_train = np.asarray(meta["n_train"], dtype=np.int64)
+        _check_header(vocab, dict(specs), (oseq, dseq, last_dest, n_train))
     except (KeyError, TypeError, ValueError) as e:
         # ValueError covers ContractViolation from an invalid stored config
         raise CheckpointFormatError(f"{path}: incomplete or invalid header ({e})") from None
@@ -127,7 +158,7 @@ def load_checkpoint(path: str) -> CheckpointBundle:
     arrays: dict[str, np.ndarray] = {}
     offset = header_end + 1
     for name, shape in specs:
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        count = math.prod(shape)
         nbytes = count * 8
         if offset + nbytes > len(blob):
             raise CheckpointFormatError(f"{path}: payload truncated at tensor {name!r}")
@@ -140,9 +171,6 @@ def load_checkpoint(path: str) -> CheckpointBundle:
     if offset != len(blob):
         raise CheckpointFormatError(f"{path}: {len(blob) - offset} trailing bytes")
 
-    for key in ("tables/spatial", "tables/temporal"):
-        if key not in arrays:
-            raise CheckpointFormatError(f"{path}: missing tensor {key!r}")
     tables = IntervalTables(
         spatial=arrays["tables/spatial"],
         temporal=arrays["tables/temporal"],
@@ -151,28 +179,17 @@ def load_checkpoint(path: str) -> CheckpointBundle:
     )
 
     model = Model(config, vocab, tables)
-    expected = {f"param/{name}" for name in model.params}
-    present = {n for n in arrays if n.startswith("param/")}
-    if expected != present:
-        raise CheckpointFormatError(
-            f"{path}: parameter set mismatch "
-            f"(missing {sorted(expected - present)}, extra {sorted(present - expected)})"
-        )
+    expected = {f"param/{name}": p.value.shape for name, p in model.params.items()}
+    expected.update((key, tables.spatial.shape) for key in _TABLES)
+    for u, n in enumerate(n_train.tolist()):
+        expected[f"cache/states/{u}"] = (2 * (n - 1) if n >= 2 else 0, model.state_dim)
+    shapes = {name: arr.shape for name, arr in arrays.items()}
+    if shapes != expected:
+        keys = sorted(expected.keys() | shapes.keys())
+        wrong = [k for k in keys if shapes.get(k) != expected.get(k)]
+        raise CheckpointFormatError(f"{path}: tensors missing, extra or misshapen: {wrong}")
     for name, p in model.params.items():
-        arr = arrays[f"param/{name}"]
-        if arr.shape != p.value.shape:
-            raise CheckpointFormatError(
-                f"{path}: tensor param/{name} has shape {arr.shape}, "
-                f"expected {p.value.shape}"
-            )
-        p.value = arr
-
-    n_users = vocab.n_users
-    states = []
-    for u in range(n_users):
-        key = f"cache/states/{u}"
-        if key not in arrays:
-            raise CheckpointFormatError(f"{path}: missing tensor {key!r}")
-        states.append(arrays[key])
+        p.value = arrays[f"param/{name}"]
+    states = [arrays[f"cache/states/{u}"] for u in range(len(n_train))]
     cache = EncodedCache(states, oseq, dseq, last_dest, n_train)
     return CheckpointBundle(model=model, cache=cache, location_ids=loc_ids, user_ids=user_ids)

@@ -168,13 +168,16 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
+def _split_vocab_tables(cfg: TrainRunConfig, corpus: Corpus):
+    """Chronological split; vocabulary over the corpus, tables over its training part."""
+    split = chronological_split(corpus, cfg.train_ratio)
+    vocab = build_vocab(corpus, cfg.model.geohash_precision, cfg.model.utc_offset_hours)
+    return split, vocab, build_interval_tables(split.train)
+
+
 def _train_pipeline(cfg: TrainRunConfig, corpus: Corpus):
     """Split, build vocabulary and tables, train, cache."""
-    split = chronological_split(corpus, cfg.train_ratio)
-    vocab = build_vocab(
-        corpus, cfg.model.geohash_precision, cfg.model.utc_offset_hours
-    )
-    tables = build_interval_tables(split.train)
+    split, vocab, tables = _split_vocab_tables(cfg, corpus)
     model = Model(cfg.model, vocab, tables)
     model.fit(split.train)
     cache = model.build_cache(split.train)
@@ -310,10 +313,8 @@ def cmd_ablate(args) -> int:
         if v not in VARIANTS and v not in FREQUENCY_KINDS and v != "od-lstm":
             raise ContractViolation(f"unknown ablation target {v!r}")
 
-    split = chronological_split(corpus, cfg.train_ratio)
+    split, vocab, tables = _split_vocab_tables(cfg, corpus)
     queries = build_test_queries(split)
-    vocab = build_vocab(corpus, cfg.model.geohash_precision, cfg.model.utc_offset_hours)
-    tables = build_interval_tables(split.train)
     lines = [f"config_sha256={config_sha256(cfg.as_dict())}"]
     for v in variants:
         reports = []
@@ -354,9 +355,7 @@ def cmd_sweep(args) -> int:
         parsed = [float(v) for v in values]
     except ValueError:
         raise ContractViolation(f"sweep values must be numeric: {values}") from None
-    split = chronological_split(corpus, cfg.train_ratio)
-    vocab = build_vocab(corpus, cfg.model.geohash_precision, cfg.model.utc_offset_hours)
-    tables = build_interval_tables(split.train)
+    split, vocab, tables = _split_vocab_tables(cfg, corpus)
     results = sensitivity_sweep(cfg.model, args.param, parsed, split, vocab, tables)
     lines = [f"config_sha256={config_sha256(cfg.as_dict())}", f"param={args.param}"]
     for value, report in results:
@@ -449,19 +448,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CorpusFormatError, CheckpointFormatError) as e:
+    except (
+        CorpusFormatError, CheckpointFormatError, json.JSONDecodeError, UnicodeDecodeError, OSError
+    ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except ContractViolation as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except ValueError as e:  # ContractViolation among them
         print(f"error: {e}", file=sys.stderr)
         return 1
 

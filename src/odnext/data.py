@@ -68,9 +68,6 @@ class Corpus:
     def is_empty(self) -> bool:
         return self.n_users == 0
 
-    def all_trips(self) -> list[Trip]:
-        return [t for trips in self.trips_by_user for t in trips]
-
 
 def _sort_trips(trips: list[Trip]) -> list[Trip]:
     # ties: dropoff, then input order (stable sort)
@@ -408,14 +405,6 @@ def build_test_queries(split: SplitResult) -> list[list[TrainingExample]]:
     for u in range(split.train.n_users):
         train_trips = split.train.trips_by_user[u]
         test_trips = split.test.trips_by_user[u]
-        user_queries: list[TrainingExample] = []
-        if test_trips and train_trips:
-            chain = [train_trips[-1]] + list(test_trips)
-            for j in range(1, len(chain)):
-                user_queries.append(
-                    TrainingExample(
-                        u, chain[j].origin_loc, chain[j - 1].dest_loc, chain[j].dest_loc
-                    )
-                )
-        queries.append(user_queries)
+        chain = [train_trips[-1]] + list(test_trips) if test_trips and train_trips else []
+        queries.append(build_training_examples(u, chain))
     return queries

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -17,21 +17,22 @@ def rank_descending(probs: np.ndarray) -> np.ndarray:
     return np.argsort(-probs, kind="stable")
 
 
-def accuracy_at_k(rankings: Sequence[np.ndarray], targets: Sequence[int], k: int) -> float:
+def _check_scorable(rankings: Sequence[np.ndarray], targets: Sequence[int]) -> None:
     if len(rankings) != len(targets):
         raise ContractViolation("rankings and targets differ in length")
     if not rankings:
         raise ContractViolation("cannot score an empty query set")
+
+
+def accuracy_at_k(rankings: Sequence[np.ndarray], targets: Sequence[int], k: int) -> float:
+    _check_scorable(rankings, targets)
     hits = sum(int(t in r[:k]) for r, t in zip(rankings, targets))
     return hits / len(rankings)
 
 
 def mean_average_precision(rankings: Sequence[np.ndarray], targets: Sequence[int]) -> float:
     """MAP with a single relevant item per query: the mean of 1/rank."""
-    if len(rankings) != len(targets):
-        raise ContractViolation("rankings and targets differ in length")
-    if not rankings:
-        raise ContractViolation("cannot score an empty query set")
+    _check_scorable(rankings, targets)
     total = 0.0
     for r, t in zip(rankings, targets):
         pos = int(np.nonzero(r == t)[0][0])
@@ -49,14 +50,7 @@ class EvalReport:
     n_skipped: int = 0
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "acc1": self.acc1,
-            "acc5": self.acc5,
-            "acc10": self.acc10,
-            "map": self.map,
-            "n_queries": self.n_queries,
-            "n_skipped": self.n_skipped,
-        }
+        return asdict(self)
 
 
 class Ranker(Protocol):
@@ -153,21 +147,22 @@ def cold_start_eval(
 
     Each user's trips must already be expressed in the model's location
     index space.  For trip j the model sees the full prior history as
-    encoder context and queries with (origin_j, dest_{j-1}).
+    encoder context and queries with (origin_j, dest_{j-1}); every query
+    of a user comes from one `Model.predict_cold_history` call, and a
+    user with fewer than two trips has none.  Top-1 is the first maximal
+    index, as in `rank_descending`.
     """
     model_hits = 0
     top_hits = 0
     n = 0
     for trips in cold_trips_by_user:
-        for j in range(1, len(trips)):
-            prefix = trips[:j]
-            origin = trips[j].origin_loc
-            prev_dest = trips[j - 1].dest_loc
-            target = trips[j].dest_loc
-            probs = model.predict_cold(prefix, origin, prev_dest)
-            model_hits += int(rank_descending(probs)[0] == target)
-            top_hits += int(top_ranking[0] == target)
-            n += 1
+        if len(trips) < 2:
+            continue
+        targets = np.array([t.dest_loc for t in trips[1:]], dtype=np.int64)
+        probs = model.predict_cold_history(trips)
+        model_hits += int(np.count_nonzero(probs.argmax(axis=1) == targets))
+        top_hits += int(np.count_nonzero(targets == top_ranking[0]))
+        n += len(targets)
     if n == 0:
         raise ContractViolation("no cold-start queries to score")
     return model_hits / n, top_hits / n, n

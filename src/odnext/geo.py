@@ -8,6 +8,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 EARTH_RADIUS_KM = 6371.0  # mean Earth radius
 
 GEOHASH_BASE32 = "0123456789bcdefghjkmnpqrstuvwxyz"
@@ -114,3 +116,9 @@ def timeslot_of(ts: float, utc_offset_hours: int = 0) -> int:
         raise ValueError(f"non-finite timestamp {ts}")
     hour = int(math.floor(ts / 3600.0) + utc_offset_hours) % 24
     return hour // TIMESLOT_HOURS
+
+
+def timeslots(ts: np.ndarray, utc_offset_hours: int = 0) -> np.ndarray:
+    """`timeslot_of` over an array of integer epoch-seconds timestamps."""
+    hours = np.floor_divide(np.asarray(ts, dtype=np.int64), 3600) + utc_offset_hours
+    return hours % 24 // TIMESLOT_HOURS

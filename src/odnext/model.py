@@ -13,7 +13,10 @@ Training treats one user as a minibatch: the mean cross-entropy over
 the user's examples backpropagates through decoder and encoders, and
 the optimizer takes one step per user.  After training the encoder
 states are frozen into an EncodedCache; prediction only re-runs the
-decoder against the cached states.
+decoder against the cached states.  One decoder (`Model._decode`)
+serves training, cached prediction and cold start.  A cold user's
+history is encoded once; all of its queries are decoded in one batch
+under the causal mask, because encoder states depend only on the prefix.
 
 Ablation variants share the training protocol but remove or replace
 pieces; see VARIANTS.
@@ -29,6 +32,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .data import Corpus, IntervalTables, Trip, Vocab
+from .geo import timeslots
 from .nn import ContractViolation, embedding_init, glorot_uniform, train_per_user
 from .stlstm import (
     LSTMWeights,
@@ -209,7 +213,7 @@ class Model:
         return self.config.variant != "encoder-only"
 
     @property
-    def _state_dim(self) -> int:
+    def state_dim(self) -> int:
         return self.config.dim if self.config.variant == "decoder-only" else self.config.hdim
 
     @property
@@ -255,7 +259,7 @@ class Model:
             p.update(self.enc_d.params("enc_d"))
         if self._has_attention:
             p["attn/W_A"] = ag.parameter(
-                glorot_uniform(rng, self._query_width + self._state_dim, self._state_dim)
+                glorot_uniform(rng, self._query_width + self.state_dim, self.state_dim)
             )
         p["out/W_loc"] = ag.parameter(glorot_uniform(rng, self._out_rows, v.n_locations))
         self.params = p
@@ -263,20 +267,23 @@ class Model:
     # -- forward pieces ---------------------------------------------------
 
     def _user_data(self, trips: list[Trip]) -> _UserData:
-        off = self.config.utc_offset_hours
-        oseq = np.array([t.origin_loc for t in trips[1:]], dtype=np.int64)
-        dseq = np.array([t.dest_loc for t in trips[:-1]], dtype=np.int64)
-        o_slots = np.array(
-            [(t.pickup_ts // 3600 + off) % 24 // 3 for t in trips[1:]], dtype=np.int64
-        )
-        d_slots = np.array(
-            [(t.dropoff_ts // 3600 + off) % 24 // 3 for t in trips[:-1]], dtype=np.int64
-        )
-        targets = np.array([t.dest_loc for t in trips[1:]], dtype=np.int64)
         mask = None
         if self.config.attention_context == "causal" and self._has_attention:
-            mask = _causal_mask(len(oseq))
-        return _UserData(oseq, dseq, o_slots, d_slots, targets, mask)
+            mask = _causal_mask(len(trips) - 1)
+        return self._history(trips[1:], trips[:-1], mask)
+
+    def _history(self, o_trips: list[Trip], d_trips: list[Trip], mask) -> _UserData:
+        """Encoder inputs over the origins of `o_trips` and the destinations
+        of `d_trips`; the targets are the destinations of `o_trips`."""
+        off = self.config.utc_offset_hours
+        return _UserData(
+            oseq=np.array([t.origin_loc for t in o_trips], dtype=np.int64),
+            dseq=np.array([t.dest_loc for t in d_trips], dtype=np.int64),
+            o_slots=timeslots([t.pickup_ts for t in o_trips], off),
+            d_slots=timeslots([t.dropoff_ts for t in d_trips], off),
+            targets=np.array([t.dest_loc for t in o_trips], dtype=np.int64),
+            mask=mask,
+        )
 
     def _st_input(self, seq: np.ndarray, slots: np.ndarray, loc_emb: Tensor) -> STLSTMInput:
         return STLSTMInput(
@@ -302,60 +309,56 @@ class Model:
         states_d = st_lstm_encode(self.enc_d, self._st_input(ud.dseq, ud.d_slots, d_emb))
         return states_o, states_d, o_emb, d_emb
 
-    def _attend(
-        self, queries: Tensor, states: Tensor, mask: np.ndarray | None
-    ) -> tuple[Tensor, Tensor]:
-        """Per-dimension attention: queries (E, qw) x states (S, sd) ->
-        summary (E, sd) and weights (E, S, sd) summing to one over S."""
-        return attend(queries, states, self.params["attn/W_A"], mask, self.config.leaky_slope)
+    def _stack(self, states_o: Tensor, states_d: Tensor) -> Tensor:
+        """The decoder's states: the origin block over the destination
+        block, or for encoder-only each step's aligned (origin, destination)
+        state pair."""
+        axis = 1 if self.config.variant == "encoder-only" else 0
+        return ag.concat([states_o, states_d], axis=axis)
 
-    def _forward(
-        self, ud: _UserData, user: int | None, user_vec_value: np.ndarray | None = None
+    def _decode(
+        self,
+        states: Tensor,
+        o_emb: Tensor,
+        d_emb: Tensor,
+        user: int | None,
+        user_vec: np.ndarray | None,
+        mask: np.ndarray | None,
     ) -> tuple[Tensor, Tensor | None]:
-        """Logits (E, |L|) for every example of one user history.
+        """Logits (E, |L|) and attention weights for E queries
+        (user, o_emb[e], d_emb[e]) against `states` (see `_stack`; for
+        encoder-only one pair row per query goes straight into the output
+        layer and there are no weights).  The user is embedding row `user`,
+        or the raw vector `user_vec` when `user` is None (cold start)."""
+        c, w_out = self.config, self.params["out/W_loc"]
+        v = c.variant
+        if v == "encoder-only":
+            return ag.matmul(states, w_out), None
+        n_q = o_emb.value.shape[0]
 
-        `user` indexes the embedding table; alternatively a raw user
-        vector can be supplied (cold start).  Returns (logits, alpha).
-        """
-        states_o, states_d, o_emb, d_emb = self._encode(ud)
-        n_ex = len(ud.oseq)
-        if self.config.variant == "encoder-only":
-            pair = ag.concat([states_o, states_d], axis=1)
-            return ag.matmul(pair, self.params["out/W_loc"]), None
+        def user_rows() -> Tensor:
+            if user is None:
+                return ag.constant(np.tile(user_vec, (n_q, 1)))
+            return ag.take_rows(self.params["emb/user"], np.full(n_q, user, dtype=np.int64))
 
-        if user_vec_value is not None:
-            user_vec = ag.constant(user_vec_value)
-        else:
-            user_vec = ag.take_rows(self.params["emb/user"], int(user))
-
-        cols = []
-        if self.config.variant not in ("user-add", "user-concat"):
-            cols.append(
-                ag.take_rows(self.params["emb/user"], np.full(n_ex, user, dtype=np.int64))
-                if user_vec_value is None
-                else ag.constant(np.tile(user_vec_value, (n_ex, 1)))
-            )
-        cols.extend([o_emb, d_emb])
+        cols = [o_emb, d_emb]
+        if v not in ("user-add", "user-concat"):
+            cols.insert(0, user_rows())
         queries = ag.concat(cols, axis=1)
-
-        states = ag.concat([states_o, states_d], axis=0)
-        summary, alpha = self._attend(queries, states, ud.mask)
-        combined = self._combine_vec(summary, user, user_vec)
-        return ag.matmul(combined, self.params["out/W_loc"]), alpha
-
-    def _combine_vec(self, summary: Tensor, user: int | None, user_vec: Tensor) -> Tensor:
-        v = self.config.variant
+        summary, alpha = attend(queries, states, self.params["attn/W_A"], mask, c.leaky_slope)
         if v == "user-add":
-            return ag.add(summary, user_vec)
-        if v == "user-concat":
-            n_ex = summary.value.shape[0]
-            tiled = (
-                ag.take_rows(self.params["emb/user"], np.full(n_ex, user, dtype=np.int64))
-                if user is not None
-                else ag.constant(np.tile(user_vec.value, (n_ex, 1)))
-            )
-            return ag.concat([summary, tiled], axis=1)
-        return summary
+            if user is None:
+                summary = ag.add(summary, ag.constant(user_vec))
+            else:
+                summary = ag.add(summary, ag.take_rows(self.params["emb/user"], int(user)))
+        elif v == "user-concat":
+            summary = ag.concat([summary, user_rows()], axis=1)
+        return ag.matmul(summary, w_out), alpha
+
+    def _forward(self, ud: _UserData, user: int) -> tuple[Tensor, Tensor | None]:
+        """(logits (E, |L|), alpha) for every example of one user history."""
+        states_o, states_d, o_emb, d_emb = self._encode(ud)
+        return self._decode(self._stack(states_o, states_d), o_emb, d_emb, user, None, ud.mask)
 
     def user_loss(self, user: int, trips: list[Trip]) -> Tensor:
         """Mean cross-entropy over one user's |trips|-1 training examples."""
@@ -410,16 +413,9 @@ class Model:
                 n_train[u] = len(trips)
                 if trips:
                     last_dest[u] = trips[-1].dest_loc
-                if len(trips) < 2:
-                    states.append(np.zeros((0, self._state_dim)))
-                    oseqs.append(np.zeros(0, dtype=np.int64))
-                    dseqs.append(np.zeros(0, dtype=np.int64))
-                    continue
-                ud = self._user_data(trips)
+                ud = self._history(trips[1:], trips[:-1], None)  # empty below 2 trips
                 states_o, states_d, _, _ = self._encode(ud)
-                states.append(
-                    np.concatenate([states_o.value, states_d.value], axis=0)
-                )
+                states.append(np.concatenate([states_o.value, states_d.value], axis=0))
                 oseqs.append(ud.oseq)
                 dseqs.append(ud.dseq)
         return EncodedCache(states, oseqs, dseqs, last_dest, n_train)
@@ -433,38 +429,27 @@ class Model:
         user_vec_value: np.ndarray | None,
         want_alpha: bool = False,
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Decoder-only forward over frozen states; returns (probs, alpha)."""
+        """`_decode` against frozen states, all of which every query sees;
+        returns (probs, alpha)."""
         if states_np.shape[0] == 0:
             raise ColdStartError("no encoder states available for this history")
         with ag.no_grad():
-            o_emb = ag.take_rows(self.params["emb/loc"], origins)
-            d_emb = ag.take_rows(self.params["emb/loc"], dprevs)
-            n_q = len(origins)
             if self.config.variant == "encoder-only":
                 half = states_np.shape[0] // 2
                 pair = np.concatenate([states_np[half - 1], states_np[-1]])
-                logits = ag.matmul(
-                    ag.constant(np.tile(pair, (n_q, 1))), self.params["out/W_loc"]
-                )
-                probs = ag.softmax(logits, axis=1)
-                return probs.value, None
-
-            if user_vec_value is not None:
-                user_vec = ag.constant(user_vec_value)
+                states = ag.constant(np.tile(pair, (len(origins), 1)))
             else:
-                user_vec = ag.take_rows(self.params["emb/user"], int(user))
-            cols = []
-            if self.config.variant not in ("user-add", "user-concat"):
-                cols.append(ag.constant(np.tile(user_vec.value, (n_q, 1))))
-            cols.extend([o_emb, d_emb])
-            queries = ag.concat(cols, axis=1)
-            summary, alpha = self._attend(queries, ag.constant(states_np), None)
-            combined = self._combine_vec(
-                summary, user if user_vec_value is None else None, user_vec
+                states = ag.constant(states_np)
+            logits, alpha = self._decode(
+                states,
+                ag.take_rows(self.params["emb/loc"], origins),
+                ag.take_rows(self.params["emb/loc"], dprevs),
+                user,
+                user_vec_value,
+                None,
             )
-            logits = ag.matmul(combined, self.params["out/W_loc"])
             probs = ag.softmax(logits, axis=1)
-            return probs.value, (alpha.value if want_alpha else None)
+        return probs.value, (alpha.value if want_alpha else None)
 
     def predict_batch(
         self, cache: EncodedCache, user: int, origins, dprevs
@@ -474,14 +459,14 @@ class Model:
             raise ContractViolation(f"user index {user} out of range")
         origins = np.asarray(origins, dtype=np.int64)
         dprevs = np.asarray(dprevs, dtype=np.int64)
-        self._check_locs(origins)
-        self._check_locs(dprevs)
+        self._check_locs(origins, dprevs)
         probs, _ = self._predict_states(cache.states[user], origins, dprevs, user, None)
         return probs
 
-    def _check_locs(self, idx: np.ndarray) -> None:
-        if idx.size and (idx.min() < 0 or idx.max() >= self.vocab.n_locations):
-            raise ContractViolation("location index out of range")
+    def _check_locs(self, *seqs: np.ndarray) -> None:
+        for idx in seqs:
+            if idx.size and (idx.min() < 0 or idx.max() >= self.vocab.n_locations):
+                raise ContractViolation("location index out of range")
 
     def attention(
         self, cache: EncodedCache, user: int, origin: int, dprev: int
@@ -495,13 +480,9 @@ class Model:
             raise ContractViolation(
                 f"variant {self.config.variant!r} has no attention weights"
             )
+        query = np.array([origin, dprev], dtype=np.int64)
         probs, alpha = self._predict_states(
-            cache.states[user],
-            np.array([origin], dtype=np.int64),
-            np.array([dprev], dtype=np.int64),
-            user,
-            None,
-            want_alpha=True,
+            cache.states[user], query[:1], query[1:], user, None, want_alpha=True
         )
         mean_w = alpha[0].mean(axis=1)
         half = len(cache.oseq[user])
@@ -520,30 +501,46 @@ class Model:
     ) -> np.ndarray:
         """Distribution for a user outside the training population.
 
-        `prefix` is the user's full earlier history (every origin and
-        destination is encoded; nothing is trimmed, so one prior trip is
-        enough context).  The query uses the supplied origin and
-        previous destination with the mean user embedding.
+        `prefix` is the user's full earlier history: one encode over every
+        origin and destination in it (nothing is trimmed, so one prior trip
+        is enough context), then one `_decode` of the query (origin,
+        previous destination, mean user embedding) against all its states.
         """
         if not prefix:
             raise ColdStartError("cold-start prediction needs at least one prior trip")
-        off = self.config.utc_offset_hours
-        oseq = np.array([t.origin_loc for t in prefix], dtype=np.int64)
-        dseq = np.array([t.dest_loc for t in prefix], dtype=np.int64)
-        self._check_locs(oseq)
-        self._check_locs(dseq)
-        self._check_locs(np.array([origin, prev_dest], dtype=np.int64))
-        o_slots = np.array([(t.pickup_ts // 3600 + off) % 24 // 3 for t in prefix])
-        d_slots = np.array([(t.dropoff_ts // 3600 + off) % 24 // 3 for t in prefix])
+        ud = self._history(prefix, prefix, None)
+        query = np.array([origin, prev_dest], dtype=np.int64)
+        self._check_locs(ud.oseq, ud.dseq, query)
         with ag.no_grad():
-            ud = _UserData(oseq, dseq, o_slots, d_slots, dseq, None)
             states_o, states_d, _, _ = self._encode(ud)
             states_np = np.concatenate([states_o.value, states_d.value], axis=0)
-        probs, _ = self._predict_states(
-            states_np,
-            np.array([origin], dtype=np.int64),
-            np.array([prev_dest], dtype=np.int64),
-            None,
-            self.cold_user_vector(),
-        )
+        user_vec = self.cold_user_vector()
+        probs, _ = self._predict_states(states_np, query[:1], query[1:], None, user_vec)
         return probs[0]
+
+    def predict_cold_history(self, trips: list[Trip]) -> np.ndarray:
+        """(n - 1, |L|) cold-start distributions for trips 1..n-1 of one
+        unseen user, each row equal to `predict_cold(trips[:j], origin_j,
+        dest_(j-1))` up to rounding.
+
+        States depend only on the prefix, so the history is encoded once
+        over trips[:-1] and every query is decoded in one batch: query j
+        sees the first j states of each block, which is `_causal_mask`.
+        """
+        if len(trips) < 2:
+            raise ColdStartError("cold-start queries need at least two trips")
+        ud = self._history(trips[:-1], trips[:-1], None)
+        queries = np.array([t.origin_loc for t in trips[1:]], dtype=np.int64)
+        self._check_locs(ud.oseq, ud.dseq, queries)
+        mask = _causal_mask(len(queries)) if self._has_attention else None
+        with ag.no_grad():
+            states_o, states_d, _, d_emb = self._encode(ud)
+            logits, _ = self._decode(
+                self._stack(states_o, states_d),
+                ag.take_rows(self.params["emb/loc"], queries),
+                d_emb,
+                None,
+                self.cold_user_vector(),
+                mask,
+            )
+            return ag.softmax(logits, axis=1).value

@@ -28,6 +28,61 @@ TRAIN_CFG = {
 }
 
 
+def _drop_location(fields):
+    fields["ids"]["locations"].pop()
+    fields["vocab"]["loc_geohash"].pop()
+
+
+def _set_geohash(value):
+    def edit(fields):
+        fields["vocab"]["loc_geohash"][0] = value
+
+    return edit
+
+
+def _shift_n_train(delta):
+    def edit(fields):
+        n_train = fields["cache"]["n_train"]
+        n_train[next(u for u, n in enumerate(n_train) if n >= 2)] += delta
+
+    return edit
+
+
+def _halve_state_width(fields):
+    spec = next(t for t in fields["tensors"] if t["name"] == "cache/states/0")
+    rows, width = spec["shape"]
+    spec["shape"] = [rows * 2, width // 2]
+
+
+def _set_cache(key, value):
+    def edit(fields):
+        entry = fields["cache"][key]
+        if isinstance(entry[0], list):
+            entry = next(seq for seq in entry if seq)
+        entry[0] = value
+
+    return edit
+
+
+def _fractional_shape(fields):
+    fields["tensors"][0]["shape"][0] += 0.5
+
+
+# header edits that leave the payload as written, so the file disagrees
+# with itself
+HEADER_PAYLOAD_MISMATCHES = {
+    "location-dropped": _drop_location,
+    "geohash-999": _set_geohash(999),
+    "geohash-negative": _set_geohash(-1),
+    "n_train-plus-1": _shift_n_train(1),
+    "n_train-minus-1": _shift_n_train(-1),
+    "state-width": _halve_state_width,
+    "oseq-location-999": _set_cache("oseq", 999),
+    "dseq-location-negative": _set_cache("dseq", -1),
+    "last_dest-999": _set_cache("last_dest", 999),
+    "fractional-shape": _fractional_shape,
+}
+
 def kv(output):
     pairs = {}
     for line in output.strip().splitlines():
@@ -293,6 +348,17 @@ class TestExitCodes:
         magic, header, payload = pipeline["ckpt"].read_bytes().split(b"\n", 2)
         fields = json.loads(header)
         fields[section][key] = value
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(b"\n".join([magic, json.dumps(fields).encode(), payload]))
+        rc = main(["eval", "--checkpoint", str(bad), "--test", str(pipeline["test"])])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("mismatch", sorted(HEADER_PAYLOAD_MISMATCHES))
+    def test_checkpoint_header_payload_mismatch_is_2(self, pipeline, tmp_path, capsys, mismatch):
+        magic, header, payload = pipeline["ckpt"].read_bytes().split(b"\n", 2)
+        fields = json.loads(header)
+        HEADER_PAYLOAD_MISMATCHES[mismatch](fields)
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"\n".join([magic, json.dumps(fields).encode(), payload]))
         rc = main(["eval", "--checkpoint", str(bad), "--test", str(pipeline["test"])])

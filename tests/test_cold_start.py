@@ -1,0 +1,146 @@
+"""Batched cold start against the per-prefix reference, for every variant.
+
+`Model.predict_cold_history` encodes a cold user's history once and
+decodes every query under the causal mask; `cold_start_eval` scores one
+such batch per user.  The reference below is the per-query loop: one
+`predict_cold` over the full prefix for each trip, ranked with
+`rank_descending`.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import odnext.autograd as ag
+from odnext.data import Corpus, build_interval_tables, build_vocab
+from odnext.evaluation import cold_start_eval, rank_descending
+from odnext.model import VARIANTS, ColdStartError, Model, ModelConfig
+from odnext.nn import ContractViolation
+from odnext.synth import SynthConfig, generate
+
+N_MAIN = 10
+
+
+@pytest.fixture(scope="module")
+def world():
+    full, _ = generate(
+        SynthConfig(
+            n_users=N_MAIN,
+            n_locations=12,
+            n_clusters=3,
+            trips_per_user=40,
+            seed=5,
+            n_cold_users=6,
+            cold_trips_min=1,
+            cold_trips_max=9,
+        )
+    )
+    corpus = Corpus(full.locations, full.users[:N_MAIN], full.trips_by_user[:N_MAIN])
+    return corpus, full.trips_by_user[N_MAIN:]
+
+
+@pytest.fixture(scope="module", params=VARIANTS)
+def model(request, world):
+    corpus, _ = world
+    cfg = ModelConfig(
+        dim=6, hdim=8, lr=1e-2, epochs=2, seed=1, variant=request.param, utc_offset_hours=-5
+    )
+    m = Model(cfg, build_vocab(corpus), build_interval_tables(corpus))
+    m.fit(corpus)
+    return m
+
+
+def reference_rows(model, trips):
+    return np.array(
+        [
+            model.predict_cold(trips[:j], trips[j].origin_loc, trips[j - 1].dest_loc)
+            for j in range(1, len(trips))
+        ]
+    )
+
+
+def reference_eval(model, top_ranking, cold):
+    model_hits = top_hits = n = 0
+    for trips in cold:
+        for j, probs in enumerate(reference_rows(model, trips), start=1):
+            target = trips[j].dest_loc
+            model_hits += int(rank_descending(probs)[0] == target)
+            top_hits += int(top_ranking[0] == target)
+            n += 1
+    if n == 0:
+        raise ContractViolation("no cold-start queries to score")
+    return model_hits / n, top_hits / n, n
+
+
+def assert_matches_reference(model, trips):
+    rows = model.predict_cold_history(trips)
+    ref = reference_rows(model, trips)
+    assert rows.shape == (len(trips) - 1, model.vocab.n_locations)
+    np.testing.assert_allclose(rows, ref, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(rows.argmax(axis=1), [rank_descending(p)[0] for p in ref])
+
+
+def test_history_rows_match_per_prefix(model, world):
+    _, cold = world
+    for trips in cold:
+        if len(trips) >= 2:
+            assert_matches_reference(model, trips)
+
+
+def test_forty_trip_user_matches(model, world):
+    corpus, _ = world
+    trips = corpus.trips_by_user[0]
+    assert len(trips) == 40
+    assert_matches_reference(model, trips)
+
+
+def test_eval_triple_identical(model, world):
+    corpus, cold = world
+    top = np.random.default_rng(0).permutation(model.vocab.n_locations)
+    cohort = cold + [corpus.trips_by_user[1]]
+    assert cold_start_eval(model, top, cohort) == reference_eval(model, top, cohort)
+
+
+def test_one_trip_user_adds_no_query(model, world):
+    _, cold = world
+    trips = next(t for t in cold if len(t) >= 2)
+    top = np.arange(model.vocab.n_locations)
+    alone = cold_start_eval(model, top, [trips])
+    assert cold_start_eval(model, top, [trips[:1], trips, []]) == alone
+    assert alone[2] == len(trips) - 1
+    with pytest.raises(ContractViolation):
+        cold_start_eval(model, top, [trips[:1], []])
+    with pytest.raises(ColdStartError):
+        model.predict_cold_history(trips[:1])
+
+
+@pytest.mark.parametrize("field", ["origin_loc", "dest_loc"])
+def test_out_of_range_location_raises(model, world, field):
+    _, cold = world
+    trips = list(next(t for t in cold if len(t) >= 3))
+    trips[1] = dataclasses.replace(trips[1], **{field: model.vocab.n_locations})
+    with pytest.raises(ContractViolation):
+        model.predict_cold_history(trips)
+    with pytest.raises(ContractViolation):
+        cold_start_eval(model, np.arange(model.vocab.n_locations), [trips])
+
+
+def test_tape_stays_empty(model, world, monkeypatch):
+    _, cold = world
+    taped = []
+    init = ag.Tensor.__init__
+
+    def recording_init(self, value, requires_grad=False, parents=(), backward=None):
+        init(self, value, requires_grad, parents, backward)
+        if parents:
+            taped.append(self)
+
+    monkeypatch.setattr(ag.Tensor, "__init__", recording_init)
+    trips = next(t for t in cold if len(t) >= 2)
+    grads = {n: p.grad.copy() for n, p in model.params.items()}
+    model.predict_cold_history(trips)
+    assert taped == []
+    assert ag.grad_enabled()
+    for n, p in model.params.items():
+        np.testing.assert_array_equal(p.grad, grads[n])

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from odnext.geo import (
     EARTH_RADIUS_KM,
@@ -14,6 +14,7 @@ from odnext.geo import (
     geohash_encode,
     haversine_km,
     timeslot_of,
+    timeslots,
 )
 
 # Published reference hashes; prefix slices below multiply these into 40+
@@ -156,3 +157,14 @@ class TestTimeslot:
     @given(st.integers(min_value=0, max_value=10**10), st.integers(min_value=-23, max_value=23))
     def test_always_a_valid_slot(self, ts, off):
         assert 0 <= timeslot_of(ts, off) < N_TIMESLOTS
+
+    @given(
+        st.lists(st.integers(min_value=-(10**11), max_value=10**11), max_size=20),
+        st.integers(min_value=-23, max_value=23),
+    )
+    @example([-1, -3600, -3601, -86400 * 400 - 1], -5)
+    def test_vectorised_matches_scalar(self, stamps, off):
+        # negative stamps are pre-1970: floor division, not truncation
+        expected = [timeslot_of(ts, off) for ts in stamps]
+        assert timeslots(np.array(stamps, dtype=np.int64), off).tolist() == expected
+        assert timeslots(stamps, off).tolist() == expected
