@@ -10,8 +10,16 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .data import Corpus, Trip, build_encoder_sequences
-from .nn import ContractViolation, embedding_init, glorot_uniform, train_per_user
-from .stlstm import LSTMWeights, init_lstm, lstm_encode
+from .nn import (
+    ContractViolation,
+    ParamSpec,
+    draw_params,
+    embedding_init,
+    glorot_uniform,
+    prefixed,
+    train_per_user,
+)
+from .stlstm import LSTMWeights, lstm_encode, lstm_spec
 
 FREQUENCY_KINDS = ("top", "u-top", "taxi")
 
@@ -107,14 +115,13 @@ class ODLSTM:
             raise ContractViolation("need at least one location")
         self.config = config
         self.n_locations = n_locations
-        rng = np.random.default_rng(config.seed)
-        self.params: dict[str, Tensor] = {}
-        self.params["emb/loc"] = ag.parameter(embedding_init(rng, n_locations, config.dim))
-        self.lstm: LSTMWeights = init_lstm(rng, 2 * config.dim, config.hdim)
-        self.params.update(self.lstm.params("lstm"))
-        self.params["out/W_loc"] = ag.parameter(
-            glorot_uniform(rng, config.hdim, n_locations)
-        )
+        specs = [
+            ParamSpec("emb/loc", (n_locations, config.dim), embedding_init),
+            *prefixed("lstm", lstm_spec(2 * config.dim, config.hdim)),
+            ParamSpec("out/W_loc", (config.hdim, n_locations), glorot_uniform),
+        ]
+        self.params = draw_params(specs, np.random.default_rng(config.seed))
+        self.lstm = LSTMWeights.from_params(self.params, "lstm")
         self.loss_curve: list[float] = []
         self._final: list[tuple[np.ndarray, np.ndarray]] = []
 

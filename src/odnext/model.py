@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
+from typing import Mapping
 
 import numpy as np
 
@@ -33,15 +34,24 @@ from . import autograd as ag
 from .autograd import Tensor
 from .data import Corpus, IntervalTables, Trip, Vocab
 from .geo import timeslots
-from .nn import ContractViolation, embedding_init, glorot_uniform, train_per_user
+from .nn import (
+    ContractViolation,
+    ParamSpec,
+    draw_params,
+    embedding_init,
+    glorot_uniform,
+    prefixed,
+    train_per_user,
+    wrap_params,
+)
 from .stlstm import (
     LSTMWeights,
     STLSTMInput,
     STLSTMWeights,
-    init_lstm,
-    init_st_lstm,
     lstm_encode,
+    lstm_spec,
     st_lstm_encode,
+    st_lstm_spec,
 )
 
 VARIANTS = (
@@ -97,6 +107,11 @@ class ModelConfig:
 
     def as_dict(self) -> dict:
         return asdict(self)
+
+    @property
+    def state_dim(self) -> int:
+        """Width of one encoder state (a raw embedding for decoder-only)."""
+        return self.dim if self.variant == "decoder-only" else self.hdim
 
 
 @dataclass
@@ -179,10 +194,60 @@ def _causal_mask(n_examples: int) -> np.ndarray:
     return np.where(allowed, 0.0, _MASK_OFF)[:, :, None]
 
 
-class Model:
-    """A trainable recommender over a fixed vocabulary and interval tables."""
+def _encoder(config: ModelConfig, n_locations: int):
+    """(weights class, field declaration) of each of the two encoders, or
+    None for decoder-only."""
+    if config.variant == "decoder-only":
+        return None
+    if config.variant == "od-ppa":
+        return LSTMWeights, lstm_spec(config.dim, config.hdim)
+    return STLSTMWeights, st_lstm_spec(config.dim, config.hdim, n_locations)
 
-    def __init__(self, config: ModelConfig, vocab: Vocab, tables: IntervalTables):
+
+def param_specs(config: ModelConfig, vocab: Vocab) -> list[ParamSpec]:
+    """Every parameter of a model: name, shape and initialiser, in draw
+    order, which is also the order of `Model.params` and of a checkpoint."""
+    c, v = config, vocab
+    sd = c.state_dim
+    specs = [ParamSpec("emb/loc", (v.n_locations, c.dim), embedding_init)]
+    if c.variant in ("stod-ppa", "encoder-only", "user-add", "user-concat"):
+        specs += [
+            ParamSpec("emb/geo", (v.n_geohashes, c.dim), embedding_init),
+            ParamSpec("emb/slot", (v.n_timeslots, c.dim), embedding_init),
+        ]
+    if c.variant != "encoder-only":
+        # user-add sums the user vector into the H-sized summary, so its
+        # embedding rows live in the hidden space instead of dim
+        user_dim = c.hdim if c.variant == "user-add" else c.dim
+        specs.append(ParamSpec("emb/user", (v.n_users, user_dim), embedding_init))
+    encoder = _encoder(c, v.n_locations)
+    if encoder is not None:
+        specs += prefixed("enc_o", encoder[1]) + prefixed("enc_d", encoder[1])
+    if c.variant == "encoder-only":
+        out_rows = 2 * c.hdim
+    else:
+        query_width = (2 if c.variant in ("user-add", "user-concat") else 3) * c.dim
+        specs.append(ParamSpec("attn/W_A", (query_width + sd, sd), glorot_uniform))
+        out_rows = sd + (c.dim if c.variant == "user-concat" else 0)
+    specs.append(ParamSpec("out/W_loc", (out_rows, v.n_locations), glorot_uniform))
+    return specs
+
+
+class Model:
+    """A trainable recommender over a fixed vocabulary and interval tables.
+
+    Without `params` every parameter is drawn from `config.seed`; with
+    `params` (name -> array, as `param_specs` declares them) the model
+    wraps those arrays as they are, with no draw and no copy.
+    """
+
+    def __init__(
+        self,
+        config: ModelConfig,
+        vocab: Vocab,
+        tables: IntervalTables,
+        params: Mapping[str, np.ndarray] | None = None,
+    ):
         if vocab.n_locations < 1:
             raise ContractViolation("vocabulary has no locations")
         if tables.spatial.shape != (vocab.n_locations, vocab.n_locations):
@@ -192,77 +257,25 @@ class Model:
         self.config = config
         self.vocab = vocab
         self.tables = tables
+        specs = param_specs(config, vocab)
+        if params is None:
+            self.params = draw_params(specs, np.random.default_rng(config.seed))
+        else:
+            self.params = wrap_params(specs, params)
+        encoder = _encoder(config, vocab.n_locations)
         self.enc_o: STLSTMWeights | LSTMWeights | None = None
         self.enc_d: STLSTMWeights | LSTMWeights | None = None
-        self.params: dict[str, Tensor] = {}
+        if encoder is not None:  # the same Tensors as `params`, by field name
+            self.enc_o = encoder[0].from_params(self.params, "enc_o")
+            self.enc_d = encoder[0].from_params(self.params, "enc_d")
         self.loss_curve: list[float] = []
-        self._build_params(np.random.default_rng(config.seed))
 
     # -- variant geometry -------------------------------------------------
 
     @property
-    def _has_st_encoders(self) -> bool:
-        return self.config.variant in ("stod-ppa", "encoder-only", "user-add", "user-concat")
-
-    @property
-    def _has_user(self) -> bool:
-        return self.config.variant != "encoder-only"
-
-    @property
     def _has_attention(self) -> bool:
+        """Every variant but encoder-only attends, with a user embedding."""
         return self.config.variant != "encoder-only"
-
-    @property
-    def state_dim(self) -> int:
-        return self.config.dim if self.config.variant == "decoder-only" else self.config.hdim
-
-    @property
-    def _user_dim(self) -> int:
-        # user-add sums the user vector into the H-sized summary, so its
-        # embedding rows live in the hidden space instead of dim
-        return self.config.hdim if self.config.variant == "user-add" else self.config.dim
-
-    @property
-    def _query_width(self) -> int:
-        if self.config.variant in ("user-add", "user-concat"):
-            return 2 * self.config.dim
-        return 3 * self.config.dim
-
-    @property
-    def _out_rows(self) -> int:
-        v = self.config.variant
-        if v == "encoder-only":
-            return 2 * self.config.hdim
-        if v == "decoder-only":
-            return self.config.dim
-        if v == "user-concat":
-            return self.config.hdim + self.config.dim
-        return self.config.hdim
-
-    def _build_params(self, rng: np.random.Generator) -> None:
-        c, v = self.config, self.vocab
-        p: dict[str, Tensor] = {}
-        p["emb/loc"] = ag.parameter(embedding_init(rng, v.n_locations, c.dim))
-        if self._has_st_encoders:
-            p["emb/geo"] = ag.parameter(embedding_init(rng, v.n_geohashes, c.dim))
-            p["emb/slot"] = ag.parameter(embedding_init(rng, v.n_timeslots, c.dim))
-        if self._has_user:
-            p["emb/user"] = ag.parameter(embedding_init(rng, v.n_users, self._user_dim))
-        if self._has_st_encoders:
-            self.enc_o = init_st_lstm(rng, c.dim, c.hdim, v.n_locations)
-            self.enc_d = init_st_lstm(rng, c.dim, c.hdim, v.n_locations)
-        elif c.variant == "od-ppa":
-            self.enc_o = init_lstm(rng, c.dim, c.hdim)
-            self.enc_d = init_lstm(rng, c.dim, c.hdim)
-        if self.enc_o is not None:
-            p.update(self.enc_o.params("enc_o"))
-            p.update(self.enc_d.params("enc_d"))
-        if self._has_attention:
-            p["attn/W_A"] = ag.parameter(
-                glorot_uniform(rng, self._query_width + self.state_dim, self.state_dim)
-            )
-        p["out/W_loc"] = ag.parameter(glorot_uniform(rng, self._out_rows, v.n_locations))
-        self.params = p
 
     # -- forward pieces ---------------------------------------------------
 
@@ -455,13 +468,16 @@ class Model:
         self, cache: EncodedCache, user: int, origins, dprevs
     ) -> np.ndarray:
         """(Q, |L|) next-destination distributions for one user's queries."""
-        if not 0 <= user < self.vocab.n_users:
-            raise ContractViolation(f"user index {user} out of range")
+        self._check_user(user)
         origins = np.asarray(origins, dtype=np.int64)
         dprevs = np.asarray(dprevs, dtype=np.int64)
         self._check_locs(origins, dprevs)
         probs, _ = self._predict_states(cache.states[user], origins, dprevs, user, None)
         return probs
+
+    def _check_user(self, user: int) -> None:
+        if not 0 <= user < self.vocab.n_users:
+            raise ContractViolation(f"user index {user} out of range")
 
     def _check_locs(self, *seqs: np.ndarray) -> None:
         for idx in seqs:
@@ -480,6 +496,10 @@ class Model:
             raise ContractViolation(
                 f"variant {self.config.variant!r} has no attention weights"
             )
+        self._check_user(user)
+        # plain comparisons: one query needs no array reduction
+        if not (0 <= origin < self.vocab.n_locations and 0 <= dprev < self.vocab.n_locations):
+            raise ContractViolation("location index out of range")
         query = np.array([origin, dprev], dtype=np.int64)
         probs, alpha = self._predict_states(
             cache.states[user], query[:1], query[1:], user, None, want_alpha=True
@@ -492,7 +512,7 @@ class Model:
 
     def cold_user_vector(self) -> np.ndarray:
         """Stand-in embedding for unseen users: the mean over known users."""
-        if not self._has_user:
+        if "emb/user" not in self.params:
             return np.zeros(0)
         return self.params["emb/user"].value.mean(axis=0)
 

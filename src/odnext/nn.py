@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Callable, Mapping, Sequence, TypeVar
+from typing import Callable, Mapping, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -50,6 +50,38 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
 
 def embedding_init(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     return rng.uniform(-0.1, 0.1, size=(n, dim))
+
+
+def zeros_init(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    return np.zeros(shape)
+
+
+class ParamSpec(NamedTuple):
+    """One declared parameter: `init(rng, *shape)` draws its initial value."""
+
+    name: str
+    shape: tuple[int, ...]
+    init: Callable[..., np.ndarray]
+
+
+def prefixed(prefix: str, specs: Sequence[ParamSpec]) -> list[ParamSpec]:
+    return [s._replace(name=f"{prefix}/{s.name}") for s in specs]
+
+
+def draw_params(specs: Sequence[ParamSpec], rng: np.random.Generator) -> dict[str, Tensor]:
+    """Fresh parameters, drawn from `rng` in declaration order."""
+    return {s.name: ag.parameter(s.init(rng, *s.shape)) for s in specs}
+
+
+def wrap_params(specs: Sequence[ParamSpec], values: Mapping[str, np.ndarray]) -> dict[str, Tensor]:
+    """Parameters over the given arrays, without a copy or a draw; names,
+    order and shapes must be those of the declaration."""
+    got = [(name, np.shape(a)) for name, a in values.items()]
+    want = [(s.name, s.shape) for s in specs]
+    if got != want:
+        wrong = sorted({name for name, _ in set(got) ^ set(want)}) or "order"
+        raise ContractViolation(f"parameters missing, extra, misshapen or out of order: {wrong}")
+    return {name: ag.parameter(a) for name, a in values.items()}
 
 
 class Adam:

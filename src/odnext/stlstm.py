@@ -25,33 +25,42 @@ matrix in the fused column order and its input tensors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .autograd import Tensor, concat, constant, index, matmul, mul, sigmoid, tanh
 from . import autograd as ag
-from .nn import glorot_uniform
+from .nn import ParamSpec, draw_params, glorot_uniform, zeros_init
+
+
+class _Weights:
+    """Encoder weights as dataclass fields, one parameter each."""
+
+    def params(self, prefix: str) -> dict[str, Tensor]:
+        return {f"{prefix}/{f.name}": getattr(self, f.name) for f in fields(self)}
+
+    @classmethod
+    def from_params(cls, params: Mapping[str, Tensor], prefix: str):
+        return cls(**{f.name: params[f"{prefix}/{f.name}"] for f in fields(cls)})
+
+    @property
+    def hidden_dim(self) -> int:
+        return self.U_h.value.shape[0]
 
 
 @dataclass
-class LSTMWeights:
+class LSTMWeights(_Weights):
     """Packed weights of a plain LSTM: columns ordered [i f o g]."""
 
     W_x: Tensor  # in_dim x 4H
     U_h: Tensor  # H x 4H
     b: Tensor  # 4H
 
-    @property
-    def hidden_dim(self) -> int:
-        return self.U_h.value.shape[0]
-
-    def params(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}/W_x": self.W_x, f"{prefix}/U_h": self.U_h, f"{prefix}/b": self.b}
-
 
 @dataclass
-class STLSTMWeights:
+class STLSTMWeights(_Weights):
     """Packed weights of the spatio-temporal cell.
 
     Main branch columns are [i f o g]; the spatial and temporal branches
@@ -72,50 +81,53 @@ class STLSTMWeights:
     b_t: Tensor  # 3H
     W_h: Tensor  # 3H x H
 
-    @property
-    def hidden_dim(self) -> int:
-        return self.U_h.value.shape[0]
 
-    def params(self, prefix: str) -> dict[str, Tensor]:
-        out = {}
-        for name in ("W_x", "U_h", "b", "W_s", "V_s", "U_s", "b_s", "W_t", "V_t", "U_t", "b_t", "W_h"):
-            out[f"{prefix}/{name}"] = getattr(self, name)
-        return out
+def _packed(n_gates: int) -> Callable[..., np.ndarray]:
+    """Initialiser of a column-packed gate matrix: one glorot draw per gate
+    block, so bounds match the per-gate shapes."""
+
+    def init(rng: np.random.Generator, fan_in: int, width: int) -> np.ndarray:
+        blocks = [glorot_uniform(rng, fan_in, width // n_gates) for _ in range(n_gates)]
+        return np.concatenate(blocks, axis=1)
+
+    return init
 
 
-def _packed(rng: np.random.Generator, fan_in: int, hidden: int, n_gates: int) -> Tensor:
-    # one glorot draw per gate block so bounds match the per-gate shapes
-    blocks = [glorot_uniform(rng, fan_in, hidden) for _ in range(n_gates)]
-    return ag.parameter(np.concatenate(blocks, axis=1))
+def lstm_spec(in_dim: int, hidden: int) -> list[ParamSpec]:
+    """`LSTMWeights` fields in draw order; the bias starts at zero."""
+    return [
+        ParamSpec("W_x", (in_dim, 4 * hidden), _packed(4)),
+        ParamSpec("U_h", (hidden, 4 * hidden), _packed(4)),
+        ParamSpec("b", (4 * hidden,), zeros_init),
+    ]
+
+
+def st_lstm_spec(dim: int, hidden: int, n_locations: int) -> list[ParamSpec]:
+    """`STLSTMWeights` fields in draw order: main (W_x, U_h), spatial (W_s,
+    V_s, U_s), temporal (W_t, V_t, U_t), then W_h; biases start at zero."""
+    gates = 3 * hidden
+    return [
+        *lstm_spec(dim, hidden),
+        ParamSpec("W_s", (dim, gates), _packed(3)),
+        ParamSpec("V_s", (n_locations, gates), _packed(3)),
+        ParamSpec("U_s", (hidden, gates), _packed(3)),
+        ParamSpec("b_s", (gates,), zeros_init),
+        ParamSpec("W_t", (dim, gates), _packed(3)),
+        ParamSpec("V_t", (n_locations, gates), _packed(3)),
+        ParamSpec("U_t", (hidden, gates), _packed(3)),
+        ParamSpec("b_t", (gates,), zeros_init),
+        ParamSpec("W_h", (gates, hidden), glorot_uniform),
+    ]
 
 
 def init_lstm(rng: np.random.Generator, in_dim: int, hidden: int) -> LSTMWeights:
-    return LSTMWeights(
-        W_x=_packed(rng, in_dim, hidden, 4),
-        U_h=_packed(rng, hidden, hidden, 4),
-        b=ag.parameter(np.zeros(4 * hidden)),
-    )
+    return LSTMWeights(**draw_params(lstm_spec(in_dim, hidden), rng))
 
 
 def init_st_lstm(
     rng: np.random.Generator, dim: int, hidden: int, n_locations: int
 ) -> STLSTMWeights:
-    """Draw order: main (W_x, U_h), spatial (W_s, V_s, U_s), temporal
-    (W_t, V_t, U_t), then W_h; biases start at zero."""
-    return STLSTMWeights(
-        W_x=_packed(rng, dim, hidden, 4),
-        U_h=_packed(rng, hidden, hidden, 4),
-        b=ag.parameter(np.zeros(4 * hidden)),
-        W_s=_packed(rng, dim, hidden, 3),
-        V_s=_packed(rng, n_locations, hidden, 3),
-        U_s=_packed(rng, hidden, hidden, 3),
-        b_s=ag.parameter(np.zeros(3 * hidden)),
-        W_t=_packed(rng, dim, hidden, 3),
-        V_t=_packed(rng, n_locations, hidden, 3),
-        U_t=_packed(rng, hidden, hidden, 3),
-        b_t=ag.parameter(np.zeros(3 * hidden)),
-        W_h=ag.parameter(glorot_uniform(rng, 3 * hidden, hidden)),
-    )
+    return STLSTMWeights(**draw_params(st_lstm_spec(dim, hidden, n_locations), rng))
 
 
 @dataclass

@@ -1,8 +1,10 @@
-"""Checkpoint round trips and failure modes."""
+"""Checkpoint round trips, loading without copies or draws, and failure modes."""
 
 import numpy as np
 import pytest
 
+from odnext import model as model_module
+from odnext import nn, stlstm
 from odnext.checkpoint import (
     MAGIC,
     CheckpointFormatError,
@@ -16,7 +18,7 @@ from odnext.data import (
     chronological_split,
 )
 from odnext.evaluation import ModelRanker, evaluate
-from odnext.model import Model, ModelConfig
+from odnext.model import ATTENTION_CONTEXTS, VARIANTS, Model, ModelConfig
 from odnext.nn import ContractViolation
 from odnext.synth import SynthConfig, generate
 
@@ -77,6 +79,78 @@ class TestRoundTrip:
         assert bundle.user_ids == corpus.users
         assert bundle.model.vocab.geohash_codes == model.vocab.geohash_codes
         np.testing.assert_array_equal(bundle.model.vocab.loc_geohash, model.vocab.loc_geohash)
+
+
+def _bundle_arrays(bundle):
+    m = bundle.model
+    return (
+        [p.value for p in m.params.values()]
+        + [m.tables.spatial, m.tables.temporal]
+        + list(bundle.cache.states)
+    )
+
+
+class TestLoad:
+    def test_load_draws_no_random_numbers(self, trained, monkeypatch):
+        _, _, model, _, path = trained
+
+        def draw(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew an initialisation")
+
+        monkeypatch.setattr(np.random, "default_rng", draw)
+        for module in (nn, stlstm, model_module):
+            for name in ("glorot_uniform", "embedding_init", "zeros_init"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, draw)
+        bundle = load_checkpoint(path)
+        for name, p in model.params.items():
+            np.testing.assert_array_equal(bundle.model.params[name].value, p.value)
+
+    def test_tensors_are_read_into_their_own_arrays(self, trained):
+        bundle = load_checkpoint(trained[-1])
+        arrays = _bundle_arrays(bundle)
+        for a in arrays:
+            assert a.base is None and a.dtype == np.float64
+            assert a.flags.aligned and a.flags.writeable and a.flags.c_contiguous
+        assert not any(
+            np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1 :]
+        )
+        # the model and its encoders wrap these very arrays, not copies
+        assert bundle.model.enc_o.W_x is bundle.model.params["enc_o/W_x"]
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("context", ATTENTION_CONTEXTS)
+    def test_loaded_params_match_a_fresh_model(self, trained, tmp_path, variant, context):
+        corpus, split, model, _, _ = trained
+        cfg = ModelConfig(dim=5, hdim=6, seed=2, variant=variant, attention_context=context)
+        fresh = Model(cfg, model.vocab, model.tables)
+        cache = fresh.build_cache(split.train)
+        path = str(tmp_path / "fresh.ckpt")
+        save_checkpoint(path, fresh, cache, [r.loc_id for r in corpus.locations], corpus.users)
+        loaded = load_checkpoint(path).model
+        assert [(k, p.shape) for k, p in loaded.params.items()] == [
+            (k, p.shape) for k, p in fresh.params.items()
+        ]
+        for name, p in fresh.params.items():
+            np.testing.assert_array_equal(loaded.params[name].value, p.value)
+        for enc in ("enc_o", "enc_d"):
+            expect, got = getattr(fresh, enc), getattr(loaded, enc)
+            assert type(got) is type(expect)
+            if got is not None:
+                assert got.params(enc).keys() == expect.params(enc).keys()
+                assert all(loaded.params[k] is t for k, t in got.params(enc).items())
+
+    def test_declared_params_are_required(self, trained):
+        _, _, model, _, _ = trained
+        params = {k: p.value for k, p in model.params.items()}
+        with pytest.raises(ContractViolation, match="emb/loc"):
+            Model(model.config, model.vocab, model.tables, {**params, "emb/loc": np.zeros((1, 1))})
+        shuffled = dict(reversed(params.items()))
+        with pytest.raises(ContractViolation, match="order"):
+            Model(model.config, model.vocab, model.tables, shuffled)
+        with pytest.raises(ContractViolation, match="out/W_loc"):
+            Model(model.config, model.vocab, model.tables,
+                  {k: v for k, v in params.items() if k != "out/W_loc"})
 
 
 class TestFailureModes:

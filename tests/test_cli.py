@@ -1,10 +1,14 @@
 """End-to-end command-line pipeline plus exit-code contracts."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from odnext.cli import config_sha256, main, parse_synth_config, parse_train_config
 from odnext.nn import ContractViolation
@@ -364,6 +368,63 @@ class TestExitCodes:
         rc = main(["eval", "--checkpoint", str(bad), "--test", str(pipeline["test"])])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @settings(max_examples=80, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_checkpoint_is_2(self, pipeline, tmp_path, data):
+        """A checkpoint whose header or payload length was mutated ends in
+        exit 2 with an `error:` line, with no traceback and no allocation
+        beyond the file's own size (plus a fixed margin for the header)."""
+        magic, header, payload = pipeline["ckpt"].read_bytes().split(b"\n", 2)
+        fields = json.loads(header)
+        tensors = fields["tensors"]
+        n_train = fields["cache"]["n_train"]
+        index = st.integers(0, len(tensors) - 1)
+        kind = data.draw(
+            st.sampled_from(["name", "shape", "order", "n_train", "truncate", "append"]), "kind"
+        )
+        if kind == "name":
+            t = tensors[data.draw(index, "tensor")]
+            names = st.sampled_from([u["name"] for u in tensors]) | st.text(max_size=20)
+            t["name"] = data.draw(names.filter(lambda n: n != t["name"]), "new name")
+        elif kind == "shape":
+            t = tensors[data.draw(index, "tensor")]
+            sizes = st.integers(0, 10**6) | st.just(10**12)
+            if t["shape"] and data.draw(st.booleans(), "one dimension"):
+                new = list(t["shape"])
+                new[data.draw(st.integers(0, len(new) - 1), "dim")] = data.draw(sizes, "size")
+            else:
+                new = data.draw(st.lists(sizes, max_size=3), "shape")
+            if new == t["shape"]:
+                new = new + [1]
+            t["shape"] = new
+        elif kind == "order":
+            i = data.draw(index, "first")
+            j = data.draw(index.filter(lambda j: j != i), "second")
+            tensors[i], tensors[j] = tensors[j], tensors[i]
+        elif kind == "n_train":
+            u = data.draw(st.integers(0, len(n_train) - 1), "user")
+            values = st.integers(-3, 10**6) | st.just(10**12) | st.integers(-(10**20), 10**20)
+            n_train[u] = data.draw(values.filter(lambda n: n != n_train[u]), "n_train")
+        elif kind == "truncate":
+            payload = payload[: -data.draw(st.integers(1, len(payload)), "cut")]
+        else:
+            payload += data.draw(st.binary(min_size=1, max_size=64), "tail")
+        blob = b"\n".join([magic, json.dumps(fields).encode(), payload])
+        bad = tmp_path / "mutated.ckpt"
+        bad.write_bytes(blob)
+
+        err = io.StringIO()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stderr(err):
+                rc = main(["eval", "--checkpoint", str(bad), "--test", str(pipeline["test"])])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert err.getvalue().startswith("error:")
+        assert peak < len(blob) + 2**20
 
     @pytest.mark.parametrize(
         "text", ['{"lr": NaN}', '{"lr": Infinity}', '{"leaky_slope": NaN}',

@@ -290,6 +290,30 @@ class TestValidation:
         with pytest.raises(ContractViolation):
             model.predict_batch(cache, 0, [0], [model.vocab.n_locations])
 
+    # (user, origin, previous destination): negative indices must not wrap
+    # around to another user's or location's rows
+    BAD_QUERIES = {
+        "user-negative": (-1, 0, 0),
+        "origin-negative": (0, -1, 0),
+        "user-999": (999, 0, 0),
+        "origin-999": (0, 999, 0),
+        "dprev-negative": (0, 0, -1),
+        "dprev-999": (0, 0, 999),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_QUERIES))
+    def test_attention_rejects_bad_indices(self, trained, case):
+        _, model, cache, _ = trained
+        with pytest.raises(ContractViolation, match="out of range"):
+            model.attention(cache, *self.BAD_QUERIES[case])
+
+    @pytest.mark.parametrize("case", sorted(BAD_QUERIES))
+    def test_predict_batch_rejects_bad_indices(self, trained, case):
+        _, model, cache, _ = trained
+        user, origin, dprev = self.BAD_QUERIES[case]
+        with pytest.raises(ContractViolation, match="out of range"):
+            model.predict_batch(cache, user, [origin], [dprev])
+
 
 class TestColdStart:
     def test_empty_prefix_rejected(self, trained):
