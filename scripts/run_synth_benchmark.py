@@ -10,21 +10,15 @@ against the global-frequency ranking.
 import argparse
 import time
 
-from odnext.baselines import FrequencyRanker, ODLSTM, ODLSTMConfig
-from odnext.data import (
-    Corpus,
-    build_interval_tables,
-    build_test_queries,
-    build_vocab,
-    chronological_split,
-)
-from odnext.evaluation import ModelRanker, cold_start_eval, evaluate, mean_reports
-from odnext.model import Model, ModelConfig
-from odnext.synth import SynthConfig, generate
+from odnext.evaluation import cold_start_eval, mean_reports, study_seed
+from odnext.model import ModelConfig
+from odnext.synth import SynthConfig
+
+STUDY_METHODS = ("stod-ppa", "od-ppa", "od-lstm", "u-top", "top", "taxi")
 
 
 def run_seed(seed, args):
-    cfg = SynthConfig(
+    synth_cfg = SynthConfig(
         n_users=args.users,
         n_locations=args.locations,
         n_clusters=args.clusters,
@@ -36,15 +30,6 @@ def run_seed(seed, args):
         day_half_adherence=args.adherence,
         rule_member_pool=args.member_pool,
     )
-    full, manifest = generate(cfg)
-    main = Corpus(full.locations, full.users[: args.users], full.trips_by_user[: args.users])
-    cold_trips = full.trips_by_user[args.users :]
-    split = chronological_split(main, 0.7)
-    vocab = build_vocab(main)
-    tables = build_interval_tables(split.train)
-    queries = build_test_queries(split)
-
-    reports = {}
     model_cfg = ModelConfig(
         dim=args.dim,
         hdim=args.hdim,
@@ -53,30 +38,13 @@ def run_seed(seed, args):
         seed=seed,
         attention_context=args.context,
     )
-    for variant in ("stod-ppa", "od-ppa"):
-        m = Model(
-            ModelConfig(**{**model_cfg.as_dict(), "variant": variant}), vocab, tables
-        )
-        m.fit(split.train)
-        reports[variant] = evaluate(ModelRanker(m, m.build_cache(split.train)), queries)
-        if variant == "stod-ppa":
-            full_model = m
-
-    od = ODLSTM(
-        ODLSTMConfig(dim=args.dim, hdim=args.hdim, lr=args.lr, epochs=args.epochs, seed=seed),
-        main.n_locations,
-    )
-    od.fit(split.train)
-    reports["od-lstm"] = evaluate(od, queries)
-
-    for kind in ("u-top", "top", "taxi"):
-        reports[kind] = evaluate(FrequencyRanker(kind).fit(split.train), queries)
-
+    study = study_seed(synth_cfg, model_cfg, STUDY_METHODS)
     cold = None
-    if cold_trips:
-        top_ranking = FrequencyRanker("top").fit(split.train).ranking()
-        cold = cold_start_eval(full_model, top_ranking, cold_trips)
-    return reports, cold, manifest["oracle_accuracy"]
+    if study.cold_trips:
+        cold = cold_start_eval(
+            study.rankers["stod-ppa"].model, study.rankers["top"].ranking(), study.cold_trips
+        )
+    return study.reports, cold, study.oracle_accuracy
 
 
 def main():

@@ -419,28 +419,6 @@ def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
     return Tensor(out_val, parents=(a,), backward=backward)
 
 
-def exp(a: Tensor) -> Tensor:
-    out_val = np.exp(a.value)
-    if not _track(a):
-        return Tensor(out_val)
-
-    def backward(g):
-        a.accumulate(g * out_val)
-
-    return Tensor(out_val, parents=(a,), backward=backward)
-
-
-def log(a: Tensor) -> Tensor:
-    out_val = np.log(a.value)
-    if not _track(a):
-        return Tensor(out_val)
-
-    def backward(g):
-        a.accumulate(g / a.value)
-
-    return Tensor(out_val, parents=(a,), backward=backward)
-
-
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax (max subtraction along `axis`)."""
     shifted = a.value - a.value.max(axis=axis, keepdims=True)

@@ -16,18 +16,15 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
+from typing import get_type_hints
 
-from .baselines import FREQUENCY_KINDS, FrequencyRanker, ODLSTM, ODLSTMConfig
+from .baselines import FREQUENCY_KINDS
 from .checkpoint import CheckpointFormatError, load_checkpoint, save_checkpoint
 from .data import (
-    Corpus,
     CorpusFormatError,
     TrainingExample,
-    build_interval_tables,
     build_test_queries,
-    build_vocab,
-    chronological_split,
     load_corpus,
     load_trip_rows,
     preprocess,
@@ -35,23 +32,28 @@ from .data import (
     save_trips,
 )
 from .evaluation import (
+    METHODS,
     EvalReport,
     ModelRanker,
     evaluate,
+    fit_ranker,
     mean_reports,
+    prepare_split,
     rank_descending,
     sensitivity_sweep,
 )
-from .model import Model, ModelConfig, VARIANTS
+from .model import ModelConfig
 from .nn import ContractViolation
 from .synth import SynthConfig, generate
 
-_MODEL_FIELD_TYPES = {f.name: f.type for f in fields(ModelConfig)}
 _PIPELINE_DEFAULTS = {"train_ratio": 0.7, "min_trips": 10, "min_users": 10}
-_INT_MODEL_FIELDS = {
-    "dim", "hdim", "epochs", "seed", "geohash_precision", "utc_offset_hours"
+# field annotation -> (accepted JSON types, what the error asks for);
+# bools are JSON booleans, never numbers
+_FIELD_TYPES = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
 }
-_STR_MODEL_FIELDS = {"variant", "attention_context"}
 
 
 @dataclass(frozen=True)
@@ -85,24 +87,28 @@ def _load_json(path: str) -> dict:
     return d
 
 
-def parse_train_config(d: dict) -> TrainRunConfig:
-    unknown = set(d) - set(_MODEL_FIELD_TYPES) - set(_PIPELINE_DEFAULTS)
+def _checked_fields(cls, d: dict, also_known=()) -> dict:
+    """The entries of `d` that name fields of the config dataclass `cls`,
+    each checked against the field's annotation; keys that are neither
+    fields nor in `also_known` are rejected."""
+    hints = get_type_hints(cls)
+    unknown = set(d) - set(hints) - set(also_known)
     if unknown:
         raise ContractViolation(f"unknown configuration keys: {sorted(unknown)}")
-    model_kwargs = {}
-    for name in _MODEL_FIELD_TYPES:
+    out = {}
+    for name, annotation in hints.items():
         if name not in d:
             continue
         value = d[name]
-        if name in _INT_MODEL_FIELDS:
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ContractViolation(f"configuration key {name!r} must be an integer")
-        elif name in _STR_MODEL_FIELDS:
-            if not isinstance(value, str):
-                raise ContractViolation(f"configuration key {name!r} must be a string")
-        elif not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ContractViolation(f"configuration key {name!r} must be a number")
-        model_kwargs[name] = value
+        accepted, wanted = _FIELD_TYPES[annotation]
+        if not isinstance(value, accepted) or isinstance(value, bool):
+            raise ContractViolation(f"configuration key {name!r} must be {wanted}")
+        out[name] = value
+    return out
+
+
+def parse_train_config(d: dict) -> TrainRunConfig:
+    model_kwargs = _checked_fields(ModelConfig, d, _PIPELINE_DEFAULTS)
     pipeline = {}
     for name, default in _PIPELINE_DEFAULTS.items():
         value = d.get(name, default)
@@ -118,17 +124,7 @@ def parse_train_config(d: dict) -> TrainRunConfig:
 
 
 def parse_synth_config(d: dict) -> SynthConfig:
-    names = {f.name for f in fields(SynthConfig)}
-    unknown = set(d) - names
-    if unknown:
-        raise ContractViolation(f"unknown configuration keys: {sorted(unknown)}")
-    for name, value in d.items():
-        if name in ("p_noise", "day_half_adherence", "p_stay", "p_next"):
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ContractViolation(f"configuration key {name!r} must be a number")
-        elif not isinstance(value, int) or isinstance(value, bool):
-            raise ContractViolation(f"configuration key {name!r} must be an integer")
-    return SynthConfig(**d)
+    return SynthConfig(**_checked_fields(SynthConfig, d))
 
 
 def _emit(lines: list[str], report_path: str | None) -> None:
@@ -168,30 +164,16 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def _split_vocab_tables(cfg: TrainRunConfig, corpus: Corpus):
-    """Chronological split; vocabulary over the corpus, tables over its training part."""
-    split = chronological_split(corpus, cfg.train_ratio)
-    vocab = build_vocab(corpus, cfg.model.geohash_precision, cfg.model.utc_offset_hours)
-    return split, vocab, build_interval_tables(split.train)
-
-
-def _train_pipeline(cfg: TrainRunConfig, corpus: Corpus):
-    """Split, build vocabulary and tables, train, cache."""
-    split, vocab, tables = _split_vocab_tables(cfg, corpus)
-    model = Model(cfg.model, vocab, tables)
-    model.fit(split.train)
-    cache = model.build_cache(split.train)
-    return split, vocab, tables, model, cache
-
-
 def cmd_train(args) -> int:
     cfg = parse_train_config(_load_json(args.config))
     corpus = load_corpus(args.trips, args.locations)
     if corpus.is_empty:
         raise ContractViolation("training corpus has no users")
-    split, _, _, model, cache = _train_pipeline(cfg, corpus)
+    split, vocab, tables = prepare_split(corpus, cfg.model, cfg.train_ratio)
+    ranker = fit_ranker(cfg.model.variant, cfg.model, split, vocab, tables)
+    model = ranker.model
     save_checkpoint(
-        args.out, model, cache, [rec.loc_id for rec in corpus.locations], corpus.users
+        args.out, model, ranker.cache, [rec.loc_id for rec in corpus.locations], corpus.users
     )
     if args.out_test:
         save_trips(split.test, args.out_test)
@@ -310,35 +292,18 @@ def cmd_ablate(args) -> int:
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     seeds = [int(s) for s in args.seeds.split(",")]
     for v in variants:
-        if v not in VARIANTS and v not in FREQUENCY_KINDS and v != "od-lstm":
+        if v not in METHODS:
             raise ContractViolation(f"unknown ablation target {v!r}")
 
-    split, vocab, tables = _split_vocab_tables(cfg, corpus)
+    split, vocab, tables = prepare_split(corpus, cfg.model, cfg.train_ratio)
     queries = build_test_queries(split)
     lines = [f"config_sha256={config_sha256(cfg.as_dict())}"]
     for v in variants:
-        reports = []
-        if v in FREQUENCY_KINDS:
-            ranker = FrequencyRanker(v).fit(split.train)
-            reports.append(evaluate(ranker, queries))
-        else:
-            for seed in seeds:
-                if v == "od-lstm":
-                    od_cfg = ODLSTMConfig(
-                        dim=cfg.model.dim,
-                        hdim=cfg.model.hdim,
-                        lr=cfg.model.lr,
-                        epochs=cfg.model.epochs,
-                        seed=seed,
-                    )
-                    ranker = ODLSTM(od_cfg, corpus.n_locations)
-                    ranker.fit(split.train)
-                else:
-                    model = Model(replace(cfg.model, variant=v, seed=seed), vocab, tables)
-                    model.fit(split.train)
-                    ranker = ModelRanker(model, model.build_cache(split.train))
-                reports.append(evaluate(ranker, queries))
-        mean = mean_reports(reports)
+        runs = seeds[:1] if v in FREQUENCY_KINDS else seeds  # counting needs no seed
+        mean = mean_reports([
+            evaluate(fit_ranker(v, replace(cfg.model, seed=s), split, vocab, tables), queries)
+            for s in runs
+        ])
         for key in ("acc1", "acc5", "acc10", "map"):
             lines.append(f"{v}.{key}={mean[key]:.6f}")
     _emit(lines, args.report)
@@ -355,7 +320,7 @@ def cmd_sweep(args) -> int:
         parsed = [float(v) for v in values]
     except ValueError:
         raise ContractViolation(f"sweep values must be numeric: {values}") from None
-    split, vocab, tables = _split_vocab_tables(cfg, corpus)
+    split, vocab, tables = prepare_split(corpus, cfg.model, cfg.train_ratio)
     results = sensitivity_sweep(cfg.model, args.param, parsed, split, vocab, tables)
     lines = [f"config_sha256={config_sha256(cfg.as_dict())}", f"param={args.param}"]
     for value, report in results:

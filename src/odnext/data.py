@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geo import GeoPoint, geohash_encode, haversine_km, timeslot_of, N_TIMESLOTS
+from .geo import GeoPoint, geohash_encode, haversine_km, N_TIMESLOTS
 
 log = logging.getLogger(__name__)
 
@@ -316,14 +316,6 @@ class Vocab:
     @property
     def n_geohashes(self) -> int:
         return len(self.geohash_codes)
-
-    def visit_timeslot(self, trip: Trip, role: str) -> int:
-        """Pickup timestamp for the origin visit, dropoff for the destination."""
-        if role == "origin":
-            return timeslot_of(trip.pickup_ts, self.utc_offset_hours)
-        if role == "dest":
-            return timeslot_of(trip.dropoff_ts, self.utc_offset_hours)
-        raise ValueError(f"unknown visit role {role!r}")
 
 
 def build_vocab(

@@ -1,4 +1,5 @@
-"""Ranking metrics, the evaluation driver, and cold-start scoring."""
+"""Ranking metrics, the evaluation driver, cold-start scoring, and the one
+way to train and score a method (`fit_ranker`, `study_seed`)."""
 
 from __future__ import annotations
 
@@ -7,9 +8,24 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .data import Corpus, SplitResult, TrainingExample, Trip, build_test_queries
-from .model import EncodedCache, Model, ModelConfig
+from .baselines import FREQUENCY_KINDS, FrequencyRanker, ODLSTM, ODLSTMConfig
+from .data import (
+    Corpus,
+    IntervalTables,
+    SplitResult,
+    TrainingExample,
+    Trip,
+    Vocab,
+    build_interval_tables,
+    build_test_queries,
+    build_vocab,
+    chronological_split,
+)
+from .model import EncodedCache, Model, ModelConfig, VARIANTS
 from .nn import ContractViolation
+from .synth import SynthConfig, generate
+
+METHODS = VARIANTS + ("od-lstm",) + FREQUENCY_KINDS
 
 
 def rank_descending(probs: np.ndarray) -> np.ndarray:
@@ -168,6 +184,70 @@ def cold_start_eval(
     return model_hits / n, top_hits / n, n
 
 
+def prepare_split(
+    corpus: Corpus, cfg: ModelConfig, train_ratio: float
+) -> tuple[SplitResult, Vocab, IntervalTables]:
+    """Chronological split; vocabulary over the corpus, tables over its training part."""
+    split = chronological_split(corpus, train_ratio)
+    vocab = build_vocab(corpus, cfg.geohash_precision, cfg.utc_offset_hours)
+    return split, vocab, build_interval_tables(split.train)
+
+
+def fit_ranker(
+    method: str, cfg: ModelConfig, split: SplitResult, vocab: Vocab, tables: IntervalTables
+) -> Ranker:
+    """Train one of METHODS on the split's training part; return its ranker.
+
+    A model variant trains `cfg` with that variant and ranks from its
+    encoder cache; "od-lstm" takes dim, hdim, lr, epochs and seed from
+    `cfg`; a frequency kind only counts destinations.
+    """
+    train = split.train
+    if method in VARIANTS:
+        model = Model(replace(cfg, variant=method), vocab, tables)
+        model.fit(train)
+        return ModelRanker(model, model.build_cache(train))
+    if method == "od-lstm":
+        od_cfg = ODLSTMConfig(
+            dim=cfg.dim, hdim=cfg.hdim, lr=cfg.lr, epochs=cfg.epochs, seed=cfg.seed
+        )
+        od = ODLSTM(od_cfg, vocab.n_locations)
+        od.fit(train)
+        return od
+    if method in FREQUENCY_KINDS:
+        return FrequencyRanker(method).fit(train)
+    raise ContractViolation(f"unknown method {method!r}; choose from {METHODS}")
+
+
+@dataclass
+class Study:
+    """One seed of the synthetic study: its data, rankers and reports."""
+
+    corpus: Corpus  # the main users, without the cold block
+    split: SplitResult
+    queries: list[list[TrainingExample]]
+    cold_trips: list[list[Trip]]
+    rankers: dict[str, Ranker]
+    reports: dict[str, EvalReport]
+    oracle_accuracy: float
+
+
+def study_seed(synth_cfg: SynthConfig, model_cfg: ModelConfig, methods: Sequence[str]) -> Study:
+    """Generate the synthetic corpus, hold out its cold users, split 70/30,
+    then train and score every method on the same test queries."""
+    full, manifest = generate(synth_cfg)
+    n = synth_cfg.n_users
+    corpus = Corpus(full.locations, full.users[:n], full.trips_by_user[:n])
+    split, vocab, tables = prepare_split(corpus, model_cfg, 0.7)
+    queries = build_test_queries(split)
+    rankers = {m: fit_ranker(m, model_cfg, split, vocab, tables) for m in methods}
+    reports = {m: evaluate(r, queries) for m, r in rankers.items()}
+    return Study(
+        corpus, split, queries, full.trips_by_user[n:], rankers, reports,
+        manifest["oracle_accuracy"],
+    )
+
+
 SWEEPABLE_FIELDS = ("dim", "hdim", "lr", "epochs")
 
 
@@ -188,9 +268,6 @@ def sensitivity_sweep(
     results: list[tuple[float, EvalReport]] = []
     for value in values:
         cfg = replace(base, **{param: type(getattr(base, param))(value)})
-        model = Model(cfg, vocab, tables)
-        model.fit(split.train)
-        cache = model.build_cache(split.train)
-        report = evaluate(ModelRanker(model, cache), queries)
-        results.append((float(value), report))
+        ranker = fit_ranker(cfg.variant, cfg, split, vocab, tables)
+        results.append((float(value), evaluate(ranker, queries)))
     return results

@@ -400,18 +400,6 @@ class Model:
         )
         return self.loss_curve
 
-    def mean_loss(self, corpus: Corpus) -> float:
-        """Mean per-user loss without touching gradients."""
-        with ag.no_grad():
-            losses = [
-                self.user_loss(u, trips).item()
-                for u, trips in enumerate(corpus.trips_by_user)
-                if len(trips) >= 2
-            ]
-        if not losses:
-            raise ContractViolation("no user has enough trips to evaluate")
-        return float(np.mean(losses))
-
     # -- cached prediction ------------------------------------------------
 
     def build_cache(self, train: Corpus) -> EncodedCache:

@@ -1,4 +1,5 @@
-"""Optimizer, parameter initialization, loss, and gradient checking."""
+"""Optimizer, parameter declaration and initialization, per-user training,
+and gradient checking."""
 
 from __future__ import annotations
 
@@ -13,34 +14,6 @@ from .autograd import Tensor
 
 class ContractViolation(ValueError):
     """Raised when an operation is called outside its contract."""
-
-
-def linear(W: Tensor, x: Tensor, b: Tensor | None = None) -> Tensor:
-    """y[j] = sum_k x[k] * W[k, j] (+ b[j])."""
-    if x.value.shape[-1] != W.value.shape[0]:
-        raise ContractViolation(
-            f"linear: input size {x.value.shape} incompatible with W {W.value.shape}"
-        )
-    y = ag.matmul(x, W)
-    return y if b is None else ag.add(y, b)
-
-
-def embedding_lookup(table: Tensor, idx: int) -> Tensor:
-    """Return row `idx` of an embedding table; grads touch only that row."""
-    n = table.value.shape[0]
-    if not 0 <= idx < n:
-        raise ContractViolation(f"embedding index {idx} out of range [0, {n})")
-    return ag.take_rows(table, idx)
-
-
-def cross_entropy(probs: Tensor, target: int, eps_clip: float = 1e-12) -> Tensor:
-    """-log(probs[target] + eps_clip) for a probability vector."""
-    p = probs.value
-    if abs(p.sum() - 1.0) > 1e-6 or (p < -1e-12).any():
-        raise ContractViolation("cross_entropy expects a probability distribution")
-    if not 0 <= target < p.shape[0]:
-        raise ContractViolation(f"target {target} out of range [0, {p.shape[0]})")
-    return -ag.log(ag.add(probs[target], eps_clip))
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:

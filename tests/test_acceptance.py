@@ -1,8 +1,9 @@
 """Acceptance gate: ten checks, one printed pass/fail line each.
 
 The synthetic directional study (criteria 4, 5 and 9) is expensive, so
-one session fixture trains the full model, its od-ppa variant and the
-sequence baseline over three seeds and the dependent tests share it.
+one session fixture runs `study_seed` over three seeds (the full model,
+its od-ppa variant, the sequence baseline and two frequency rankers) and
+the dependent tests share it.
 Everything else runs against small randomized worlds or fixed vectors.
 """
 
@@ -13,28 +14,19 @@ import numpy as np
 import pytest
 
 import odnext.autograd as ag
-from odnext.baselines import FrequencyRanker, ODLSTM, ODLSTMConfig
 from odnext.checkpoint import load_checkpoint, save_checkpoint
-from odnext.data import (
-    Corpus,
-    build_interval_tables,
-    build_test_queries,
-    build_vocab,
-    chronological_split,
-    preprocess,
-)
+from odnext.data import build_interval_tables, build_vocab, preprocess
 from odnext.evaluation import (
-    ModelRanker,
     accuracy_at_k,
     cold_start_eval,
-    evaluate,
     mean_average_precision,
+    study_seed,
 )
 from odnext.geo import GeoPoint, geohash_encode
 from odnext.model import Model, ModelConfig
 from odnext.nn import grad_check
 from odnext.stlstm import init_lstm, lstm_step, st_lstm_step
-from odnext.synth import SynthConfig, generate
+from odnext.synth import SynthConfig
 
 from gradcheck_fixtures import GRADCHECK_SEEDS, micro_loss
 from helpers import degenerate_st_weights, random_corpus
@@ -60,8 +52,11 @@ def _verdict(capsys, num, label, ok, detail=""):
 # -- shared synthetic study (criteria 4, 5, 9) ----------------------------
 
 
+BENCH_METHODS = ("stod-ppa", "od-ppa", "od-lstm", "u-top", "top")
+
+
 def _run_bench_seed(seed):
-    cfg = SynthConfig(
+    synth_cfg = SynthConfig(
         n_users=200,
         n_locations=60,
         n_clusters=6,
@@ -73,52 +68,10 @@ def _run_bench_seed(seed):
         day_half_adherence=0.95,
         rule_member_pool=2,
     )
-    full, manifest = generate(cfg)
-    corpus = Corpus(full.locations, full.users[:200], full.trips_by_user[:200])
-    cold_trips = full.trips_by_user[200:]
-    split = chronological_split(corpus, 0.7)
-    vocab = build_vocab(corpus)
-    tables = build_interval_tables(split.train)
-    queries = build_test_queries(split)
-
-    acc = {}
-    stod = None
-    for variant in ("stod-ppa", "od-ppa"):
-        m = Model(
-            ModelConfig(
-                dim=32,
-                hdim=32,
-                lr=1e-3,
-                epochs=15,
-                seed=seed,
-                variant=variant,
-                attention_context="causal",
-            ),
-            vocab,
-            tables,
-        )
-        m.fit(split.train)
-        acc[variant] = evaluate(ModelRanker(m, m.build_cache(split.train)), queries).acc1
-        if variant == "stod-ppa":
-            stod = m
-
-    od = ODLSTM(ODLSTMConfig(dim=32, hdim=32, lr=1e-3, epochs=15, seed=seed), corpus.n_locations)
-    od.fit(split.train)
-    acc["od-lstm"] = evaluate(od, queries).acc1
-    for kind in ("u-top", "top"):
-        acc[kind] = evaluate(FrequencyRanker(kind).fit(split.train), queries).acc1
-
-    top_ranking = FrequencyRanker("top").fit(split.train).ranking()
-    return SimpleNamespace(
-        acc=acc,
-        oracle=manifest["oracle_accuracy"],
-        stod=stod,
-        corpus=corpus,
-        split=split,
-        queries=queries,
-        top_ranking=top_ranking,
-        cold_trips=cold_trips,
+    model_cfg = ModelConfig(
+        dim=32, hdim=32, lr=1e-3, epochs=15, seed=seed, attention_context="causal"
     )
+    return study_seed(synth_cfg, model_cfg, BENCH_METHODS)
 
 
 @pytest.fixture(scope="session")
@@ -127,12 +80,15 @@ def bench():
     t0 = time.perf_counter()
     runs = [_run_bench_seed(seed) for seed in BENCH_SEEDS]
     elapsed = time.perf_counter() - t0
-    cold = [cold_start_eval(r.stod, r.top_ranking, r.cold_trips) for r in runs]
+    cold = [
+        cold_start_eval(r.rankers["stod-ppa"].model, r.rankers["top"].ranking(), r.cold_trips)
+        for r in runs
+    ]
     return SimpleNamespace(runs=runs, elapsed=elapsed, cold=cold)
 
 
 def _bench_mean(bench, name):
-    return float(np.mean([r.acc[name] for r in bench.runs]))
+    return float(np.mean([r.reports[name].acc1 for r in bench.runs]))
 
 
 # -- criteria -------------------------------------------------------------
@@ -210,15 +166,14 @@ def test_criterion_03_degenerate_equivalence(capsys):
 
 
 def test_criterion_04_synthetic_recovery(bench, capsys):
-    mean = {name: _bench_mean(bench, name)
-            for name in ("stod-ppa", "od-ppa", "od-lstm", "u-top", "top")}
+    mean = {name: _bench_mean(bench, name) for name in BENCH_METHODS}
     margins = {
         "vs od-lstm": mean["stod-ppa"] - mean["od-lstm"],
         "vs od-ppa": mean["stod-ppa"] - mean["od-ppa"],
         "vs u-top": mean["stod-ppa"] - mean["u-top"],
         "u-top vs top": mean["u-top"] - mean["top"],
     }
-    oracle_ok = all(abs(r.oracle - 0.9015) < 0.005 for r in bench.runs)
+    oracle_ok = all(abs(r.oracle_accuracy - 0.9015) < 0.005 for r in bench.runs)
     ok = (
         oracle_ok
         and all(m >= MARGIN for m in margins.values())
@@ -235,7 +190,7 @@ def test_criterion_04_synthetic_recovery(bench, capsys):
 
 def test_criterion_05_cache_equivalence(bench, capsys, tmp_path_factory):
     run = bench.runs[0]
-    m, split, queries = run.stod, run.split, run.queries
+    m, split, queries = run.rankers["stod-ppa"].model, run.split, run.queries
     cache = m.build_cache(split.train)
     worst = 0.0
     cached_probs = {}

@@ -6,12 +6,18 @@ import json
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import fields, replace
+from typing import get_type_hints
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from odnext.cli import config_sha256, main, parse_synth_config, parse_train_config
+from odnext.data import build_test_queries, load_corpus
+from odnext.evaluation import evaluate, fit_ranker, mean_reports, prepare_split
+from odnext.model import ModelConfig
 from odnext.nn import ContractViolation
+from odnext.synth import SynthConfig
 
 SYNTH_CFG = {
     "n_users": 12,
@@ -254,6 +260,34 @@ class TestPipeline:
         assert rc == 0
         for v in ("decoder-only", "top", "u-top"):
             assert 0.0 <= float(out[f"{v}.acc1"]) <= 1.0
+
+    def test_ablate_prints_the_seed_means_of_fit_ranker(self, pipeline, capsys):
+        rc = main(
+            [
+                "ablate",
+                "--config", str(pipeline["train_cfg"]),
+                "--trips", str(pipeline["p_trips"]),
+                "--locations", str(pipeline["p_locs"]),
+                "--variants", "stod-ppa,od-lstm,taxi",
+                "--seeds", "0,1",
+            ]
+        )
+        out = kv(capsys.readouterr().out)
+        assert rc == 0
+        cfg = parse_train_config(TRAIN_CFG)
+        corpus = load_corpus(str(pipeline["p_trips"]), str(pipeline["p_locs"]))
+        split, vocab, tables = prepare_split(corpus, cfg.model, cfg.train_ratio)
+        queries = build_test_queries(split)
+        for method in ("stod-ppa", "od-lstm", "taxi"):
+            mean = mean_reports([
+                evaluate(
+                    fit_ranker(method, replace(cfg.model, seed=seed), split, vocab, tables),
+                    queries,
+                )
+                for seed in (0, 1)
+            ])
+            for key in ("acc1", "acc5", "acc10", "map"):
+                assert out[f"{method}.{key}"] == f"{mean[key]:.6f}"
 
     def test_sweep(self, pipeline, capsys):
         rc = main(
@@ -545,3 +579,24 @@ class TestConfigParsing:
         with pytest.raises(ContractViolation):
             parse_synth_config({"p_noise": 2.0})
         assert parse_synth_config({"n_users": 20, "n_locations": 6, "n_clusters": 3}).n_users == 20
+
+
+# a value of the wrong JSON type for each kind of config field
+WRONG_VALUES = {int: [1.5, "8", True], float: ["0.1", False], str: [3, None]}
+CONFIG_FIELDS = [
+    ("train", f.name, get_type_hints(ModelConfig)[f.name]) for f in fields(ModelConfig)
+] + [("synth", f.name, get_type_hints(SynthConfig)[f.name]) for f in fields(SynthConfig)]
+
+
+@pytest.mark.parametrize("command, name, kind", CONFIG_FIELDS)
+def test_wrong_field_type_is_1_and_names_the_key(tmp_path, capsys, command, name, kind):
+    outputs = {
+        "train": ["--trips", "t.csv", "--locations", "l.csv", "--out", str(tmp_path / "m")],
+        "synth": ["--out-trips", str(tmp_path / "t"), "--out-locations", str(tmp_path / "l")],
+    }[command]
+    for value in WRONG_VALUES[kind]:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({name: value}))
+        assert main([command, "--config", str(cfg), *outputs]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: configuration key {name!r} must be "), err

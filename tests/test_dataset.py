@@ -273,15 +273,6 @@ class TestVocab:
                 seen.append(code)
         assert vocab.geohash_codes == seen
 
-    def test_visit_timeslot_roles(self):
-        corpus = random_corpus(4)
-        vocab = build_vocab(corpus, utc_offset_hours=5)
-        t = Trip("u", 0, 1, 7 * 3600, 11 * 3600)
-        assert vocab.visit_timeslot(t, "origin") == ((7 + 5) % 24) // 3
-        assert vocab.visit_timeslot(t, "dest") == ((11 + 5) % 24) // 3
-        with pytest.raises(ValueError):
-            vocab.visit_timeslot(t, "elsewhere")
-
 
 class TestIntervalTables:
     def corpus(self):

@@ -1,21 +1,29 @@
 """Metrics against brute-force oracles; the evaluation driver."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from helpers import random_corpus
+from odnext.baselines import FrequencyRanker, ODLSTM, ODLSTMConfig
 from odnext.data import TrainingExample, build_test_queries, chronological_split
 from odnext.evaluation import (
+    METHODS,
     EvalReport,
+    ModelRanker,
     accuracy_at_k,
     evaluate,
+    fit_ranker,
     mean_average_precision,
     mean_reports,
+    prepare_split,
     rank_descending,
     remap_user_trips,
     sensitivity_sweep,
 )
+from odnext.model import VARIANTS, Model, ModelConfig
 from odnext.nn import ContractViolation
 
 
@@ -168,14 +176,11 @@ class TestRemap:
 
 class TestSweep:
     def test_rejects_unknown_field(self):
-        from odnext.model import ModelConfig
-
         with pytest.raises(ContractViolation):
             sensitivity_sweep(ModelConfig(), "leaky_slope", [0.1], None, None, None)
 
     def test_varies_one_field_and_scores(self):
         from odnext.data import build_interval_tables, build_vocab
-        from odnext.model import ModelConfig
 
         corpus = random_corpus(11, n_users=5, n_locations=6, min_trips=6, max_trips=9)
         split = chronological_split(corpus, 0.7)
@@ -187,3 +192,45 @@ class TestSweep:
         for _, report in out:
             assert isinstance(report, EvalReport)
             assert report.n_queries > 0
+
+
+class TestFitRanker:
+    CFG = ModelConfig(dim=4, hdim=5, lr=1e-2, epochs=2, seed=3)
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        corpus = random_corpus(21, n_users=5, n_locations=7, min_trips=5, max_trips=9)
+        split, vocab, tables = prepare_split(corpus, self.CFG, 0.7)
+        return split, vocab, tables, build_test_queries(split)
+
+    def hand_built(self, method, split, vocab, tables):
+        if method in VARIANTS:
+            m = Model(replace(self.CFG, variant=method), vocab, tables)
+            m.fit(split.train)
+            return ModelRanker(m, m.build_cache(split.train))
+        if method == "od-lstm":
+            c = self.CFG
+            od = ODLSTM(
+                ODLSTMConfig(dim=c.dim, hdim=c.hdim, lr=c.lr, epochs=c.epochs, seed=c.seed),
+                split.train.n_locations,
+            )
+            od.fit(split.train)
+            return od
+        return FrequencyRanker(method).fit(split.train)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_matches_the_hand_built_ranker(self, world, method):
+        split, vocab, tables, queries = world
+        got = fit_ranker(method, self.CFG, split, vocab, tables)
+        want = self.hand_built(method, split, vocab, tables)
+        n = 0
+        for u, qs in enumerate(queries):
+            for a, b in zip(got.rank_user(u, qs), want.rank_user(u, qs)):
+                np.testing.assert_array_equal(a, b)
+                n += 1
+        assert n > 0
+
+    def test_unknown_method(self, world):
+        split, vocab, tables, _ = world
+        with pytest.raises(ContractViolation, match="frobnicate"):
+            fit_ranker("frobnicate", self.CFG, split, vocab, tables)

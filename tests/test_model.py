@@ -142,14 +142,6 @@ class TestForward:
         with pytest.raises(ContractViolation):
             m.user_loss(0, corpus.trips_by_user[0][:1])
 
-    def test_mean_loss_is_mean_of_user_losses(self, small_world):
-        corpus, _, _ = small_world
-        m = make_model(small_world)
-        per_user = [
-            m.user_loss(u, t).item() for u, t in enumerate(corpus.trips_by_user)
-        ]
-        assert m.mean_loss(corpus) == pytest.approx(np.mean(per_user), rel=1e-12)
-
 
 class TestAttention:
     def test_weights_sum_to_one_per_dimension(self, small_world):

@@ -1,81 +1,18 @@
-"""Layers, loss, init, Adam, and the gradient-check harness itself."""
+"""Init, Adam, and the gradient-check harness itself."""
 
 import numpy as np
-import pytest
 from hypothesis import given, strategies as st
 
 import odnext.autograd as ag
-from odnext.nn import (
-    Adam,
-    ContractViolation,
-    cross_entropy,
-    embedding_init,
-    embedding_lookup,
-    glorot_uniform,
-    grad_check,
-    linear,
-)
-
-
-class TestLinear:
-    def test_value(self):
-        W = ag.parameter(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
-        x = ag.constant(np.array([1.0, 0.0, -1.0]))
-        b = ag.parameter(np.array([0.5, -0.5]))
-        np.testing.assert_allclose(linear(W, x, b).value, [-3.5, -4.5])
-
-    def test_shape_mismatch(self):
-        W = ag.parameter(np.zeros((3, 2)))
-        with pytest.raises(ContractViolation):
-            linear(W, ag.constant(np.zeros(4)))
+from odnext.nn import Adam, embedding_init, glorot_uniform, grad_check
 
 
 class TestEmbedding:
-    def test_lookup_grad_touches_one_row(self):
-        table = ag.parameter(np.arange(8.0).reshape(4, 2))
-        ag.mean_all(embedding_lookup(table, 2)).backward()
-        expected = np.zeros((4, 2))
-        expected[2] = 0.5
-        np.testing.assert_allclose(table.grad, expected)
-
-    def test_range_check(self):
-        table = ag.parameter(np.zeros((4, 2)))
-        with pytest.raises(ContractViolation):
-            embedding_lookup(table, 4)
-        with pytest.raises(ContractViolation):
-            embedding_lookup(table, -1)
-
     def test_init_bounds(self):
         e = embedding_init(np.random.default_rng(0), 50, 16)
         assert e.shape == (50, 16)
         assert (np.abs(e) <= 0.1).all()
         assert np.abs(e).max() > 0.05  # actually spread out
-
-
-class TestCrossEntropy:
-    def test_value(self):
-        p = ag.constant(np.array([0.2, 0.5, 0.3]))
-        assert cross_entropy(p, 1).item() == pytest.approx(-np.log(0.5), rel=1e-9)
-
-    def test_rejects_non_distribution(self):
-        with pytest.raises(ContractViolation):
-            cross_entropy(ag.constant(np.array([0.5, 0.2])), 0)
-        with pytest.raises(ContractViolation):
-            cross_entropy(ag.constant(np.array([1.5, -0.5])), 0)
-
-    def test_rejects_bad_target(self):
-        p = ag.constant(np.array([0.5, 0.5]))
-        with pytest.raises(ContractViolation):
-            cross_entropy(p, 2)
-
-    def test_logit_gradient_is_softmax_minus_onehot(self):
-        rng = np.random.default_rng(3)
-        z = ag.parameter(rng.normal(size=7))
-        target = 4
-        cross_entropy(ag.softmax(z), target).backward()
-        s = ag.softmax(ag.constant(z.value)).value
-        onehot = np.eye(7)[target]
-        np.testing.assert_allclose(z.grad, s - onehot, atol=1e-9)
 
 
 class TestGlorot:
@@ -167,10 +104,10 @@ class TestGradCheck:
         rng = np.random.default_rng(12)
         W = ag.parameter(glorot_uniform(rng, 6, 9))
         b = ag.parameter(np.zeros(9))
-        x = ag.constant(rng.normal(size=6))
+        x = ag.constant(rng.normal(size=(1, 6)))
 
         def loss():
-            return cross_entropy(ag.softmax(linear(W, x, b)), 4)
+            return ag.mean_cross_entropy(ag.add(ag.matmul(x, W), b), [4])
 
         assert grad_check(loss, {"W": W, "b": b}) < 1e-6
 
