@@ -1,9 +1,12 @@
 """Minimal reverse-mode autodiff over dense float64 numpy arrays.
 
-Only the operations the recommendation model needs are provided; there is
-no general broadcasting machinery beyond what those operations require.
-Gradient correctness is enforced by finite-difference checks in the test
-suite rather than by construction.
+The tape holds only what one training step of the model records:
+embedding gathers (`take_rows`), `concat`, `add`, `matmul`, `softmax`,
+the mean cross-entropy, and the fused kernels (`fused`) of the encoders
+and the attention layer, whose backwards are written by hand.  The
+per-op functions the kernels are checked against (elementwise ops,
+indexing, reductions) and the finite-difference checker live in the test
+suite, in `tests/reference.py`.
 """
 
 from __future__ import annotations
@@ -31,10 +34,6 @@ class no_grad:
         return False
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
-
-
 class Tensor:
     """A node in the computation graph holding a float64 array."""
 
@@ -59,7 +58,7 @@ class Tensor:
 
     def accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            # a copy, never `g` itself: add/sub hand one array to both parents
+            # a copy, never `g` itself: add hands one array to both parents
             self.grad = np.array(g, dtype=np.float64)
         else:
             self.grad += g
@@ -93,28 +92,6 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-    # Operator sugar used throughout the model code.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __getitem__(self, key):
-        return index(self, key)
-
-    def __repr__(self):
-        return f"Tensor(shape={self.value.shape}, requires_grad={self.requires_grad})"
 
 
 def parameter(value) -> Tensor:
@@ -187,48 +164,6 @@ def add(a, b) -> Tensor:
     return Tensor(out_val, parents=(a, b), backward=backward)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out_val = a.value - b.value
-    if not _track(a, b):
-        return Tensor(out_val)
-
-    def backward(g):
-        if a.requires_grad or a._parents:
-            a.accumulate(_unbroadcast(g, a.value.shape))
-        if b.requires_grad or b._parents:
-            b.accumulate(-_unbroadcast(g, b.value.shape))
-
-    return Tensor(out_val, parents=(a, b), backward=backward)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out_val = a.value * b.value
-    if not _track(a, b):
-        return Tensor(out_val)
-
-    def backward(g):
-        if a.requires_grad or a._parents:
-            a.accumulate(_unbroadcast(g * b.value, a.value.shape))
-        if b.requires_grad or b._parents:
-            b.accumulate(_unbroadcast(g * a.value, b.value.shape))
-
-    return Tensor(out_val, parents=(a, b), backward=backward)
-
-
-def scale(a, c: float) -> Tensor:
-    a = _as_tensor(a)
-    out_val = a.value * c
-    if not _track(a):
-        return Tensor(out_val)
-
-    def backward(g):
-        a.accumulate(g * c)
-
-    return Tensor(out_val, parents=(a,), backward=backward)
-
-
 def matmul(a, b) -> Tensor:
     """Matrix product: numpy @ semantics for 1-D/2-D operands plus a
     batched n-D left operand against a 2-D right operand."""
@@ -257,24 +192,6 @@ def matmul(a, b) -> Tensor:
     return Tensor(out_val, parents=(a, b), backward=backward)
 
 
-def index(a: Tensor, key) -> Tensor:
-    """Basic slicing / integer indexing (views become copies).
-
-    Basic keys select each element at most once, so the backward adds
-    straight into the selected part of `a.grad`.
-    """
-    out_val = a.value[key]
-    if not _track(a):
-        return Tensor(np.array(out_val, copy=True))
-
-    def backward(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.value)
-        a.grad[key] += g
-
-    return Tensor(np.array(out_val, copy=True), parents=(a,), backward=backward)
-
-
 def take_rows(a: Tensor, idx) -> Tensor:
     """Row gather; gradients accumulate additively into repeated rows.
 
@@ -301,22 +218,6 @@ def take_rows(a: Tensor, idx) -> Tensor:
     return Tensor(out_val, parents=(a,), backward=backward)
 
 
-def take_per_row(a: Tensor, cols) -> Tensor:
-    """out[i] = a[i, cols[i]] for a 2-D tensor."""
-    cols = np.asarray(cols)
-    rows = np.arange(a.value.shape[0])
-    out_val = a.value[rows, cols]
-    if not _track(a):
-        return Tensor(out_val)
-
-    def backward(g):
-        ga = np.zeros_like(a.value)
-        ga[rows, cols] = g
-        a.accumulate(ga)
-
-    return Tensor(out_val, parents=(a,), backward=backward)
-
-
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
     out_val = np.concatenate([t.value for t in tensors], axis=axis)
@@ -335,90 +236,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return Tensor(out_val, parents=tuple(tensors), backward=backward)
 
 
-def stack(tensors: Sequence[Tensor]) -> Tensor:
-    """Stack equal-shape tensors along a new leading axis."""
-    tensors = [_as_tensor(t) for t in tensors]
-    out_val = np.stack([t.value for t in tensors])
-    if not _track(*tensors):
-        return Tensor(out_val)
-
-    def backward(g):
-        for i, t in enumerate(tensors):
-            if t.requires_grad or t._parents:
-                t.accumulate(g[i])
-
-    return Tensor(out_val, parents=tuple(tensors), backward=backward)
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    out_val = a.value.reshape(shape)
-    if not _track(a):
-        return Tensor(out_val)
-    orig = a.value.shape
-
-    def backward(g):
-        a.accumulate(g.reshape(orig))
-
-    return Tensor(out_val, parents=(a,), backward=backward)
-
-
-def sum_axis(a: Tensor, axis: int) -> Tensor:
-    out_val = a.value.sum(axis=axis)
-    if not _track(a):
-        return Tensor(out_val)
-
-    def backward(g):
-        a.accumulate(np.expand_dims(g, axis) * np.ones_like(a.value))
-
-    return Tensor(out_val, parents=(a,), backward=backward)
-
-
-def mean_all(a: Tensor) -> Tensor:
-    out_val = np.asarray(a.value.mean())
-    if not _track(a):
-        return Tensor(out_val)
-    n = a.value.size
-
-    def backward(g):
-        a.accumulate(np.full_like(a.value, g / n))
-
-    return Tensor(out_val, parents=(a,), backward=backward)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    out_val = 1.0 / (1.0 + np.exp(-a.value))
-    if not _track(a):
-        return Tensor(out_val)
-
-    def backward(g):
-        a.accumulate(g * out_val * (1.0 - out_val))
-
-    return Tensor(out_val, parents=(a,), backward=backward)
-
-
-def tanh(a: Tensor) -> Tensor:
-    out_val = np.tanh(a.value)
-    if not _track(a):
-        return Tensor(out_val)
-
-    def backward(g):
-        a.accumulate(g * (1.0 - out_val * out_val))
-
-    return Tensor(out_val, parents=(a,), backward=backward)
-
-
-def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
-    mask = a.value >= 0
-    out_val = np.where(mask, a.value, slope * a.value)
-    if not _track(a):
-        return Tensor(out_val)
-
-    def backward(g):
-        a.accumulate(g * np.where(mask, 1.0, slope))
-
-    return Tensor(out_val, parents=(a,), backward=backward)
-
-
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax (max subtraction along `axis`)."""
     shifted = a.value - a.value.max(axis=axis, keepdims=True)
@@ -430,20 +247,6 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     def backward(g):
         dot = (g * out_val).sum(axis=axis, keepdims=True)
         a.accumulate(out_val * (g - dot))
-
-    return Tensor(out_val, parents=(a,), backward=backward)
-
-
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.value - a.value.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out_val = shifted - lse
-    if not _track(a):
-        return Tensor(out_val)
-    sm = np.exp(out_val)
-
-    def backward(g):
-        a.accumulate(g - sm * g.sum(axis=axis, keepdims=True))
 
     return Tensor(out_val, parents=(a,), backward=backward)
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .data import Corpus, Trip, build_encoder_sequences
+from .data import Corpus, Sequences, Trip, encoder_sequences
 from .nn import (
     ContractViolation,
     ParamSpec,
@@ -132,35 +132,28 @@ class ODLSTM:
     def user_loss(self, user: int, trips: list[Trip]) -> Tensor:
         if len(trips) < 2:
             raise ContractViolation("a user needs at least two trips to train on")
-        oseq, dseq = (np.array(s, dtype=np.int64) for s in build_encoder_sequences(trips))
-        targets = np.array([t.dest_loc for t in trips[1:]], dtype=np.int64)
-        states, _, _ = lstm_encode(self.lstm, self._inputs(oseq, dseq))
+        return self._loss(user, encoder_sequences(trips))
+
+    def _loss(self, user: int, seqs: Sequences) -> Tensor:
+        states, _, _ = lstm_encode(self.lstm, self._inputs(seqs.oseq, seqs.dseq))
         logits = ag.matmul(states, self.params["out/W_loc"])
-        return ag.mean_cross_entropy(logits, targets)
+        return ag.mean_cross_entropy(logits, seqs.targets)
 
     def fit(self, train: Corpus) -> list[float]:
-        usable = [
-            (u, trips) for u, trips in enumerate(train.trips_by_user) if len(trips) >= 2
-        ]
-        c = self.config
+        """Train in place, then store each user's final (h, c) after the
+        training sequence (zeros below two trips)."""
+        seqs = [encoder_sequences(trips) for trips in train.trips_by_user]
+        usable = [(u, s) for u, s in enumerate(seqs) if s.targets.size]
+        cfg = self.config
         self.loss_curve = train_per_user(
-            self.params, c.lr, c.seed, c.epochs, usable, self.user_loss, train.users
+            self.params, cfg.lr, cfg.seed, cfg.epochs, usable, self._loss, train.users
         )
-        self._freeze_states(train)
-        return self.loss_curve
-
-    def _freeze_states(self, train: Corpus) -> None:
-        """Store each user's final (h, c) after the training sequence."""
         self._final = []
-        hidden = self.config.hdim
         with ag.no_grad():
-            for trips in train.trips_by_user:
-                if len(trips) < 2:
-                    self._final.append((np.zeros(hidden), np.zeros(hidden)))
-                    continue
-                oseq, dseq = (np.array(s, dtype=np.int64) for s in build_encoder_sequences(trips))
-                _, h, c = lstm_encode(self.lstm, self._inputs(oseq, dseq))
-                self._final.append((h.value.copy(), c.value.copy()))
+            for s in seqs:
+                _, h, c = lstm_encode(self.lstm, self._inputs(s.oseq, s.dseq))
+                self._final.append((h.copy(), c.copy()))
+        return self.loss_curve
 
     def rank_user(self, user: int, queries) -> list[np.ndarray]:
         """Rankings for one user's chronological test queries."""
@@ -172,9 +165,7 @@ class ODLSTM:
         oseq = np.array([q.origin for q in queries], dtype=np.int64)
         dseq = np.array([q.prev_dest for q in queries], dtype=np.int64)
         with ag.no_grad():
-            states, _, _ = lstm_encode(
-                self.lstm, self._inputs(oseq, dseq), ag.constant(h0), ag.constant(c0)
-            )
+            states, _, _ = lstm_encode(self.lstm, self._inputs(oseq, dseq), h0, c0)
             logits = ag.matmul(states, self.params["out/W_loc"])
             probs = ag.softmax(logits, axis=1).value
         return [np.argsort(-row, kind="stable") for row in probs]

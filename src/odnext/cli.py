@@ -46,7 +46,6 @@ from .model import ModelConfig
 from .nn import ContractViolation
 from .synth import SynthConfig, generate
 
-_PIPELINE_DEFAULTS = {"train_ratio": 0.7, "min_trips": 10, "min_users": 10}
 # field annotation -> (accepted JSON types, what the error asks for);
 # bools are JSON booleans, never numbers
 _FIELD_TYPES = {
@@ -63,10 +62,17 @@ class TrainRunConfig:
     min_trips: int = 10
     min_users: int = 10
 
+    def __post_init__(self):
+        if not 0.0 < self.train_ratio <= 1.0:
+            raise ContractViolation("train_ratio must lie in (0, 1]")
+        for name in ("min_trips", "min_users"):
+            if getattr(self, name) < 1:
+                raise ContractViolation(f"{name} must be a positive integer")
+
     def as_dict(self) -> dict:
         d = self.model.as_dict()
         d.update(
-            train_ratio=self.train_ratio,
+            train_ratio=float(self.train_ratio),
             min_trips=self.min_trips,
             min_users=self.min_users,
         )
@@ -87,44 +93,33 @@ def _load_json(path: str) -> dict:
     return d
 
 
-def _checked_fields(cls, d: dict, also_known=()) -> dict:
-    """The entries of `d` that name fields of the config dataclass `cls`,
-    each checked against the field's annotation; keys that are neither
-    fields nor in `also_known` are rejected."""
-    hints = get_type_hints(cls)
-    unknown = set(d) - set(hints) - set(also_known)
+def _checked_fields(d: dict, *classes) -> list[dict]:
+    """Split `d` over the config dataclasses `classes`: per class, the
+    entries that name one of its scalar fields.  Each value is checked
+    against the field's annotation; a key that names no such field is
+    rejected."""
+    fields = [
+        {n: a for n, a in get_type_hints(cls).items() if a in _FIELD_TYPES} for cls in classes
+    ]
+    known = {n: a for f in fields for n, a in f.items()}
+    unknown = set(d) - set(known)
     if unknown:
         raise ContractViolation(f"unknown configuration keys: {sorted(unknown)}")
-    out = {}
-    for name, annotation in hints.items():
-        if name not in d:
-            continue
-        value = d[name]
-        accepted, wanted = _FIELD_TYPES[annotation]
+    for name, value in d.items():
+        accepted, wanted = _FIELD_TYPES[known[name]]
         if not isinstance(value, accepted) or isinstance(value, bool):
             raise ContractViolation(f"configuration key {name!r} must be {wanted}")
-        out[name] = value
-    return out
+    return [{n: d[n] for n in f if n in d} for f in fields]
 
 
 def parse_train_config(d: dict) -> TrainRunConfig:
-    model_kwargs = _checked_fields(ModelConfig, d, _PIPELINE_DEFAULTS)
-    pipeline = {}
-    for name, default in _PIPELINE_DEFAULTS.items():
-        value = d.get(name, default)
-        if name == "train_ratio":
-            if not isinstance(value, (int, float)) or not 0.0 < value <= 1.0:
-                raise ContractViolation("train_ratio must lie in (0, 1]")
-            value = float(value)
-        else:
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ContractViolation(f"{name} must be a positive integer")
-        pipeline[name] = value
-    return TrainRunConfig(model=ModelConfig(**model_kwargs), **pipeline)
+    model, pipeline = _checked_fields(d, ModelConfig, TrainRunConfig)
+    return TrainRunConfig(ModelConfig(**model), **pipeline)
 
 
 def parse_synth_config(d: dict) -> SynthConfig:
-    return SynthConfig(**_checked_fields(SynthConfig, d))
+    (fields,) = _checked_fields(d, SynthConfig)
+    return SynthConfig(**fields)
 
 
 def _emit(lines: list[str], report_path: str | None) -> None:
@@ -290,6 +285,8 @@ def cmd_ablate(args) -> int:
     cfg = parse_train_config(_load_json(args.config))
     corpus = load_corpus(args.trips, args.locations)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
+    if not variants:
+        raise ContractViolation("no variants given")
     seeds = [int(s) for s in args.seeds.split(",")]
     for v in variants:
         if v not in METHODS:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geo import GeoPoint, geohash_encode, haversine_km, N_TIMESLOTS
+from .geo import GeoPoint, geohash_encode, haversine_km, timeslots, N_TIMESLOTS
 
 log = logging.getLogger(__name__)
 
@@ -271,17 +271,39 @@ def chronological_split(corpus: Corpus, train_ratio: float = 0.7) -> SplitResult
     return SplitResult(train, test, flagged)
 
 
-def build_encoder_sequences(trips: list[Trip]) -> tuple[list[int], list[int]]:
-    """Origin sequence o_2..o_n and destination sequence d_1..d_(n-1).
+@dataclass
+class Sequences:
+    """Encoder inputs of one history, in the vocabulary's index space: the
+    origins and pickup slots of one run of trips, the destinations and
+    dropoff slots of another of the same length, and as targets the
+    destinations of the origin run."""
 
-    The first origin and last destination are dropped so that both
-    sequences align one-to-one with the prediction targets.
+    oseq: np.ndarray
+    dseq: np.ndarray
+    o_slots: np.ndarray
+    d_slots: np.ndarray
+    targets: np.ndarray
+
+
+def encoder_sequences(
+    trips: list[Trip], utc_offset_hours: int = 0, aligned: bool = False
+) -> Sequences:
+    """The two encoder sequences of a time-ordered history.
+
+    By default origins o_2..o_n and destinations d_1..d_(n-1): the first
+    origin and last destination are dropped so that both align one to
+    one with the prediction targets d_2..d_n (all empty below two trips).
+    `aligned` keeps every trip on both sides instead, as a cold-start
+    prefix is encoded.
     """
-    if len(trips) < 2:
-        return [], []
-    origins = [t.origin_loc for t in trips[1:]]
-    dests = [t.dest_loc for t in trips[:-1]]
-    return origins, dests
+    o_trips, d_trips = (trips, trips) if aligned else (trips[1:], trips[:-1])
+    return Sequences(
+        oseq=np.array([t.origin_loc for t in o_trips], dtype=np.int64),
+        dseq=np.array([t.dest_loc for t in d_trips], dtype=np.int64),
+        o_slots=timeslots([t.pickup_ts for t in o_trips], utc_offset_hours),
+        d_slots=timeslots([t.dropoff_ts for t in d_trips], utc_offset_hours),
+        targets=np.array([t.dest_loc for t in o_trips], dtype=np.int64),
+    )
 
 
 @dataclass(frozen=True)

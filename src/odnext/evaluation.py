@@ -264,10 +264,14 @@ def sensitivity_sweep(
         raise ContractViolation(
             f"cannot sweep {param!r}; choose one of {SWEEPABLE_FIELDS}"
         )
+    kind = type(getattr(base, param))
+    for value in values:
+        if kind is int and not float(value).is_integer():
+            raise ContractViolation(f"{param} takes whole numbers, not {value:g}")
     queries = build_test_queries(split)
     results: list[tuple[float, EvalReport]] = []
     for value in values:
-        cfg = replace(base, **{param: type(getattr(base, param))(value)})
+        cfg = replace(base, **{param: kind(value)})
         ranker = fit_ranker(cfg.variant, cfg, split, vocab, tables)
         results.append((float(value), evaluate(ranker, queries)))
     return results

@@ -32,8 +32,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .data import Corpus, IntervalTables, Trip, Vocab
-from .geo import timeslots
+from .data import Corpus, IntervalTables, Sequences, Trip, Vocab, encoder_sequences
 from .nn import (
     ContractViolation,
     ParamSpec,
@@ -128,18 +127,6 @@ class EncodedCache:
     dseq: list[np.ndarray]
     last_dest: np.ndarray
     n_train: np.ndarray
-
-
-@dataclass
-class _UserData:
-    """Precomputed per-user training arrays (index space of the vocab)."""
-
-    oseq: np.ndarray
-    dseq: np.ndarray
-    o_slots: np.ndarray
-    d_slots: np.ndarray
-    targets: np.ndarray
-    mask: np.ndarray | None
 
 
 def attend(
@@ -279,24 +266,13 @@ class Model:
 
     # -- forward pieces ---------------------------------------------------
 
-    def _user_data(self, trips: list[Trip]) -> _UserData:
+    def _batch(self, trips: list[Trip]) -> tuple[Sequences, np.ndarray | None]:
+        """One user's training arrays: the encoder sequences and, for causal
+        attention, the mask that goes with them."""
         mask = None
         if self.config.attention_context == "causal" and self._has_attention:
             mask = _causal_mask(len(trips) - 1)
-        return self._history(trips[1:], trips[:-1], mask)
-
-    def _history(self, o_trips: list[Trip], d_trips: list[Trip], mask) -> _UserData:
-        """Encoder inputs over the origins of `o_trips` and the destinations
-        of `d_trips`; the targets are the destinations of `o_trips`."""
-        off = self.config.utc_offset_hours
-        return _UserData(
-            oseq=np.array([t.origin_loc for t in o_trips], dtype=np.int64),
-            dseq=np.array([t.dest_loc for t in d_trips], dtype=np.int64),
-            o_slots=timeslots([t.pickup_ts for t in o_trips], off),
-            d_slots=timeslots([t.dropoff_ts for t in d_trips], off),
-            targets=np.array([t.dest_loc for t in o_trips], dtype=np.int64),
-            mask=mask,
-        )
+        return encoder_sequences(trips, self.config.utc_offset_hours), mask
 
     def _st_input(self, seq: np.ndarray, slots: np.ndarray, loc_emb: Tensor) -> STLSTMInput:
         return STLSTMInput(
@@ -307,10 +283,10 @@ class Model:
             dtime=ag.constant(self.tables.temporal[seq]),
         )
 
-    def _encode(self, ud: _UserData) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+    def _encode(self, seqs: Sequences) -> tuple[Tensor, Tensor, Tensor, Tensor]:
         """Return (states_o, states_d, o_emb, d_emb) for one user history."""
-        o_emb = ag.take_rows(self.params["emb/loc"], ud.oseq)
-        d_emb = ag.take_rows(self.params["emb/loc"], ud.dseq)
+        o_emb = ag.take_rows(self.params["emb/loc"], seqs.oseq)
+        d_emb = ag.take_rows(self.params["emb/loc"], seqs.dseq)
         v = self.config.variant
         if v == "decoder-only":
             return o_emb, d_emb, o_emb, d_emb
@@ -318,8 +294,8 @@ class Model:
             states_o, _, _ = lstm_encode(self.enc_o, o_emb)
             states_d, _, _ = lstm_encode(self.enc_d, d_emb)
             return states_o, states_d, o_emb, d_emb
-        states_o = st_lstm_encode(self.enc_o, self._st_input(ud.oseq, ud.o_slots, o_emb))
-        states_d = st_lstm_encode(self.enc_d, self._st_input(ud.dseq, ud.d_slots, d_emb))
+        states_o = st_lstm_encode(self.enc_o, self._st_input(seqs.oseq, seqs.o_slots, o_emb))
+        states_d = st_lstm_encode(self.enc_d, self._st_input(seqs.dseq, seqs.d_slots, d_emb))
         return states_o, states_d, o_emb, d_emb
 
     def _stack(self, states_o: Tensor, states_d: Tensor) -> Tensor:
@@ -368,20 +344,21 @@ class Model:
             summary = ag.concat([summary, user_rows()], axis=1)
         return ag.matmul(summary, w_out), alpha
 
-    def _forward(self, ud: _UserData, user: int) -> tuple[Tensor, Tensor | None]:
-        """(logits (E, |L|), alpha) for every example of one user history."""
-        states_o, states_d, o_emb, d_emb = self._encode(ud)
-        return self._decode(self._stack(states_o, states_d), o_emb, d_emb, user, None, ud.mask)
+    def _forward(self, batch: tuple, user: int) -> tuple[Tensor, Tensor | None]:
+        """(logits (E, |L|), alpha) for every example of one `_batch`."""
+        seqs, mask = batch
+        states_o, states_d, o_emb, d_emb = self._encode(seqs)
+        return self._decode(self._stack(states_o, states_d), o_emb, d_emb, user, None, mask)
 
     def user_loss(self, user: int, trips: list[Trip]) -> Tensor:
         """Mean cross-entropy over one user's |trips|-1 training examples."""
         if len(trips) < 2:
             raise ContractViolation("a user needs at least two trips to train on")
-        return self._loss(user, self._user_data(trips))
+        return self._loss(user, self._batch(trips))
 
-    def _loss(self, user: int, ud: _UserData) -> Tensor:
-        logits, _ = self._forward(ud, user)
-        return ag.mean_cross_entropy(logits, ud.targets)
+    def _loss(self, user: int, batch: tuple) -> Tensor:
+        logits, _ = self._forward(batch, user)
+        return ag.mean_cross_entropy(logits, batch[0].targets)
 
     # -- training ---------------------------------------------------------
 
@@ -390,7 +367,7 @@ class Model:
         if train.n_users != self.vocab.n_users:
             raise ContractViolation("training corpus does not match the vocabulary")
         usable = [
-            (u, self._user_data(trips))
+            (u, self._batch(trips))
             for u, trips in enumerate(train.trips_by_user)
             if len(trips) >= 2
         ]
@@ -414,11 +391,11 @@ class Model:
                 n_train[u] = len(trips)
                 if trips:
                     last_dest[u] = trips[-1].dest_loc
-                ud = self._history(trips[1:], trips[:-1], None)  # empty below 2 trips
-                states_o, states_d, _, _ = self._encode(ud)
+                seqs = encoder_sequences(trips, self.config.utc_offset_hours)
+                states_o, states_d, _, _ = self._encode(seqs)
                 states.append(np.concatenate([states_o.value, states_d.value], axis=0))
-                oseqs.append(ud.oseq)
-                dseqs.append(ud.dseq)
+                oseqs.append(seqs.oseq)
+                dseqs.append(seqs.dseq)
         return EncodedCache(states, oseqs, dseqs, last_dest, n_train)
 
     def _predict_states(
@@ -428,10 +405,9 @@ class Model:
         dprevs: np.ndarray,
         user: int | None,
         user_vec_value: np.ndarray | None,
-        want_alpha: bool = False,
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """`_decode` against frozen states, all of which every query sees;
-        returns (probs, alpha)."""
+        returns (probs, alpha), alpha None for encoder-only."""
         if states_np.shape[0] == 0:
             raise ColdStartError("no encoder states available for this history")
         with ag.no_grad():
@@ -450,7 +426,7 @@ class Model:
                 None,
             )
             probs = ag.softmax(logits, axis=1)
-        return probs.value, (alpha.value if want_alpha else None)
+        return probs.value, (None if alpha is None else alpha.value)
 
     def predict_batch(
         self, cache: EncodedCache, user: int, origins, dprevs
@@ -489,9 +465,7 @@ class Model:
         if not (0 <= origin < self.vocab.n_locations and 0 <= dprev < self.vocab.n_locations):
             raise ContractViolation("location index out of range")
         query = np.array([origin, dprev], dtype=np.int64)
-        probs, alpha = self._predict_states(
-            cache.states[user], query[:1], query[1:], user, None, want_alpha=True
-        )
+        probs, alpha = self._predict_states(cache.states[user], query[:1], query[1:], user, None)
         mean_w = alpha[0].mean(axis=1)
         half = len(cache.oseq[user])
         return probs[0], mean_w[:half], mean_w[half:]
@@ -516,11 +490,11 @@ class Model:
         """
         if not prefix:
             raise ColdStartError("cold-start prediction needs at least one prior trip")
-        ud = self._history(prefix, prefix, None)
+        seqs = encoder_sequences(prefix, self.config.utc_offset_hours, aligned=True)
         query = np.array([origin, prev_dest], dtype=np.int64)
-        self._check_locs(ud.oseq, ud.dseq, query)
+        self._check_locs(seqs.oseq, seqs.dseq, query)
         with ag.no_grad():
-            states_o, states_d, _, _ = self._encode(ud)
+            states_o, states_d, _, _ = self._encode(seqs)
             states_np = np.concatenate([states_o.value, states_d.value], axis=0)
         user_vec = self.cold_user_vector()
         probs, _ = self._predict_states(states_np, query[:1], query[1:], None, user_vec)
@@ -537,12 +511,12 @@ class Model:
         """
         if len(trips) < 2:
             raise ColdStartError("cold-start queries need at least two trips")
-        ud = self._history(trips[:-1], trips[:-1], None)
+        seqs = encoder_sequences(trips[:-1], self.config.utc_offset_hours, aligned=True)
         queries = np.array([t.origin_loc for t in trips[1:]], dtype=np.int64)
-        self._check_locs(ud.oseq, ud.dseq, queries)
+        self._check_locs(seqs.oseq, seqs.dseq, queries)
         mask = _causal_mask(len(queries)) if self._has_attention else None
         with ag.no_grad():
-            states_o, states_d, _, d_emb = self._encode(ud)
+            states_o, states_d, _, d_emb = self._encode(seqs)
             logits, _ = self._decode(
                 self._stack(states_o, states_d),
                 ag.take_rows(self.params["emb/loc"], queries),

@@ -1,5 +1,6 @@
-"""Optimizer, parameter declaration and initialization, per-user training,
-and gradient checking."""
+"""Optimizer, parameter declaration and initialization, and per-user
+training.  The finite-difference gradient checker is test code
+(`tests/reference.py`)."""
 
 from __future__ import annotations
 
@@ -10,6 +11,11 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
+
+
+ADAM_BETA1 = 0.9  # decay of the first-moment estimate
+ADAM_BETA2 = 0.999  # decay of the second-moment estimate
+ADAM_EPS = 1e-8  # added to the root of the second moment
 
 
 class ContractViolation(ValueError):
@@ -58,28 +64,21 @@ def wrap_params(specs: Sequence[ParamSpec], values: Mapping[str, np.ndarray]) ->
 
 
 class Adam:
-    """Adam with bias correction; one shared step counter for all params."""
+    """Adam with bias correction; one shared step counter for all params.
 
-    def __init__(
-        self,
-        params: Mapping[str, Tensor],
-        lr: float = 1e-4,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    Only the learning rate is set per optimizer; the moment decays and
+    the denominator's epsilon are the module constants."""
+
+    def __init__(self, params: Mapping[str, Tensor], lr: float = 1e-4):
         self.params = dict(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(p.value) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.value) for k, p in self.params.items()}
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         for name, p in self.params.items():
             g = p.grad
             if g is None:
@@ -92,7 +91,7 @@ class Adam:
             v += (1.0 - b2) * g * g
             m_hat = m / (1.0 - b1**self.t)
             v_hat = v / (1.0 - b2**self.t)
-            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -139,43 +138,3 @@ def train_per_user(
             total += value
         curve.append(total / len(batches))
     return curve
-
-
-def grad_check(
-    loss_fn: Callable[[], Tensor],
-    params: Mapping[str, Tensor],
-    h: float = 1e-5,
-) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    `loss_fn` must rebuild the graph on every call (it is re-run with
-    perturbed parameter values).  The relative error per coordinate uses
-    the denominator max(|analytic|, |numeric|, 1e-8).
-    """
-    for p in params.values():
-        p.zero_grad()
-    loss = loss_fn()
-    loss.backward()
-    analytic = {
-        k: (p.grad.copy() if p.grad is not None else np.zeros_like(p.value))
-        for k, p in params.items()
-    }
-
-    worst = 0.0
-    with ag.no_grad():
-        for name, p in params.items():
-            flat = p.value.ravel()
-            a_flat = analytic[name].ravel()
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + h
-                f_plus = float(loss_fn().value)
-                flat[i] = orig - h
-                f_minus = float(loss_fn().value)
-                flat[i] = orig
-                numeric = (f_plus - f_minus) / (2.0 * h)
-                denom = max(abs(a_flat[i]), abs(numeric), 1e-8)
-                worst = max(worst, abs(a_flat[i] - numeric) / denom)
-    for p in params.values():
-        p.zero_grad()
-    return worst

