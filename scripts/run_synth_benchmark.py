@@ -5,39 +5,42 @@ Trains the full model, its origin-destination-only variant, and the
 plain sequence baseline over several seeds, scores the frequency
 rankers, and reports mean test accuracy plus the cold-start comparison
 against the global-frequency ranking.
+
+The study runs the acceptance profile (`evaluation.STUDY_SYNTH` and
+`STUDY_MODEL`).  `--synth` and `--train` name JSON files whose keys
+override its corpus and model fields; the seed of both comes from
+`--seeds`.  A bad value ends in one `error:` line and exit 1.
 """
 
 import argparse
+import sys
 import time
+from dataclasses import replace
 
-from odnext.evaluation import cold_start_eval, mean_reports, study_seed
-from odnext.model import ModelConfig
-from odnext.synth import SynthConfig
+from odnext.cli import guarded, load_json, parse_overrides
+from odnext.evaluation import (
+    STUDY_MODEL,
+    STUDY_SYNTH,
+    cold_start_eval,
+    mean_reports,
+    study_seed,
+)
+from odnext.nn import ContractViolation
 
 STUDY_METHODS = ("stod-ppa", "od-ppa", "od-lstm", "u-top", "top", "taxi")
 
 
-def run_seed(seed, args):
-    synth_cfg = SynthConfig(
-        n_users=args.users,
-        n_locations=args.locations,
-        n_clusters=args.clusters,
-        trips_per_user=args.trips,
-        p_noise=args.noise,
-        seed=seed,
-        n_cold_users=args.cold_users,
-        n_user_types=args.user_types,
-        day_half_adherence=args.adherence,
-        rule_member_pool=args.member_pool,
-    )
-    model_cfg = ModelConfig(
-        dim=args.dim,
-        hdim=args.hdim,
-        lr=args.lr,
-        epochs=args.epochs,
-        seed=seed,
-        attention_context=args.context,
-    )
+def profile(base, path):
+    """`base` with the overrides of the JSON file at `path`, if any."""
+    if path is None:
+        return base
+    d = load_json(path)
+    if "seed" in d:
+        raise ContractViolation(f"{path}: the seed comes from --seeds")
+    return parse_overrides(base, d)
+
+
+def run_seed(synth_cfg, model_cfg):
     study = study_seed(synth_cfg, model_cfg, STUDY_METHODS)
     cold = None
     if study.cold_trips:
@@ -47,32 +50,18 @@ def run_seed(seed, args):
     return study.reports, cold, study.oracle_accuracy
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seeds", default="0,1,2", help="comma list of corpus/model seeds")
-    ap.add_argument("--users", type=int, default=200)
-    ap.add_argument("--locations", type=int, default=60)
-    ap.add_argument("--clusters", type=int, default=6)
-    ap.add_argument("--trips", type=int, default=30)
-    ap.add_argument("--noise", type=float, default=0.1)
-    ap.add_argument("--cold-users", type=int, default=50)
-    ap.add_argument("--user-types", type=int, default=250)
-    ap.add_argument("--adherence", type=float, default=0.95)
-    ap.add_argument("--member-pool", type=int, default=2)
-    ap.add_argument("--context", default="causal", choices=["all", "causal"])
-    ap.add_argument("--dim", type=int, default=32)
-    ap.add_argument("--hdim", type=int, default=32)
-    ap.add_argument("--lr", type=float, default=1e-3)
-    ap.add_argument("--epochs", type=int, default=15)
-    args = ap.parse_args()
-
+def run(args) -> int:
     seeds = [int(s) for s in args.seeds.split(",")]
+    synth_cfg = profile(STUDY_SYNTH, args.synth)
+    model_cfg = profile(STUDY_MODEL, args.train)
     t0 = time.perf_counter()
     per_method: dict[str, list] = {}
     cold_rows = []
     oracle = None
     for seed in seeds:
-        reports, cold, oracle = run_seed(seed, args)
+        reports, cold, oracle = run_seed(
+            replace(synth_cfg, seed=seed), replace(model_cfg, seed=seed)
+        )
         for name, rep in reports.items():
             per_method.setdefault(name, []).append(rep)
         if cold:
@@ -94,7 +83,16 @@ def main():
         n = sum(r[2] for r in cold_rows)
         print(f"\ncold start over {n} queries: model acc@1 {m:.4f} vs global-top {t:.4f}")
     print(f"\ntotal {time.perf_counter() - t0:.1f}s")
+    return 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--seeds", default="0,1,2", help="comma list of corpus/model seeds")
+    ap.add_argument("--synth", help="JSON file of SynthConfig fields to override")
+    ap.add_argument("--train", help="JSON file of ModelConfig fields to override")
+    return guarded(run, ap.parse_args(argv))
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

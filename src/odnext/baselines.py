@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autograd as ag
@@ -13,6 +10,7 @@ from .data import Corpus, Sequences, Trip, encoder_sequences
 from .nn import (
     ContractViolation,
     ParamSpec,
+    TrainConfig,
     draw_params,
     embedding_init,
     glorot_uniform,
@@ -22,6 +20,7 @@ from .nn import (
 from .stlstm import LSTMWeights, lstm_encode, lstm_spec
 
 FREQUENCY_KINDS = ("top", "u-top", "taxi")
+TAXI_LAMBDA = 0.5  # taxi's weight on the user's own proportions
 
 
 class FrequencyRanker:
@@ -29,22 +28,18 @@ class FrequencyRanker:
 
     top:   global destination counts, descending; ties by index.
     u-top: the user's own counts first; unvisited locations follow in
-           global order.  Ties break by global position, then index.
-    taxi:  lam * user proportion + (1 - lam) * global proportion, with
-           the same tie-break as u-top.
+           global order.  Ties break by global position.
+    taxi:  TAXI_LAMBDA * user proportion + (1 - TAXI_LAMBDA) * global
+           proportion, with the same tie-break as u-top.
     """
 
-    def __init__(self, kind: str = "top", lam: float = 0.5):
+    def __init__(self, kind: str = "top"):
         if kind not in FREQUENCY_KINDS:
             raise ContractViolation(f"unknown frequency ranker {kind!r}")
-        if not 0.0 <= lam <= 1.0:
-            raise ContractViolation("lam must lie in [0, 1]")
         self.kind = kind
-        self.lam = lam
         self.global_counts: np.ndarray | None = None
         self.user_counts: np.ndarray | None = None
         self.global_order: np.ndarray | None = None
-        self.global_pos: np.ndarray | None = None
 
     def fit(self, train: Corpus) -> "FrequencyRanker":
         n = train.n_locations
@@ -54,10 +49,7 @@ class FrequencyRanker:
             for t in trips:
                 self.global_counts[t.dest_loc] += 1
                 self.user_counts[u, t.dest_loc] += 1
-        order = sorted(range(n), key=lambda l: (-self.global_counts[l], l))
-        self.global_order = np.array(order, dtype=np.int64)
-        self.global_pos = np.empty(n, dtype=np.int64)
-        self.global_pos[self.global_order] = np.arange(n)
+        self.global_order = np.argsort(-self.global_counts, kind="stable")
         return self
 
     def ranking(self, user: int | None = None) -> np.ndarray:
@@ -65,39 +57,26 @@ class FrequencyRanker:
             raise ContractViolation("ranker has not been fitted")
         if self.kind == "top" or user is None:
             return self.global_order.copy()
-        n = len(self.global_order)
         uc = self.user_counts[user]
         if self.kind == "u-top":
-            keys = list(zip(-uc, self.global_pos, range(n)))
+            key = uc
         else:
+            n = len(uc)
             u_total = uc.sum()
             g_total = self.global_counts.sum()
             u_prop = uc / u_total if u_total else np.zeros(n)
             g_prop = self.global_counts / g_total if g_total else np.zeros(n)
-            score = self.lam * u_prop + (1.0 - self.lam) * g_prop
-            keys = list(zip(-score, self.global_pos, range(n)))
-        return np.array(sorted(range(n), key=lambda l: keys[l]), dtype=np.int64)
+            key = TAXI_LAMBDA * u_prop + (1.0 - TAXI_LAMBDA) * g_prop
+        # descending key; a stable sort of the global order breaks ties by it
+        order = self.global_order
+        return order[np.argsort(-key[order], kind="stable")]
 
     def rank_user(self, user: int, queries) -> list[np.ndarray]:
         r = self.ranking(user)
         return [r for _ in queries]
 
 
-@dataclass(frozen=True)
-class ODLSTMConfig:
-    dim: int = 256
-    hdim: int = 256
-    lr: float = 1e-4
-    epochs: int = 15
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.dim < 1 or self.hdim < 1:
-            raise ContractViolation("dim and hdim must be positive")
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ContractViolation("lr must be positive and finite")
-        if self.epochs < 0:
-            raise ContractViolation("epochs must be non-negative")
+ODLSTMConfig = TrainConfig  # od-lstm takes exactly the shared training fields
 
 
 class ODLSTM:
@@ -110,7 +89,7 @@ class ODLSTM:
     the test queries in order.
     """
 
-    def __init__(self, config: ODLSTMConfig, n_locations: int):
+    def __init__(self, config: TrainConfig, n_locations: int):
         if n_locations < 1:
             raise ContractViolation("need at least one location")
         self.config = config
@@ -144,10 +123,7 @@ class ODLSTM:
         training sequence (zeros below two trips)."""
         seqs = [encoder_sequences(trips) for trips in train.trips_by_user]
         usable = [(u, s) for u, s in enumerate(seqs) if s.targets.size]
-        cfg = self.config
-        self.loss_curve = train_per_user(
-            self.params, cfg.lr, cfg.seed, cfg.epochs, usable, self._loss, train.users
-        )
+        self.loss_curve = train_per_user(self.params, self.config, usable, self._loss, train.users)
         self._final = []
         with ag.no_grad():
             for s in seqs:

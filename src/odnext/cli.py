@@ -57,26 +57,18 @@ _FIELD_TYPES = {
 
 @dataclass(frozen=True)
 class TrainRunConfig:
+    """A model config and the share of each user's trips it trains on.
+    Sparse users and locations are dropped by `odnext preprocess`, not here."""
+
     model: ModelConfig
     train_ratio: float = 0.7
-    min_trips: int = 10
-    min_users: int = 10
 
     def __post_init__(self):
         if not 0.0 < self.train_ratio <= 1.0:
             raise ContractViolation("train_ratio must lie in (0, 1]")
-        for name in ("min_trips", "min_users"):
-            if getattr(self, name) < 1:
-                raise ContractViolation(f"{name} must be a positive integer")
 
     def as_dict(self) -> dict:
-        d = self.model.as_dict()
-        d.update(
-            train_ratio=float(self.train_ratio),
-            min_trips=self.min_trips,
-            min_users=self.min_users,
-        )
-        return d
+        return {**self.model.as_dict(), "train_ratio": float(self.train_ratio)}
 
 
 def config_sha256(d: dict) -> str:
@@ -85,7 +77,7 @@ def config_sha256(d: dict) -> str:
     ).hexdigest()
 
 
-def _load_json(path: str) -> dict:
+def load_json(path: str) -> dict:
     with open(path, encoding="utf-8") as f:
         d = json.load(f)
     if not isinstance(d, dict):
@@ -117,9 +109,10 @@ def parse_train_config(d: dict) -> TrainRunConfig:
     return TrainRunConfig(ModelConfig(**model), **pipeline)
 
 
-def parse_synth_config(d: dict) -> SynthConfig:
-    (fields,) = _checked_fields(d, SynthConfig)
-    return SynthConfig(**fields)
+def parse_overrides(base, d: dict):
+    """`base`, a config dataclass, with the entries of `d` put in its fields."""
+    (fields,) = _checked_fields(d, type(base))
+    return replace(base, **fields)
 
 
 def _emit(lines: list[str], report_path: str | None) -> None:
@@ -160,7 +153,7 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = parse_train_config(_load_json(args.config))
+    cfg = parse_train_config(load_json(args.config))
     corpus = load_corpus(args.trips, args.locations)
     if corpus.is_empty:
         raise ContractViolation("training corpus has no users")
@@ -205,7 +198,7 @@ def _test_queries_from_rows(bundle, rows) -> tuple[list[list[TrainingExample]], 
     queries: list[list[TrainingExample]] = [[] for _ in bundle.user_ids]
     cache = bundle.cache
     for u, items in per_user.items():
-        items.sort()
+        items.sort(key=lambda item: item[:2])  # stable on ties, as load_corpus sorts
         prev = int(cache.last_dest[u])
         if prev < 0:
             skipped += len(items)
@@ -243,14 +236,16 @@ def cmd_predict(args) -> int:
     user = user_index[args.user]
     origin = loc_index[args.origin]
     prev_dest = loc_index[args.prev_dest]
-    probs = model.predict_batch(cache, user, [origin], [prev_dest])[0]
+    if args.explain:
+        probs, w_origin, w_dest = model.attention(cache, user, origin, prev_dest)
+    else:
+        probs = model.predict_batch(cache, user, [origin], [prev_dest])[0]
     ranking = rank_descending(probs)
     lines = []
     for pos in range(min(args.top, len(ranking))):
         loc = int(ranking[pos])
         lines.append(f"{pos + 1} {bundle.location_ids[loc]} {probs[loc]:.6f}")
     if args.explain:
-        _, w_origin, w_dest = model.attention(cache, user, origin, prev_dest)
         for k, (loc, w) in enumerate(zip(cache.oseq[user], w_origin)):
             lines.append(f"attn o[{k}]={bundle.location_ids[int(loc)]} {100.0 * w:.2f}%")
         for k, (loc, w) in enumerate(zip(cache.dseq[user], w_dest)):
@@ -260,7 +255,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    cfg = parse_synth_config(_load_json(args.config))
+    cfg = parse_overrides(SynthConfig(), load_json(args.config))
     corpus, manifest = generate(cfg)
     save_trips(corpus, args.out_trips)
     save_locations(corpus, args.out_locations)
@@ -282,7 +277,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg = parse_train_config(_load_json(args.config))
+    cfg = parse_train_config(load_json(args.config))
     corpus = load_corpus(args.trips, args.locations)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     if not variants:
@@ -308,7 +303,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = parse_train_config(_load_json(args.config))
+    cfg = parse_train_config(load_json(args.config))
     corpus = load_corpus(args.trips, args.locations)
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
@@ -408,8 +403,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    return guarded(args.func, args)
+
+
+def guarded(func, *args) -> int:
+    """`func(*args)`, with an unreadable or malformed input ending in exit 2
+    and a contract violation in exit 1, each as one `error:` line."""
     try:
-        return args.func(args)
+        return func(*args)
     except (
         CorpusFormatError, CheckpointFormatError, json.JSONDecodeError, UnicodeDecodeError, OSError
     ) as e:

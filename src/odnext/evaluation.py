@@ -8,7 +8,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .baselines import FREQUENCY_KINDS, FrequencyRanker, ODLSTM, ODLSTMConfig
+from .baselines import FREQUENCY_KINDS, FrequencyRanker, ODLSTM
 from .data import (
     Corpus,
     IntervalTables,
@@ -70,9 +70,7 @@ class EvalReport:
 
 
 class Ranker(Protocol):
-    def rank_user(
-        self, user: int, queries: list[TrainingExample]
-    ) -> list[np.ndarray | None]: ...
+    def rank_user(self, user: int, queries: list[TrainingExample]) -> list[np.ndarray]: ...
 
 
 class ModelRanker:
@@ -92,26 +90,17 @@ class ModelRanker:
 
 
 def evaluate(ranker: Ranker, queries_per_user: list[list[TrainingExample]]) -> EvalReport:
-    """Score a ranker over chronological per-user test queries.
-
-    A ranker may return None for a query it cannot answer; those count
-    as skipped and do not enter the metrics.
-    """
+    """Score a ranker over chronological per-user test queries."""
     rankings: list[np.ndarray] = []
     targets: list[int] = []
-    skipped = 0
     for user, queries in enumerate(queries_per_user):
         if not queries:
             continue
         results = ranker.rank_user(user, queries)
         if len(results) != len(queries):
             raise ContractViolation("ranker returned the wrong number of rankings")
-        for r, q in zip(results, queries):
-            if r is None:
-                skipped += 1
-                continue
-            rankings.append(r)
-            targets.append(q.target)
+        rankings.extend(results)
+        targets.extend(q.target for q in queries)
     if not rankings:
         raise ContractViolation("no scorable queries")
     return EvalReport(
@@ -120,7 +109,6 @@ def evaluate(ranker: Ranker, queries_per_user: list[list[TrainingExample]]) -> E
         acc10=accuracy_at_k(rankings, targets, 10),
         map=mean_average_precision(rankings, targets),
         n_queries=len(rankings),
-        n_skipped=skipped,
     )
 
 
@@ -128,11 +116,10 @@ def mean_reports(reports: Sequence[EvalReport]) -> dict[str, float]:
     """Metric-wise mean over runs (for example over seeds)."""
     if not reports:
         raise ContractViolation("no reports to aggregate")
-    out: dict[str, float] = {}
-    for key in ("acc1", "acc5", "acc10", "map"):
-        out[key] = float(np.mean([getattr(r, key) for r in reports]))
-    out["n_queries"] = float(np.mean([r.n_queries for r in reports]))
-    return out
+    return {
+        key: float(np.mean([getattr(r, key) for r in reports]))
+        for key in ("acc1", "acc5", "acc10", "map")
+    }
 
 
 def remap_user_trips(
@@ -199,8 +186,8 @@ def fit_ranker(
     """Train one of METHODS on the split's training part; return its ranker.
 
     A model variant trains `cfg` with that variant and ranks from its
-    encoder cache; "od-lstm" takes dim, hdim, lr, epochs and seed from
-    `cfg`; a frequency kind only counts destinations.
+    encoder cache; "od-lstm" trains with `cfg`'s training fields (the
+    `TrainConfig` part); a frequency kind only counts destinations.
     """
     train = split.train
     if method in VARIANTS:
@@ -208,15 +195,28 @@ def fit_ranker(
         model.fit(train)
         return ModelRanker(model, model.build_cache(train))
     if method == "od-lstm":
-        od_cfg = ODLSTMConfig(
-            dim=cfg.dim, hdim=cfg.hdim, lr=cfg.lr, epochs=cfg.epochs, seed=cfg.seed
-        )
-        od = ODLSTM(od_cfg, vocab.n_locations)
+        od = ODLSTM(cfg, vocab.n_locations)
         od.fit(train)
         return od
     if method in FREQUENCY_KINDS:
         return FrequencyRanker(method).fit(train)
     raise ContractViolation(f"unknown method {method!r}; choose from {METHODS}")
+
+
+# The synthetic study's profile, shared by the acceptance criteria and
+# `scripts/run_synth_benchmark.py`; a study seed replaces both `seed`s.
+STUDY_SYNTH = SynthConfig(
+    n_users=200,
+    n_locations=60,
+    n_clusters=6,
+    trips_per_user=30,
+    p_noise=0.1,
+    n_cold_users=50,
+    n_user_types=250,
+    day_half_adherence=0.95,
+    rule_member_pool=2,
+)
+STUDY_MODEL = ModelConfig(dim=32, hdim=32, lr=1e-3, epochs=15, attention_context="causal")
 
 
 @dataclass

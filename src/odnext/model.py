@@ -36,6 +36,7 @@ from .data import Corpus, IntervalTables, Sequences, Trip, Vocab, encoder_sequen
 from .nn import (
     ContractViolation,
     ParamSpec,
+    TrainConfig,
     draw_params,
     embedding_init,
     glorot_uniform,
@@ -72,14 +73,10 @@ class ColdStartError(ContractViolation):
 
 
 @dataclass(frozen=True)
-class ModelConfig:
-    """Hyperparameters; defaults follow the reference training profile."""
+class ModelConfig(TrainConfig):
+    """The training protocol's fields, then the model's own; defaults
+    follow the reference training profile."""
 
-    dim: int = 256  # embedding size
-    hdim: int = 256  # encoder hidden size
-    lr: float = 1e-4
-    epochs: int = 15
-    seed: int = 0
     variant: str = "stod-ppa"
     attention_context: str = "all"  # "causal" restricts training attention
     geohash_precision: int = 5
@@ -87,12 +84,7 @@ class ModelConfig:
     leaky_slope: float = 0.01
 
     def __post_init__(self):
-        if self.dim < 1 or self.hdim < 1:
-            raise ContractViolation("dim and hdim must be positive")
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ContractViolation("lr must be positive and finite")
-        if self.epochs < 0:
-            raise ContractViolation("epochs must be non-negative")
+        super().__post_init__()
         if self.variant not in VARIANTS:
             raise ContractViolation(f"unknown variant {self.variant!r}")
         if self.attention_context not in ATTENTION_CONTEXTS:
@@ -371,10 +363,7 @@ class Model:
             for u, trips in enumerate(train.trips_by_user)
             if len(trips) >= 2
         ]
-        c = self.config
-        self.loss_curve = train_per_user(
-            self.params, c.lr, c.seed, c.epochs, usable, self._loss, train.users
-        )
+        self.loss_curve = train_per_user(self.params, self.config, usable, self._loss, train.users)
         return self.loss_curve
 
     # -- cached prediction ------------------------------------------------

@@ -1,10 +1,11 @@
 """Optimizer, parameter declaration and initialization, and per-user
-training.  The finite-difference gradient checker is test code
-(`tests/reference.py`)."""
+training with its configuration.  The finite-difference gradient
+checker is test code (`tests/reference.py`)."""
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Sequence, TypeVar
 
 import numpy as np
@@ -98,30 +99,50 @@ class Adam:
             p.zero_grad()
 
 
+@dataclass(frozen=True)
+class TrainConfig:
+    """The per-user training protocol: sizes, Adam's learning rate, epochs
+    and the seed of the initial draw and the user order.  Every trained
+    method takes these fields; `model.ModelConfig` extends them."""
+
+    dim: int = 256  # embedding size
+    hdim: int = 256  # encoder hidden size
+    lr: float = 1e-4
+    epochs: int = 15
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.dim < 1 or self.hdim < 1:
+            raise ContractViolation("dim and hdim must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ContractViolation("lr must be positive and finite")
+        if self.epochs < 0:
+            raise ContractViolation("epochs must be non-negative")
+
+
 _Batch = TypeVar("_Batch")
 
 
 def train_per_user(
     params: Mapping[str, Tensor],
-    lr: float,
-    seed: int,
-    epochs: int,
+    config: TrainConfig,
     batches: Sequence[tuple[int, _Batch]],
     loss_fn: Callable[[int, _Batch], Tensor],
     user_ids: Sequence[str],
 ) -> list[float]:
-    """One Adam step per (user, batch) pair, in a fresh seeded order each
-    epoch; returns the per-epoch mean loss.
+    """One Adam step per (user, batch) pair, `config.epochs` times, in a
+    fresh order drawn from `config.seed` each epoch; returns the per-epoch
+    mean loss.
 
     A non-finite loss stops training with ContractViolation naming the
     epoch and the user, before backward/step can spread it into params.
     """
     if not batches:
         raise ContractViolation("no user has enough trips to train on")
-    opt = Adam(params, lr=lr)
-    order_rng = np.random.default_rng([seed, 1])
+    opt = Adam(params, lr=config.lr)
+    order_rng = np.random.default_rng([config.seed, 1])
     curve = []
-    for epoch in range(epochs):
+    for epoch in range(config.epochs):
         total = 0.0
         for pos in order_rng.permutation(len(batches)):
             user, batch = batches[pos]

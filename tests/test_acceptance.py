@@ -8,6 +8,7 @@ Everything else runs against small randomized worlds or fixed vectors.
 """
 
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,6 +18,8 @@ import odnext.autograd as ag
 from odnext.checkpoint import load_checkpoint, save_checkpoint
 from odnext.data import build_interval_tables, build_vocab, preprocess
 from odnext.evaluation import (
+    STUDY_MODEL,
+    STUDY_SYNTH,
     accuracy_at_k,
     cold_start_eval,
     mean_average_precision,
@@ -24,7 +27,6 @@ from odnext.evaluation import (
 )
 from odnext.geo import GeoPoint, geohash_encode
 from odnext.model import Model, ModelConfig
-from odnext.synth import SynthConfig
 from reference import grad_check, init_lstm, lstm_step, st_lstm_step
 
 from gradcheck_fixtures import GRADCHECK_SEEDS, micro_loss
@@ -55,22 +57,9 @@ BENCH_METHODS = ("stod-ppa", "od-ppa", "od-lstm", "u-top", "top")
 
 
 def _run_bench_seed(seed):
-    synth_cfg = SynthConfig(
-        n_users=200,
-        n_locations=60,
-        n_clusters=6,
-        trips_per_user=30,
-        p_noise=0.1,
-        seed=seed,
-        n_cold_users=50,
-        n_user_types=250,
-        day_half_adherence=0.95,
-        rule_member_pool=2,
+    return study_seed(
+        replace(STUDY_SYNTH, seed=seed), replace(STUDY_MODEL, seed=seed), BENCH_METHODS
     )
-    model_cfg = ModelConfig(
-        dim=32, hdim=32, lr=1e-3, epochs=15, seed=seed, attention_context="causal"
-    )
-    return study_seed(synth_cfg, model_cfg, BENCH_METHODS)
 
 
 @pytest.fixture(scope="session")
@@ -319,7 +308,6 @@ def test_criterion_10_pipeline_determinism(capsys, tmp_path_factory):
     }
     train_cfg = {
         "dim": 8, "hdim": 8, "lr": 0.01, "epochs": 3, "seed": 1,
-        "min_trips": 3, "min_users": 3,
     }
 
     def run_pipeline(d):

@@ -1,10 +1,13 @@
 """Frequency rankers against a counting oracle; the sequence baseline."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import odnext.autograd as ag
+from odnext import baselines
 from helpers import random_corpus
 from odnext.baselines import FREQUENCY_KINDS, FrequencyRanker, ODLSTM, ODLSTMConfig
 from odnext.data import build_test_queries, build_training_examples, chronological_split
@@ -35,11 +38,9 @@ def oracle_rankings(corpus, lam=0.5):
 
 
 class TestFrequencyRanker:
-    def test_rejects_bad_kind_and_lam(self):
+    def test_rejects_bad_kind(self):
         with pytest.raises(ContractViolation):
             FrequencyRanker("mode")
-        with pytest.raises(ContractViolation):
-            FrequencyRanker("taxi", lam=1.5)
 
     def test_unfitted_raises(self):
         with pytest.raises(ContractViolation):
@@ -51,7 +52,7 @@ class TestFrequencyRanker:
         expect = oracle_rankings(corpus)
         top = FrequencyRanker("top").fit(corpus)
         utop = FrequencyRanker("u-top").fit(corpus)
-        taxi = FrequencyRanker("taxi", lam=0.5).fit(corpus)
+        taxi = FrequencyRanker("taxi").fit(corpus)
         assert top.ranking().tolist() == expect["top"]
         for u in range(corpus.n_users):
             assert utop.ranking(u).tolist() == expect["u-top"][u]
@@ -67,13 +68,14 @@ class TestFrequencyRanker:
     @given(st.integers(min_value=0, max_value=10**9))
     def test_taxi_extremes_reduce_to_neighbours(self, seed):
         corpus = random_corpus(seed)
-        pure_user = FrequencyRanker("taxi", lam=1.0).fit(corpus)
-        pure_global = FrequencyRanker("taxi", lam=0.0).fit(corpus)
+        taxi = FrequencyRanker("taxi").fit(corpus)
         utop = FrequencyRanker("u-top").fit(corpus)
         top = FrequencyRanker("top").fit(corpus)
         for u in range(corpus.n_users):
-            np.testing.assert_array_equal(pure_user.ranking(u), utop.ranking(u))
-            np.testing.assert_array_equal(pure_global.ranking(u), top.ranking(u))
+            with mock.patch.object(baselines, "TAXI_LAMBDA", 1.0):
+                np.testing.assert_array_equal(taxi.ranking(u), utop.ranking(u))
+            with mock.patch.object(baselines, "TAXI_LAMBDA", 0.0):
+                np.testing.assert_array_equal(taxi.ranking(u), top.ranking(u))
 
     def test_personal_kind_without_user_falls_back_to_global(self):
         corpus = random_corpus(1)

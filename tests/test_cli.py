@@ -1,14 +1,17 @@
 """End-to-end command-line pipeline plus exit-code contracts."""
 
 import contextlib
+import importlib.util
 import io
 import json
 import subprocess
 import sys
 import tracemalloc
 from dataclasses import fields, replace
+from pathlib import Path
 from typing import get_type_hints
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -16,14 +19,26 @@ from odnext.cli import (
     TrainRunConfig,
     config_sha256,
     main,
-    parse_synth_config,
+    parse_overrides,
     parse_train_config,
 )
-from odnext.data import build_test_queries, load_corpus
-from odnext.evaluation import evaluate, fit_ranker, mean_reports, prepare_split
+from odnext.checkpoint import load_checkpoint
+from odnext.data import build_test_queries, chronological_split, load_corpus, save_corpus
+from odnext.evaluation import (
+    STUDY_MODEL,
+    STUDY_SYNTH,
+    ModelRanker,
+    evaluate,
+    fit_ranker,
+    mean_reports,
+    prepare_split,
+    study_seed,
+)
 from odnext.model import ModelConfig
 from odnext.nn import ContractViolation
 from odnext.synth import SynthConfig
+
+from helpers import corpus_from
 
 SYNTH_CFG = {
     "n_users": 12,
@@ -39,8 +54,6 @@ TRAIN_CFG = {
     "lr": 0.01,
     "epochs": 2,
     "seed": 0,
-    "min_trips": 2,
-    "min_users": 2,
 }
 
 
@@ -238,6 +251,19 @@ class TestPipeline:
         assert probs == sorted(probs, reverse=True)
         assert attn and all("%" in l for l in attn)
 
+    def test_explain_leaves_the_ranked_lines_as_they_are(self, pipeline, capsys):
+        query = [
+            "predict", "--checkpoint", str(pipeline["ckpt"]),
+            "--user", "U0003", "--origin", "L002", "--prev-dest", "L005", "--top", "8",
+        ]
+        assert main(query) == 0
+        plain = capsys.readouterr().out
+        assert main([*query, "--explain"]) == 0
+        explained = capsys.readouterr().out
+        ranked = [l for l in explained.splitlines(keepends=True) if not l.startswith("attn")]
+        assert len(plain.splitlines()) == 8
+        assert "".join(ranked) == plain
+
     def test_report_file_matches_stdout(self, pipeline, capsys):
         report = pipeline["dir"] / "eval.report"
         main(
@@ -319,6 +345,99 @@ class TestPipeline:
         )
         assert proc.returncode == 0
         assert "acc1=" in proc.stdout
+
+
+def test_eval_chains_tied_trips_in_file_order(tmp_path, capsys):
+    """Trips with equal timestamps keep their file order, in `load_corpus`
+    (and so in `build_test_queries`) and in `odnext eval` alike."""
+    rng = np.random.default_rng(0)
+    rows = []
+    for u in range(3):
+        for k in range(6):
+            t = 3600 * (8 * u + k)
+            rows.append((u, int(rng.integers(8)), int(rng.integers(8)), t, t + 600))
+        t += 3600  # two tied test trips, listed against location-index order
+        rows += [(u, 7, 6, t, t + 600), (u, 1, 2, t, t + 600)]
+    trips, locs = str(tmp_path / "trips.csv"), str(tmp_path / "locs.csv")
+    save_corpus(corpus_from(rows, 8), trips, locs)
+    # trained until the origin moves the ranking, so the chain shows in MAP
+    (tmp_path / "train.json").write_text(json.dumps({**TRAIN_CFG, "lr": 0.05, "epochs": 10}))
+    ckpt, test = str(tmp_path / "m.ckpt"), str(tmp_path / "test.csv")
+    assert main([
+        "train", "--config", str(tmp_path / "train.json"), "--trips", trips,
+        "--locations", locs, "--out", ckpt, "--out-test", test,
+    ]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", ckpt, "--test", test]) == 0
+    out = kv(capsys.readouterr().out)
+
+    bundle = load_checkpoint(ckpt)
+    split = chronological_split(load_corpus(trips, locs), 0.7)
+    report = evaluate(ModelRanker(bundle.model, bundle.cache), build_test_queries(split))
+    assert report.n_queries == 6
+    for key, value in report.as_dict().items():
+        assert out[key] == (f"{value:.6f}" if isinstance(value, float) else str(value)), key
+
+
+def _study_script():
+    path = Path(__file__).parents[1] / "scripts" / "run_synth_benchmark.py"
+    spec = importlib.util.spec_from_file_location("run_synth_benchmark", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TINY_STUDY = {
+    "n_users": 20, "n_locations": 12, "n_clusters": 3, "trips_per_user": 12,
+    "n_cold_users": 5, "n_user_types": 20,
+}
+
+
+class TestStudyScript:
+    def test_overrides_reach_the_study(self, tmp_path, capsys):
+        (tmp_path / "synth.json").write_text(json.dumps(TINY_STUDY))
+        (tmp_path / "train.json").write_text(json.dumps({"epochs": 1, "dim": 8}))
+        rc = _study_script().main([
+            "--seeds", "1",
+            "--synth", str(tmp_path / "synth.json"),
+            "--train", str(tmp_path / "train.json"),
+        ])
+        out = capsys.readouterr().out
+        assert rc == 0
+        study = study_seed(
+            replace(STUDY_SYNTH, **TINY_STUDY, seed=1),
+            replace(STUDY_MODEL, epochs=1, dim=8, seed=1),
+            ("stod-ppa", "od-ppa", "od-lstm", "u-top", "top", "taxi"),
+        )
+        line = "  ".join(f"{n}={r.acc1:.4f}" for n, r in study.reports.items())
+        assert out.splitlines()[0] == f"seed 1: {line}"
+
+    @pytest.mark.parametrize(
+        "flag, override, message",
+        [
+            ("--synth", {"n_clusters": 1}, "need at least two clusters"),
+            ("--synth", {"n_users": 2.5}, "configuration key 'n_users' must be an integer"),
+            ("--train", {"dim": True}, "configuration key 'dim' must be an integer"),
+            ("--train", {"min_trips": 3}, "unknown configuration keys: ['min_trips']"),
+            ("--train", {"train_ratio": 0.5}, "unknown configuration keys: ['train_ratio']"),
+        ],
+    )
+    def test_bad_override_is_1(self, tmp_path, capsys, flag, override, message):
+        (tmp_path / "o.json").write_text(json.dumps(override))
+        rc = _study_script().main(["--seeds", "0", flag, str(tmp_path / "o.json")])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flag", ["--synth", "--train"])
+    def test_seed_override_is_1(self, tmp_path, capsys, flag):
+        path = tmp_path / "o.json"
+        path.write_text(json.dumps({"seed": 4}))
+        rc = _study_script().main([flag, str(path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == f"error: {path}: the seed comes from --seeds\n"
 
 
 class TestExitCodes:
@@ -585,10 +704,9 @@ class TestExitCodes:
         "key, value, message",
         [
             ("train_ratio", True, "configuration key 'train_ratio' must be a number"),
-            ("min_trips", True, "configuration key 'min_trips' must be an integer"),
-            ("min_users", False, "configuration key 'min_users' must be an integer"),
             ("train_ratio", 1.5, "train_ratio must lie in (0, 1]"),
-            ("min_users", 0, "min_users must be a positive integer"),
+            # filtering is `odnext preprocess`; the train config has no such key
+            ("min_trips", 2, "unknown configuration keys: ['min_trips']"),
         ],
     )
     def test_bad_pipeline_key_is_1(self, pipeline, tmp_path, capsys, command, key, value, message):
@@ -649,7 +767,7 @@ class TestConfigParsing:
     def test_pipeline_defaults_come_from_the_dataclass(self):
         cfg = parse_train_config({})
         assert cfg == TrainRunConfig(ModelConfig())
-        assert (cfg.train_ratio, cfg.min_trips, cfg.min_users) == (0.7, 10, 10)
+        assert cfg.train_ratio == 0.7
         # an integral ratio hashes as the float it is read as
         assert parse_train_config({"train_ratio": 1}).as_dict()["train_ratio"] == 1.0
 
@@ -659,12 +777,13 @@ class TestConfigParsing:
 
     def test_synth_config_types(self):
         with pytest.raises(ContractViolation):
-            parse_synth_config({"bogus": 1})
+            parse_overrides(SynthConfig(), {"bogus": 1})
         with pytest.raises(ContractViolation):
-            parse_synth_config({"n_users": 1.5})
+            parse_overrides(SynthConfig(), {"n_users": 1.5})
         with pytest.raises(ContractViolation):
-            parse_synth_config({"p_noise": 2.0})
-        assert parse_synth_config({"n_users": 20, "n_locations": 6, "n_clusters": 3}).n_users == 20
+            parse_overrides(SynthConfig(), {"p_noise": 2.0})
+        cfg = parse_overrides(SynthConfig(), {"n_users": 20, "n_locations": 6, "n_clusters": 3})
+        assert cfg.n_users == 20
 
 
 # a value of the wrong JSON type for each kind of config field

@@ -90,7 +90,7 @@ class TestMetrics:
 
 
 class _FixedRanker:
-    """Returns canned rankings; None marks an unanswerable query."""
+    """Returns canned rankings."""
 
     def __init__(self, rows):
         self.rows = rows
@@ -115,16 +115,9 @@ class TestEvaluateDriver:
         assert report.acc1 == pytest.approx(2 / 3)
         assert report.map == pytest.approx((1 + 1 / 3 + 1) / 3)
 
-    def test_none_counts_as_skipped(self):
-        rows = [[np.array([1, 0]), None]]
-        report = evaluate(_FixedRanker(rows), [[_q(1), _q(0)]])
-        assert report.n_queries == 1
-        assert report.n_skipped == 1
-        assert report.acc1 == 1.0
-
-    def test_all_skipped_raises(self):
-        with pytest.raises(ContractViolation):
-            evaluate(_FixedRanker([[None]]), [[_q(0)]])
+    def test_no_queries_raises(self):
+        with pytest.raises(ContractViolation, match="no scorable queries"):
+            evaluate(_FixedRanker([[], []]), [[], []])
 
     def test_wrong_cardinality_raises(self):
         with pytest.raises(ContractViolation):
@@ -143,7 +136,6 @@ class TestAggregation:
         out = mean_reports([a, b])
         assert out["acc1"] == pytest.approx(0.6)
         assert out["map"] == pytest.approx(0.7)
-        assert out["n_queries"] == pytest.approx(15.0)
 
     def test_empty_raises(self):
         with pytest.raises(ContractViolation):
