@@ -19,6 +19,7 @@ from itertools import accumulate
 import numpy as np
 
 from .data import IntervalTables, Vocab
+from .geo import N_TIMESLOTS
 from .model import EncodedCache, Model, ModelConfig, param_specs
 from .nn import ContractViolation
 
@@ -93,13 +94,16 @@ def _in_range(ids: np.ndarray, n: int) -> bool:
 
 
 def _check_header(vocab: Vocab, specs: list, cache_meta: tuple) -> None:
-    """Raise ValueError where the header disagrees with itself: tensor
+    """Raise ValueError where the header disagrees with itself or with the
+    program: a time-slot count other than `geo.N_TIMESLOTS`, tensor
     shapes that are not sizes, geohash ids against the geohash codes,
     cache fields against the user count and n_train, or cached locations
     outside the vocabulary."""
     n_loc = vocab.n_locations
     if n_loc < 1:
         raise ValueError("no location ids")
+    if type(vocab.n_timeslots) is not int or vocab.n_timeslots != N_TIMESLOTS:
+        raise ValueError(f"n_timeslots {vocab.n_timeslots!r} is not the program's {N_TIMESLOTS}")
     if not all(type(n) is int and n >= 0 for _, shape in specs for n in shape):
         raise ValueError("tensor shapes must be non-negative integers")
     if vocab.loc_geohash.shape != (n_loc,) or not _in_range(vocab.loc_geohash, vocab.n_geohashes):
@@ -149,7 +153,7 @@ def load_checkpoint(path: str) -> CheckpointBundle:
             vocab = Vocab(
                 n_locations=len(loc_ids),
                 n_users=len(user_ids),
-                n_timeslots=int(header["vocab"]["n_timeslots"]),
+                n_timeslots=header["vocab"]["n_timeslots"],
                 geohash_codes=list(header["vocab"]["geohash_codes"]),
                 loc_geohash=np.asarray(header["vocab"]["loc_geohash"], dtype=np.int64),
                 geohash_precision=config.geohash_precision,

@@ -24,7 +24,9 @@ from .checkpoint import CheckpointFormatError, load_checkpoint, save_checkpoint
 from .data import (
     CorpusFormatError,
     TrainingExample,
+    Trip,
     build_test_queries,
+    chain_queries,
     load_corpus,
     load_trip_rows,
     preprocess,
@@ -183,29 +185,28 @@ def cmd_train(args) -> int:
 
 
 def _test_queries_from_rows(bundle, rows) -> tuple[list[list[TrainingExample]], int]:
-    """Group raw test rows per known user and chain rolling queries."""
+    """Group raw test rows per known user and chain each user's queries
+    from the end of their training history, as `build_test_queries` does.
+    Rows of unknown users or locations, and of users without encoder
+    states (under two training trips), are counted as skipped."""
     user_index = {uid: i for i, uid in enumerate(bundle.user_ids)}
     loc_index = {lid: i for i, lid in enumerate(bundle.location_ids)}
-    per_user: dict[int, list[tuple[int, int, int, int]]] = {}
+    per_user: dict[int, list[Trip]] = {}
     skipped = 0
     for user_id, origin_id, dest_id, pickup, dropoff in rows:
         if user_id not in user_index or origin_id not in loc_index or dest_id not in loc_index:
             skipped += 1
             continue
         per_user.setdefault(user_index[user_id], []).append(
-            (pickup, dropoff, loc_index[origin_id], loc_index[dest_id])
+            Trip(user_id, loc_index[origin_id], loc_index[dest_id], pickup, dropoff)
         )
     queries: list[list[TrainingExample]] = [[] for _ in bundle.user_ids]
     cache = bundle.cache
-    for u, items in per_user.items():
-        items.sort(key=lambda item: item[:2])  # stable on ties, as load_corpus sorts
-        prev = int(cache.last_dest[u])
-        if prev < 0:
-            skipped += len(items)
-            continue
-        for _, _, origin, dest in items:
-            queries[u].append(TrainingExample(u, origin, prev, dest))
-            prev = dest
+    for u, trips in per_user.items():
+        if cache.n_train[u] < 2:
+            skipped += len(trips)
+        else:
+            queries[u] = chain_queries(u, int(cache.last_dest[u]), trips)
     return queries, skipped
 
 
@@ -224,6 +225,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    if args.top < 1:
+        raise ContractViolation(f"--top must be at least 1, got {args.top}")
     bundle = load_checkpoint(args.checkpoint)
     model, cache = bundle.model, bundle.cache
     user_index = {uid: i for i, uid in enumerate(bundle.user_ids)}

@@ -316,13 +316,6 @@ class TrainingExample:
     target: int
 
 
-def build_training_examples(user: int, trips: list[Trip]) -> list[TrainingExample]:
-    return [
-        TrainingExample(user, trips[j].origin_loc, trips[j - 1].dest_loc, trips[j].dest_loc)
-        for j in range(1, len(trips))
-    ]
-
-
 @dataclass
 class Vocab:
     """Index maps shared by the model: locations, users, geohash cells, slots."""
@@ -409,16 +402,22 @@ def build_interval_tables(train: Corpus) -> IntervalTables:
     return IntervalTables(spatial, temporal, d_max, t_max)
 
 
-def build_test_queries(split: SplitResult) -> list[list[TrainingExample]]:
-    """Per-user evaluation queries over the test partition.
-
-    The previous destination rolls through the true sequence: the first
-    test query uses the last training destination.
-    """
-    queries: list[list[TrainingExample]] = []
-    for u in range(split.train.n_users):
-        train_trips = split.train.trips_by_user[u]
-        test_trips = split.test.trips_by_user[u]
-        chain = [train_trips[-1]] + list(test_trips) if test_trips and train_trips else []
-        queries.append(build_training_examples(u, chain))
+def chain_queries(user: int, prev_dest: int, trips: list[Trip]) -> list[TrainingExample]:
+    """One query per trip, in (pickup, dropoff) order with ties in input
+    order, as `load_corpus` orders a user's trips.  The previous
+    destination rolls through the trips, starting from `prev_dest`."""
+    queries = []
+    for t in _sort_trips(trips):
+        queries.append(TrainingExample(user, t.origin_loc, prev_dest, t.dest_loc))
+        prev_dest = t.dest_loc
     return queries
+
+
+def build_test_queries(split: SplitResult) -> list[list[TrainingExample]]:
+    """Per-user test queries, chained from the last training destination.
+    A query needs the user's encoder states, so a user with under two
+    training trips gets none, for every method alike."""
+    return [
+        chain_queries(u, train[-1].dest_loc, test) if len(train) >= 2 else []
+        for u, (train, test) in enumerate(zip(split.train.trips_by_user, split.test.trips_by_user))
+    ]

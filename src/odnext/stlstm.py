@@ -11,18 +11,19 @@ Gate weights are stored column-packed per branch (main: [i f o g],
 side branches: [i f g]), the layout used by most LSTM implementations.
 Packing lets one matrix product produce every pre-activation of a step.
 
-Each encoder is a fused kernel: a sequence is one tape node whose
-forward runs in plain numpy (`_recur`, which keeps what `_Trace` lists)
-and whose backward is hand-written BPTT (`_bptt`).  Gradients flow into
-the inputs and the weights, never into an initial state.  The step
-cells the kernels are tested against, `lstm_step` and `st_lstm_step`,
-spell one step out on the autograd tape and live in the test suite
-(`tests/reference.py`).
+Both encoders wrap one fused kernel, `_encode`: a plain LSTM is its
+single-branch case.  A sequence is one tape node whose forward runs in
+plain numpy (`_recur`, which keeps what `_Trace` lists) and whose
+backward is hand-written BPTT (`_bptt`).  Gradients flow into the inputs
+and the weights, never into an initial state.  The step cells the kernel
+is tested against, `lstm_step` and `st_lstm_step`, spell one step out on
+the autograd tape and live in the test suite (`tests/reference.py`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import reduce
 from typing import Callable, Mapping
 
 import numpy as np
@@ -34,9 +35,6 @@ from .nn import ParamSpec, glorot_uniform, zeros_init
 
 class _Weights:
     """Encoder weights as dataclass fields, one parameter each."""
-
-    def params(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}/{f.name}": getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_params(cls, params: Mapping[str, Tensor], prefix: str):
@@ -133,20 +131,6 @@ class STLSTMInput:
 
     def __len__(self) -> int:
         return self.loc.value.shape[0]
-
-
-def _fused_order(hidden: int) -> np.ndarray:
-    """Column gather from the packed branches (main [i f o g] | spatial
-    [i f g] | temporal [i f g]) into [i i_s i_t f f_s f_t o | g g_s g_t].
-
-    The first 7H columns take a sigmoid, the last 3H a tanh, and the
-    i/f blocks line up with the stacked cell vector (c | c_s | c_t).
-    """
-    blocks = np.arange(10 * hidden).reshape(10, hidden)
-    main, spat, temp = blocks[0:4], blocks[4:7], blocks[7:10]
-    return np.concatenate(
-        [main[0], spat[0], temp[0], main[1], spat[1], temp[1], main[2], main[3], spat[2], temp[2]]
-    )
 
 
 @dataclass
@@ -256,101 +240,110 @@ def _bptt(
     return d_p, d_u, d_w_h
 
 
-def _feed(pairs) -> None:
-    """Accumulate grad() into each tensor of (tensor, grad) pairs that
-    takes gradients; grad is only evaluated for those."""
-    for t, grad in pairs:
-        if ag.needs_grad(t):
-            t.accumulate(grad())
+# A gate branch: the (input, weight) pairs whose products sum to its input
+# projection, its recurrent block and its bias.
+_Branch = tuple[list[tuple[Tensor, Tensor]], Tensor, Tensor]
+
+
+def _blocks(a: np.ndarray, hidden: int) -> list[np.ndarray]:
+    """The H-column blocks of `a` as views; np.hsplit takes 3x as long."""
+    return [a[:, k : k + hidden] for k in range(0, a.shape[1], hidden)]
+
+
+def _regroup(packed: list[np.ndarray], hidden: int) -> np.ndarray:
+    """Join per-branch packed columns (main [i f o g], sides [i f g]) by
+    gate: every i, every f, the main o, every g, i.e. [i i_s i_t f f_s f_t
+    o | g g_s g_t].  The sigmoids come first and the i/f blocks line up
+    with the stacked cells (c | c_s | c_t).  Block copies keep rows
+    C-contiguous, as the per-step reference's BLAS calls see them."""
+    if len(packed) == 1:
+        return packed[0]
+    blocks = [_blocks(a, hidden) for a in packed]
+    i, f, g = ([bs[k] for bs in blocks] for k in (0, 1, -1))
+    return np.concatenate([*i, *f, blocks[0][2], *g], axis=1)
+
+
+def _ungroup(fused: np.ndarray, hidden: int, n: int) -> list[np.ndarray]:
+    """Inverse of `_regroup` for n branches: the fused columns back per
+    branch, each in its packed order."""
+    if n == 1:
+        return [fused]
+    blocks = _blocks(fused, hidden)
+    i, f, o, g = blocks[:n], blocks[n : 2 * n], blocks[2 * n], blocks[2 * n + 1 :]
+    main = np.concatenate([i[0], f[0], o, g[0]], axis=1)
+    return [main, *(np.concatenate([i[b], f[b], g[b]], axis=1) for b in range(1, n))]
+
+
+def _encode(
+    branches: list[_Branch], w_h: Tensor | None, h0: np.ndarray, c0: np.ndarray
+) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """The recurrence over gate branches, main branch first; return the
+    (T, H) hidden states as one tape node and the final (h, c).
+
+    Input projections are built up front; a step then costs one product
+    with the hidden state and elementwise work on the branches' stacked
+    cells, which `w_h` (None: the identity) maps to the hidden size.
+    """
+    hidden = h0.shape[0]
+    projections = [
+        reduce(np.add, (x.value @ w.value for x, w in feeds)) + b.value for feeds, _, b in branches
+    ]
+    if projections[0].shape[0] == 0:
+        return constant(np.zeros((0, hidden))), h0, c0
+    u = _regroup([rec.value for _, rec, _ in branches], hidden)
+    w_h_value = None if w_h is None else w_h.value
+    tr = _recur(_regroup(projections, hidden), u, w_h_value, h0, c0)
+
+    def backward(g):
+        d_p, d_u, d_w_h = _bptt(tr, u, w_h_value, g)
+        n = len(branches)
+        for (feeds, rec, b), d_br, d_rec in zip(
+            branches, _ungroup(d_p, hidden, n), _ungroup(d_u, hidden, n)
+        ):
+            for x, w in feeds:
+                if ag.needs_grad(w):
+                    w.accumulate(x.value.T @ d_br)
+                if ag.needs_grad(x):
+                    x.accumulate(d_br @ w.value.T)
+            if ag.needs_grad(rec):
+                rec.accumulate(d_rec)
+            if ag.needs_grad(b):
+                b.accumulate(d_br.sum(axis=0))
+        if w_h is not None and ag.needs_grad(w_h):
+            w_h.accumulate(d_w_h)
+
+    # every input and weight goes on the tape; the inputs come first, as
+    # their order fixes the order of the backward pass
+    inputs = [x for feeds, _, _ in branches for x, _ in feeds]
+    inputs += [t for feeds, rec, b in branches for t in (*(w for _, w in feeds), rec, b)]
+    inputs += [] if w_h is None else [w_h]
+    return ag.fused(tr.hidden[1:], inputs, backward), tr.hidden[-1], tr.cells[-1]
 
 
 def st_lstm_encode(w: STLSTMWeights, inp: STLSTMInput) -> Tensor:
-    """Run the sequence and return the (T, H) stack of hidden states.
-
-    One tape node covers the whole sequence.  Input-side projections for
-    all steps are batched up front; each step then costs one hidden-state
-    product and elementwise work, with the three cell states carried as
-    a single 3H vector.
-    """
-    steps = len(inp)
+    """Run the sequence from a zero state and return the (T, H) stack of
+    hidden states: `_encode` over the main, spatial and temporal branches."""
     hidden = w.hidden_dim
-    if steps == 0:
-        return constant(np.zeros((0, hidden)))
-
-    loc, geo, slot, dspace, dtime = inp.loc, inp.geo, inp.slot, inp.dspace, inp.dtime
-    order = _fused_order(hidden)
-    p_main = loc.value @ w.W_x.value + w.b.value
-    p_spat = geo.value @ w.W_s.value + dspace.value @ w.V_s.value + w.b_s.value
-    p_temp = slot.value @ w.W_t.value + dtime.value @ w.V_t.value + w.b_t.value
-    # np.take keeps rows C-contiguous (a[:, order] would not), which keeps
-    # every BLAS call on the same layout as the per-step reference
-    p = np.take(np.concatenate([p_main, p_spat, p_temp], axis=1), order, axis=1)
-    u = np.take(np.concatenate([w.U_h.value, w.U_s.value, w.U_t.value], axis=1), order, axis=1)
-    tr = _recur(p, u, w.W_h.value, np.zeros(hidden), np.zeros(3 * hidden))
-
-    def backward(g):
-        d_p, d_u, d_w_h = _bptt(tr, u, w.W_h.value, g)
-        back = np.argsort(order)  # packed column -> fused column
-        main, spat, temp = back[: 4 * hidden], back[4 * hidden : 7 * hidden], back[7 * hidden :]
-        d_main, d_spat, d_temp = (np.take(d_p, cols, axis=1) for cols in (main, spat, temp))
-        _feed(
-            [
-                (w.W_h, lambda: d_w_h),
-                (w.U_h, lambda: np.take(d_u, main, axis=1)),
-                (w.U_s, lambda: np.take(d_u, spat, axis=1)),
-                (w.U_t, lambda: np.take(d_u, temp, axis=1)),
-                (w.W_x, lambda: loc.value.T @ d_main),
-                (w.b, lambda: d_main.sum(axis=0)),
-                (w.W_s, lambda: geo.value.T @ d_spat),
-                (w.V_s, lambda: dspace.value.T @ d_spat),
-                (w.b_s, lambda: d_spat.sum(axis=0)),
-                (w.W_t, lambda: slot.value.T @ d_temp),
-                (w.V_t, lambda: dtime.value.T @ d_temp),
-                (w.b_t, lambda: d_temp.sum(axis=0)),
-                (loc, lambda: d_main @ w.W_x.value.T),
-                (geo, lambda: d_spat @ w.W_s.value.T),
-                (dspace, lambda: d_spat @ w.V_s.value.T),
-                (slot, lambda: d_temp @ w.W_t.value.T),
-                (dtime, lambda: d_temp @ w.V_t.value.T),
-            ]
-        )
-
-    inputs = (loc, geo, slot, dspace, dtime, *w.params("").values())
-    return ag.fused(tr.hidden[1:], inputs, backward)
+    branches = [
+        ([(inp.loc, w.W_x)], w.U_h, w.b),
+        ([(inp.geo, w.W_s), (inp.dspace, w.V_s)], w.U_s, w.b_s),
+        ([(inp.slot, w.W_t), (inp.dtime, w.V_t)], w.U_t, w.b_t),
+    ]
+    return _encode(branches, w.W_h, np.zeros(hidden), np.zeros(3 * hidden))[0]
 
 
 def lstm_encode(
-    w: LSTMWeights,
-    x: Tensor,
-    h0: np.ndarray | None = None,
-    c0: np.ndarray | None = None,
+    w: LSTMWeights, x: Tensor, h0: np.ndarray | None = None, c0: np.ndarray | None = None
 ) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """Run a (T, in_dim) input from the state (h0, c0), zeros by default;
-    return the (T, H) stacked states and the final (h, c) as arrays.
+    """Run a (T, in_dim) input from the state (h0, c0), zeros by default,
+    as `_encode`'s one-branch case; return the (T, H) stacked states and
+    the final (h, c) as arrays.
 
-    One tape node covers the sequence; gradients flow from the stacked
-    states into `x` and the weights.  The final state is a view of the
-    forward trace, so a caller that keeps it should copy it.
+    Gradients flow from the stacked states into `x` and the weights.  The
+    final state is a view of the forward trace, so a caller that keeps it
+    should copy it.
     """
     hidden = w.hidden_dim
     h = np.zeros(hidden) if h0 is None else h0
     c = np.zeros(hidden) if c0 is None else c0
-    if x.value.shape[0] == 0:
-        return constant(np.zeros((0, hidden))), h, c
-
-    p = x.value @ w.W_x.value + w.b.value
-    tr = _recur(p, w.U_h.value, None, h, c)
-
-    def backward(g):
-        d_p, d_u, _ = _bptt(tr, w.U_h.value, None, g)
-        _feed(
-            [
-                (w.U_h, lambda: d_u),
-                (w.W_x, lambda: x.value.T @ d_p),
-                (w.b, lambda: d_p.sum(axis=0)),
-                (x, lambda: d_p @ w.W_x.value.T),
-            ]
-        )
-
-    states = ag.fused(tr.hidden[1:], (x, w.W_x, w.b, w.U_h), backward)
-    return states, tr.hidden[-1], tr.cells[-1]
+    return _encode([([(x, w.W_x)], w.U_h, w.b)], None, h, c)

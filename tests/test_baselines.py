@@ -10,7 +10,7 @@ import odnext.autograd as ag
 from odnext import baselines
 from helpers import random_corpus
 from odnext.baselines import FREQUENCY_KINDS, FrequencyRanker, ODLSTM, ODLSTMConfig
-from odnext.data import build_test_queries, build_training_examples, chronological_split
+from odnext.data import build_test_queries, chain_queries, chronological_split
 from odnext.nn import ContractViolation
 from odnext.stlstm import lstm_encode
 
@@ -178,7 +178,8 @@ class TestODLSTM:
         corpus, _ = od_world
         m = ODLSTM(ODLSTMConfig(dim=4, hdim=4), corpus.n_locations)
         with pytest.raises(ContractViolation):
-            m.rank_user(0, [build_training_examples(0, corpus.trips_by_user[0])[0]])
+            trips = corpus.trips_by_user[0]
+            m.rank_user(0, chain_queries(0, trips[0].dest_loc, trips[1:2]))
 
     def test_empty_queries(self, od_world):
         corpus, split = od_world

@@ -137,8 +137,8 @@ class TestLoad:
             expect, got = getattr(fresh, enc), getattr(loaded, enc)
             assert type(got) is type(expect)
             if got is not None:
-                assert got.params(enc).keys() == expect.params(enc).keys()
-                assert all(loaded.params[k] is t for k, t in got.params(enc).items())
+                assert vars(got).keys() == vars(expect).keys()
+                assert all(loaded.params[f"{enc}/{k}"] is t for k, t in vars(got).items())
 
     def test_declared_params_are_required(self, trained):
         _, _, model, _, _ = trained

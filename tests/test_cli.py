@@ -22,7 +22,7 @@ from odnext.cli import (
     parse_overrides,
     parse_train_config,
 )
-from odnext.checkpoint import load_checkpoint
+from odnext.checkpoint import load_checkpoint, save_checkpoint
 from odnext.data import build_test_queries, chronological_split, load_corpus, save_corpus
 from odnext.evaluation import (
     STUDY_MODEL,
@@ -34,7 +34,7 @@ from odnext.evaluation import (
     prepare_split,
     study_seed,
 )
-from odnext.model import ModelConfig
+from odnext.model import Model, ModelConfig
 from odnext.nn import ContractViolation
 from odnext.synth import SynthConfig
 
@@ -97,6 +97,13 @@ def _fractional_shape(fields):
     fields["tensors"][0]["shape"][0] += 0.5
 
 
+def _set_timeslots(value):
+    def edit(fields):
+        fields["vocab"]["n_timeslots"] = value
+
+    return edit
+
+
 # header edits that leave the payload as written, so the file disagrees
 # with itself
 HEADER_PAYLOAD_MISMATCHES = {
@@ -110,6 +117,9 @@ HEADER_PAYLOAD_MISMATCHES = {
     "dseq-location-negative": _set_cache("dseq", -1),
     "last_dest-999": _set_cache("last_dest", 999),
     "fractional-shape": _fractional_shape,
+    "n_timeslots-3": _set_timeslots(3),
+    "n_timeslots-string": _set_timeslots("8"),
+    "n_timeslots-fraction": _set_timeslots(8.5),
 }
 
 def kv(output):
@@ -375,6 +385,49 @@ def test_eval_chains_tied_trips_in_file_order(tmp_path, capsys):
     split = chronological_split(load_corpus(trips, locs), 0.7)
     report = evaluate(ModelRanker(bundle.model, bundle.cache), build_test_queries(split))
     assert report.n_queries == 6
+    for key, value in report.as_dict().items():
+        assert out[key] == (f"{value:.6f}" if isinstance(value, float) else str(value)), key
+
+
+def test_eval_and_ablate_skip_users_without_encoder_states(tmp_path, capsys):
+    """A user with one training trip has no encoder states.  `eval` counts
+    that user's test rows as skipped and `build_test_queries` gives the
+    user no queries, so both commands finish, and `eval` agrees with
+    scoring in process."""
+    # the cold users have 3-9 trips; a 3-trip user keeps ceil(0.9) = 1
+    synth = {"n_users": 12, "n_locations": 12, "n_clusters": 3, "trips_per_user": 10,
+             "n_cold_users": 8, "seed": 0}
+    (tmp_path / "synth.json").write_text(json.dumps(synth))
+    train_cfg = str(tmp_path / "train.json")
+    (tmp_path / "train.json").write_text(
+        json.dumps({"dim": 4, "hdim": 4, "epochs": 1, "lr": 0.01, "train_ratio": 0.3})
+    )
+    trips, locs = str(tmp_path / "trips.csv"), str(tmp_path / "locs.csv")
+    ckpt, test = str(tmp_path / "m.ckpt"), str(tmp_path / "test.csv")
+    assert main([
+        "synth", "--config", str(tmp_path / "synth.json"),
+        "--out-trips", trips, "--out-locations", locs,
+    ]) == 0
+    assert main([
+        "train", "--config", train_cfg, "--trips", trips, "--locations", locs,
+        "--out", ckpt, "--out-test", test,
+    ]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", ckpt, "--test", test]) == 0
+    out = kv(capsys.readouterr().out)
+    assert main([
+        "ablate", "--config", train_cfg, "--trips", trips, "--locations", locs,
+        "--variants", "stod-ppa,od-lstm,top",
+    ]) == 0
+    ablate = kv(capsys.readouterr().out)
+    assert {"stod-ppa.acc1", "od-lstm.acc1", "top.acc1"} <= ablate.keys()
+
+    bundle = load_checkpoint(ckpt)
+    split = chronological_split(load_corpus(trips, locs), 0.3)
+    short = [u for u, t in enumerate(split.train.trips_by_user) if len(t) < 2]
+    assert any(split.test.trips_by_user[u] for u in short)
+    report = evaluate(ModelRanker(bundle.model, bundle.cache), build_test_queries(split))
+    report.n_skipped = sum(len(split.test.trips_by_user[u]) for u in short)
     for key, value in report.as_dict().items():
         assert out[key] == (f"{value:.6f}" if isinstance(value, float) else str(value)), key
 
@@ -731,6 +784,37 @@ class TestExitCodes:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
         assert not (tmp_path / "m.ckpt").exists()
+
+    def test_checkpoint_for_other_timeslot_count_is_2(self, pipeline, tmp_path, capsys):
+        """A checkpoint that agrees with itself but was written for another
+        number of time slots than `geo.timeslots` yields is not loaded."""
+        bundle = load_checkpoint(str(pipeline["ckpt"]))
+        m = bundle.model
+        params = {k: p.value for k, p in m.params.items()}
+        params["emb/slot"] = params["emb/slot"][:3]
+        model = Model(m.config, replace(m.vocab, n_timeslots=3), m.tables, params)
+        path = str(tmp_path / "slots.ckpt")
+        save_checkpoint(path, model, bundle.cache, bundle.location_ids, bundle.user_ids)
+        for command in (
+            ["eval", "--checkpoint", path, "--test", str(pipeline["test"])],
+            ["predict", "--checkpoint", path, "--user", "U0000", "--origin", "L000",
+             "--prev-dest", "L001"],
+        ):
+            rc = main(command)
+            err = capsys.readouterr().err
+            assert rc == 2
+            assert err.startswith("error:") and "n_timeslots 3" in err
+
+    @pytest.mark.parametrize("top", ["0", "-3"])
+    def test_non_positive_predict_top_is_1(self, pipeline, capsys, top):
+        rc = main([
+            "predict", "--checkpoint", str(pipeline["ckpt"]),
+            "--user", "U0000", "--origin", "L000", "--prev-dest", "L001", "--top", top,
+        ])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == f"error: --top must be at least 1, got {top}\n"
+        assert captured.out == ""
 
     def test_unknown_predict_user_is_1(self, pipeline, capsys):
         rc = main(

@@ -14,7 +14,7 @@ from odnext.data import (
     Trip,
     build_interval_tables,
     build_test_queries,
-    build_training_examples,
+    chain_queries,
     build_vocab,
     chronological_split,
     encoder_sequences,
@@ -255,10 +255,19 @@ class TestSequences:
 
     def test_training_examples(self):
         trips = [Trip("u", 1, 2, 0, 1), Trip("u", 3, 4, 2, 3), Trip("u", 5, 6, 4, 5)]
-        ex = build_training_examples(7, trips)
+        ex = chain_queries(7, trips[0].dest_loc, trips[1:])
         assert [(e.user, e.origin, e.prev_dest, e.target) for e in ex] == [
             (7, 3, 2, 4),
             (7, 5, 4, 6),
+        ]
+
+    def test_chain_queries_sorts_as_load_corpus_does(self):
+        # out of order, with a pickup tie broken by dropoff, then by input order
+        trips = [Trip("u", 5, 6, 9, 9), Trip("u", 1, 2, 0, 5), Trip("u", 3, 4, 0, 3),
+                 Trip("u", 7, 8, 0, 5)]
+        ex = chain_queries(0, 9, trips)
+        assert [(e.origin, e.prev_dest, e.target) for e in ex] == [
+            (3, 9, 4), (1, 4, 2), (7, 2, 8), (5, 8, 6),
         ]
 
 
@@ -343,6 +352,16 @@ class TestTestQueries:
             (t3.origin_loc, train_last.dest_loc, t3.dest_loc),
             (t4.origin_loc, t3.dest_loc, t4.dest_loc),
         ]
+
+    def test_users_without_encoder_states_get_no_queries(self):
+        # user 0 keeps 1 of 3 trips for training, user 1 keeps 2 of 5
+        rows = [(0, k, k + 1, k, k + 1) for k in range(3)]
+        rows += [(1, k, k + 1, k, k + 1) for k in range(5)]
+        split = chronological_split(corpus_from(rows, 6), 0.3)
+        assert [len(t) for t in split.train.trips_by_user] == [1, 2]
+        queries = build_test_queries(split)
+        assert queries[0] == []
+        assert [q.prev_dest for q in queries[1]] == [2, 3, 4]
 
     def test_user_without_test_trips(self):
         rows = [(0, 0, 1, k, k + 1) for k in range(3)] + [(1, 0, 1, 0, 1)]

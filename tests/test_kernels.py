@@ -14,7 +14,7 @@ import odnext.autograd as ag
 import reference as ref
 from odnext.data import build_interval_tables, build_vocab
 from odnext.model import VARIANTS, Model, ModelConfig, _causal_mask, attend
-from odnext.stlstm import STLSTMInput, lstm_encode, st_lstm_encode
+from odnext.stlstm import STLSTMInput, _regroup, _ungroup, lstm_encode, st_lstm_encode
 from odnext.synth import SynthConfig, generate
 from reference import init_lstm, init_st_lstm, lstm_step, st_lstm_step
 
@@ -53,7 +53,7 @@ class TestRecurrentKernels:
         rng = np.random.default_rng([11, steps])
         dim, hidden, n_loc = 4, 5, 6
         w = init_st_lstm(rng, dim, hidden, n_loc)
-        for p in w.params("w").values():  # non-zero biases exercise every column
+        for p in vars(w).values():  # non-zero biases exercise every column
             p.value += rng.normal(scale=0.1, size=p.value.shape)
         inp = STLSTMInput(
             loc=ag.parameter(rng.normal(size=(steps, dim))),
@@ -63,7 +63,7 @@ class TestRecurrentKernels:
             dtime=ag.parameter(rng.uniform(size=(steps, n_loc))),
         )
         probe = ag.constant(rng.normal(size=(steps, hidden)))
-        tensors = [*w.params("w").values(), inp.loc, inp.geo, inp.slot, inp.dspace, inp.dtime]
+        tensors = [*vars(w).values(), inp.loc, inp.geo, inp.slot, inp.dspace, inp.dtime]
 
         fused = st_lstm_encode(w, inp)
         if steps == 0:
@@ -98,7 +98,7 @@ class TestRecurrentKernels:
         h0 = rng.normal(scale=0.5, size=hidden)
         c0 = rng.normal(scale=0.5, size=hidden)
         probe = ag.constant(rng.normal(size=(steps, hidden)))
-        tensors = [*w.params("w").values(), x]
+        tensors = [*vars(w).values(), x]
 
         fused, h_fin, c_fin = lstm_encode(w, x, h0, c0)
         h, c = ag.constant(h0), ag.constant(c0)
@@ -137,6 +137,41 @@ def reference_attend(queries, states, w_a, mask, slope):
     alpha = ag.softmax(scores, axis=1)
     summary = ref.sum_axis(ref.mul(alpha, ref.reshape(states, (1, n_states, sd))), 1)
     return summary, alpha
+
+
+class TestGateRegrouping:
+    """The kernel joins the branches' packed gate columns by gate, so the
+    sigmoid blocks come first and the i/f blocks line up with the stacked
+    cell vector; the backward splits them back per branch."""
+
+    HIDDEN = 2
+    GATES = (("i", "f", "o", "g"), ("i_s", "f_s", "g_s"), ("i_t", "f_t", "g_t"))
+
+    def _labels(self, gates):
+        return np.array([[g for g in gates for _ in range(self.HIDDEN)]] * 3)
+
+    @pytest.mark.parametrize(
+        "n_branches,order",
+        [
+            (1, ("i", "f", "o", "g")),
+            (3, ("i", "i_s", "i_t", "f", "f_s", "f_t", "o", "g", "g_s", "g_t")),
+        ],
+    )
+    def test_fused_order_and_round_trip(self, n_branches, order):
+        packed = [self._labels(gates) for gates in self.GATES[:n_branches]]
+        fused = _regroup(packed, self.HIDDEN)
+        np.testing.assert_array_equal(fused, self._labels(order))
+        back = _ungroup(fused, self.HIDDEN, n_branches)
+        assert len(back) == n_branches
+        for got, want in zip(back, packed):
+            np.testing.assert_array_equal(got, want)
+
+    def test_regrouped_rows_stay_contiguous(self):
+        rng = np.random.default_rng(14)
+        packed = [rng.normal(size=(3, k * self.HIDDEN)) for k in (4, 3, 3)]
+        fused = _regroup(packed, self.HIDDEN)
+        assert fused.flags.c_contiguous
+        assert all(a.flags.c_contiguous for a in _ungroup(fused, self.HIDDEN, 3))
 
 
 class TestAttentionKernel:

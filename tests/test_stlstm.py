@@ -59,7 +59,7 @@ class TestSTLSTM:
     def test_zero_weights_zero_state_gives_zero_h(self):
         rng = np.random.default_rng(2)
         w = init_st_lstm(rng, dim=3, hidden=4, n_locations=5)
-        for p in w.params("w").values():
+        for p in vars(w).values():
             p.value[:] = 0.0
         zeros = ag.constant(np.zeros(4))
         x = ag.constant(np.zeros(3))
@@ -88,7 +88,7 @@ class TestSTLSTM:
         # Loss through one step on a small random configuration.
         rng = np.random.default_rng(8)
         w = init_st_lstm(rng, dim=4, hidden=6, n_locations=10)
-        params = w.params("w")
+        params = vars(w)
         x = ag.constant(rng.normal(size=4))
         geo = ag.constant(rng.normal(size=4))
         slot = ag.constant(rng.normal(size=4))
@@ -107,7 +107,7 @@ class TestSTLSTM:
     def test_encode_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
         w = init_st_lstm(rng, dim=3, hidden=4, n_locations=6)
-        params = w.params("w")
+        params = vars(w)
         inp = random_st_input(rng, 3, 3, 6)
         probe = ag.constant(rng.normal(size=(3, 4)))
 
@@ -174,7 +174,7 @@ class TestPlainLSTM:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(9)
         w = init_lstm(rng, in_dim=3, hidden=4)
-        params = w.params("lstm")
+        params = vars(w)
         x = ag.constant(rng.normal(size=(3, 3)))
         probe = ag.constant(rng.normal(size=(3, 4)))
 
