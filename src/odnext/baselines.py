@@ -17,7 +17,7 @@ from .nn import (
     prefixed,
     train_per_user,
 )
-from .stlstm import LSTMWeights, lstm_encode, lstm_spec
+from .stlstm import LSTMWeights, equal_length_chunks, lstm_encode, lstm_spec
 
 FREQUENCY_KINDS = ("top", "u-top", "taxi")
 TAXI_LAMBDA = 0.5  # taxi's weight on the user's own proportions
@@ -106,7 +106,7 @@ class ODLSTM:
 
     def _inputs(self, oseq: np.ndarray, dseq: np.ndarray) -> Tensor:
         emb = self.params["emb/loc"]
-        return ag.concat([ag.take_rows(emb, oseq), ag.take_rows(emb, dseq)], axis=1)
+        return ag.concat([ag.take_rows(emb, oseq), ag.take_rows(emb, dseq)], axis=-1)
 
     def user_loss(self, user: int, trips: list[Trip]) -> Tensor:
         if len(trips) < 2:
@@ -120,15 +120,19 @@ class ODLSTM:
 
     def fit(self, train: Corpus) -> list[float]:
         """Train in place, then store each user's final (h, c) after the
-        training sequence (zeros below two trips)."""
+        training sequence (zeros below two trips); histories of equal
+        length run through the LSTM together, as one row-axis encode."""
         seqs = [encoder_sequences(trips) for trips in train.trips_by_user]
         usable = [(u, s) for u, s in enumerate(seqs) if s.targets.size]
         self.loss_curve = train_per_user(self.params, self.config, usable, self._loss, train.users)
-        self._final = []
+        self._final = [None] * len(seqs)
         with ag.no_grad():
-            for s in seqs:
-                _, h, c = lstm_encode(self.lstm, self._inputs(s.oseq, s.dseq))
-                self._final.append((h.copy(), c.copy()))
+            for chunk in equal_length_chunks([len(s.oseq) for s in seqs]):
+                oseq = np.stack([seqs[u].oseq for u in chunk])
+                dseq = np.stack([seqs[u].dseq for u in chunk])
+                _, h, c = lstm_encode(self.lstm, self._inputs(oseq, dseq))
+                for b, u in enumerate(chunk):
+                    self._final[u] = (h[b].copy(), c[b].copy())
         return self.loss_curve
 
     def rank_user(self, user: int, queries) -> list[np.ndarray]:

@@ -150,19 +150,18 @@ def cold_start_eval(
 
     Each user's trips must already be expressed in the model's location
     index space.  For trip j the model sees the full prior history as
-    encoder context and queries with (origin_j, dest_{j-1}); every query
-    of a user comes from one `Model.predict_cold_history` call, and a
-    user with fewer than two trips has none.  Top-1 is the first maximal
+    encoder context and queries with (origin_j, dest_{j-1}); the whole
+    cohort goes to one `Model.predict_cold_cohort` call, and a user with
+    fewer than two trips has no query.  Top-1 is the first maximal
     index, as in `rank_descending`.
     """
     model_hits = 0
     top_hits = 0
     n = 0
-    for trips in cold_trips_by_user:
+    for trips, probs in zip(cold_trips_by_user, model.predict_cold_cohort(cold_trips_by_user)):
         if len(trips) < 2:
             continue
         targets = np.array([t.dest_loc for t in trips[1:]], dtype=np.int64)
-        probs = model.predict_cold_history(trips)
         model_hits += int(np.count_nonzero(probs.argmax(axis=1) == targets))
         top_hits += int(np.count_nonzero(targets == top_ranking[0]))
         n += len(targets)

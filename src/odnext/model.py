@@ -14,9 +14,14 @@ the user's examples backpropagates through decoder and encoders, and
 the optimizer takes one step per user.  After training the encoder
 states are frozen into an EncodedCache; prediction only re-runs the
 decoder against the cached states.  One decoder (`Model._decode`)
-serves training, cached prediction and cold start.  A cold user's
-history is encoded once; all of its queries are decoded in one batch
-under the causal mask, because encoder states depend only on the prefix.
+serves training, cached prediction and cold start.
+
+The cache build and cold start encode off the tape, per length bucket:
+histories of equal length run through each encoder together, at most
+`stlstm.MAX_ROWS` at a time (`Model._encode_rows`), with the same bits
+as one encode per history.  A cold user's history is encoded once, and
+all of its queries are decoded in one batch under the causal mask,
+because encoder states depend only on the prefix.
 
 Ablation variants share the training protocol but remove or replace
 pieces; see VARIANTS.
@@ -47,7 +52,9 @@ from .nn import (
 from .stlstm import (
     LSTMWeights,
     STLSTMInput,
+    STLSTMRows,
     STLSTMWeights,
+    equal_length_chunks,
     lstm_encode,
     lstm_spec,
     st_lstm_encode,
@@ -146,7 +153,9 @@ def attend(
     alpha -= alpha.max(axis=1, keepdims=True)
     np.exp(alpha, out=alpha)
     alpha /= alpha.sum(axis=1, keepdims=True)
-    summary = (alpha * s[None]).sum(axis=1)
+    # pre is spent; its buffer takes the weighted states, so a call holds
+    # two (E, S, sd) arrays, not three
+    summary = np.multiply(alpha, s[None], out=pre).sum(axis=1)
 
     def backward(g):
         d_pre = g[:, None, :] * s[None]  # d alpha, then d scores, then d pre
@@ -290,6 +299,38 @@ class Model:
         states_d = st_lstm_encode(self.enc_d, self._st_input(seqs.dseq, seqs.d_slots, d_emb))
         return states_o, states_d, o_emb, d_emb
 
+    def _encode_rows(self, chunk: list[Sequences]) -> tuple[np.ndarray, np.ndarray]:
+        """(B, T, sd) origin and destination states of B equal-length
+        histories, run as one row-axis encode per encoder, off the tape;
+        row b equals `_encode` of chunk[b] bit for bit."""
+        oseq = np.stack([s.oseq for s in chunk])
+        dseq = np.stack([s.dseq for s in chunk])
+        emb = self.params["emb/loc"].value
+        v = self.config.variant
+        if v == "decoder-only":
+            return emb[oseq], emb[dseq]
+        with ag.no_grad():
+            if v == "od-ppa":
+                states_o, _, _ = lstm_encode(self.enc_o, ag.constant(emb[oseq]))
+                states_d, _, _ = lstm_encode(self.enc_d, ag.constant(emb[dseq]))
+            else:
+                o_slots = np.stack([s.o_slots for s in chunk])
+                d_slots = np.stack([s.d_slots for s in chunk])
+                states_o = st_lstm_encode(self.enc_o, self._st_rows(oseq, o_slots))
+                states_d = st_lstm_encode(self.enc_d, self._st_rows(dseq, d_slots))
+        return states_o.value, states_d.value
+
+    def _st_rows(self, seq: np.ndarray, slots: np.ndarray) -> STLSTMRows:
+        p = self.params
+        return STLSTMRows(
+            loc=p["emb/loc"].value[seq],
+            geo=p["emb/geo"].value[self.vocab.loc_geohash[seq]],
+            slot=p["emb/slot"].value[slots],
+            seq=seq,
+            spatial=self.tables.spatial,
+            temporal=self.tables.temporal,
+        )
+
     def _stack(self, states_o: Tensor, states_d: Tensor) -> Tensor:
         """The decoder's states: the origin block over the destination
         block, or for encoder-only each step's aligned (origin, destination)
@@ -369,23 +410,21 @@ class Model:
     # -- cached prediction ------------------------------------------------
 
     def build_cache(self, train: Corpus) -> EncodedCache:
-        """Freeze encoder states for every user of the training corpus."""
-        states: list[np.ndarray] = []
-        oseqs: list[np.ndarray] = []
-        dseqs: list[np.ndarray] = []
-        last_dest = np.full(train.n_users, -1, dtype=np.int64)
-        n_train = np.zeros(train.n_users, dtype=np.int64)
-        with ag.no_grad():
-            for u, trips in enumerate(train.trips_by_user):
-                n_train[u] = len(trips)
-                if trips:
-                    last_dest[u] = trips[-1].dest_loc
-                seqs = encoder_sequences(trips, self.config.utc_offset_hours)
-                states_o, states_d, _, _ = self._encode(seqs)
-                states.append(np.concatenate([states_o.value, states_d.value], axis=0))
-                oseqs.append(seqs.oseq)
-                dseqs.append(seqs.dseq)
-        return EncodedCache(states, oseqs, dseqs, last_dest, n_train)
+        """Freeze encoder states for every user of the training corpus;
+        histories of equal length are encoded together (`_encode_rows`)."""
+        utc = self.config.utc_offset_hours
+        seqs = [encoder_sequences(trips, utc) for trips in train.trips_by_user]
+        states: list[np.ndarray] = [np.empty(0)] * len(seqs)
+        for chunk in equal_length_chunks([len(s.oseq) for s in seqs]):
+            states_o, states_d = self._encode_rows([seqs[u] for u in chunk])
+            for b, u in enumerate(chunk):
+                states[u] = np.concatenate([states_o[b], states_d[b]], axis=0)
+        histories = train.trips_by_user
+        last_dest = np.array([t[-1].dest_loc if t else -1 for t in histories], dtype=np.int64)
+        n_train = np.array([len(t) for t in histories], dtype=np.int64)
+        return EncodedCache(
+            states, [s.oseq for s in seqs], [s.dseq for s in seqs], last_dest, n_train
+        )
 
     def _predict_states(
         self,
@@ -492,26 +531,47 @@ class Model:
     def predict_cold_history(self, trips: list[Trip]) -> np.ndarray:
         """(n - 1, |L|) cold-start distributions for trips 1..n-1 of one
         unseen user, each row equal to `predict_cold(trips[:j], origin_j,
-        dest_(j-1))` up to rounding.
-
-        States depend only on the prefix, so the history is encoded once
-        over trips[:-1] and every query is decoded in one batch: query j
-        sees the first j states of each block, which is `_causal_mask`.
+        dest_(j-1))` up to rounding: `predict_cold_cohort` of this user
+        alone.
         """
         if len(trips) < 2:
             raise ColdStartError("cold-start queries need at least two trips")
-        seqs = encoder_sequences(trips[:-1], self.config.utc_offset_hours, aligned=True)
-        queries = np.array([t.origin_loc for t in trips[1:]], dtype=np.int64)
-        self._check_locs(seqs.oseq, seqs.dseq, queries)
-        mask = _causal_mask(len(queries)) if self._has_attention else None
-        with ag.no_grad():
-            states_o, states_d, _, d_emb = self._encode(seqs)
-            logits, _ = self._decode(
-                self._stack(states_o, states_d),
-                ag.take_rows(self.params["emb/loc"], queries),
-                d_emb,
-                None,
-                self.cold_user_vector(),
-                mask,
-            )
-            return ag.softmax(logits, axis=1).value
+        return self.predict_cold_cohort([trips])[0]
+
+    def predict_cold_cohort(self, cohort: list[list[Trip]]) -> list[np.ndarray]:
+        """`predict_cold_history` of every history in a cohort of unseen
+        users, or (0, |L|) rows for one with fewer than two trips.
+
+        States depend only on the prefix, so a history is encoded once
+        over trips[:-1], and every query is decoded in one batch: query j
+        sees the first j states of each block, which is `_causal_mask`.
+        Histories of equal length are encoded together (`_encode_rows`);
+        each is then decoded on its own, so a user's rows do not depend
+        on the rest of the cohort.
+        """
+        utc = self.config.utc_offset_hours
+        seqs = [encoder_sequences(trips[:-1], utc, aligned=True) for trips in cohort]
+        queries = [np.array([t.origin_loc for t in trips[1:]], dtype=np.int64) for trips in cohort]
+        for s, q in zip(seqs, queries):
+            self._check_locs(s.oseq, s.dseq, q)
+        out = [np.zeros((0, self.vocab.n_locations))] * len(cohort)
+        user_vec = self.cold_user_vector()
+        emb = self.params["emb/loc"]
+        for chunk in equal_length_chunks([len(q) for q in queries]):
+            n = len(queries[chunk[0]])
+            if n == 0:
+                continue
+            states_o, states_d = self._encode_rows([seqs[u] for u in chunk])
+            mask = _causal_mask(n) if self._has_attention else None
+            with ag.no_grad():
+                for b, u in enumerate(chunk):
+                    logits, _ = self._decode(
+                        self._stack(ag.constant(states_o[b]), ag.constant(states_d[b])),
+                        ag.take_rows(emb, queries[u]),
+                        ag.take_rows(emb, seqs[u].dseq),
+                        None,
+                        user_vec,
+                        mask,
+                    )
+                    out[u] = ag.softmax(logits, axis=1).value
+        return out

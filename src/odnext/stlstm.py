@@ -18,19 +18,31 @@ backward is hand-written BPTT (`_bptt`).  Gradients flow into the inputs
 and the weights, never into an initial state.  The step cells the kernel
 is tested against, `lstm_step` and `st_lstm_step`, spell one step out on
 the autograd tape and live in the test suite (`tests/reference.py`).
+
+The recurrence also takes a leading row axis: B equal-length sequences
+that share one encoder's weights run as one recurrence, off the tape and
+without a backward trace (`STLSTMRows`, or a (B, T, in) input to
+`lstm_encode`).  Every row gets the bits of its own one-sequence encode,
+because each row keeps its own products: one vector-matrix product per
+row and step (`np.matmul(h[:, None, :], u)`) and one projection product
+per (T, in) slice.  A stacked (B, H) or (B*T, in) GEMM would regroup the
+sums.  Callers take at most MAX_ROWS sequences per encode
+(`equal_length_chunks`); training keeps one sequence per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import reduce
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .autograd import Tensor, constant
 from . import autograd as ag
-from .nn import ParamSpec, glorot_uniform, zeros_init
+from .nn import ContractViolation, ParamSpec, glorot_uniform, zeros_init
+
+MAX_ROWS = 16  # sequences per row-axis encode
 
 
 class _Weights:
@@ -134,12 +146,34 @@ class STLSTMInput:
 
 
 @dataclass
+class STLSTMRows:
+    """B equal-length sequences for one tape-free encode.
+
+    loc/geo/slot are (B, T, dim) embedding rows and seq the (B, T)
+    visited locations.  Row b's distance inputs are rows seq[b] of the
+    (|L|, |L|) interval tables, gathered one sequence at a time, so the
+    rows' (T, |L|) blocks are never all held at once.
+    """
+
+    loc: np.ndarray
+    geo: np.ndarray
+    slot: np.ndarray
+    seq: np.ndarray
+    spatial: np.ndarray
+    temporal: np.ndarray
+
+    def __len__(self) -> int:
+        return self.loc.shape[0]
+
+
+@dataclass
 class _Trace:
     """What one forward pass of the recurrence saves for its backward.
 
     C is the cell width (H, or 3H for the stacked spatio-temporal cell).
     Row 0 of `cells`/`hidden` is the initial state, row j + 1 the state
-    after step j.
+    after step j.  With a row axis every array has a B axis after the
+    step axis.
     """
 
     gates: np.ndarray  # (T, 2C + H) sigmoid outputs [i | f | o]
@@ -150,38 +184,60 @@ class _Trace:
 
 
 def _recur(
-    p: np.ndarray, u: np.ndarray, w_h: np.ndarray | None, h0: np.ndarray, c0: np.ndarray
+    p: np.ndarray,
+    u: np.ndarray,
+    w_h: np.ndarray | None,
+    h0: np.ndarray,
+    c0: np.ndarray,
+    keep: bool = True,
 ) -> _Trace:
     """Run the recurrence over precomputed input projections `p` (T, 3C + H),
     columns [i | f | o | g].  `w_h` maps the cell state to the hidden
-    size before the output squash; None means the identity."""
-    steps, width, hidden = p.shape[0], c0.shape[0], h0.shape[0]
+    size before the output squash; None means the identity.
+
+    With a row axis, p is (T, B, 3C + H) and h0/c0 are (B, H)/(B, C): B
+    sequences of T steps that share the weights run as one recurrence.
+    Each row's products are vector-matrix products of their own, so a
+    row gets the bits it would get alone (a (B, H) GEMM would not).
+
+    Without `keep`, a forward-only pass, only `hidden` covers every step;
+    the other arrays hold one step, and `cells` the current cell state.
+    """
+    steps, width = p.shape[0], c0.shape[-1]
+    rows, hidden = h0.shape[:-1], h0.shape[-1]
     n_sig = 2 * width + hidden
+    kept = steps if keep else 1
     tr = _Trace(
-        gates=np.empty((steps, n_sig)),
-        cand=np.empty((steps, width)),
-        cells=np.empty((steps + 1, width)),
-        hidden=np.empty((steps + 1, hidden)),
-        squash=np.empty((steps, hidden)),
+        gates=np.empty((kept, *rows, n_sig)),
+        cand=np.empty((kept, *rows, width)),
+        cells=np.empty((steps + 1 if keep else 1, *rows, width)),
+        hidden=np.empty((steps + 1, *rows, hidden)),
+        squash=np.empty((kept, *rows, hidden)),
     )
     tr.cells[0] = c0
     tr.hidden[0] = h0
     # each step writes straight into the trace; the arithmetic is that of
     # sigmoid = 1 / (1 + exp(-z)), c = f * c_prev + i * g, h = o * squash
-    z = np.empty(p.shape[1])
-    mixed = np.empty(hidden)
+    z = np.empty(p.shape[1:])
+    mixed = np.empty((*rows, hidden))
     for j in range(steps):
-        gates, cand, c, squash = tr.gates[j], tr.cand[j], tr.cells[j + 1], tr.squash[j]
-        np.add(p[j], tr.hidden[j] @ u, out=z)
-        np.negative(z[:n_sig], out=gates)
+        k = j if keep else 0
+        gates, cand, squash = tr.gates[k], tr.cand[k], tr.squash[k]
+        c_prev, c = tr.cells[k], tr.cells[k + 1 if keep else 0]
+        np.matmul(tr.hidden[j][..., None, :], u, out=z[..., None, :])
+        z += p[j]
+        np.negative(z[..., :n_sig], out=gates)
         np.exp(gates, out=gates)
         gates += 1.0
         np.divide(1.0, gates, out=gates)
-        np.tanh(z[n_sig:], out=cand)
-        np.multiply(gates[width : 2 * width], tr.cells[j], out=c)
-        c += gates[:width] * cand
-        np.tanh(c if w_h is None else np.matmul(c, w_h, out=mixed), out=squash)
-        np.multiply(gates[2 * width :], squash, out=tr.hidden[j + 1])
+        np.tanh(z[..., n_sig:], out=cand)
+        np.multiply(gates[..., width : 2 * width], c_prev, out=c)
+        c += gates[..., :width] * cand
+        if w_h is not None:
+            np.matmul(c[..., None, :], w_h, out=mixed[..., None, :])
+            c = mixed
+        np.tanh(c, out=squash)
+        np.multiply(gates[..., 2 * width :], squash, out=tr.hidden[j + 1])
     return tr
 
 
@@ -247,7 +303,7 @@ _Branch = tuple[list[tuple[Tensor, Tensor]], Tensor, Tensor]
 
 def _blocks(a: np.ndarray, hidden: int) -> list[np.ndarray]:
     """The H-column blocks of `a` as views; np.hsplit takes 3x as long."""
-    return [a[:, k : k + hidden] for k in range(0, a.shape[1], hidden)]
+    return [a[..., k : k + hidden] for k in range(0, a.shape[-1], hidden)]
 
 
 def _regroup(packed: list[np.ndarray], hidden: int) -> np.ndarray:
@@ -260,7 +316,7 @@ def _regroup(packed: list[np.ndarray], hidden: int) -> np.ndarray:
         return packed[0]
     blocks = [_blocks(a, hidden) for a in packed]
     i, f, g = ([bs[k] for bs in blocks] for k in (0, 1, -1))
-    return np.concatenate([*i, *f, blocks[0][2], *g], axis=1)
+    return np.concatenate([*i, *f, blocks[0][2], *g], axis=-1)
 
 
 def _ungroup(fused: np.ndarray, hidden: int, n: int) -> list[np.ndarray]:
@@ -274,6 +330,15 @@ def _ungroup(fused: np.ndarray, hidden: int, n: int) -> list[np.ndarray]:
     return [main, *(np.concatenate([i[b], f[b], g[b]], axis=1) for b in range(1, n))]
 
 
+def _project(branches: list[_Branch], hidden: int) -> np.ndarray:
+    """Every branch's input projection, fused by gate (`_regroup`): a
+    (..., T, 3C + H) array for (..., T, in) inputs."""
+    return _regroup(
+        [reduce(np.add, (x.value @ w.value for x, w in fs)) + b.value for fs, _, b in branches],
+        hidden,
+    )
+
+
 def _encode(
     branches: list[_Branch], w_h: Tensor | None, h0: np.ndarray, c0: np.ndarray
 ) -> tuple[Tensor, np.ndarray, np.ndarray]:
@@ -285,14 +350,12 @@ def _encode(
     cells, which `w_h` (None: the identity) maps to the hidden size.
     """
     hidden = h0.shape[0]
-    projections = [
-        reduce(np.add, (x.value @ w.value for x, w in feeds)) + b.value for feeds, _, b in branches
-    ]
-    if projections[0].shape[0] == 0:
+    p = _project(branches, hidden)
+    if p.shape[0] == 0:
         return constant(np.zeros((0, hidden))), h0, c0
     u = _regroup([rec.value for _, rec, _ in branches], hidden)
     w_h_value = None if w_h is None else w_h.value
-    tr = _recur(_regroup(projections, hidden), u, w_h_value, h0, c0)
+    tr = _recur(p, u, w_h_value, h0, c0)
 
     def backward(g):
         d_p, d_u, d_w_h = _bptt(tr, u, w_h_value, g)
@@ -320,16 +383,78 @@ def _encode(
     return ag.fused(tr.hidden[1:], inputs, backward), tr.hidden[-1], tr.cells[-1]
 
 
-def st_lstm_encode(w: STLSTMWeights, inp: STLSTMInput) -> Tensor:
+def _encode_rows(
+    p: np.ndarray, recurrent: list[Tensor], w_h: Tensor | None, h0: np.ndarray, c0: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_encode`'s recurrence for B sequences at once, off the tape: fused
+    projections p (B, T, 3C + H), the branches' recurrent weights in
+    order, and (B, H)/(B, C) initial states.  Returns the (B, T, H)
+    hidden states and the final (h, c), each row bit-identical to an
+    encode of that sequence alone."""
+    rows, hidden = h0.shape
+    if p.shape[1] == 0:
+        return np.zeros((rows, 0, hidden)), h0, c0
+    u = _regroup([rec.value for rec in recurrent], hidden)
+    tr = _recur(p.swapaxes(0, 1), u, None if w_h is None else w_h.value, h0, c0, keep=False)
+    return tr.hidden[1:].swapaxes(0, 1), tr.hidden[-1], tr.cells[-1]
+
+
+def _check_off_tape(*tensors: Tensor) -> None:
+    if ag._track(*tensors):
+        raise ContractViolation("a row-axis encode takes no gradient; run it under no_grad")
+
+
+def equal_length_chunks(lengths: Sequence[int]) -> list[list[int]]:
+    """Indices of `lengths` grouped by length, in first-seen order, in runs
+    of at most MAX_ROWS: the sequences that one row-axis encode takes."""
+    groups: dict[int, list[int]] = {}
+    for i, n in enumerate(lengths):
+        groups.setdefault(n, []).append(i)
+    return [g[k : k + MAX_ROWS] for g in groups.values() for k in range(0, len(g), MAX_ROWS)]
+
+
+def _st_rows_projection(w: STLSTMWeights, rows: STLSTMRows) -> np.ndarray:
+    """`_project` of each row's branches in `st_lstm_encode`, bit for bit:
+    one product over the (B, T, dim) stack per embedding feed and one per
+    row for the distance feeds, each sum taken in `_project`'s order."""
+    sides = []
+    for emb, w_emb, table, w_dist, bias in (
+        (rows.geo, w.W_s, rows.spatial, w.V_s, w.b_s),
+        (rows.slot, w.W_t, rows.temporal, w.V_t, w.b_t),
+    ):
+        side = emb @ w_emb.value
+        for b, seq in enumerate(rows.seq):
+            side[b] += table[seq] @ w_dist.value
+        side += bias.value
+        sides.append(side)
+    return _regroup([rows.loc @ w.W_x.value + w.b.value, *sides], w.hidden_dim)
+
+
+def st_lstm_encode(w: STLSTMWeights, inp: STLSTMInput | STLSTMRows) -> Tensor:
     """Run the sequence from a zero state and return the (T, H) stack of
-    hidden states: `_encode` over the main, spatial and temporal branches."""
+    hidden states: `_encode` over the main, spatial and temporal branches.
+
+    `STLSTMRows` run together off the tape, and the result is their
+    (B, T, H) states.
+    """
     hidden = w.hidden_dim
-    branches = [
-        ([(inp.loc, w.W_x)], w.U_h, w.b),
-        ([(inp.geo, w.W_s), (inp.dspace, w.V_s)], w.U_s, w.b_s),
-        ([(inp.slot, w.W_t), (inp.dtime, w.V_t)], w.U_t, w.b_t),
-    ]
-    return _encode(branches, w.W_h, np.zeros(hidden), np.zeros(3 * hidden))[0]
+    if isinstance(inp, STLSTMInput):
+        branches = [
+            ([(inp.loc, w.W_x)], w.U_h, w.b),
+            ([(inp.geo, w.W_s), (inp.dspace, w.V_s)], w.U_s, w.b_s),
+            ([(inp.slot, w.W_t), (inp.dtime, w.V_t)], w.U_t, w.b_t),
+        ]
+        return _encode(branches, w.W_h, np.zeros(hidden), np.zeros(3 * hidden))[0]
+    _check_off_tape(*vars(w).values())
+    rows = len(inp)
+    states, _, _ = _encode_rows(
+        _st_rows_projection(w, inp),
+        [w.U_h, w.U_s, w.U_t],
+        w.W_h,
+        np.zeros((rows, hidden)),
+        np.zeros((rows, 3 * hidden)),
+    )
+    return constant(states)
 
 
 def lstm_encode(
@@ -342,8 +467,18 @@ def lstm_encode(
     Gradients flow from the stacked states into `x` and the weights.  The
     final state is a view of the forward trace, so a caller that keeps it
     should copy it.
+
+    A (B, T, in_dim) input holds B sequences; they run together off the
+    tape from (B, H) states, with one projection product over the stack,
+    and the result is (B, T, H) states and (B, H) final states.
     """
     hidden = w.hidden_dim
-    h = np.zeros(hidden) if h0 is None else h0
-    c = np.zeros(hidden) if c0 is None else c0
-    return _encode([([(x, w.W_x)], w.U_h, w.b)], None, h, c)
+    rows = x.value.shape[:-2]
+    h = np.zeros((*rows, hidden)) if h0 is None else h0
+    c = np.zeros((*rows, hidden)) if c0 is None else c0
+    branches = [([(x, w.W_x)], w.U_h, w.b)]
+    if not rows:
+        return _encode(branches, None, h, c)
+    _check_off_tape(x, *vars(w).values())
+    states, h, c = _encode_rows(_project(branches, hidden), [w.U_h], None, h, c)
+    return constant(states), h, c

@@ -1,5 +1,6 @@
 """Reference code the program does not run: per-op autograd functions,
-step-by-step recurrent cells and a finite-difference gradient checker.
+step-by-step recurrent cells, one-sequence-at-a-time versions of the
+row-axis encodes, and a finite-difference gradient checker.
 
 The fused kernels of `odnext` (the encoders, the attention node, the mean
 cross-entropy) are tested against compositions of these functions, and
@@ -15,8 +16,10 @@ import numpy as np
 
 import odnext.autograd as ag
 from odnext.autograd import Tensor, _as_tensor, _track, _unbroadcast, add, concat, matmul
+from odnext.data import encoder_sequences
+from odnext.model import _causal_mask
 from odnext.nn import draw_params
-from odnext.stlstm import LSTMWeights, STLSTMWeights, lstm_spec, st_lstm_spec
+from odnext.stlstm import LSTMWeights, STLSTMWeights, lstm_encode, lstm_spec, st_lstm_spec
 
 # -- autograd ops -----------------------------------------------------------
 
@@ -213,6 +216,51 @@ def st_lstm_step(
     c_t = branch(w.W_t, w.V_t, w.U_t, w.b_t, slot, dtime, ct_prev)
     h = mul(o, tanh(matmul(concat([c, c_s, c_t]), w.W_h)))
     return h, c, c_s, c_t
+
+
+# -- tape-free encodes, one sequence at a time --------------------------------
+
+
+def cache_states(model, train) -> list[np.ndarray]:
+    """`Model.build_cache` states as one `Model._encode` per user."""
+    out = []
+    with ag.no_grad():
+        for trips in train.trips_by_user:
+            seqs = encoder_sequences(trips, model.config.utc_offset_hours)
+            states_o, states_d, _, _ = model._encode(seqs)
+            out.append(np.concatenate([states_o.value, states_d.value], axis=0))
+    return out
+
+
+def final_states(od, train) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The od-lstm's final (h, c) per user, one `lstm_encode` per user."""
+    out = []
+    with ag.no_grad():
+        for trips in train.trips_by_user:
+            seqs = encoder_sequences(trips)
+            _, h, c = lstm_encode(od.lstm, od._inputs(seqs.oseq, seqs.dseq))
+            out.append((h.copy(), c.copy()))
+    return out
+
+
+def cold_history(model, trips) -> np.ndarray:
+    """`Model.predict_cold_history` with its own `Model._encode` of the
+    history: encode trips[:-1] once, decode every query under the causal
+    mask."""
+    seqs = encoder_sequences(trips[:-1], model.config.utc_offset_hours, aligned=True)
+    queries = np.array([t.origin_loc for t in trips[1:]], dtype=np.int64)
+    mask = _causal_mask(len(queries)) if model.config.variant != "encoder-only" else None
+    with ag.no_grad():
+        states_o, states_d, _, d_emb = model._encode(seqs)
+        logits, _ = model._decode(
+            model._stack(states_o, states_d),
+            ag.take_rows(model.params["emb/loc"], queries),
+            d_emb,
+            None,
+            model.cold_user_vector(),
+            mask,
+        )
+        return ag.softmax(logits, axis=1).value
 
 
 # -- finite differences -----------------------------------------------------

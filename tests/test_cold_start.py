@@ -1,8 +1,9 @@
 """Batched cold start against the per-prefix reference, for every variant.
 
 `Model.predict_cold_history` encodes a cold user's history once and
-decodes every query under the causal mask; `cold_start_eval` scores one
-such batch per user.  The reference below is the per-query loop: one
+decodes every query under the causal mask; `cold_start_eval` scores the
+whole cohort with one `Model.predict_cold_cohort` call, which encodes
+equal-length histories together.  The reference below is the per-query loop: one
 `predict_cold` over the full prefix for each trip, ranked with
 `rank_descending`.
 """
@@ -128,7 +129,9 @@ def test_out_of_range_location_raises(model, world, field):
 
 
 def test_tape_stays_empty(model, world, monkeypatch):
-    _, cold = world
+    """No tape-free path records a node or touches a gradient: one cold
+    history, the cohort path and its scorer, and the cache build."""
+    corpus, cold = world
     taped = []
     init = ag.Tensor.__init__
 
@@ -139,9 +142,39 @@ def test_tape_stays_empty(model, world, monkeypatch):
 
     monkeypatch.setattr(ag.Tensor, "__init__", recording_init)
     trips = next(t for t in cold if len(t) >= 2)
+    top = np.arange(model.vocab.n_locations)
     grads = {n: p.grad.copy() for n, p in model.params.items()}
-    model.predict_cold_history(trips)
-    assert taped == []
+    for path in (
+        lambda: model.predict_cold_history(trips),
+        lambda: model.predict_cold_cohort(cold + corpus.trips_by_user),
+        lambda: cold_start_eval(model, top, cold),
+        lambda: model.build_cache(corpus),
+    ):
+        path()
+        assert taped == []
+        assert ref.grad_enabled()
+        for n, p in model.params.items():
+            np.testing.assert_array_equal(p.grad, grads[n])
+
+
+def test_grad_mode_restored_after_a_refused_cohort(model, world):
+    _, cold = world
+    trips = list(next(t for t in cold if len(t) >= 3))
+    trips[1] = dataclasses.replace(trips[1], origin_loc=model.vocab.n_locations)
+    with pytest.raises(ContractViolation):
+        model.predict_cold_cohort(cold + [trips])
     assert ref.grad_enabled()
-    for n, p in model.params.items():
-        np.testing.assert_array_equal(p.grad, grads[n])
+
+
+def test_predict_cold_contracts(model, world):
+    _, cold = world
+    trips = next(t for t in cold if len(t) >= 2)
+    with pytest.raises(ColdStartError):
+        model.predict_cold([], trips[0].origin_loc, trips[0].dest_loc)
+    with pytest.raises(ContractViolation):
+        model.predict_cold(trips[:1], model.vocab.n_locations, trips[0].dest_loc)
+    with pytest.raises(ContractViolation):
+        model.predict_cold(trips[:1], trips[1].origin_loc, -1)
+    probs = model.predict_cold(trips[:1], trips[1].origin_loc, trips[0].dest_loc)
+    assert probs.shape == (model.vocab.n_locations,)
+    np.testing.assert_allclose(probs.sum(), 1.0, rtol=0, atol=1e-12)

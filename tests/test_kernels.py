@@ -7,6 +7,8 @@ the attention layer used to be, and log_softmax + take_per_row +
 mean_all.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,30 @@ class TestAttentionKernel:
             results.append([summary.value, alpha.value, *_grads(tensors)])
         for got, want in zip(*results):
             _close(got, want)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_inference_allocates_about_two_score_arrays(self, masked):
+        # the pre-activations, and the scores that become alpha in place;
+        # the weighted states reuse the pre-activations' buffer
+        n_ex, n_states, sd = 18, 82, 64
+        rng = np.random.default_rng(15)
+        args = [
+            ag.constant(rng.normal(size=(n_ex, 96))),
+            ag.constant(rng.normal(size=(n_states, sd))),
+            ag.parameter(rng.normal(size=(96 + sd, sd))),
+        ]
+        mask = None
+        if masked:
+            mask = np.where(rng.uniform(size=(n_ex, n_states, 1)) < 0.5, 0.0, -1e30)
+        with ag.no_grad():
+            attend(*args, mask, 0.01)  # warm up numpy's caches
+            tracemalloc.start()
+            try:
+                attend(*args, mask, 0.01)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak <= 2.5 * n_ex * n_states * sd * 8
 
 
 class TestCrossEntropyKernel:
