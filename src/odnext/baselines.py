@@ -6,7 +6,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .data import Corpus, Sequences, Trip, encoder_sequences
+from .data import Corpus, Sequences, encoder_sequences
 from .nn import (
     ContractViolation,
     ParamSpec,
@@ -107,11 +107,6 @@ class ODLSTM:
     def _inputs(self, oseq: np.ndarray, dseq: np.ndarray) -> Tensor:
         emb = self.params["emb/loc"]
         return ag.concat([ag.take_rows(emb, oseq), ag.take_rows(emb, dseq)], axis=-1)
-
-    def user_loss(self, user: int, trips: list[Trip]) -> Tensor:
-        if len(trips) < 2:
-            raise ContractViolation("a user needs at least two trips to train on")
-        return self._loss(user, encoder_sequences(trips))
 
     def _loss(self, user: int, seqs: Sequences) -> Tensor:
         states, _, _ = lstm_encode(self.lstm, self._inputs(seqs.oseq, seqs.dseq))

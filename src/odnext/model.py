@@ -16,12 +16,14 @@ states are frozen into an EncodedCache; prediction only re-runs the
 decoder against the cached states.  One decoder (`Model._decode`)
 serves training, cached prediction and cold start.
 
-The cache build and cold start encode off the tape, per length bucket:
-histories of equal length run through each encoder together, at most
-`stlstm.MAX_ROWS` at a time (`Model._encode_rows`), with the same bits
-as one encode per history.  A cold user's history is encoded once, and
-all of its queries are decoded in one batch under the causal mask,
-because encoder states depend only on the prefix.
+One encode path (`Model._encode`) serves training and inference.  The
+cache build and cold start call it off the tape per length bucket: the
+fields of up to `stlstm.MAX_ROWS` equal-length histories are stacked
+along a leading row axis (`Model._encode_rows`), which each encoder runs
+as one recurrence, with the same bits as one encode per history.  A
+cold user's history is encoded once, and all of its queries are decoded
+in one batch under the causal mask, because encoder states depend only
+on the prefix.
 
 Ablation variants share the training protocol but remove or replace
 pieces; see VARIANTS.
@@ -30,7 +32,7 @@ pieces; see VARIANTS.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from typing import Mapping
 
 import numpy as np
@@ -52,7 +54,6 @@ from .nn import (
 from .stlstm import (
     LSTMWeights,
     STLSTMInput,
-    STLSTMRows,
     STLSTMWeights,
     equal_length_chunks,
     lstm_encode,
@@ -285,7 +286,9 @@ class Model:
         )
 
     def _encode(self, seqs: Sequences) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-        """Return (states_o, states_d, o_emb, d_emb) for one user history."""
+        """Return (states_o, states_d, o_emb, d_emb) for one user history,
+        or, off the tape, for B equal-length histories whose fields are
+        stacked (B, T) arrays."""
         o_emb = ag.take_rows(self.params["emb/loc"], seqs.oseq)
         d_emb = ag.take_rows(self.params["emb/loc"], seqs.dseq)
         v = self.config.variant
@@ -301,35 +304,13 @@ class Model:
 
     def _encode_rows(self, chunk: list[Sequences]) -> tuple[np.ndarray, np.ndarray]:
         """(B, T, sd) origin and destination states of B equal-length
-        histories, run as one row-axis encode per encoder, off the tape;
-        row b equals `_encode` of chunk[b] bit for bit."""
-        oseq = np.stack([s.oseq for s in chunk])
-        dseq = np.stack([s.dseq for s in chunk])
-        emb = self.params["emb/loc"].value
-        v = self.config.variant
-        if v == "decoder-only":
-            return emb[oseq], emb[dseq]
+        histories: `_encode` of their stacked fields, off the tape; row b
+        equals `_encode` of chunk[b] bit for bit."""
+        stacked = (np.stack([getattr(s, f.name) for s in chunk]) for f in fields(Sequences))
+        rows = Sequences(*stacked)
         with ag.no_grad():
-            if v == "od-ppa":
-                states_o, _, _ = lstm_encode(self.enc_o, ag.constant(emb[oseq]))
-                states_d, _, _ = lstm_encode(self.enc_d, ag.constant(emb[dseq]))
-            else:
-                o_slots = np.stack([s.o_slots for s in chunk])
-                d_slots = np.stack([s.d_slots for s in chunk])
-                states_o = st_lstm_encode(self.enc_o, self._st_rows(oseq, o_slots))
-                states_d = st_lstm_encode(self.enc_d, self._st_rows(dseq, d_slots))
+            states_o, states_d, _, _ = self._encode(rows)
         return states_o.value, states_d.value
-
-    def _st_rows(self, seq: np.ndarray, slots: np.ndarray) -> STLSTMRows:
-        p = self.params
-        return STLSTMRows(
-            loc=p["emb/loc"].value[seq],
-            geo=p["emb/geo"].value[self.vocab.loc_geohash[seq]],
-            slot=p["emb/slot"].value[slots],
-            seq=seq,
-            spatial=self.tables.spatial,
-            temporal=self.tables.temporal,
-        )
 
     def _stack(self, states_o: Tensor, states_d: Tensor) -> Tensor:
         """The decoder's states: the origin block over the destination
@@ -382,12 +363,6 @@ class Model:
         seqs, mask = batch
         states_o, states_d, o_emb, d_emb = self._encode(seqs)
         return self._decode(self._stack(states_o, states_d), o_emb, d_emb, user, None, mask)
-
-    def user_loss(self, user: int, trips: list[Trip]) -> Tensor:
-        """Mean cross-entropy over one user's |trips|-1 training examples."""
-        if len(trips) < 2:
-            raise ContractViolation("a user needs at least two trips to train on")
-        return self._loss(user, self._batch(trips))
 
     def _loss(self, user: int, batch: tuple) -> Tensor:
         logits, _ = self._forward(batch, user)
@@ -528,19 +503,11 @@ class Model:
         probs, _ = self._predict_states(states_np, query[:1], query[1:], None, user_vec)
         return probs[0]
 
-    def predict_cold_history(self, trips: list[Trip]) -> np.ndarray:
-        """(n - 1, |L|) cold-start distributions for trips 1..n-1 of one
-        unseen user, each row equal to `predict_cold(trips[:j], origin_j,
-        dest_(j-1))` up to rounding: `predict_cold_cohort` of this user
-        alone.
-        """
-        if len(trips) < 2:
-            raise ColdStartError("cold-start queries need at least two trips")
-        return self.predict_cold_cohort([trips])[0]
-
     def predict_cold_cohort(self, cohort: list[list[Trip]]) -> list[np.ndarray]:
-        """`predict_cold_history` of every history in a cohort of unseen
-        users, or (0, |L|) rows for one with fewer than two trips.
+        """Cold-start distributions for every history in a cohort of unseen
+        users: for trips 1..n-1 of each, (n - 1, |L|) rows, row j - 1 equal
+        to `predict_cold(trips[:j], origin_j, dest_(j-1))` up to rounding;
+        (0, |L|) rows for a history of fewer than two trips.
 
         States depend only on the prefix, so a history is encoded once
         over trips[:-1], and every query is decoded in one batch: query j

@@ -19,14 +19,14 @@ and the weights, never into an initial state.  The step cells the kernel
 is tested against, `lstm_step` and `st_lstm_step`, spell one step out on
 the autograd tape and live in the test suite (`tests/reference.py`).
 
-The recurrence also takes a leading row axis: B equal-length sequences
-that share one encoder's weights run as one recurrence, off the tape and
-without a backward trace (`STLSTMRows`, or a (B, T, in) input to
-`lstm_encode`).  Every row gets the bits of its own one-sequence encode,
-because each row keeps its own products: one vector-matrix product per
-row and step (`np.matmul(h[:, None, :], u)`) and one projection product
-per (T, in) slice.  A stacked (B, H) or (B*T, in) GEMM would regroup the
-sums.  Callers take at most MAX_ROWS sequences per encode
+Every input may also carry a leading row axis: B equal-length sequences
+that share one encoder's weights run through the same `_encode` as one
+recurrence, off the tape and without a backward trace.  Every row gets
+the bits of its own one-sequence encode, because each row keeps its own
+products: one vector-matrix product per row and step
+(`np.matmul(h[:, None, :], u)`) and one projection product per (T, in)
+slice.  A stacked (B, H) or (B*T, in) GEMM would regroup the sums.
+Callers take at most MAX_ROWS sequences per encode
 (`equal_length_chunks`); training keeps one sequence per call.
 """
 
@@ -132,7 +132,9 @@ class STLSTMInput:
     """Per-step context of one encoded sequence, all length T.
 
     loc/geo/slot are (T, dim) embedding rows; dspace/dtime are (T, |L|)
-    rows of the global interval tables for the visited locations.
+    rows of the global interval tables for the visited locations.  With a
+    leading (B,) axis on every field, B equal-length sequences encode
+    together, off the tape.
     """
 
     loc: Tensor
@@ -143,27 +145,6 @@ class STLSTMInput:
 
     def __len__(self) -> int:
         return self.loc.value.shape[0]
-
-
-@dataclass
-class STLSTMRows:
-    """B equal-length sequences for one tape-free encode.
-
-    loc/geo/slot are (B, T, dim) embedding rows and seq the (B, T)
-    visited locations.  Row b's distance inputs are rows seq[b] of the
-    (|L|, |L|) interval tables, gathered one sequence at a time, so the
-    rows' (T, |L|) blocks are never all held at once.
-    """
-
-    loc: np.ndarray
-    geo: np.ndarray
-    slot: np.ndarray
-    seq: np.ndarray
-    spatial: np.ndarray
-    temporal: np.ndarray
-
-    def __len__(self) -> int:
-        return self.loc.shape[0]
 
 
 @dataclass
@@ -189,7 +170,6 @@ def _recur(
     w_h: np.ndarray | None,
     h0: np.ndarray,
     c0: np.ndarray,
-    keep: bool = True,
 ) -> _Trace:
     """Run the recurrence over precomputed input projections `p` (T, 3C + H),
     columns [i | f | o | g].  `w_h` maps the cell state to the hidden
@@ -200,12 +180,13 @@ def _recur(
     Each row's products are vector-matrix products of their own, so a
     row gets the bits it would get alone (a (B, H) GEMM would not).
 
-    Without `keep`, a forward-only pass, only `hidden` covers every step;
+    Row-axis passes take no backward, so only `hidden` covers every step;
     the other arrays hold one step, and `cells` the current cell state.
     """
     steps, width = p.shape[0], c0.shape[-1]
     rows, hidden = h0.shape[:-1], h0.shape[-1]
     n_sig = 2 * width + hidden
+    keep = not rows
     kept = steps if keep else 1
     tr = _Trace(
         gates=np.empty((kept, *rows, n_sig)),
@@ -348,14 +329,26 @@ def _encode(
     Input projections are built up front; a step then costs one product
     with the hidden state and elementwise work on the branches' stacked
     cells, which `w_h` (None: the identity) maps to the hidden size.
+
+    With (B, T, in) inputs and (B, H)/(B, C) initial states, B sequences
+    run as one recurrence: the states are (B, T, H) and the final state
+    (B, H)/(B, C).  Such an encode keeps no backward trace, so it refuses
+    the tape.
     """
-    hidden = h0.shape[0]
+    hidden = h0.shape[-1]
+    # every input and weight goes on the tape; the inputs come first, as
+    # their order fixes the order of the backward pass
+    inputs = [x for feeds, _, _ in branches for x, _ in feeds]
+    inputs += [t for feeds, rec, b in branches for t in (*(w for _, w in feeds), rec, b)]
+    inputs += [] if w_h is None else [w_h]
+    if h0.ndim > 1 and ag._track(*inputs):
+        raise ContractViolation("a row-axis encode takes no gradient; run it under no_grad")
     p = _project(branches, hidden)
-    if p.shape[0] == 0:
-        return constant(np.zeros((0, hidden))), h0, c0
+    if p.shape[-2] == 0:
+        return constant(np.zeros((*p.shape[:-1], hidden))), h0, c0
     u = _regroup([rec.value for _, rec, _ in branches], hidden)
     w_h_value = None if w_h is None else w_h.value
-    tr = _recur(p, u, w_h_value, h0, c0)
+    tr = _recur(p.swapaxes(0, -2), u, w_h_value, h0, c0)
 
     def backward(g):
         d_p, d_u, d_w_h = _bptt(tr, u, w_h_value, g)
@@ -375,33 +368,8 @@ def _encode(
         if w_h is not None and ag.needs_grad(w_h):
             w_h.accumulate(d_w_h)
 
-    # every input and weight goes on the tape; the inputs come first, as
-    # their order fixes the order of the backward pass
-    inputs = [x for feeds, _, _ in branches for x, _ in feeds]
-    inputs += [t for feeds, rec, b in branches for t in (*(w for _, w in feeds), rec, b)]
-    inputs += [] if w_h is None else [w_h]
-    return ag.fused(tr.hidden[1:], inputs, backward), tr.hidden[-1], tr.cells[-1]
-
-
-def _encode_rows(
-    p: np.ndarray, recurrent: list[Tensor], w_h: Tensor | None, h0: np.ndarray, c0: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_encode`'s recurrence for B sequences at once, off the tape: fused
-    projections p (B, T, 3C + H), the branches' recurrent weights in
-    order, and (B, H)/(B, C) initial states.  Returns the (B, T, H)
-    hidden states and the final (h, c), each row bit-identical to an
-    encode of that sequence alone."""
-    rows, hidden = h0.shape
-    if p.shape[1] == 0:
-        return np.zeros((rows, 0, hidden)), h0, c0
-    u = _regroup([rec.value for rec in recurrent], hidden)
-    tr = _recur(p.swapaxes(0, 1), u, None if w_h is None else w_h.value, h0, c0, keep=False)
-    return tr.hidden[1:].swapaxes(0, 1), tr.hidden[-1], tr.cells[-1]
-
-
-def _check_off_tape(*tensors: Tensor) -> None:
-    if ag._track(*tensors):
-        raise ContractViolation("a row-axis encode takes no gradient; run it under no_grad")
+    states = tr.hidden[1:].swapaxes(0, -2)
+    return ag.fused(states, inputs, backward), tr.hidden[-1], tr.cells[-1]
 
 
 def equal_length_chunks(lengths: Sequence[int]) -> list[list[int]]:
@@ -413,48 +381,18 @@ def equal_length_chunks(lengths: Sequence[int]) -> list[list[int]]:
     return [g[k : k + MAX_ROWS] for g in groups.values() for k in range(0, len(g), MAX_ROWS)]
 
 
-def _st_rows_projection(w: STLSTMWeights, rows: STLSTMRows) -> np.ndarray:
-    """`_project` of each row's branches in `st_lstm_encode`, bit for bit:
-    one product over the (B, T, dim) stack per embedding feed and one per
-    row for the distance feeds, each sum taken in `_project`'s order."""
-    sides = []
-    for emb, w_emb, table, w_dist, bias in (
-        (rows.geo, w.W_s, rows.spatial, w.V_s, w.b_s),
-        (rows.slot, w.W_t, rows.temporal, w.V_t, w.b_t),
-    ):
-        side = emb @ w_emb.value
-        for b, seq in enumerate(rows.seq):
-            side[b] += table[seq] @ w_dist.value
-        side += bias.value
-        sides.append(side)
-    return _regroup([rows.loc @ w.W_x.value + w.b.value, *sides], w.hidden_dim)
-
-
-def st_lstm_encode(w: STLSTMWeights, inp: STLSTMInput | STLSTMRows) -> Tensor:
-    """Run the sequence from a zero state and return the (T, H) stack of
-    hidden states: `_encode` over the main, spatial and temporal branches.
-
-    `STLSTMRows` run together off the tape, and the result is their
-    (B, T, H) states.
-    """
+def st_lstm_encode(w: STLSTMWeights, inp: STLSTMInput) -> Tensor:
+    """Run the sequence (or B sequences, see `STLSTMInput`) from a zero
+    state and return the (T, H) stack of hidden states: `_encode` over the
+    main, spatial and temporal branches."""
     hidden = w.hidden_dim
-    if isinstance(inp, STLSTMInput):
-        branches = [
-            ([(inp.loc, w.W_x)], w.U_h, w.b),
-            ([(inp.geo, w.W_s), (inp.dspace, w.V_s)], w.U_s, w.b_s),
-            ([(inp.slot, w.W_t), (inp.dtime, w.V_t)], w.U_t, w.b_t),
-        ]
-        return _encode(branches, w.W_h, np.zeros(hidden), np.zeros(3 * hidden))[0]
-    _check_off_tape(*vars(w).values())
-    rows = len(inp)
-    states, _, _ = _encode_rows(
-        _st_rows_projection(w, inp),
-        [w.U_h, w.U_s, w.U_t],
-        w.W_h,
-        np.zeros((rows, hidden)),
-        np.zeros((rows, 3 * hidden)),
-    )
-    return constant(states)
+    rows = inp.loc.value.shape[:-2]
+    branches = [
+        ([(inp.loc, w.W_x)], w.U_h, w.b),
+        ([(inp.geo, w.W_s), (inp.dspace, w.V_s)], w.U_s, w.b_s),
+        ([(inp.slot, w.W_t), (inp.dtime, w.V_t)], w.U_t, w.b_t),
+    ]
+    return _encode(branches, w.W_h, np.zeros((*rows, hidden)), np.zeros((*rows, 3 * hidden)))[0]
 
 
 def lstm_encode(
@@ -466,19 +404,10 @@ def lstm_encode(
 
     Gradients flow from the stacked states into `x` and the weights.  The
     final state is a view of the forward trace, so a caller that keeps it
-    should copy it.
-
-    A (B, T, in_dim) input holds B sequences; they run together off the
-    tape from (B, H) states, with one projection product over the stack,
-    and the result is (B, T, H) states and (B, H) final states.
+    should copy it.  A (B, T, in_dim) input runs B sequences together, off
+    the tape, from (B, H) states.
     """
-    hidden = w.hidden_dim
     rows = x.value.shape[:-2]
-    h = np.zeros((*rows, hidden)) if h0 is None else h0
-    c = np.zeros((*rows, hidden)) if c0 is None else c0
-    branches = [([(x, w.W_x)], w.U_h, w.b)]
-    if not rows:
-        return _encode(branches, None, h, c)
-    _check_off_tape(x, *vars(w).values())
-    states, h, c = _encode_rows(_project(branches, hidden), [w.U_h], None, h, c)
-    return constant(states), h, c
+    h = np.zeros((*rows, w.hidden_dim)) if h0 is None else h0
+    c = np.zeros((*rows, w.hidden_dim)) if c0 is None else c0
+    return _encode([([(x, w.W_x)], w.U_h, w.b)], None, h, c)

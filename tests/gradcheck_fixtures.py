@@ -16,7 +16,14 @@ import numpy as np
 
 import reference as ref
 from odnext.baselines import ODLSTM, ODLSTMConfig
-from odnext.data import Corpus, LocationRecord, Trip, build_interval_tables, build_vocab
+from odnext.data import (
+    Corpus,
+    LocationRecord,
+    Trip,
+    build_interval_tables,
+    build_vocab,
+    encoder_sequences,
+)
 from odnext.geo import GeoPoint
 from odnext.model import Model, ModelConfig, VARIANTS
 
@@ -68,7 +75,7 @@ def micro_loss(name):
     n = float(len(trips0) - 1)
     if name == "od-lstm":
         od = ODLSTM(ODLSTMConfig(dim=4, hdim=6, seed=model_seed), vocab.n_locations)
-        return od.params, lambda: ref.scale(od.user_loss(0, trips0), n)
+        return od.params, lambda: ref.scale(od._loss(0, encoder_sequences(trips0)), n)
     assert name in VARIANTS
     m = Model(ModelConfig(dim=4, hdim=6, seed=model_seed, variant=name), vocab, tables)
-    return m.params, lambda: ref.scale(m.user_loss(0, trips0), n)
+    return m.params, lambda: ref.scale(m._loss(0, m._batch(trips0)), n)

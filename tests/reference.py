@@ -244,9 +244,9 @@ def final_states(od, train) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def cold_history(model, trips) -> np.ndarray:
-    """`Model.predict_cold_history` with its own `Model._encode` of the
-    history: encode trips[:-1] once, decode every query under the causal
-    mask."""
+    """One history's `Model.predict_cold_cohort` rows with its own
+    `Model._encode` of the history: encode trips[:-1] once, decode every
+    query under the causal mask."""
     seqs = encoder_sequences(trips[:-1], model.config.utc_offset_hours, aligned=True)
     queries = np.array([t.origin_loc for t in trips[1:]], dtype=np.int64)
     mask = _causal_mask(len(queries)) if model.config.variant != "encoder-only" else None

@@ -10,7 +10,7 @@ import odnext.autograd as ag
 from odnext import baselines
 from helpers import random_corpus
 from odnext.baselines import FREQUENCY_KINDS, FrequencyRanker, ODLSTM, ODLSTMConfig
-from odnext.data import build_test_queries, chain_queries, chronological_split
+from odnext.data import build_test_queries, chain_queries, chronological_split, encoder_sequences
 from odnext.nn import ContractViolation
 from odnext.stlstm import lstm_encode
 
@@ -116,7 +116,7 @@ class TestODLSTM:
     def test_initial_loss_near_uniform(self, od_world):
         corpus, split = od_world
         m = ODLSTM(ODLSTMConfig(dim=5, hdim=6, seed=0), corpus.n_locations)
-        loss = m.user_loss(0, split.train.trips_by_user[0]).item()
+        loss = m._loss(0, encoder_sequences(split.train.trips_by_user[0])).item()
         assert loss == pytest.approx(np.log(corpus.n_locations), rel=0.2)
 
     @pytest.mark.parametrize(

@@ -1,9 +1,9 @@
 """Batched cold start against the per-prefix reference, for every variant.
 
-`Model.predict_cold_history` encodes a cold user's history once and
-decodes every query under the causal mask; `cold_start_eval` scores the
-whole cohort with one `Model.predict_cold_cohort` call, which encodes
-equal-length histories together.  The reference below is the per-query loop: one
+`Model.predict_cold_cohort` encodes each cold user's history once,
+equal-length histories together, and decodes every query under the
+causal mask; `cold_start_eval` scores the whole cohort with one such
+call.  The reference below is the per-query loop: one
 `predict_cold` over the full prefix for each trip, ranked with
 `rank_descending`.
 """
@@ -76,7 +76,7 @@ def reference_eval(model, top_ranking, cold):
 
 
 def assert_matches_reference(model, trips):
-    rows = model.predict_cold_history(trips)
+    rows = model.predict_cold_cohort([trips])[0]
     ref = reference_rows(model, trips)
     assert rows.shape == (len(trips) - 1, model.vocab.n_locations)
     np.testing.assert_allclose(rows, ref, rtol=0, atol=1e-12)
@@ -113,8 +113,6 @@ def test_one_trip_user_adds_no_query(model, world):
     assert alone[2] == len(trips) - 1
     with pytest.raises(ContractViolation):
         cold_start_eval(model, top, [trips[:1], []])
-    with pytest.raises(ColdStartError):
-        model.predict_cold_history(trips[:1])
 
 
 @pytest.mark.parametrize("field", ["origin_loc", "dest_loc"])
@@ -123,7 +121,7 @@ def test_out_of_range_location_raises(model, world, field):
     trips = list(next(t for t in cold if len(t) >= 3))
     trips[1] = dataclasses.replace(trips[1], **{field: model.vocab.n_locations})
     with pytest.raises(ContractViolation):
-        model.predict_cold_history(trips)
+        model.predict_cold_cohort([trips])
     with pytest.raises(ContractViolation):
         cold_start_eval(model, np.arange(model.vocab.n_locations), [trips])
 
@@ -145,7 +143,7 @@ def test_tape_stays_empty(model, world, monkeypatch):
     top = np.arange(model.vocab.n_locations)
     grads = {n: p.grad.copy() for n, p in model.params.items()}
     for path in (
-        lambda: model.predict_cold_history(trips),
+        lambda: model.predict_cold_cohort([trips]),
         lambda: model.predict_cold_cohort(cold + corpus.trips_by_user),
         lambda: cold_start_eval(model, top, cold),
         lambda: model.build_cache(corpus),

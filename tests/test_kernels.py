@@ -255,8 +255,8 @@ class TestTapeSize:
             build_interval_tables(corpus),
         )
         trips = corpus.trips_by_user[0]
-        short = tape_size(model.user_loss(0, trips[:5]))
-        long = tape_size(model.user_loss(0, trips))
+        short = tape_size(model._loss(0, model._batch(trips[:5])))
+        long = tape_size(model._loss(0, model._batch(trips)))
         assert short == long
         # the per-step tape held 772 tensors for a 21-trip stod-ppa user
         assert long <= 772 // 10

@@ -1,7 +1,11 @@
-"""Layout guard: the tape, layer and encoder modules hold only code the
-program runs.  Every public top-level function of `autograd.py`, `nn.py`
-and `stlstm.py` must be named somewhere in `src/`, `scripts/` or
-`perfbench/` outside its own module; a helper only tests call belongs in
+"""Layout guard: `src/odnext` holds only code the program runs.
+
+Every public top-level function of `autograd.py`, `nn.py` and
+`stlstm.py` must be named somewhere in `src/`, `scripts/` or `perfbench/`
+outside its own module, and every public method of a class in
+`src/odnext` outside its own `def`.  A name counts as an identifier, an
+attribute, an import or an identifier-like string constant (perfbench
+wraps methods by name).  A helper only tests call belongs in
 `tests/reference.py`.
 """
 
@@ -15,20 +19,33 @@ PACKAGE = ROOT / "src" / "odnext"
 GUARDED = ("autograd.py", "nn.py", "stlstm.py")
 
 
-def _names_used(path: Path) -> set[str]:
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _names_used(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Every name `tree` mentions, leaving out the subtree `skip`."""
     names = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                names.add(node.value)
+        stack.extend(ast.iter_child_nodes(node))
     return names
 
 
 def _public_functions(path: Path) -> list[str]:
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+    tree = _parse(path)
     return [
         node.name
         for node in tree.body
@@ -48,8 +65,25 @@ def test_public_functions_are_used_outside_their_module(module):
     own = PACKAGE / module
     files = _program_files()
     assert own in files
-    used = set().union(*(_names_used(p) for p in files if p != own))
+    used = set().union(*(_names_used(_parse(p)) for p in files if p != own))
     functions = _public_functions(own)
     assert functions, f"{module} defines no public function"
     unused = [name for name in functions if name not in used]
     assert not unused, f"{module}: only tests call {unused}; move them to tests/reference.py"
+
+
+def test_public_methods_are_used_outside_their_def():
+    files = _program_files()
+    trees = {p: _parse(p) for p in files}
+    unused = []
+    for own in sorted(PACKAGE.glob("*.py")):
+        elsewhere = set().union(*(_names_used(t) for p, t in trees.items() if p != own))
+        for cls in trees[own].body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                    continue
+                if fn.name not in elsewhere and fn.name not in _names_used(trees[own], fn):
+                    unused.append(f"{own.name}: {cls.name}.{fn.name}")
+    assert not unused, f"only tests call {unused}; move them to tests/reference.py"

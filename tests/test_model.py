@@ -123,7 +123,7 @@ class TestForward:
     def test_initial_loss_near_uniform(self, small_world, variant):
         corpus, vocab, _ = small_world
         m = make_model(small_world, variant=variant)
-        loss = m.user_loss(0, corpus.trips_by_user[0]).item()
+        loss = m._loss(0, m._batch(corpus.trips_by_user[0])).item()
         assert loss == pytest.approx(np.log(vocab.n_locations), rel=0.2)
 
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -135,12 +135,6 @@ class TestForward:
         assert probs.shape == (3, m.vocab.n_locations)
         assert (probs >= 0).all()
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
-
-    def test_user_loss_needs_two_trips(self, small_world):
-        corpus, _, _ = small_world
-        m = make_model(small_world)
-        with pytest.raises(ContractViolation):
-            m.user_loss(0, corpus.trips_by_user[0][:1])
 
 
 class TestAttention:

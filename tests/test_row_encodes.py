@@ -22,7 +22,13 @@ from odnext.data import Corpus, Trip, build_interval_tables, build_vocab
 from odnext.evaluation import cold_start_eval
 from odnext.model import ATTENTION_CONTEXTS, VARIANTS, Model, ModelConfig
 from odnext.nn import ContractViolation
-from odnext.stlstm import MAX_ROWS, STLSTMRows, equal_length_chunks, lstm_encode, st_lstm_encode
+from odnext.stlstm import (
+    MAX_ROWS,
+    STLSTMInput,
+    equal_length_chunks,
+    lstm_encode,
+    st_lstm_encode,
+)
 from reference import init_lstm, init_st_lstm
 
 N_LOCATIONS = 7
@@ -107,7 +113,7 @@ def test_cache_and_cold_start_match_one_encode_per_user(variant, corpus):
                 assert got.shape == (0, N_LOCATIONS)
                 continue
             np.testing.assert_array_equal(got, ref.cold_history(model, trips))
-            np.testing.assert_array_equal(got, model.predict_cold_history(trips))
+            np.testing.assert_array_equal(got, model.predict_cold_cohort([trips])[0])
         assert cold_start_eval(model, top, cohort) == reference_eval(model, top, cohort)
 
 
@@ -148,22 +154,29 @@ def test_row_encodes_refuse_the_tape():
     with pytest.raises(ContractViolation):
         lstm_encode(w, ag.constant(np.zeros((2, 3, 3))))
     stw = init_st_lstm(rng, 3, 4, 5)
-    seq = np.zeros((2, 3), dtype=np.int64)
-    rows = STLSTMRows(*(np.zeros((2, 3, 3)),) * 3, seq, np.zeros((5, 5)), np.zeros((5, 5)))
+    emb, dist = ag.constant(np.zeros((2, 3, 3))), ag.constant(np.zeros((2, 3, 5)))
+    rows = STLSTMInput(emb, emb, emb, dist, dist)
     with pytest.raises(ContractViolation):
         st_lstm_encode(stw, rows)
     with ag.no_grad():
         assert st_lstm_encode(stw, rows).shape == (2, 3, 4)
 
 
-@pytest.mark.parametrize("position", [0, MAX_ROWS + 1])
+# (member, trip) pairs; the last trip's destination is only a scored
+# target, which the model never encodes
+@pytest.mark.parametrize(
+    "position, trip",
+    [(0, 1), (MAX_ROWS + 1, 1), (0, -1), (MAX_ROWS + 1, -1)],
+    ids=["0", f"{MAX_ROWS + 1}", "0-last", f"{MAX_ROWS + 1}-last"],
+)
 @pytest.mark.parametrize("field", ["origin_loc", "dest_loc"])
-def test_out_of_range_location_in_any_member_raises(position, field):
+def test_out_of_range_location_in_any_member_raises(position, trip, field):
     corpus = history_corpus([3] * (MAX_ROWS + 2) + [2, 5], seed=1)
     model = noisy_model(corpus, "stod-ppa", "causal")
     cohort = [list(t) for t in corpus.trips_by_user]
-    cohort[position][1] = dataclasses.replace(cohort[position][1], **{field: N_LOCATIONS})
-    with pytest.raises(ContractViolation):
-        model.predict_cold_cohort(cohort)
+    cohort[position][trip] = dataclasses.replace(cohort[position][trip], **{field: N_LOCATIONS})
+    if (trip, field) != (-1, "dest_loc"):
+        with pytest.raises(ContractViolation):
+            model.predict_cold_cohort(cohort)
     with pytest.raises(ContractViolation):
         cold_start_eval(model, np.arange(N_LOCATIONS), cohort)
