@@ -20,7 +20,14 @@ from .data import (
     preprocess,
     save_corpus,
 )
-from .evaluation import EvalReport, ModelRanker, evaluate, rank_descending
+from .evaluation import (
+    EvalReport,
+    ModelRanker,
+    accuracy_at_k,
+    evaluate,
+    mean_average_precision,
+    rank_descending,
+)
 from .geo import GeoPoint, geohash_encode, haversine_km, timeslot_of
 from .model import EncodedCache, Model, ModelConfig, VARIANTS
 from .nn import ContractViolation
@@ -41,6 +48,7 @@ __all__ = [
     "Trip",
     "VARIANTS",
     "Vocab",
+    "accuracy_at_k",
     "build_interval_tables",
     "build_test_queries",
     "build_vocab",
@@ -49,6 +57,7 @@ __all__ = [
     "geohash_encode",
     "haversine_km",
     "load_corpus",
+    "mean_average_precision",
     "preprocess",
     "rank_descending",
     "save_corpus",

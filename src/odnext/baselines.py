@@ -143,4 +143,4 @@ class ODLSTM:
             states, _, _ = lstm_encode(self.lstm, self._inputs(oseq, dseq), h0, c0)
             logits = ag.matmul(states, self.params["out/W_loc"])
             probs = ag.softmax(logits, axis=1).value
-        return [np.argsort(-row, kind="stable") for row in probs]
+        return list(np.argsort(-probs, axis=1, kind="stable"))

@@ -29,31 +29,46 @@ METHODS = VARIANTS + ("od-lstm",) + FREQUENCY_KINDS
 
 
 def rank_descending(probs: np.ndarray) -> np.ndarray:
-    """Location indices by descending probability; ties by ascending index."""
-    return np.argsort(-probs, kind="stable")
+    """Location indices by descending probability along the last axis, so
+    one call ranks every row of a (Q, |L|) array; ties by ascending index."""
+    return np.argsort(-probs, axis=-1, kind="stable")
 
 
-def _check_scorable(rankings: Sequence[np.ndarray], targets: Sequence[int]) -> None:
+def target_ranks(rankings: Sequence[np.ndarray], targets: Sequence[int]) -> np.ndarray:
+    """0-based position of each query's target in its ranking, found once
+    for every metric.  A ranking without its target is a contract breach."""
     if len(rankings) != len(targets):
         raise ContractViolation("rankings and targets differ in length")
     if not rankings:
         raise ContractViolation("cannot score an empty query set")
+    ranks = np.empty(len(rankings), dtype=np.int64)
+    for i, (r, t) in enumerate(zip(rankings, targets)):
+        hit = r == t
+        pos = int(hit.argmax()) if hit.size else -1  # the first hit
+        if pos < 0 or not hit[pos]:
+            raise ContractViolation(f"query {i}: target {t} is not in its ranking")
+        ranks[i] = pos
+    return ranks
+
+
+def _accuracy(ranks: np.ndarray, k: int) -> float:
+    return int(np.count_nonzero(ranks < k)) / len(ranks)
+
+
+def _mean_reciprocal(ranks: np.ndarray) -> float:
+    total = 0.0
+    for pos in ranks.tolist():  # summed in query order
+        total += 1.0 / (pos + 1)
+    return total / len(ranks)
 
 
 def accuracy_at_k(rankings: Sequence[np.ndarray], targets: Sequence[int], k: int) -> float:
-    _check_scorable(rankings, targets)
-    hits = sum(int(t in r[:k]) for r, t in zip(rankings, targets))
-    return hits / len(rankings)
+    return _accuracy(target_ranks(rankings, targets), k)
 
 
 def mean_average_precision(rankings: Sequence[np.ndarray], targets: Sequence[int]) -> float:
     """MAP with a single relevant item per query: the mean of 1/rank."""
-    _check_scorable(rankings, targets)
-    total = 0.0
-    for r, t in zip(rankings, targets):
-        pos = int(np.nonzero(r == t)[0][0])
-        total += 1.0 / (pos + 1)
-    return total / len(rankings)
+    return _mean_reciprocal(target_ranks(rankings, targets))
 
 
 @dataclass
@@ -86,7 +101,7 @@ class ModelRanker:
         origins = [q.origin for q in queries]
         dprevs = [q.prev_dest for q in queries]
         probs = self.model.predict_batch(self.cache, user, origins, dprevs)
-        return [rank_descending(row) for row in probs]
+        return list(rank_descending(probs))
 
 
 def evaluate(ranker: Ranker, queries_per_user: list[list[TrainingExample]]) -> EvalReport:
@@ -103,12 +118,13 @@ def evaluate(ranker: Ranker, queries_per_user: list[list[TrainingExample]]) -> E
         targets.extend(q.target for q in queries)
     if not rankings:
         raise ContractViolation("no scorable queries")
+    ranks = target_ranks(rankings, targets)
     return EvalReport(
-        acc1=accuracy_at_k(rankings, targets, 1),
-        acc5=accuracy_at_k(rankings, targets, 5),
-        acc10=accuracy_at_k(rankings, targets, 10),
-        map=mean_average_precision(rankings, targets),
-        n_queries=len(rankings),
+        acc1=_accuracy(ranks, 1),
+        acc5=_accuracy(ranks, 5),
+        acc10=_accuracy(ranks, 10),
+        map=_mean_reciprocal(ranks),
+        n_queries=len(ranks),
     )
 
 

@@ -88,7 +88,7 @@ class ModelConfig(TrainConfig):
     variant: str = "stod-ppa"
     attention_context: str = "all"  # "causal" restricts training attention
     geohash_precision: int = 5
-    utc_offset_hours: int = 0
+    utc_offset_hours: int = 0  # in [-12, 14], the range of civil time zones
     leaky_slope: float = 0.01
 
     def __post_init__(self):
@@ -101,6 +101,8 @@ class ModelConfig(TrainConfig):
             )
         if not 1 <= self.geohash_precision <= 12:
             raise ContractViolation("geohash_precision outside [1, 12]")
+        if not -12 <= self.utc_offset_hours <= 14:
+            raise ContractViolation("utc_offset_hours outside [-12, 14]")
         if not (math.isfinite(self.leaky_slope) and self.leaky_slope >= 0):
             raise ContractViolation("leaky_slope must be non-negative and finite")
 
@@ -129,6 +131,24 @@ class EncodedCache:
     n_train: np.ndarray
 
 
+def _leaky_relu(pre: np.ndarray, slope: float) -> np.ndarray:
+    """leaky_relu(pre) in a new array, as an elementwise max (min for a
+    slope above 1): bit for bit `pre * slope` with `pre` copied in where
+    `pre >= 0`, signed zeros included, without a masked pass."""
+    out = pre * slope
+    return (np.maximum if slope <= 1 else np.minimum)(out, pre, out=out)
+
+
+def _leaky_relu_slope(positive: np.ndarray, slope: float, out: np.ndarray) -> np.ndarray:
+    """The leaky ReLU's derivative, written into `out`: (1 - positive) *
+    slope + positive, which is exactly 1.0 where `positive` and `slope`
+    elsewhere, without a masked pass or an index array."""
+    np.subtract(1.0, positive, out=out)
+    out *= slope
+    out += positive
+    return out
+
+
 def attend(
     queries: Tensor, states: Tensor, w_a: Tensor, mask: np.ndarray | None, slope: float
 ) -> tuple[Tensor, Tensor]:
@@ -146,9 +166,8 @@ def attend(
     n_q = q.shape[1]
     w_q, w_s = w[:n_q], w[n_q:]
     pre = (q @ w_q)[:, None, :] + (s @ w_s)[None, :, :]
-    positive = pre >= 0
-    alpha = pre * slope  # becomes the scores, then alpha, in place
-    np.copyto(alpha, pre, where=positive)
+    positive = pre >= 0  # for the backward
+    alpha = _leaky_relu(pre, slope)  # the scores, then alpha, in place
     if mask is not None:
         alpha += mask
     alpha -= alpha.max(axis=1, keepdims=True)
@@ -160,15 +179,19 @@ def attend(
 
     def backward(g):
         d_pre = g[:, None, :] * s[None]  # d alpha, then d scores, then d pre
-        d_pre -= (d_pre * alpha).sum(axis=1, keepdims=True)
+        # scratch then takes the slope factor and g * alpha, so the backward
+        # holds two (E, S, sd) arrays besides alpha
+        scratch = d_pre * alpha
+        d_pre -= scratch.sum(axis=1, keepdims=True)
         d_pre *= alpha
-        np.multiply(d_pre, slope, out=d_pre, where=~positive)
+        d_pre *= _leaky_relu_slope(positive, slope, out=scratch)
         d_q_proj = d_pre.sum(axis=1)
         d_s_proj = d_pre.sum(axis=0)
         if ag.needs_grad(queries):
             queries.accumulate(d_q_proj @ w_q.T)
         if ag.needs_grad(states):
-            states.accumulate((g[:, None, :] * alpha).sum(axis=0) + d_s_proj @ w_s.T)
+            g_alpha = np.multiply(g[:, None, :], alpha, out=scratch)
+            states.accumulate(g_alpha.sum(axis=0) + d_s_proj @ w_s.T)
         if ag.needs_grad(w_a):
             w_a.accumulate(np.concatenate([q.T @ d_q_proj, s.T @ d_s_proj]))
 

@@ -109,9 +109,11 @@ class TrainConfig:
     hdim: int = 256  # encoder hidden size
     lr: float = 1e-4
     epochs: int = 15
-    seed: int = 0
+    seed: int = 0  # >= 0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ContractViolation("seed must be non-negative")
         if self.dim < 1 or self.hdim < 1:
             raise ContractViolation("dim and hdim must be positive")
         if not (math.isfinite(self.lr) and self.lr > 0):

@@ -45,7 +45,7 @@ class SynthConfig:
     n_clusters: int = 6
     trips_per_user: int = 30
     p_noise: float = 0.1
-    seed: int = 0
+    seed: int = 0  # >= 0
     n_cold_users: int = 0
     cold_trips_min: int = 3
     cold_trips_max: int = 9
@@ -56,6 +56,8 @@ class SynthConfig:
     p_next: float = 0.3  # ... or move to the cyclically next cluster
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ContractViolation("seed must be non-negative")
         for name in ("p_noise", "day_half_adherence", "p_stay", "p_next"):
             if not math.isfinite(getattr(self, name)):
                 raise ContractViolation(f"{name} must be finite")

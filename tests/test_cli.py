@@ -816,6 +816,35 @@ class TestExitCodes:
         assert captured.err == f"error: --top must be at least 1, got {top}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [("synth", "seed", -1), ("train", "seed", -1), ("train", "utc_offset_hours", 10**20)],
+    )
+    def test_out_of_range_config_value_is_1_and_names_the_key(
+        self, pipeline, tmp_path, command, key, value
+    ):
+        cfg = tmp_path / "cfg.json"
+        base = SYNTH_CFG if command == "synth" else TRAIN_CFG
+        cfg.write_text(json.dumps({**base, key: value}))  # 10**20 stays a JSON integer
+        outputs = {
+            "synth": ["--out-trips", str(tmp_path / "t.csv"), "--out-locations", str(tmp_path / "l.csv")],
+            "train": [
+                "--trips", str(pipeline["p_trips"]),
+                "--locations", str(pipeline["p_locs"]),
+                "--out", str(tmp_path / "m.ckpt"),
+            ],
+        }[command]
+        proc = subprocess.run(
+            [sys.executable, "-m", "odnext", command, "--config", str(cfg), *outputs],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        last = proc.stderr.strip().splitlines()[-1]
+        assert last.startswith("error:") and key in last, last
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_unknown_predict_user_is_1(self, pipeline, capsys):
         rc = main(
             [

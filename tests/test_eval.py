@@ -22,6 +22,7 @@ from odnext.evaluation import (
     rank_descending,
     remap_user_trips,
     sensitivity_sweep,
+    target_ranks,
 )
 from odnext.model import VARIANTS, Model, ModelConfig
 from odnext.nn import ContractViolation
@@ -61,6 +62,17 @@ class TestRanking:
         assert sorted(r.tolist()) == list(range(20))
         assert all(probs[r[i]] >= probs[r[i + 1]] for i in range(19))
 
+    @given(st.integers(min_value=0, max_value=10**9))
+    def test_model_ranker_ranks_each_row_as_rank_descending(self, seed):
+        # probabilities on a coarse grid, so most rows hold ties
+        rng = np.random.default_rng(seed)
+        probs = rng.integers(0, 4, size=(int(rng.integers(1, 7)), 9)) / 4.0
+        ranker = ModelRanker(_FixedProbs(probs), cache=None)
+        rows = ranker.rank_user(0, [_q(0)] * len(probs))
+        assert len(rows) == len(probs)
+        for got, p in zip(rows, probs):
+            np.testing.assert_array_equal(got, rank_descending(p))
+
 
 class TestMetrics:
     def test_matches_brute_force_on_random_cases(self):
@@ -82,6 +94,25 @@ class TestMetrics:
         assert accuracy_at_k([np.array([2, 0, 1])], [2], 1) == 1.0
         assert accuracy_at_k([np.array([2, 0, 1])], [0], 1) == 0.0
 
+    def test_target_ranks_are_first_positions(self):
+        for rankings, targets in random_cases(8):
+            want = [list(r).index(t) for r, t in zip(rankings, targets)]
+            assert target_ranks(rankings, targets).tolist() == want
+
+    def test_ranking_without_its_target_raises_and_names_the_query(self):
+        rankings = [np.array([2, 0, 1]), np.array([0, 1]), np.array([], dtype=np.int64)]
+        for scorer in (
+            lambda r, t: target_ranks(r, t),
+            lambda r, t: accuracy_at_k(r, t, 1),
+            lambda r, t: mean_average_precision(r, t),
+        ):
+            with pytest.raises(ContractViolation, match="query 1: target 2 "):
+                scorer(rankings[:2], [1, 2])
+            with pytest.raises(ContractViolation, match="query 2: target 0 "):
+                scorer(rankings, [1, 0, 0])
+        with pytest.raises(ContractViolation, match="query 1"):
+            evaluate(_FixedRanker([[np.array([0, 1]), np.array([1, 0])]]), [[_q(0), _q(5)]])
+
     def test_rejects_empty_and_mismatched(self):
         with pytest.raises(ContractViolation):
             accuracy_at_k([], [], 1)
@@ -97,6 +128,16 @@ class _FixedRanker:
 
     def rank_user(self, user, queries):
         return self.rows[user]
+
+
+class _FixedProbs:
+    """Stands in for a Model: every predict_batch returns the same rows."""
+
+    def __init__(self, probs):
+        self.probs = probs
+
+    def predict_batch(self, cache, user, origins, dprevs):
+        return self.probs
 
 
 def _q(target):

@@ -11,11 +11,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import odnext.autograd as ag
 import reference as ref
 from odnext.data import build_interval_tables, build_vocab
-from odnext.model import VARIANTS, Model, ModelConfig, _causal_mask, attend
+from odnext.model import (
+    VARIANTS,
+    Model,
+    ModelConfig,
+    _causal_mask,
+    _leaky_relu,
+    _leaky_relu_slope,
+    attend,
+)
 from odnext.stlstm import STLSTMInput, _regroup, _ungroup, lstm_encode, st_lstm_encode
 from odnext.synth import SynthConfig, generate
 from reference import init_lstm, init_st_lstm, lstm_step, st_lstm_step
@@ -141,6 +150,31 @@ def reference_attend(queries, states, w_a, mask, slope):
     return summary, alpha
 
 
+def masked_attend(q, s, w, mask, slope):
+    """(summary, alpha) of `attend` on plain arrays, with the leaky ReLU
+    as the masked copy the elementwise max replaced."""
+    pre = (q @ w[: q.shape[1]])[:, None, :] + (s @ w[q.shape[1] :])[None, :, :]
+    alpha = pre * slope
+    np.copyto(alpha, pre, where=pre >= 0)
+    if mask is not None:
+        alpha += mask
+    alpha -= alpha.max(axis=1, keepdims=True)
+    np.exp(alpha, out=alpha)
+    alpha /= alpha.sum(axis=1, keepdims=True)
+    return (alpha * s[None]).sum(axis=1), alpha
+
+
+SLOPES = (0.0, 0.01, 0.5, 1.0, 2.0, 10.0)
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1.7e308, -1.7e308)
+finite_floats = st.one_of(
+    st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
 class TestGateRegrouping:
     """The kernel joins the branches' packed gate columns by gate, so the
     sigmoid blocks come first and the i/f blocks line up with the stacked
@@ -220,6 +254,52 @@ class TestAttentionKernel:
             finally:
                 tracemalloc.stop()
         assert peak <= 2.5 * n_ex * n_states * sd * 8
+
+
+class TestMaskFreeLeakyRelu:
+    """The leaky ReLU runs as an elementwise max or min and its backward as
+    one product by an exact factor; both have the bits of the masked forms
+    they replaced."""
+
+    @given(
+        st.lists(st.tuples(finite_floats, finite_floats), min_size=1, max_size=40),
+        st.sampled_from(SLOPES),
+    )
+    def test_matches_the_masked_forms_bit_for_bit(self, pairs, slope):
+        pre, d = (np.array(col) for col in zip(*pairs))
+        positive = pre >= 0
+        with np.errstate(over="ignore"):
+            want = pre * slope
+            np.copyto(want, pre, where=positive)
+            got = _leaky_relu(pre, slope)
+            want_d = d.copy()
+            np.multiply(want_d, slope, out=want_d, where=~positive)
+            got_d = d * _leaky_relu_slope(positive, slope, out=np.empty_like(d))
+        np.testing.assert_array_equal(_bits(got), _bits(want))  # signed zeros too
+        np.testing.assert_array_equal(_bits(got_d), _bits(want_d))
+
+    @given(
+        st.lists(st.sampled_from([1.0, -1.0, 2.0, 0.0]), min_size=3, max_size=3),
+        st.lists(
+            st.sampled_from([np.inf, -np.inf, np.nan, 0.5, -0.25]), min_size=4, max_size=4
+        ),
+        st.sampled_from(SLOPES),
+        st.booleans(),
+    )
+    def test_non_finite_scores_give_nan_in_the_same_places(self, q_col, w_row, slope, masked):
+        # q_proj[e, j] = q_col[e] * w_row[j] exactly, so pre holds +-inf and
+        # NaN; slope 0 at pre = +inf is NaN here and inf in the masked copy,
+        # and both are NaN after the softmax
+        rng = np.random.default_rng(16)
+        q = np.array(q_col)[:, None]
+        s = rng.normal(size=(6, 4))
+        w = np.concatenate([np.array(w_row)[None], rng.normal(size=(4, 4))])
+        mask = _causal_mask(3) if masked else None
+        with np.errstate(invalid="ignore", over="ignore"):
+            summary, alpha = attend(ag.constant(q), ag.constant(s), ag.constant(w), mask, slope)
+            want_summary, want_alpha = masked_attend(q, s, w, mask, slope)
+        np.testing.assert_array_equal(np.isnan(alpha.value), np.isnan(want_alpha))
+        np.testing.assert_array_equal(np.isnan(summary.value), np.isnan(want_summary))
 
 
 class TestCrossEntropyKernel:

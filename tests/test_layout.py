@@ -2,10 +2,10 @@
 
 Every public top-level function of `autograd.py`, `nn.py` and
 `stlstm.py` must be named somewhere in `src/`, `scripts/` or `perfbench/`
-outside its own module, and every public method of a class in
-`src/odnext` outside its own `def`.  A name counts as an identifier, an
-attribute, an import or an identifier-like string constant (perfbench
-wraps methods by name).  A helper only tests call belongs in
+outside its own module, and every public top-level function and every
+public method of a class in `src/odnext` outside its own `def`.  A name
+counts as an identifier, an attribute, an import or an identifier-like
+string constant (perfbench wraps methods by name).  A helper only tests call belongs in
 `tests/reference.py`.
 """
 
@@ -44,13 +44,16 @@ def _names_used(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
     return names
 
 
-def _public_functions(path: Path) -> list[str]:
-    tree = _parse(path)
+def _public_defs(body: list[ast.stmt]) -> list[ast.FunctionDef]:
     return [
-        node.name
-        for node in tree.body
+        node
+        for node in body
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
     ]
+
+
+def _public_functions(path: Path) -> list[str]:
+    return [fn.name for fn in _public_defs(_parse(path).body)]
 
 
 def _program_files() -> list[Path]:
@@ -72,18 +75,35 @@ def test_public_functions_are_used_outside_their_module(module):
     assert not unused, f"{module}: only tests call {unused}; move them to tests/reference.py"
 
 
-def test_public_methods_are_used_outside_their_def():
+def _module_scope(tree: ast.Module) -> list[tuple[str, list[ast.stmt]]]:
+    return [("", tree.body)]
+
+
+def _class_scopes(tree: ast.Module) -> list[tuple[str, list[ast.stmt]]]:
+    return [(f"{c.name}.", c.body) for c in tree.body if isinstance(c, ast.ClassDef)]
+
+
+def _unused_defs(scopes) -> list[str]:
+    """Public functions defined directly in the `scopes(tree)` bodies of
+    each `src/odnext` module that the program names nowhere outside their
+    own `def`."""
     files = _program_files()
     trees = {p: _parse(p) for p in files}
     unused = []
     for own in sorted(PACKAGE.glob("*.py")):
         elsewhere = set().union(*(_names_used(t) for p, t in trees.items() if p != own))
-        for cls in trees[own].body:
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            for fn in cls.body:
-                if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
-                    continue
+        for prefix, body in scopes(trees[own]):
+            for fn in _public_defs(body):
                 if fn.name not in elsewhere and fn.name not in _names_used(trees[own], fn):
-                    unused.append(f"{own.name}: {cls.name}.{fn.name}")
+                    unused.append(f"{own.name}: {prefix}{fn.name}")
+    return unused
+
+
+def test_public_functions_of_every_module_are_used_outside_their_def():
+    unused = _unused_defs(_module_scope)
+    assert not unused, f"only tests call {unused}; move them to tests/reference.py"
+
+
+def test_public_methods_are_used_outside_their_def():
+    unused = _unused_defs(_class_scopes)
     assert not unused, f"only tests call {unused}; move them to tests/reference.py"

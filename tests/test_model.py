@@ -64,11 +64,18 @@ class TestConfig:
             {"lr": float("inf")},
             {"leaky_slope": float("nan")},
             {"leaky_slope": float("inf")},
+            {"seed": -1},
+            {"utc_offset_hours": -13},
+            {"utc_offset_hours": 15},
         ],
     )
     def test_rejects_bad_numbers(self, kw):
         with pytest.raises(ContractViolation):
             ModelConfig(**kw)
+
+    @pytest.mark.parametrize("hours", [-12, 14])
+    def test_accepts_the_utc_offset_bounds(self, hours):
+        assert ModelConfig(utc_offset_hours=hours).utc_offset_hours == hours
 
     def test_as_dict_round_trips(self):
         cfg = ModelConfig(dim=4, hdim=6, variant="od-ppa")

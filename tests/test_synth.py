@@ -32,6 +32,8 @@ class TestConfig:
             SynthConfig(day_half_adherence=0.3)
         with pytest.raises(ContractViolation):
             SynthConfig(n_cold_users=5, cold_trips_min=4, cold_trips_max=3)
+        with pytest.raises(ContractViolation, match="seed"):
+            SynthConfig(seed=-1)
         for name in ("p_noise", "day_half_adherence", "p_stay", "p_next"):
             for value in (float("nan"), float("inf"), float("-inf")):
                 with pytest.raises(ContractViolation):
