@@ -2,9 +2,10 @@
 
 Subcommands cover the whole pipeline: corpus filtering, training,
 evaluation, single-query prediction, ablation comparison, synthetic
-corpus generation, and hyperparameter sweeps.  Reports are key=value
-lines on stdout; every report includes a sha256 over the effective
-configuration so runs can be matched to their settings.
+corpus generation, hyperparameter sweeps, and the multi-seed study on
+the synthetic corpus.  Reports are key=value lines on stdout; every
+report includes a sha256 over the effective configuration so runs can
+be matched to their settings.
 
 Exit codes: 0 success, 1 contract violation (bad configuration or
 arguments), 2 unreadable or malformed input files.
@@ -17,6 +18,7 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass, replace
+from statistics import fmean
 from typing import get_type_hints
 
 from .baselines import FREQUENCY_KINDS
@@ -35,6 +37,8 @@ from .data import (
 )
 from .evaluation import (
     METHODS,
+    STUDY_MODEL,
+    STUDY_SYNTH,
     EvalReport,
     ModelRanker,
     evaluate,
@@ -43,6 +47,7 @@ from .evaluation import (
     prepare_split,
     rank_descending,
     sensitivity_sweep,
+    study_seed,
 )
 from .model import ModelConfig
 from .nn import ContractViolation
@@ -55,6 +60,9 @@ _FIELD_TYPES = {
     float: ((int, float), "a number"),
     str: ((str,), "a string"),
 }
+
+# every method `odnext study` trains and scores; cold start needs stod-ppa and top
+STUDY_METHODS = ("stod-ppa", "od-ppa", "od-lstm", "u-top", "top", "taxi")
 
 
 @dataclass(frozen=True)
@@ -117,6 +125,14 @@ def parse_overrides(base, d: dict):
     return replace(base, **fields)
 
 
+def parse_seeds(text: str) -> list[int]:
+    """The comma list of integers a `--seeds` flag holds."""
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise ContractViolation(f"--seeds takes a comma list of integers, not {text!r}") from None
+
+
 def _emit(lines: list[str], report_path: str | None) -> None:
     text = "\n".join(lines)
     print(text)
@@ -130,6 +146,11 @@ def _report_lines(report: EvalReport, prefix: str = "") -> list[str]:
         f"{prefix}{key}={value:.6f}" if isinstance(value, float) else f"{prefix}{key}={value}"
         for key, value in report.as_dict().items()
     ]
+
+
+def _mean_lines(method: str, reports: list[EvalReport]) -> list[str]:
+    """The mean acc@1/5/10 and MAP of `method` over runs, one line each."""
+    return [f"{method}.{key}={value:.6f}" for key, value in mean_reports(reports).items()]
 
 
 # -- subcommands ----------------------------------------------------------
@@ -285,7 +306,7 @@ def cmd_ablate(args) -> int:
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     if not variants:
         raise ContractViolation("no variants given")
-    seeds = [int(s) for s in args.seeds.split(",")]
+    seeds = parse_seeds(args.seeds)
     for v in variants:
         if v not in METHODS:
             raise ContractViolation(f"unknown ablation target {v!r}")
@@ -295,12 +316,46 @@ def cmd_ablate(args) -> int:
     lines = [f"config_sha256={config_sha256(cfg.as_dict())}"]
     for v in variants:
         runs = seeds[:1] if v in FREQUENCY_KINDS else seeds  # counting needs no seed
-        mean = mean_reports([
+        lines += _mean_lines(v, [
             evaluate(fit_ranker(v, replace(cfg.model, seed=s), split, vocab, tables), queries)
             for s in runs
         ])
-        for key in ("acc1", "acc5", "acc10", "map"):
-            lines.append(f"{v}.{key}={mean[key]:.6f}")
+    _emit(lines, args.report)
+    return 0
+
+
+def _study_profile(base, path: str | None):
+    """`base` with the overrides of the JSON file at `path`, if any."""
+    if path is None:
+        return base
+    d = load_json(path)
+    if "seed" in d:
+        raise ContractViolation(f"{path}: the seed comes from --seeds")
+    return parse_overrides(base, d)
+
+
+def cmd_study(args) -> int:
+    seeds = parse_seeds(args.seeds)
+    synth_cfg = _study_profile(STUDY_SYNTH, args.synth)
+    model_cfg = _study_profile(STUDY_MODEL, args.train)
+    studies = [
+        study_seed(replace(synth_cfg, seed=s), replace(model_cfg, seed=s), STUDY_METHODS)
+        for s in seeds
+    ]
+    profile = {"seeds": seeds, "synth": synth_cfg.as_dict(), "model": model_cfg.as_dict()}
+    lines = [f"config_sha256={config_sha256(profile)}"]
+    for s, study in zip(seeds, studies):
+        lines += [f"seed{s}.{m}.acc1={r.acc1:.6f}" for m, r in study.reports.items()]
+    for m in STUDY_METHODS:
+        lines += _mean_lines(m, [study.reports[m] for study in studies])
+    lines.append(f"oracle_accuracy={fmean(study.oracle_accuracy for study in studies):.6f}")
+    cold = [study.cold for study in studies if study.cold]
+    if cold:
+        lines += [
+            f"cold.n_queries={sum(n for _, _, n in cold)}",
+            f"cold.model_acc1={fmean(acc for acc, _, _ in cold):.6f}",
+            f"cold.top_acc1={fmean(acc for _, acc, _ in cold):.6f}",
+        ]
     _emit(lines, args.report)
     return 0
 
@@ -336,50 +391,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("preprocess", help="drop sparse users and locations")
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--report", help="also write the report to this file")
+        p.set_defaults(func=func)
+        return p
+
+    p = command("preprocess", cmd_preprocess, "drop sparse users and locations")
     p.add_argument("--trips", required=True)
     p.add_argument("--locations", required=True)
     p.add_argument("--out-trips", required=True)
     p.add_argument("--out-locations", required=True)
     p.add_argument("--min-trips", type=int, default=10)
     p.add_argument("--min-users", type=int, default=10)
-    p.add_argument("--report")
-    p.set_defaults(func=cmd_preprocess)
 
-    p = sub.add_parser("train", help="train a model and save a checkpoint")
+    p = command("train", cmd_train, "train a model and save a checkpoint")
     p.add_argument("--config", required=True, help="JSON hyperparameter file")
     p.add_argument("--trips", required=True)
     p.add_argument("--locations", required=True)
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--out-test", help="write the held-out test trips here")
-    p.add_argument("--report")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="score a checkpoint on held-out trips")
+    p = command("eval", cmd_eval, "score a checkpoint on held-out trips")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--test", required=True, help="test trip CSV")
-    p.add_argument("--report")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("predict", help="rank destinations for one query")
+    p = command("predict", cmd_predict, "rank destinations for one query")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--user", required=True)
     p.add_argument("--origin", required=True)
     p.add_argument("--prev-dest", required=True)
     p.add_argument("--top", type=int, default=10)
     p.add_argument("--explain", action="store_true", help="print attention weights")
-    p.add_argument("--report")
-    p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("synth", help="generate a synthetic corpus")
+    p = command("synth", cmd_synth, "generate a synthetic corpus")
     p.add_argument("--config", required=True)
     p.add_argument("--out-trips", required=True)
     p.add_argument("--out-locations", required=True)
     p.add_argument("--manifest", help="write the planted-rule manifest here")
-    p.add_argument("--report")
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("ablate", help="compare variants and baselines")
+    p = command("ablate", cmd_ablate, "compare variants and baselines")
     p.add_argument("--config", required=True)
     p.add_argument("--trips", required=True)
     p.add_argument("--locations", required=True)
@@ -389,17 +440,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma list of model variants / baselines",
     )
     p.add_argument("--seeds", default="0", help="comma list of training seeds")
-    p.add_argument("--report")
-    p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("sweep", help="vary one hyperparameter and re-train")
+    p = command("sweep", cmd_sweep, "vary one hyperparameter and re-train")
     p.add_argument("--config", required=True)
     p.add_argument("--trips", required=True)
     p.add_argument("--locations", required=True)
     p.add_argument("--param", required=True)
     p.add_argument("--values", required=True, help="comma list of values")
-    p.add_argument("--report")
-    p.set_defaults(func=cmd_sweep)
+
+    p = command("study", cmd_study, "multi-seed study on the synthetic corpus")
+    p.add_argument("--seeds", default="0,1,2", help="comma list of corpus and model seeds")
+    p.add_argument("--synth", help="JSON file of SynthConfig fields to override")
+    p.add_argument("--train", help="JSON file of ModelConfig fields to override")
 
     return parser
 
@@ -421,6 +473,9 @@ def guarded(func, *args) -> int:
         return 2
     except ValueError as e:  # ContractViolation among them
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:  # a configuration too large to allocate
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return 1
 
 

@@ -56,19 +56,11 @@ def _accuracy(ranks: np.ndarray, k: int) -> float:
 
 
 def _mean_reciprocal(ranks: np.ndarray) -> float:
+    """MAP with a single relevant item per query: the mean of 1/rank."""
     total = 0.0
     for pos in ranks.tolist():  # summed in query order
         total += 1.0 / (pos + 1)
     return total / len(ranks)
-
-
-def accuracy_at_k(rankings: Sequence[np.ndarray], targets: Sequence[int], k: int) -> float:
-    return _accuracy(target_ranks(rankings, targets), k)
-
-
-def mean_average_precision(rankings: Sequence[np.ndarray], targets: Sequence[int]) -> float:
-    """MAP with a single relevant item per query: the mean of 1/rank."""
-    return _mean_reciprocal(target_ranks(rankings, targets))
 
 
 @dataclass
@@ -222,7 +214,7 @@ def fit_ranker(
 
 
 # The synthetic study's profile, shared by the acceptance criteria and
-# `scripts/run_synth_benchmark.py`; a study seed replaces both `seed`s.
+# `odnext study`; a study seed replaces both `seed`s.
 STUDY_SYNTH = SynthConfig(
     n_users=200,
     n_locations=60,
@@ -244,15 +236,16 @@ class Study:
     corpus: Corpus  # the main users, without the cold block
     split: SplitResult
     queries: list[list[TrainingExample]]
-    cold_trips: list[list[Trip]]
     rankers: dict[str, Ranker]
     reports: dict[str, EvalReport]
     oracle_accuracy: float
+    cold: tuple[float, float, int] | None  # `cold_start_eval`; None without cold queries
 
 
 def study_seed(synth_cfg: SynthConfig, model_cfg: ModelConfig, methods: Sequence[str]) -> Study:
     """Generate the synthetic corpus, hold out its cold users, split 70/30,
-    then train and score every method on the same test queries."""
+    then train and score every method on the same test queries, and score
+    the cold users with stod-ppa against top (`methods` names both)."""
     full, manifest = generate(synth_cfg)
     n = synth_cfg.n_users
     corpus = Corpus(full.locations, full.users[:n], full.trips_by_user[:n])
@@ -260,10 +253,11 @@ def study_seed(synth_cfg: SynthConfig, model_cfg: ModelConfig, methods: Sequence
     queries = build_test_queries(split)
     rankers = {m: fit_ranker(m, model_cfg, split, vocab, tables) for m in methods}
     reports = {m: evaluate(r, queries) for m, r in rankers.items()}
-    return Study(
-        corpus, split, queries, full.trips_by_user[n:], rankers, reports,
-        manifest["oracle_accuracy"],
-    )
+    cold_trips = full.trips_by_user[n:]
+    cold = None
+    if any(len(trips) > 1 for trips in cold_trips):  # a user's first trip is no query
+        cold = cold_start_eval(rankers["stod-ppa"].model, rankers["top"].ranking(), cold_trips)
+    return Study(corpus, split, queries, rankers, reports, manifest["oracle_accuracy"], cold)
 
 
 SWEEPABLE_FIELDS = ("dim", "hdim", "lr", "epochs")

@@ -110,15 +110,8 @@ def geohash_bounds(code: str) -> tuple[float, float, float, float]:
     return lat_lo, lat_hi, lon_lo, lon_hi
 
 
-def timeslot_of(ts: float, utc_offset_hours: int = 0) -> int:
-    """Three-hour slot index in [0, 8) for an epoch-seconds timestamp."""
-    if not math.isfinite(ts):
-        raise ValueError(f"non-finite timestamp {ts}")
-    hour = int(math.floor(ts / 3600.0) + utc_offset_hours) % 24
-    return hour // TIMESLOT_HOURS
-
-
 def timeslots(ts: np.ndarray, utc_offset_hours: int = 0) -> np.ndarray:
-    """`timeslot_of` over an array of integer epoch-seconds timestamps."""
+    """Three-hour slot indices in [0, 8) of integer epoch-seconds timestamps;
+    hours are floored, so a pre-1970 stamp falls in the hour it lies in."""
     hours = np.floor_divide(np.asarray(ts, dtype=np.int64), 3600) + utc_offset_hours
     return hours % 24 // TIMESLOT_HOURS

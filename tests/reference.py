@@ -1,15 +1,18 @@
 """Reference code the program does not run: per-op autograd functions,
 step-by-step recurrent cells, one-sequence-at-a-time versions of the
-row-axis encodes, and a finite-difference gradient checker.
+row-axis encodes, a finite-difference gradient checker, and the scalar
+time slot of one timestamp.
 
 The fused kernels of `odnext` (the encoders, the attention node, the mean
-cross-entropy) are tested against compositions of these functions, and
-every gradient against `grad_check`.  The ops tape through the same
-`Tensor` as the kernels, so one graph may mix both.
+cross-entropy) are tested against compositions of these functions, every
+gradient against `grad_check`, and `geo.timeslots` against `timeslot_of`.
+The ops tape through the same `Tensor` as the kernels, so one graph may
+mix both.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -17,6 +20,7 @@ import numpy as np
 import odnext.autograd as ag
 from odnext.autograd import Tensor, _as_tensor, _track, _unbroadcast, add, concat, matmul
 from odnext.data import encoder_sequences
+from odnext.geo import TIMESLOT_HOURS
 from odnext.model import _causal_mask
 from odnext.nn import draw_params
 from odnext.stlstm import LSTMWeights, STLSTMWeights, lstm_encode, lstm_spec, st_lstm_spec
@@ -261,6 +265,17 @@ def cold_history(model, trips) -> np.ndarray:
             mask,
         )
         return ag.softmax(logits, axis=1).value
+
+
+# -- time slots ---------------------------------------------------------------
+
+
+def timeslot_of(ts: float, utc_offset_hours: int = 0) -> int:
+    """Three-hour slot index in [0, 8) for an epoch-seconds timestamp."""
+    if not math.isfinite(ts):
+        raise ValueError(f"non-finite timestamp {ts}")
+    hour = int(math.floor(ts / 3600.0) + utc_offset_hours) % 24
+    return hour // TIMESLOT_HOURS
 
 
 # -- finite differences -----------------------------------------------------

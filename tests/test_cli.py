@@ -1,14 +1,12 @@
 """End-to-end command-line pipeline plus exit-code contracts."""
 
 import contextlib
-import importlib.util
 import io
 import json
 import subprocess
 import sys
 import tracemalloc
 from dataclasses import fields, replace
-from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
@@ -16,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from odnext.cli import (
+    STUDY_METHODS,
     TrainRunConfig,
     config_sha256,
     main,
@@ -432,14 +431,6 @@ def test_eval_and_ablate_skip_users_without_encoder_states(tmp_path, capsys):
         assert out[key] == (f"{value:.6f}" if isinstance(value, float) else str(value)), key
 
 
-def _study_script():
-    path = Path(__file__).parents[1] / "scripts" / "run_synth_benchmark.py"
-    spec = importlib.util.spec_from_file_location("run_synth_benchmark", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 TINY_STUDY = {
     "n_users": 20, "n_locations": 12, "n_clusters": 3, "trips_per_user": 12,
     "n_cold_users": 5, "n_user_types": 20,
@@ -447,23 +438,68 @@ TINY_STUDY = {
 
 
 class TestStudyScript:
+    """`odnext study`, the multi-seed synthetic study."""
+
     def test_overrides_reach_the_study(self, tmp_path, capsys):
         (tmp_path / "synth.json").write_text(json.dumps(TINY_STUDY))
         (tmp_path / "train.json").write_text(json.dumps({"epochs": 1, "dim": 8}))
-        rc = _study_script().main([
-            "--seeds", "1",
+        rc = main([
+            "study", "--seeds", "1",
             "--synth", str(tmp_path / "synth.json"),
             "--train", str(tmp_path / "train.json"),
         ])
-        out = capsys.readouterr().out
+        out = kv(capsys.readouterr().out)
         assert rc == 0
         study = study_seed(
             replace(STUDY_SYNTH, **TINY_STUDY, seed=1),
             replace(STUDY_MODEL, epochs=1, dim=8, seed=1),
-            ("stod-ppa", "od-ppa", "od-lstm", "u-top", "top", "taxi"),
+            STUDY_METHODS,
         )
-        line = "  ".join(f"{n}={r.acc1:.4f}" for n, r in study.reports.items())
-        assert out.splitlines()[0] == f"seed 1: {line}"
+        assert set(study.reports) == set(STUDY_METHODS)
+        for method, report in study.reports.items():
+            assert out[f"seed1.{method}.acc1"] == f"{report.acc1:.6f}"
+            for key, value in mean_reports([report]).items():
+                assert out[f"{method}.{key}"] == f"{value:.6f}"
+        assert out["oracle_accuracy"] == f"{study.oracle_accuracy:.6f}"
+        model_acc, top_acc, n = study.cold
+        assert (out["cold.n_queries"], out["cold.model_acc1"], out["cold.top_acc1"]) == (
+            str(n), f"{model_acc:.6f}", f"{top_acc:.6f}"
+        )
+
+    def test_two_runs_are_byte_identical(self, tmp_path, capsys):
+        (tmp_path / "synth.json").write_text(json.dumps(TINY_STUDY))
+        (tmp_path / "train.json").write_text(json.dumps({"epochs": 1, "dim": 4, "hdim": 4}))
+        outs = []
+        for run in ("a", "b"):
+            rc = main([
+                "study", "--seeds", "0,2",
+                "--synth", str(tmp_path / "synth.json"),
+                "--train", str(tmp_path / "train.json"),
+                "--report", str(tmp_path / f"{run}.txt"),
+            ])
+            assert rc == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+        assert (tmp_path / "a.txt").read_text() == outs[0]
+        assert {"seed0.taxi.acc1", "seed2.taxi.acc1", "cold.n_queries"} <= kv(outs[0]).keys()
+
+    @pytest.mark.parametrize("cold", [{"n_cold_users": 0}, {"cold_trips_max": 1}])
+    def test_no_cold_query_leaves_out_the_cold_lines(self, tmp_path, capsys, cold):
+        # a cold user's first trip is context only, so one-trip users have no query
+        (tmp_path / "synth.json").write_text(
+            json.dumps({**TINY_STUDY, "cold_trips_min": 1, **cold})
+        )
+        (tmp_path / "train.json").write_text(json.dumps({"epochs": 1, "dim": 4, "hdim": 4}))
+        rc = main([
+            "study", "--seeds", "0",
+            "--synth", str(tmp_path / "synth.json"),
+            "--train", str(tmp_path / "train.json"),
+        ])
+        out = kv(capsys.readouterr().out)
+        assert rc == 0
+        assert "stod-ppa.map" in out
+        assert not [key for key in out if key.startswith("cold.")]
 
     @pytest.mark.parametrize(
         "flag, override, message",
@@ -477,7 +513,7 @@ class TestStudyScript:
     )
     def test_bad_override_is_1(self, tmp_path, capsys, flag, override, message):
         (tmp_path / "o.json").write_text(json.dumps(override))
-        rc = _study_script().main(["--seeds", "0", flag, str(tmp_path / "o.json")])
+        rc = main(["study", "--seeds", "0", flag, str(tmp_path / "o.json")])
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.err == f"error: {message}\n"
@@ -487,7 +523,7 @@ class TestStudyScript:
     def test_seed_override_is_1(self, tmp_path, capsys, flag):
         path = tmp_path / "o.json"
         path.write_text(json.dumps({"seed": 4}))
-        rc = _study_script().main([flag, str(path)])
+        rc = main(["study", flag, str(path)])
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.err == f"error: {path}: the seed comes from --seeds\n"
@@ -734,6 +770,37 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.err.startswith(f"error: {param} takes whole numbers"), captured.err
+        assert captured.out == ""
+
+    def test_unallocatable_config_is_1(self, pipeline, tmp_path, capsys):
+        # numpy refuses an array of this size before allocating any of it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**TRAIN_CFG, "dim": 10**15}))
+        rc = main([
+            "train", "--config", str(cfg),
+            "--trips", str(pipeline["p_trips"]), "--locations", str(pipeline["p_locs"]),
+            "--out", str(tmp_path / "m.ckpt"),
+        ])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error: out of memory: Unable to allocate"), captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("command", ["ablate", "study"])
+    @pytest.mark.parametrize("seeds", ["", "x", "1,,2", "0,1.5"])
+    def test_bad_seed_list_is_1_and_names_the_flag(self, pipeline, capsys, command, seeds):
+        args = {
+            "ablate": [
+                "--config", str(pipeline["train_cfg"]),
+                "--trips", str(pipeline["p_trips"]), "--locations", str(pipeline["p_locs"]),
+            ],
+            "study": [],
+        }[command]
+        rc = main([command, *args, "--seeds", seeds])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == f"error: --seeds takes a comma list of integers, not {seeds!r}\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize("variants", ["", " , "])

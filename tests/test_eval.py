@@ -13,10 +13,8 @@ from odnext.evaluation import (
     METHODS,
     EvalReport,
     ModelRanker,
-    accuracy_at_k,
     evaluate,
     fit_ranker,
-    mean_average_precision,
     mean_reports,
     prepare_split,
     rank_descending,
@@ -44,6 +42,28 @@ def random_cases(seed, n_cases=100):
         rankings = [rng.permutation(n) for _ in range(m)]
         targets = [int(rng.integers(0, n)) for _ in range(m)]
         yield rankings, targets
+
+
+def evaluated(rankings, targets) -> EvalReport:
+    """`evaluate` over one user whose stub ranker returns `rankings`."""
+    return evaluate(_FixedRanker([list(rankings)]), [[_q(t) for t in targets]])
+
+
+def oracle_mismatches(rankings, targets) -> list[str]:
+    """The metrics of the program's path that differ from the brute-force
+    oracles: acc@k from `target_ranks` for k = 1, 2, 5, 10, and the acc@1/5/10
+    and MAP of `evaluate`."""
+    ranks = target_ranks(rankings, targets)
+    report = evaluated(rankings, targets)
+    checks = [
+        (f"target_ranks acc@{k}", np.count_nonzero(ranks < k) / len(ranks), k)
+        for k in (1, 2, 5, 10)
+    ]
+    checks += [(f"evaluate acc{k}", getattr(report, f"acc{k}"), k) for k in (1, 5, 10)]
+    bad = [name for name, got, k in checks if got != brute_acc_at_k(rankings, targets, k)]
+    if report.map != brute_map(rankings, targets):
+        bad.append("evaluate map")
+    return bad
 
 
 class TestRanking:
@@ -77,22 +97,16 @@ class TestRanking:
 class TestMetrics:
     def test_matches_brute_force_on_random_cases(self):
         for rankings, targets in random_cases(7):
-            for k in (1, 2, 5):
-                assert accuracy_at_k(rankings, targets, k) == brute_acc_at_k(
-                    rankings, targets, k
-                )
-            assert mean_average_precision(rankings, targets) == pytest.approx(
-                brute_map(rankings, targets), abs=0
-            )
+            assert oracle_mismatches(rankings, targets) == []
 
     def test_single_query_map_is_reciprocal_rank(self):
         ranking = np.array([3, 0, 4, 1, 2])
         for r, target in enumerate([3, 0, 4, 1, 2], start=1):
-            assert mean_average_precision([ranking], [target]) == 1.0 / r
+            assert evaluated([ranking], [target]).map == 1.0 / r
 
     def test_acc_at_one_is_exact_top_hit(self):
-        assert accuracy_at_k([np.array([2, 0, 1])], [2], 1) == 1.0
-        assert accuracy_at_k([np.array([2, 0, 1])], [0], 1) == 0.0
+        assert evaluated([np.array([2, 0, 1])], [2]).acc1 == 1.0
+        assert evaluated([np.array([2, 0, 1])], [0]).acc1 == 0.0
 
     def test_target_ranks_are_first_positions(self):
         for rankings, targets in random_cases(8):
@@ -101,11 +115,7 @@ class TestMetrics:
 
     def test_ranking_without_its_target_raises_and_names_the_query(self):
         rankings = [np.array([2, 0, 1]), np.array([0, 1]), np.array([], dtype=np.int64)]
-        for scorer in (
-            lambda r, t: target_ranks(r, t),
-            lambda r, t: accuracy_at_k(r, t, 1),
-            lambda r, t: mean_average_precision(r, t),
-        ):
+        for scorer in (target_ranks, evaluated):
             with pytest.raises(ContractViolation, match="query 1: target 2 "):
                 scorer(rankings[:2], [1, 2])
             with pytest.raises(ContractViolation, match="query 2: target 0 "):
@@ -114,10 +124,10 @@ class TestMetrics:
             evaluate(_FixedRanker([[np.array([0, 1]), np.array([1, 0])]]), [[_q(0), _q(5)]])
 
     def test_rejects_empty_and_mismatched(self):
-        with pytest.raises(ContractViolation):
-            accuracy_at_k([], [], 1)
-        with pytest.raises(ContractViolation):
-            mean_average_precision([np.arange(3)], [0, 1])
+        with pytest.raises(ContractViolation, match="empty query set"):
+            target_ranks([], [])
+        with pytest.raises(ContractViolation, match="differ in length"):
+            target_ranks([np.arange(3)], [0, 1])
 
 
 class _FixedRanker:

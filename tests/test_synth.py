@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from odnext.data import preprocess
-from odnext.geo import geohash_encode, timeslot_of
+from odnext.geo import geohash_encode
 from odnext.nn import ContractViolation
 from odnext.synth import GEOHASH_PRECISION, SynthConfig, generate, oracle_accuracy
+from reference import timeslot_of
 
 
 @pytest.fixture(scope="module")
