@@ -1,18 +1,34 @@
-"""Checkpoint format: one magic line, one JSON header line, raw tensors.
+"""Checkpoint format 2: one magic line, one JSON header line, raw tensors.
 
-The header carries the model configuration, the vocabulary (with the
-string ids needed to answer queries by id), the interval-table scale
-constants, and the per-user cache metadata.  Every float64 array (model
-parameters, interval tables, cached encoder states) follows the header
-as raw little-endian bytes in the order the header lists them, so a
-save/load/save round trip reproduces the file byte for byte.
+The header carries what is small and per model: the configuration, the
+vocabulary (with the string ids needed to answer queries by id), the
+interval-table scale constants, each user's `last_dest` and `n_train`,
+and the list of tensors with their dtypes and shapes.  The tensors follow
+the header as raw little-endian bytes in that order: the model
+parameters, the two interval tables, then every user's cached origin and
+destination sequences (`cache/oseq`, `cache/dseq`, int64, users one after
+another) and encoder states (`cache/states`, float64), which `n_train`
+splits per user.  The header line is padded with spaces so that the
+payload starts on a 64-byte boundary; every tensor is 8 bytes per element,
+so each one starts on an 8-byte boundary, and a save/load/save round trip
+reproduces the file byte for byte.
+
+`load_checkpoint` maps the payload privately (`mmap.ACCESS_COPY`) and
+wraps each tensor as a view, so a load reads the header and then only the
+pages that a query touches, and writing into a loaded array never reaches
+the file.  `save_checkpoint` writes a temporary file next to the target
+and renames it over the target, so a process serving from the old file
+keeps its mapping intact.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import mmap
 import os
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -23,8 +39,11 @@ from .geo import N_TIMESLOTS
 from .model import EncodedCache, Model, ModelConfig, param_specs
 from .nn import ContractViolation
 
-MAGIC = "ODNEXT-CKPT 1"
+MAGIC = "ODNEXT-CKPT 2"
+_ALIGN = 64  # payload start; views that are not aligned leave numpy's BLAS path
 _TABLES = ("tables/spatial", "tables/temporal")
+_SEQUENCES = ("cache/oseq", "cache/dseq")
+_F8, _I8 = "<f8", "<i8"
 
 
 class CheckpointFormatError(ValueError):
@@ -39,12 +58,34 @@ class CheckpointBundle:
     user_ids: list[str]
 
 
-def _tensor_list(model: Model, cache: EncodedCache) -> list[tuple[str, np.ndarray]]:
-    out = [(f"param/{name}", p.value) for name, p in model.params.items()]
-    out += zip(_TABLES, (model.tables.spatial, model.tables.temporal))
-    for u, states in enumerate(cache.states):
-        out.append((f"cache/states/{u}", states))
+def _history_lengths(n_train: np.ndarray) -> list[int]:
+    """Per user, the length of each cached encoder sequence."""
+    return [max(n - 1, 0) for n in n_train.tolist()]
+
+
+def _repeated(ids: list) -> list:
+    """The ids that occur more than once (counted only when there are any)."""
+    if len(set(ids)) == len(ids):
+        return []
+    return [i for i, count in Counter(ids).items() if count > 1]
+
+
+def _tensor_list(model: Model, cache: EncodedCache) -> list[tuple[str, str, np.ndarray]]:
+    sd = model.config.state_dim
+    out = [(f"param/{name}", _F8, p.value) for name, p in model.params.items()]
+    out += [(key, _F8, t) for key, t in zip(_TABLES, (model.tables.spatial, model.tables.temporal))]
+    for key, seqs in zip(_SEQUENCES, (cache.oseq, cache.dseq)):
+        out.append((key, _I8, np.concatenate([np.empty(0, dtype=np.int64), *seqs])))
+    out.append(("cache/states", _F8, np.concatenate([np.empty((0, sd)), *cache.states])))
     return out
+
+
+def _header_line(header: dict) -> bytes:
+    """The JSON header, padded with spaces so that the payload after its
+    newline starts on an `_ALIGN`-byte boundary of the file."""
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    end = len(MAGIC) + 1 + len(text) + 1
+    return text + b" " * (-end % _ALIGN) + b"\n"
 
 
 def save_checkpoint(
@@ -54,12 +95,26 @@ def save_checkpoint(
     location_ids: list[str],
     user_ids: list[str],
 ) -> None:
+    """Write the checkpoint to a temporary file in the target's directory
+    and rename it over `path`: a file that another process has mapped is
+    replaced, never truncated, and a failed save leaves `path` as it was."""
     if len(location_ids) != model.vocab.n_locations:
         raise ContractViolation("location id list does not match the vocabulary")
     if len(user_ids) != model.vocab.n_users:
         raise ContractViolation("user id list does not match the vocabulary")
+    for what, ids in (("location", location_ids), ("user", user_ids)):
+        if repeated := _repeated(ids):
+            raise ContractViolation(f"duplicate {what} ids {repeated[:3]}")
     if len(cache.states) != model.vocab.n_users:
         raise ContractViolation("cache does not cover every user")
+    lengths = _history_lengths(cache.n_train)
+    sd = model.config.state_dim
+    if (
+        [len(s) for s in cache.oseq] != lengths
+        or [len(s) for s in cache.dseq] != lengths
+        or [s.shape for s in cache.states] != [(2 * n, sd) for n in lengths]
+    ):
+        raise ContractViolation("cached sequences and states do not match n_train")
     tensors = _tensor_list(model, cache)
     header = {
         "config": model.config.as_dict(),
@@ -76,68 +131,96 @@ def save_checkpoint(
         "cache": {
             "last_dest": cache.last_dest.tolist(),
             "n_train": cache.n_train.tolist(),
-            "oseq": [s.tolist() for s in cache.oseq],
-            "dseq": [s.tolist() for s in cache.dseq],
         },
-        "tensors": [{"name": n, "shape": list(a.shape)} for n, a in tensors],
+        "tensors": [
+            {"name": n, "dtype": dtype, "shape": list(a.shape)} for n, dtype, a in tensors
+        ],
     }
-    with open(path, "wb") as f:
-        f.write((MAGIC + "\n").encode("ascii"))
-        f.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8"))
-        f.write(b"\n")
-        for _, arr in tensors:
-            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    try:
+        # "xb" creates the file with the mode `open(path, "wb")` would give
+        with open(tmp, "xb") as f:
+            f.write((MAGIC + "\n").encode("ascii"))
+            f.write(_header_line(header))
+            for _, dtype, arr in tensors:
+                f.write(np.ascontiguousarray(arr, dtype=dtype))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def _in_range(ids: np.ndarray, n: int) -> bool:
     return ids.size == 0 or 0 <= ids.min() <= ids.max() < n
 
 
-def _check_header(vocab: Vocab, specs: list, cache_meta: tuple) -> None:
+def _check_header(vocab: Vocab, ids: tuple, specs: list, last_dest, n_train) -> None:
     """Raise ValueError where the header disagrees with itself or with the
-    program: a time-slot count other than `geo.N_TIMESLOTS`, tensor
-    shapes that are not sizes, geohash ids against the geohash codes,
-    cache fields against the user count and n_train, or cached locations
+    program: a time-slot count other than `geo.N_TIMESLOTS`, repeated ids,
+    tensor shapes that are not sizes, geohash ids against the geohash
+    codes, cache fields against the user count, or a last destination
     outside the vocabulary."""
     n_loc = vocab.n_locations
     if n_loc < 1:
         raise ValueError("no location ids")
     if type(vocab.n_timeslots) is not int or vocab.n_timeslots != N_TIMESLOTS:
         raise ValueError(f"n_timeslots {vocab.n_timeslots!r} is not the program's {N_TIMESLOTS}")
-    if not all(type(n) is int and n >= 0 for _, shape in specs for n in shape):
+    for what, names in zip(("location", "user"), ids):
+        if repeated := _repeated(names):
+            raise ValueError(f"duplicate {what} ids {repeated[:3]}")
+    if not all(type(n) is int and n >= 0 for _, _, shape in specs for n in shape):
         raise ValueError("tensor shapes must be non-negative integers")
     if vocab.loc_geohash.shape != (n_loc,) or not _in_range(vocab.loc_geohash, vocab.n_geohashes):
         raise ValueError(f"loc_geohash is not {n_loc} ids in [0, {vocab.n_geohashes})")
-    oseq, dseq, last_dest, n_train = cache_meta
     n = vocab.n_users
-    if (len(oseq), len(dseq), last_dest.shape, n_train.shape) != (n, n, (n,), (n,)):
+    if (last_dest.shape, n_train.shape) != ((n,), (n,)):
         raise ValueError(f"cache metadata does not cover {vocab.n_users} users")
     if np.any(n_train < 0) or np.any(last_dest[n_train == 0] != -1):
         raise ValueError("n_train must be non-negative, and last_dest -1 exactly where it is 0")
-    lengths = np.maximum(n_train - 1, 0).tolist()
-    if [len(o) for o in oseq] != lengths or [len(d) for d in dseq] != lengths:
-        raise ValueError("cached sequence lengths do not match n_train")
-    if not _in_range(np.concatenate([*oseq, *dseq, last_dest[n_train > 0]]), n_loc):
+    if not _in_range(last_dest[n_train > 0], n_loc):
         raise ValueError(f"cached location outside [0, {n_loc})")
 
 
-def _expected_tensors(config: ModelConfig, vocab: Vocab, n_train: np.ndarray) -> list:
-    """(name, shape) of every stored tensor, in file order."""
-    out = [(f"param/{s.name}", s.shape) for s in param_specs(config, vocab)]
-    out += [(key, (vocab.n_locations, vocab.n_locations)) for key in _TABLES]
-    for u, n in enumerate(n_train.tolist()):
-        out.append((f"cache/states/{u}", (2 * (n - 1) if n >= 2 else 0, config.state_dim)))
+def _expected_tensors(config: ModelConfig, vocab: Vocab, lengths: list[int]) -> list:
+    """(name, dtype, shape) of every stored tensor, in file order, for
+    cached sequences of the given per-user lengths."""
+    out = [(f"param/{s.name}", _F8, s.shape) for s in param_specs(config, vocab)]
+    out += [(key, _F8, (vocab.n_locations, vocab.n_locations)) for key in _TABLES]
+    rows = sum(lengths)
+    out += [(key, _I8, (rows,)) for key in _SEQUENCES]
+    out.append(("cache/states", _F8, (2 * rows, config.state_dim)))
     return out
+
+
+def _split(flat: np.ndarray, lengths: list[int]) -> list[np.ndarray]:
+    """Consecutive views of `flat`, one per length."""
+    bounds = list(accumulate(lengths, initial=0))
+    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _read_magic(f, path: str) -> None:
+    line = f.readline(len(MAGIC) + 1).decode("ascii", "replace")
+    if line == MAGIC + "\n":
+        return
+    family, _, version = line.rstrip("\n").rpartition(" ")
+    if family == MAGIC.rpartition(" ")[0]:
+        raise CheckpointFormatError(
+            f"{path}: checkpoint format version {version} is not readable; this program"
+            f" reads {MAGIC!r} (train again to write it)"
+        )
+    raise CheckpointFormatError(f"{path}: missing checkpoint magic {MAGIC!r}")
 
 
 def load_checkpoint(path: str) -> CheckpointBundle:
     """Read the header and check it against itself, against the model's
-    parameter declaration and against the file size before allocating;
-    then read every tensor straight into its own array (no intermediate
-    bytes, no copy), which the model wraps without an initialisation draw."""
+    parameter declaration and against the file size; then map the file
+    privately and wrap every tensor as a view of the mapping (no copy, no
+    read of pages nobody touches), which the model wraps without an
+    initialisation draw.  Cached locations are range-checked on the
+    mapped sequences."""
     with open(path, "rb") as f:
-        if f.readline(len(MAGIC) + 1).decode("ascii", "replace") != MAGIC + "\n":
-            raise CheckpointFormatError(f"{path}: missing checkpoint magic {MAGIC!r}")
+        _read_magic(f, path)
         line = f.readline()
         if not line.endswith(b"\n"):
             raise CheckpointFormatError(f"{path}: truncated header")
@@ -159,43 +242,51 @@ def load_checkpoint(path: str) -> CheckpointBundle:
                 geohash_precision=config.geohash_precision,
                 utc_offset_hours=config.utc_offset_hours,
             )
-            specs = [(str(t["name"]), tuple(t["shape"])) for t in header["tensors"]]
+            specs = [
+                (str(t["name"]), str(t["dtype"]), tuple(t["shape"])) for t in header["tensors"]
+            ]
             d_max_km = float(header["scales"]["d_max_km"])
             t_max_hours = float(header["scales"]["t_max_hours"])
             meta = header["cache"]
-            oseq = [np.asarray(s, dtype=np.int64) for s in meta["oseq"]]
-            dseq = [np.asarray(s, dtype=np.int64) for s in meta["dseq"]]
             last_dest = np.asarray(meta["last_dest"], dtype=np.int64)
             n_train = np.asarray(meta["n_train"], dtype=np.int64)
-            _check_header(vocab, specs, (oseq, dseq, last_dest, n_train))
+            _check_header(vocab, (loc_ids, user_ids), specs, last_dest, n_train)
         except (KeyError, TypeError, ValueError, OverflowError) as e:
             # ValueError covers ContractViolation from an invalid stored config
             raise CheckpointFormatError(f"{path}: incomplete or invalid header ({e})") from None
 
-        expected = _expected_tensors(config, vocab, n_train)
+        lengths = _history_lengths(n_train)
+        expected = _expected_tensors(config, vocab, lengths)
         if specs != expected:
-            stored, wanted = dict(specs), dict(expected)
+            stored = {name: rest for name, *rest in specs}
+            wanted = {name: rest for name, *rest in expected}
             keys = sorted(stored.keys() | wanted.keys())
             wrong = [k for k in keys if stored.get(k) != wanted.get(k)]
             raise CheckpointFormatError(
                 f"{path}: tensors missing, extra, misshapen or out of order: {wrong or 'order'}"
             )
-        nbytes = [8 * math.prod(shape) for _, shape in specs]  # checked ints
-        payload, declared = os.fstat(f.fileno()).st_size - f.tell(), sum(nbytes)
+        start = f.tell()
+        if start % _ALIGN:
+            raise CheckpointFormatError(f"{path}: payload not on a {_ALIGN}-byte boundary")
+        nbytes = [8 * math.prod(shape) for _, _, shape in specs]  # checked ints
+        payload, declared = os.fstat(f.fileno()).st_size - start, sum(nbytes)
         if declared > payload:
             ends = accumulate(nbytes)
-            name = next(name for (name, _), end in zip(specs, ends) if end > payload)
+            name = next(name for (name, _, _), end in zip(specs, ends) if end > payload)
             raise CheckpointFormatError(f"{path}: payload truncated at tensor {name!r}")
         if declared < payload:
             raise CheckpointFormatError(f"{path}: {payload - declared} trailing bytes")
-        # One array per tensor rather than views of one payload-sized
-        # buffer: freed blocks that large fragment the heap, and a serving
-        # process's peak RSS then varied by up to 20 MB from run to run.
-        arrays: dict[str, np.ndarray] = {}
-        for name, shape in specs:
-            a = arrays[name] = np.empty(shape, dtype="<f8")
-            if f.readinto(a) != a.nbytes:
-                raise CheckpointFormatError(f"{path}: payload changed while it was read")
+        # private and writable, never written back; the mapping outlives f
+        mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_COPY)
+
+    offsets = accumulate(nbytes, initial=start)
+    arrays = {
+        name: np.frombuffer(mapped, dtype=dtype, count=math.prod(shape), offset=at).reshape(shape)
+        for (name, dtype, shape), at in zip(specs, offsets)
+    }
+    n_loc = vocab.n_locations
+    if not all(_in_range(arrays[key], n_loc) for key in _SEQUENCES):
+        raise CheckpointFormatError(f"{path}: cached location outside [0, {n_loc})")
 
     tables = IntervalTables(
         spatial=arrays["tables/spatial"],
@@ -205,6 +296,7 @@ def load_checkpoint(path: str) -> CheckpointBundle:
     )
     params = {name[len("param/") :]: a for name, a in arrays.items() if name.startswith("param/")}
     model = Model(config, vocab, tables, params)
-    states = [arrays[f"cache/states/{u}"] for u in range(len(n_train))]
+    oseq, dseq = (_split(arrays[key], lengths) for key in _SEQUENCES)
+    states = _split(arrays["cache/states"], [2 * n for n in lengths])
     cache = EncodedCache(states, oseq, dseq, last_dest, n_train)
     return CheckpointBundle(model=model, cache=cache, location_ids=loc_ids, user_ids=user_ids)

@@ -1,8 +1,13 @@
-"""Corpus builders and model scaffolding shared across test modules."""
+"""Corpus builders, model scaffolding and checkpoint edits shared across
+test modules."""
+
+import json
+import math
 
 import numpy as np
 
 import odnext.autograd as ag
+from odnext.checkpoint import MAGIC
 from odnext.data import Corpus, LocationRecord, Trip
 from odnext.geo import GeoPoint
 from odnext.stlstm import LSTMWeights, STLSTMWeights
@@ -74,3 +79,26 @@ def random_corpus(seed, n_users=6, n_locations=8, min_trips=2, max_trips=12):
             rows.append((u, o, d, t, t + dur))
             t += dur + int(rng.integers(600, DAY))
     return corpus_from(rows, n_locations, locations=make_locations(n_locations, rng))
+
+
+def split_checkpoint(blob: bytes) -> tuple[str, dict, bytes]:
+    """The magic, the parsed header and the payload of a checkpoint file."""
+    magic, header, payload = blob.split(b"\n", 2)
+    return magic.decode("ascii"), json.loads(header), payload
+
+
+def join_checkpoint(fields: dict, payload: bytes, magic: str = MAGIC) -> bytes:
+    """A checkpoint file with `fields` as its header, padded as the writer
+    pads it, so that the payload still starts on a 64-byte boundary."""
+    head = (magic + "\n" + json.dumps(fields)).encode("utf-8")
+    return head + b" " * (-(len(head) + 1) % 64) + b"\n" + payload
+
+
+def tensor_offset(fields: dict, name: str) -> int:
+    """Where the named tensor starts in the payload (8 bytes an element)."""
+    at = 0
+    for t in fields["tensors"]:
+        if t["name"] == name:
+            return at
+        at += 8 * math.prod(t["shape"])
+    raise KeyError(name)

@@ -1,8 +1,15 @@
-"""Checkpoint round trips, loading without copies or draws, and failure modes."""
+"""Checkpoint round trips, mapped loads without copies or draws, saves
+that replace the file, and failure modes."""
+
+import errno
+import json
+import stat
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from odnext import checkpoint as checkpoint_module
 from odnext import model as model_module
 from odnext import nn, stlstm
 from odnext.checkpoint import (
@@ -11,6 +18,7 @@ from odnext.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from odnext.cli import guarded, main
 from odnext.data import (
     build_interval_tables,
     build_test_queries,
@@ -21,6 +29,8 @@ from odnext.evaluation import ModelRanker, evaluate
 from odnext.model import ATTENTION_CONTEXTS, VARIANTS, Model, ModelConfig
 from odnext.nn import ContractViolation
 from odnext.synth import SynthConfig, generate
+
+from helpers import join_checkpoint, split_checkpoint, tensor_offset
 
 
 @pytest.fixture(scope="module")
@@ -106,17 +116,34 @@ class TestLoad:
         for name, p in model.params.items():
             np.testing.assert_array_equal(bundle.model.params[name].value, p.value)
 
-    def test_tensors_are_read_into_their_own_arrays(self, trained):
+    def test_tensors_are_aligned_views_of_the_mapped_file(self, trained):
         bundle = load_checkpoint(trained[-1])
         arrays = _bundle_arrays(bundle)
         for a in arrays:
-            assert a.base is None and a.dtype == np.float64
+            assert a.dtype == np.float64
             assert a.flags.aligned and a.flags.writeable and a.flags.c_contiguous
+        sequences = list(bundle.cache.oseq) + list(bundle.cache.dseq)
+        for a in sequences:
+            assert a.dtype == np.int64 and a.flags.aligned and a.flags.c_contiguous
+        arrays += sequences
         assert not any(
             np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1 :]
         )
         # the model and its encoders wrap these very arrays, not copies
         assert bundle.model.enc_o.W_x is bundle.model.params["enc_o/W_x"]
+
+    def test_writing_a_loaded_array_leaves_the_file_unchanged(self, trained, tmp_path):
+        path = tmp_path / "copy.ckpt"
+        path.write_bytes(open(trained[-1], "rb").read())
+        before = path.read_bytes()
+        bundle = load_checkpoint(str(path))
+        for a in _bundle_arrays(bundle) + list(bundle.cache.oseq):
+            a[...] = 7
+        assert path.read_bytes() == before
+        assert not np.array_equal(
+            load_checkpoint(str(path)).model.params["emb/loc"].value,
+            bundle.model.params["emb/loc"].value,
+        )
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("context", ATTENTION_CONTEXTS)
@@ -172,6 +199,14 @@ class TestFailureModes:
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(str(p))
 
+    def test_unpadded_header_is_refused(self, trained, tmp_path):
+        """A payload off the 64-byte boundary would give unaligned views."""
+        magic, fields, payload = split_checkpoint(open(trained[-1], "rb").read())
+        p = tmp_path / "unpadded.ckpt"
+        p.write_bytes(f"{magic}\n{json.dumps(fields)}\n".encode() + payload)
+        with pytest.raises(CheckpointFormatError, match="64-byte boundary"):
+            load_checkpoint(str(p))
+
     def test_truncated_payload(self, trained, tmp_path):
         _, _, _, _, path = trained
         blob = open(path, "rb").read()
@@ -192,3 +227,133 @@ class TestFailureModes:
         _, _, model, cache, _ = trained
         with pytest.raises(ContractViolation):
             save_checkpoint(str(tmp_path / "x.ckpt"), model, cache, ["only-one"], ["u"])
+
+    def test_save_validates_cache_against_n_train(self, trained, tmp_path):
+        """Users' sequences and states are stored back to back and split by
+        n_train, so a cache that disagrees with it is refused, not misfiled."""
+        corpus, _, model, cache, _ = trained
+        short = replace(cache, states=[cache.states[0][1:], *cache.states[1:]])
+        with pytest.raises(ContractViolation, match="n_train"):
+            save_checkpoint(str(tmp_path / "x.ckpt"), model, short,
+                            [r.loc_id for r in corpus.locations], corpus.users)
+
+    @pytest.mark.parametrize("kind", ["users", "locations"])
+    def test_duplicate_ids_are_refused(self, trained, tmp_path, capsys, kind):
+        """A header whose index 1 repeats index 0's id is not loaded (exit 2),
+        where a query by that id would have answered from index 1's row; a
+        save with repeated ids is a contract violation (exit 1)."""
+        corpus, _, model, cache, path = trained
+        _, fields, payload = split_checkpoint(open(path, "rb").read())
+        ids = fields["ids"][kind]
+        ids[1] = ids[0]
+        bad = tmp_path / "dup.ckpt"
+        bad.write_bytes(join_checkpoint(fields, payload))
+        users, locs = fields["ids"]["users"], fields["ids"]["locations"]
+        rc = main(["predict", "--checkpoint", str(bad),
+                   "--user", users[0], "--origin", locs[0], "--prev-dest", locs[2]])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and f"duplicate {kind[:-1]} ids" in err
+        loc_ids = [r.loc_id for r in corpus.locations]
+        user_ids = list(corpus.users)
+        (user_ids if kind == "users" else loc_ids)[1] = ids[0]
+        target = str(tmp_path / "out.ckpt")
+        assert guarded(save_checkpoint, target, model, cache, loc_ids, user_ids) == 1
+        assert "duplicate" in capsys.readouterr().err
+
+    def test_version_1_file_is_2(self, trained, tmp_path, capsys):
+        _, fields, payload = split_checkpoint(open(trained[-1], "rb").read())
+        old = tmp_path / "v1.ckpt"
+        old.write_bytes(join_checkpoint(fields, payload, magic="ODNEXT-CKPT 1"))
+        rc = main(["predict", "--checkpoint", str(old),
+                   "--user", "U0000", "--origin", "L000", "--prev-dest", "L001"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and "version 1" in err
+
+    @pytest.mark.parametrize("key,value", [("cache/oseq", 8), ("cache/dseq", -1)])
+    def test_out_of_range_payload_location_is_2(self, trained, tmp_path, capsys, key, value):
+        """The last element of a cached sequence, read from the mapped
+        payload, is range-checked like the first."""
+        _, fields, payload = split_checkpoint(open(trained[-1], "rb").read())
+        (rows,) = next(t["shape"] for t in fields["tensors"] if t["name"] == key)
+        at = tensor_offset(fields, key) + 8 * (rows - 1)
+        payload = payload[:at] + np.int64(value).tobytes() + payload[at + 8 :]
+        bad = tmp_path / "range.ckpt"
+        bad.write_bytes(join_checkpoint(fields, payload))
+        with pytest.raises(CheckpointFormatError, match="cached location outside"):
+            load_checkpoint(str(bad))
+        rc = main(["predict", "--checkpoint", str(bad),
+                   "--user", "U0000", "--origin", "L000", "--prev-dest", "L001"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
+class _FullDisk:
+    """A file whose writes after the first fail, as on a full disk."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        if self.f.tell():
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.f.write(data)
+
+
+class TestSave:
+    def test_saving_over_a_loaded_checkpoint_keeps_its_predictions(self, trained, tmp_path):
+        """The old file is replaced, not rewritten: a bundle mapped from it
+        keeps predicting from the old bytes, including pages it had not yet
+        touched when the new file was saved."""
+        corpus, split, model, cache, path = trained
+        served = tmp_path / "served.ckpt"
+        served.write_bytes(open(path, "rb").read())
+        bundle = load_checkpoint(str(served))
+        other = Model(ModelConfig(dim=5, hdim=6, seed=11), model.vocab, model.tables)
+        other_cache = other.build_cache(split.train)
+        loc_ids = [r.loc_id for r in corpus.locations]
+        save_checkpoint(str(served), other, other_cache, loc_ids, corpus.users)
+        queries = build_test_queries(split)
+        assert evaluate(ModelRanker(bundle.model, bundle.cache), queries) == evaluate(
+            ModelRanker(model, cache), queries
+        )
+        for user in range(len(corpus.users)):
+            if cache.n_train[user] >= 2:
+                expect = model.predict_batch(cache, user, [0, 1], [2, 3])
+                got = bundle.model.predict_batch(bundle.cache, user, [0, 1], [2, 3])
+                assert np.array_equal(got, expect)
+        reloaded = load_checkpoint(str(served))
+        for name, p in other.params.items():
+            np.testing.assert_array_equal(reloaded.model.params[name].value, p.value)
+
+    @pytest.mark.parametrize("failure", ["write", "replace"])
+    def test_failed_save_leaves_the_old_file(self, trained, tmp_path, monkeypatch, failure):
+        corpus, _, model, cache, _ = trained
+        loc_ids = [r.loc_id for r in corpus.locations]
+        target = tmp_path / "model.ckpt"
+        save_checkpoint(str(target), model, cache, loc_ids, corpus.users)
+        probe = tmp_path / "probe"
+        open(probe, "wb").close()
+        assert stat.S_IMODE(target.stat().st_mode) == stat.S_IMODE(probe.stat().st_mode)
+        before = target.read_bytes()
+
+        if failure == "write":
+            monkeypatch.setattr(
+                checkpoint_module, "open", lambda *a: _FullDisk(open(*a)), raising=False
+            )
+        else:
+            def refuse(src, dst):
+                raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+            monkeypatch.setattr(checkpoint_module.os, "replace", refuse)
+        assert guarded(save_checkpoint, str(target), model, cache, loc_ids, corpus.users) == 2
+        monkeypatch.undo()
+        assert target.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt", "probe"]

@@ -37,7 +37,7 @@ from odnext.model import Model, ModelConfig
 from odnext.nn import ContractViolation
 from odnext.synth import SynthConfig
 
-from helpers import corpus_from
+from helpers import corpus_from, join_checkpoint, split_checkpoint, tensor_offset
 
 SYNTH_CFG = {
     "n_users": 12,
@@ -56,55 +56,60 @@ TRAIN_CFG = {
 }
 
 
-def _drop_location(fields):
+def _drop_location(fields, payload):
     fields["ids"]["locations"].pop()
     fields["vocab"]["loc_geohash"].pop()
 
 
 def _set_geohash(value):
-    def edit(fields):
+    def edit(fields, payload):
         fields["vocab"]["loc_geohash"][0] = value
 
     return edit
 
 
 def _shift_n_train(delta):
-    def edit(fields):
+    def edit(fields, payload):
         n_train = fields["cache"]["n_train"]
         n_train[next(u for u, n in enumerate(n_train) if n >= 2)] += delta
 
     return edit
 
 
-def _halve_state_width(fields):
-    spec = next(t for t in fields["tensors"] if t["name"] == "cache/states/0")
+def _halve_state_width(fields, payload):
+    spec = next(t for t in fields["tensors"] if t["name"] == "cache/states")
     rows, width = spec["shape"]
     spec["shape"] = [rows * 2, width // 2]
 
 
-def _set_cache(key, value):
-    def edit(fields):
-        entry = fields["cache"][key]
-        if isinstance(entry[0], list):
-            entry = next(seq for seq in entry if seq)
-        entry[0] = value
+def _set_last_dest(value):
+    def edit(fields, payload):
+        fields["cache"]["last_dest"][0] = value
 
     return edit
 
 
-def _fractional_shape(fields):
+def _set_sequence(key, value):
+    def edit(fields, payload):
+        at = tensor_offset(fields, key)
+        payload[at : at + 8] = np.int64(value).tobytes()
+
+    return edit
+
+
+def _fractional_shape(fields, payload):
     fields["tensors"][0]["shape"][0] += 0.5
 
 
 def _set_timeslots(value):
-    def edit(fields):
+    def edit(fields, payload):
         fields["vocab"]["n_timeslots"] = value
 
     return edit
 
 
-# header edits that leave the payload as written, so the file disagrees
-# with itself
+# edits of the header or of the payload bytes (a bytearray), each in place,
+# after which the file disagrees with itself
 HEADER_PAYLOAD_MISMATCHES = {
     "location-dropped": _drop_location,
     "geohash-999": _set_geohash(999),
@@ -112,9 +117,9 @@ HEADER_PAYLOAD_MISMATCHES = {
     "n_train-plus-1": _shift_n_train(1),
     "n_train-minus-1": _shift_n_train(-1),
     "state-width": _halve_state_width,
-    "oseq-location-999": _set_cache("oseq", 999),
-    "dseq-location-negative": _set_cache("dseq", -1),
-    "last_dest-999": _set_cache("last_dest", 999),
+    "oseq-location-999": _set_sequence("cache/oseq", 999),
+    "dseq-location-negative": _set_sequence("cache/dseq", -1),
+    "last_dest-999": _set_last_dest(999),
     "fractional-shape": _fractional_shape,
     "n_timeslots-3": _set_timeslots(3),
     "n_timeslots-string": _set_timeslots("8"),
@@ -575,11 +580,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("key", ["config", "ids", "vocab", "scales", "cache", "tensors"])
     @pytest.mark.parametrize("command", ["predict", "eval"])
     def test_checkpoint_missing_header_key_is_2(self, pipeline, tmp_path, capsys, key, command):
-        magic, header, payload = pipeline["ckpt"].read_bytes().split(b"\n", 2)
-        fields = json.loads(header)
+        _, fields, payload = split_checkpoint(pipeline["ckpt"].read_bytes())
         del fields[key]
         bad = tmp_path / "bad.ckpt"
-        bad.write_bytes(b"\n".join([magic, json.dumps(fields).encode(), payload]))
+        bad.write_bytes(join_checkpoint(fields, payload))
         if command == "predict":
             argv = ["predict", "--checkpoint", str(bad),
                     "--user", "U0000", "--origin", "L000", "--prev-dest", "L001"]
@@ -592,27 +596,26 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "section,key,value",
-        [("config", "lr", -1.0), ("cache", "n_train", "abc"), ("cache", "oseq", [["x"]])],
+        [("config", "lr", -1.0), ("cache", "n_train", "abc"), ("cache", "last_dest", [["x"]])],
     )
     def test_checkpoint_invalid_header_value_is_2(
         self, pipeline, tmp_path, capsys, section, key, value
     ):
-        magic, header, payload = pipeline["ckpt"].read_bytes().split(b"\n", 2)
-        fields = json.loads(header)
+        _, fields, payload = split_checkpoint(pipeline["ckpt"].read_bytes())
         fields[section][key] = value
         bad = tmp_path / "bad.ckpt"
-        bad.write_bytes(b"\n".join([magic, json.dumps(fields).encode(), payload]))
+        bad.write_bytes(join_checkpoint(fields, payload))
         rc = main(["eval", "--checkpoint", str(bad), "--test", str(pipeline["test"])])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize("mismatch", sorted(HEADER_PAYLOAD_MISMATCHES))
     def test_checkpoint_header_payload_mismatch_is_2(self, pipeline, tmp_path, capsys, mismatch):
-        magic, header, payload = pipeline["ckpt"].read_bytes().split(b"\n", 2)
-        fields = json.loads(header)
-        HEADER_PAYLOAD_MISMATCHES[mismatch](fields)
+        _, fields, payload = split_checkpoint(pipeline["ckpt"].read_bytes())
+        payload = bytearray(payload)
+        HEADER_PAYLOAD_MISMATCHES[mismatch](fields, payload)
         bad = tmp_path / "bad.ckpt"
-        bad.write_bytes(b"\n".join([magic, json.dumps(fields).encode(), payload]))
+        bad.write_bytes(join_checkpoint(fields, bytes(payload)))
         rc = main(["eval", "--checkpoint", str(bad), "--test", str(pipeline["test"])])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
@@ -623,8 +626,7 @@ class TestExitCodes:
         """A checkpoint whose header or payload length was mutated ends in
         exit 2 with an `error:` line, with no traceback and no allocation
         beyond the file's own size (plus a fixed margin for the header)."""
-        magic, header, payload = pipeline["ckpt"].read_bytes().split(b"\n", 2)
-        fields = json.loads(header)
+        _, fields, payload = split_checkpoint(pipeline["ckpt"].read_bytes())
         tensors = fields["tensors"]
         n_train = fields["cache"]["n_train"]
         index = st.integers(0, len(tensors) - 1)
@@ -658,7 +660,7 @@ class TestExitCodes:
             payload = payload[: -data.draw(st.integers(1, len(payload)), "cut")]
         else:
             payload += data.draw(st.binary(min_size=1, max_size=64), "tail")
-        blob = b"\n".join([magic, json.dumps(fields).encode(), payload])
+        blob = join_checkpoint(fields, payload)
         bad = tmp_path / "mutated.ckpt"
         bad.write_bytes(blob)
 

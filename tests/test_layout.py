@@ -1,8 +1,8 @@
 """Layout guard: `src/odnext` holds only code the program runs.
 
 Every public top-level function of `autograd.py`, `nn.py` and
-`stlstm.py` must be named somewhere in `src/`, `scripts/` or `perfbench/`
-outside its own module, and every public top-level function and every
+`stlstm.py` must be named somewhere in `src/` or `perfbench/` outside its
+own module, and every public top-level function and every
 public method of a class in `src/odnext` outside its own `def`.  A name
 counts as an identifier, an attribute, an import or an identifier-like
 string constant (perfbench wraps methods by name).  A helper only tests call belongs in
@@ -58,7 +58,7 @@ def _public_functions(path: Path) -> list[str]:
 
 def _program_files() -> list[Path]:
     return sorted(
-        p for d in ("src", "scripts", "perfbench") for p in (ROOT / d).rglob("*.py")
+        p for d in ("src", "perfbench") for p in (ROOT / d).rglob("*.py")
         if "tests" not in p.relative_to(ROOT).parts
     )
 
