@@ -19,7 +19,6 @@ import json
 import sys
 from dataclasses import dataclass, replace
 from statistics import fmean
-from typing import get_type_hints
 
 from .baselines import FREQUENCY_KINDS
 from .checkpoint import CheckpointFormatError, load_checkpoint, save_checkpoint
@@ -50,16 +49,8 @@ from .evaluation import (
     study_seed,
 )
 from .model import ModelConfig
-from .nn import ContractViolation
+from .nn import ContractViolation, check_settings, setting, settings
 from .synth import SynthConfig, generate
-
-# field annotation -> (accepted JSON types, what the error asks for);
-# bools are JSON booleans, never numbers
-_FIELD_TYPES = {
-    int: ((int,), "an integer"),
-    float: ((int, float), "a number"),
-    str: ((str,), "a string"),
-}
 
 # every method `odnext study` trains and scores; cold start needs stod-ppa and top
 STUDY_METHODS = ("stod-ppa", "od-ppa", "od-lstm", "u-top", "top", "taxi")
@@ -71,11 +62,10 @@ class TrainRunConfig:
     Sparse users and locations are dropped by `odnext preprocess`, not here."""
 
     model: ModelConfig
-    train_ratio: float = 0.7
+    train_ratio: float = setting(0.7, gt=0, le=1)
 
     def __post_init__(self):
-        if not 0.0 < self.train_ratio <= 1.0:
-            raise ContractViolation("train_ratio must lie in (0, 1]")
+        check_settings(self)
 
     def as_dict(self) -> dict:
         return {**self.model.as_dict(), "train_ratio": float(self.train_ratio)}
@@ -97,21 +87,13 @@ def load_json(path: str) -> dict:
 
 def _checked_fields(d: dict, *classes) -> list[dict]:
     """Split `d` over the config dataclasses `classes`: per class, the
-    entries that name one of its scalar fields.  Each value is checked
-    against the field's annotation; a key that names no such field is
-    rejected."""
-    fields = [
-        {n: a for n, a in get_type_hints(cls).items() if a in _FIELD_TYPES} for cls in classes
-    ]
-    known = {n: a for f in fields for n, a in f.items()}
-    unknown = set(d) - set(known)
+    entries that name one of its settings.  A key that names no setting
+    is rejected; the values are checked when the configs are built."""
+    declared = [settings(cls) for cls in classes]
+    unknown = set(d).difference(*declared)
     if unknown:
         raise ContractViolation(f"unknown configuration keys: {sorted(unknown)}")
-    for name, value in d.items():
-        accepted, wanted = _FIELD_TYPES[known[name]]
-        if not isinstance(value, accepted) or isinstance(value, bool):
-            raise ContractViolation(f"configuration key {name!r} must be {wanted}")
-    return [{n: d[n] for n in f if n in d} for f in fields]
+    return [{n: d[n] for n in names if n in d} for names in declared]
 
 
 def parse_train_config(d: dict) -> TrainRunConfig:

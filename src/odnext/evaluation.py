@@ -22,7 +22,7 @@ from .data import (
     chronological_split,
 )
 from .model import EncodedCache, Model, ModelConfig, VARIANTS
-from .nn import ContractViolation
+from .nn import ContractViolation, settings
 from .synth import SynthConfig, generate
 
 METHODS = VARIANTS + ("od-lstm",) + FREQUENCY_KINDS
@@ -276,14 +276,13 @@ def sensitivity_sweep(
         raise ContractViolation(
             f"cannot sweep {param!r}; choose one of {SWEEPABLE_FIELDS}"
         )
-    kind = type(getattr(base, param))
-    for value in values:
-        if kind is int and not float(value).is_integer():
-            raise ContractViolation(f"{param} takes whole numbers, not {value:g}")
+    kind = settings(type(base))[param][0]  # a whole number reads as an int where declared
+    configs = [
+        replace(base, **{param: int(v) if kind == "int" and float(v).is_integer() else v})
+        for v in values
+    ]
     queries = build_test_queries(split)
-    results: list[tuple[float, EvalReport]] = []
-    for value in values:
-        cfg = replace(base, **{param: kind(value)})
-        ranker = fit_ranker(cfg.variant, cfg, split, vocab, tables)
-        results.append((float(value), evaluate(ranker, queries)))
-    return results
+    return [
+        (float(v), evaluate(fit_ranker(cfg.variant, cfg, split, vocab, tables), queries))
+        for v, cfg in zip(values, configs)
+    ]

@@ -31,7 +31,6 @@ pieces; see VARIANTS.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, fields
 from typing import Mapping
 
@@ -48,6 +47,7 @@ from .nn import (
     embedding_init,
     glorot_uniform,
     prefixed,
+    setting,
     train_per_user,
     wrap_params,
 )
@@ -85,26 +85,12 @@ class ModelConfig(TrainConfig):
     """The training protocol's fields, then the model's own; defaults
     follow the reference training profile."""
 
-    variant: str = "stod-ppa"
-    attention_context: str = "all"  # "causal" restricts training attention
-    geohash_precision: int = 5
-    utc_offset_hours: int = 0  # in [-12, 14], the range of civil time zones
-    leaky_slope: float = 0.01
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.variant not in VARIANTS:
-            raise ContractViolation(f"unknown variant {self.variant!r}")
-        if self.attention_context not in ATTENTION_CONTEXTS:
-            raise ContractViolation(
-                f"unknown attention context {self.attention_context!r}"
-            )
-        if not 1 <= self.geohash_precision <= 12:
-            raise ContractViolation("geohash_precision outside [1, 12]")
-        if not -12 <= self.utc_offset_hours <= 14:
-            raise ContractViolation("utc_offset_hours outside [-12, 14]")
-        if not (math.isfinite(self.leaky_slope) and self.leaky_slope >= 0):
-            raise ContractViolation("leaky_slope must be non-negative and finite")
+    variant: str = setting("stod-ppa", choices=VARIANTS)
+    # "causal" restricts training attention
+    attention_context: str = setting("all", choices=ATTENTION_CONTEXTS)
+    geohash_precision: int = setting(5, ge=1, le=12)
+    utc_offset_hours: int = setting(0, ge=-12, le=14)  # the range of civil time zones
+    leaky_slope: float = setting(0.01, ge=0)
 
     def as_dict(self) -> dict:
         return asdict(self)

@@ -1,11 +1,14 @@
-"""Optimizer, parameter declaration and initialization, and per-user
-training with its configuration.  The finite-difference gradient
-checker is test code (`tests/reference.py`)."""
+"""Optimizer, parameter declaration and initialization, per-user training
+with its configuration, and config settings (`setting`, `check_settings`).
+The finite-difference gradient checker is test code (`tests/reference.py`)."""
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field, fields
+from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence, TypeVar
 
 import numpy as np
@@ -21,6 +24,55 @@ ADAM_EPS = 1e-8  # added to the root of the second moment
 
 class ContractViolation(ValueError):
     """Raised when an operation is called outside its contract."""
+
+
+# a setting's annotation -> the exact types of the JSON values it accepts
+# (a bool is never a number), and what an error asks for
+_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+_WANTED = {"int": "an integer", "float": "a number", "str": "a string"}
+
+
+def setting(default, *, ge=None, gt=None, le=None, choices=None):
+    """A config dataclass field: its default and the range of values it
+    accepts, which `check_settings` checks with the field's annotation."""
+    return field(default=default, metadata={"setting": (ge, gt, le, choices)})
+
+
+@functools.cache
+def settings(cls: type) -> Mapping[str, tuple]:
+    """Name -> `(annotation, ge, gt, le, choices)` of each setting of config
+    dataclass `cls`, in field order; resolved once per class, read-only."""
+    return MappingProxyType(
+        {f.name: (f.type, *f.metadata["setting"]) for f in fields(cls) if "setting" in f.metadata}
+    )
+
+
+def check_settings(config) -> None:
+    """Raise ContractViolation naming the first setting of `config` whose
+    value is not of its declared JSON type or lies outside its range."""
+    for name, declared in settings(type(config)).items():
+        if not _holds(getattr(config, name), *declared):
+            raise ContractViolation(f"configuration key {name!r} must be {_accepted(*declared)}")
+
+
+def _holds(v, kind: str, ge, gt, le, choices) -> bool:
+    if type(v) not in _TYPES[kind]:
+        return False
+    if kind == "float" and not abs(v) <= sys.float_info.max:
+        return False  # NaN, an infinity or an integer beyond float64 is not a number
+    in_range = (ge is None or v >= ge) and (gt is None or v > gt) and (le is None or v <= le)
+    return in_range and (choices is None or v in choices)
+
+
+def _accepted(kind: str, ge, gt, le, choices) -> str:
+    text = _WANTED[kind]
+    if choices is not None:
+        return f"{text}, one of {', '.join(map(repr, choices))}"
+    low = f"[{ge}" if ge is not None else f"({gt}" if gt is not None else None
+    if low and le is not None:
+        return f"{text} in {low}, {le}]"
+    ops = [f"{op} {b}" for op, b in ((">=", ge), (">", gt), ("<=", le)) if b is not None]
+    return " ".join([text, *ops])
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -105,21 +157,14 @@ class TrainConfig:
     and the seed of the initial draw and the user order.  Every trained
     method takes these fields; `model.ModelConfig` extends them."""
 
-    dim: int = 256  # embedding size
-    hdim: int = 256  # encoder hidden size
-    lr: float = 1e-4
-    epochs: int = 15
-    seed: int = 0  # >= 0
+    dim: int = setting(256, ge=1)  # embedding size
+    hdim: int = setting(256, ge=1)  # encoder hidden size
+    lr: float = setting(1e-4, gt=0)
+    epochs: int = setting(15, ge=0)
+    seed: int = setting(0, ge=0)
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ContractViolation("seed must be non-negative")
-        if self.dim < 1 or self.hdim < 1:
-            raise ContractViolation("dim and hdim must be positive")
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ContractViolation("lr must be positive and finite")
-        if self.epochs < 0:
-            raise ContractViolation("epochs must be non-negative")
+        check_settings(self)
 
 
 _Batch = TypeVar("_Batch")

@@ -30,7 +30,7 @@ import numpy as np
 
 from .data import Corpus, LocationRecord, Trip
 from .geo import GeoPoint, geohash_bounds, geohash_encode
-from .nn import ContractViolation
+from .nn import ContractViolation, check_settings, setting
 
 GEOHASH_PRECISION = 5
 
@@ -40,46 +40,31 @@ _EPOCH0 = 1_599_955_200
 
 @dataclass(frozen=True)
 class SynthConfig:
-    n_users: int = 200
-    n_locations: int = 60
-    n_clusters: int = 6
-    trips_per_user: int = 30
-    p_noise: float = 0.1
-    seed: int = 0  # >= 0
-    n_cold_users: int = 0
-    cold_trips_min: int = 3
-    cold_trips_max: int = 9
-    n_user_types: int = 5
-    day_half_adherence: float = 0.85
-    rule_member_pool: int = 0  # 0 = whole cluster may serve as rule target
-    p_stay: float = 0.5  # origin transition: stay in previous dest's cluster
-    p_next: float = 0.3  # ... or move to the cyclically next cluster
+    n_users: int = setting(200, ge=1)
+    n_locations: int = setting(60, ge=1)  # a multiple of n_clusters
+    n_clusters: int = setting(6, ge=2)
+    trips_per_user: int = setting(30, ge=2)
+    p_noise: float = setting(0.1, ge=0, le=1)
+    seed: int = setting(0, ge=0)
+    n_cold_users: int = setting(0, ge=0)
+    cold_trips_min: int = setting(3, ge=1)  # at most cold_trips_max
+    cold_trips_max: int = setting(9, ge=1)
+    n_user_types: int = setting(5, ge=1)
+    day_half_adherence: float = setting(0.85, ge=0.5, le=1)
+    rule_member_pool: int = setting(0, ge=0)  # 0 = whole cluster may serve as rule target
+    p_stay: float = setting(0.5, ge=0, le=1)  # origin transition: stay in previous dest's cluster
+    p_next: float = setting(0.3, ge=0, le=1)  # ... or move to the cyclically next cluster
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ContractViolation("seed must be non-negative")
-        for name in ("p_noise", "day_half_adherence", "p_stay", "p_next"):
-            if not math.isfinite(getattr(self, name)):
-                raise ContractViolation(f"{name} must be finite")
-        if self.n_clusters < 2:
-            raise ContractViolation("need at least two clusters")
+        check_settings(self)
         if self.n_locations % self.n_clusters != 0:
-            raise ContractViolation("n_locations must divide evenly into clusters")
-        if self.trips_per_user < 2:
-            raise ContractViolation("users need at least two trips")
-        if not 0.0 <= self.p_noise <= 1.0:
-            raise ContractViolation("p_noise must lie in [0, 1]")
-        if not 0.5 <= self.day_half_adherence <= 1.0:
-            raise ContractViolation("day_half_adherence must lie in [0.5, 1]")
-        if self.n_cold_users and not 1 <= self.cold_trips_min <= self.cold_trips_max:
-            raise ContractViolation("invalid cold trip range")
-        if self.n_user_types < 1:
-            raise ContractViolation("need at least one user type")
-        size = self.n_locations // self.n_clusters
-        if not 0 <= self.rule_member_pool <= size:
-            raise ContractViolation("rule_member_pool exceeds the cluster size")
-        if self.p_stay < 0 or self.p_next < 0 or self.p_stay + self.p_next > 1.0:
-            raise ContractViolation("origin transition probabilities must be a sub-distribution")
+            raise ContractViolation("n_locations must be a multiple of n_clusters")
+        if self.cold_trips_min > self.cold_trips_max:
+            raise ContractViolation("cold_trips_min exceeds cold_trips_max")
+        if self.rule_member_pool > self.n_locations // self.n_clusters:
+            raise ContractViolation("rule_member_pool exceeds n_locations / n_clusters")
+        if self.p_stay + self.p_next > 1.0:
+            raise ContractViolation("p_stay + p_next exceeds 1")
 
     def as_dict(self) -> dict:
         return asdict(self)

@@ -3,11 +3,12 @@
 import contextlib
 import io
 import json
+import math
+import re
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields, replace
-from typing import get_type_hints
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from odnext.evaluation import (
     study_seed,
 )
 from odnext.model import Model, ModelConfig
-from odnext.nn import ContractViolation
+from odnext.nn import ContractViolation, settings as declared_settings
 from odnext.synth import SynthConfig
 
 from helpers import corpus_from, join_checkpoint, split_checkpoint, tensor_offset
@@ -509,9 +510,10 @@ class TestStudyScript:
     @pytest.mark.parametrize(
         "flag, override, message",
         [
-            ("--synth", {"n_clusters": 1}, "need at least two clusters"),
-            ("--synth", {"n_users": 2.5}, "configuration key 'n_users' must be an integer"),
-            ("--train", {"dim": True}, "configuration key 'dim' must be an integer"),
+            ("--synth", {"n_clusters": 1},
+             "configuration key 'n_clusters' must be an integer >= 2"),
+            ("--synth", {"n_users": 2.5}, "configuration key 'n_users' must be an integer >= 1"),
+            ("--train", {"dim": True}, "configuration key 'dim' must be an integer >= 1"),
             ("--train", {"min_trips": 3}, "unknown configuration keys: ['min_trips']"),
             ("--train", {"train_ratio": 0.5}, "unknown configuration keys: ['train_ratio']"),
         ],
@@ -596,7 +598,18 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "section,key,value",
-        [("config", "lr", -1.0), ("cache", "n_train", "abc"), ("cache", "last_dest", [["x"]])],
+        [
+            ("config", "lr", -1.0),
+            ("cache", "n_train", "abc"),
+            ("cache", "last_dest", [["x"]]),
+            # each of the wrong JSON type for its setting; 5.0 is the stored
+            # dim as a float, which would build the same parameters
+            ("config", "dim", 4.0),
+            ("config", "epochs", True),
+            ("config", "seed", 1.5),
+            ("config", "utc_offset_hours", 0.5),
+            ("config", "dim", float(TRAIN_CFG["dim"])),
+        ],
     )
     def test_checkpoint_invalid_header_value_is_2(
         self, pipeline, tmp_path, capsys, section, key, value
@@ -606,8 +619,11 @@ class TestExitCodes:
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(join_checkpoint(fields, payload))
         rc = main(["eval", "--checkpoint", str(bad), "--test", str(pipeline["test"])])
+        err = capsys.readouterr().err
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error:")
+        assert err.startswith("error:")
+        if section == "config":
+            assert f"configuration key {key!r} must be " in err, err
 
     @pytest.mark.parametrize("mismatch", sorted(HEADER_PAYLOAD_MISMATCHES))
     def test_checkpoint_header_payload_mismatch_is_2(self, pipeline, tmp_path, capsys, mismatch):
@@ -771,7 +787,7 @@ class TestExitCodes:
         )
         captured = capsys.readouterr()
         assert rc == 1
-        assert captured.err.startswith(f"error: {param} takes whole numbers"), captured.err
+        assert captured.err.startswith(f"error: configuration key {param!r} must be an integer")
         assert captured.out == ""
 
     def test_unallocatable_config_is_1(self, pipeline, tmp_path, capsys):
@@ -825,8 +841,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("train_ratio", True, "configuration key 'train_ratio' must be a number"),
-            ("train_ratio", 1.5, "train_ratio must lie in (0, 1]"),
+            ("train_ratio", True, "configuration key 'train_ratio' must be a number in (0, 1]"),
+            ("train_ratio", 1.5, "configuration key 'train_ratio' must be a number in (0, 1]"),
             # filtering is `odnext preprocess`; the train config has no such key
             ("min_trips", 2, "unknown configuration keys: ['min_trips']"),
         ],
@@ -887,7 +903,40 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "command, key, value",
-        [("synth", "seed", -1), ("train", "seed", -1), ("train", "utc_offset_hours", 10**20)],
+        [
+            ("synth", "n_users", -3),
+            ("synth", "n_cold_users", -1),
+            ("synth", "n_locations", 0),
+            ("study", "n_cold_users", -4),  # the tiny profile has 20 users
+        ],
+    )
+    def test_synth_size_below_its_bound_is_1(self, tmp_path, capsys, command, key, value):
+        """A corpus size below its declared bound is refused before any
+        corpus is written or any model is trained."""
+        cfg = tmp_path / "cfg.json"
+        out = ["--out-trips", str(tmp_path / "t.csv"), "--out-locations", str(tmp_path / "l.csv")]
+        if command == "synth":
+            cfg.write_text(json.dumps({key: value}))
+            rc = main(["synth", "--config", str(cfg), *out])
+        else:
+            cfg.write_text(json.dumps({**TINY_STUDY, key: value}))
+            rc = main(["study", "--seeds", "0", "--synth", str(cfg)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: configuration key {key!r} must be ")
+        assert captured.err.count("\n") == 1, captured.err
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("synth", "seed", -1),
+            ("train", "seed", -1),
+            ("train", "utc_offset_hours", 10**20),
+            # a JSON integer beyond float64 is not a number
+            pytest.param("train", "lr", 10**400, id="train-lr-10**400"),
+        ],
     )
     def test_out_of_range_config_value_is_1_and_names_the_key(
         self, pipeline, tmp_path, command, key, value
@@ -969,16 +1018,63 @@ class TestConfigParsing:
 
 
 # a value of the wrong JSON type for each kind of config field
-WRONG_VALUES = {int: [1.5, "8", True], float: ["0.1", False], str: [3, None]}
-CONFIG_FIELDS = (
-    [("train", f.name, get_type_hints(ModelConfig)[f.name]) for f in fields(ModelConfig)]
-    + [
-        ("train", f.name, get_type_hints(TrainRunConfig)[f.name])
-        for f in fields(TrainRunConfig)
-        if f.name != "model"
-    ]
-    + [("synth", f.name, get_type_hints(SynthConfig)[f.name]) for f in fields(SynthConfig)]
-)
+WRONG_VALUES = {"int": [1.5, "8", True], "float": ["0.1", False], "str": [3, None]}
+# (command, key, declaration) of every setting the train and synth configs take
+CONFIG_SETTINGS = [
+    (command, name, declared)
+    for command, classes in (("train", (ModelConfig, TrainRunConfig)), ("synth", (SynthConfig,)))
+    for cls in classes
+    for name, declared in declared_settings(cls).items()
+]
+CONFIG_FIELDS = [(command, name, declared[0]) for command, name, declared in CONFIG_SETTINGS]
+# values at the edges of JSON and of float64, and JSON's other types, for every setting
+EXTREMES = [2**63, -(2**63), 10**400, 1e308, -1e308, -0.0, math.nan, math.inf, -math.inf, None, []]
+
+
+def _at_bounds(kind, ge, gt, le, choices) -> list:
+    """A setting's choices and a string that is none of them, or each of
+    its bounds with the values just below and just above it."""
+    if choices is not None:
+        return [*choices, "unknown"]
+    values = []
+    for bound in (b for b in (ge, gt, le) if b is not None):
+        if kind == "int":
+            values += [bound - 1, bound, bound + 1]
+        else:
+            values += [math.nextafter(bound, -math.inf), bound, float(bound)]
+            values.append(math.nextafter(bound, math.inf))
+    return values
+
+
+@pytest.mark.parametrize("command, name, declared", CONFIG_SETTINGS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_setting_holds_a_drawn_value_or_names_its_key(command, name, declared, data):
+    """Each bound, the values just past it, a wrong JSON type and the
+    extremes either build a config that holds the value, which its
+    declaration then accepts, or end in a ContractViolation that names the
+    key.  Nothing is trained or generated."""
+    values = _at_bounds(*declared) + WRONG_VALUES[declared[0]] + EXTREMES
+    value = data.draw(st.sampled_from(values), "value")
+    try:
+        if command == "synth":
+            got = getattr(parse_overrides(SynthConfig(), {name: value}), name)
+        else:
+            cfg = parse_train_config({name: value})
+            got = getattr(cfg if name == "train_ratio" else cfg.model, name)
+    except ContractViolation as e:
+        assert re.search(rf"\b{name}\b", str(e)), str(e)
+    else:
+        kind, ge, gt, le, choices = declared
+        assert type(got) is type(value) and got == value
+        if kind == "str":
+            assert choices is None or got in choices
+        else:
+            assert type(got) is not bool
+            assert kind == "int" or abs(got) <= sys.float_info.max
+            assert ge is None or got >= ge
+            assert gt is None or got > gt
+            assert le is None or got <= le
 
 
 @pytest.mark.parametrize("command, name, kind", CONFIG_FIELDS)

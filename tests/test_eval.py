@@ -236,6 +236,19 @@ class TestSweep:
             assert isinstance(report, EvalReport)
             assert report.n_queries > 0
 
+    def test_reads_the_declared_type_not_the_base_value(self):
+        # an integral lr in the base config does not make lr an integer field
+        from odnext.data import build_interval_tables, build_vocab
+
+        corpus = random_corpus(11, n_users=5, n_locations=6, min_trips=6, max_trips=9)
+        split = chronological_split(corpus, 0.7)
+        vocab = build_vocab(corpus)
+        base = ModelConfig(dim=4, hdim=5, lr=1, epochs=1, seed=0)
+        out = sensitivity_sweep(base, "lr", [0.5], split, vocab, build_interval_tables(split.train))
+        assert [v for v, _ in out] == [0.5]
+        with pytest.raises(ContractViolation, match="key 'epochs' must be an integer"):
+            sensitivity_sweep(base, "epochs", [1, 1.5], split, vocab, None)
+
 
 class TestFitRanker:
     CFG = ModelConfig(dim=4, hdim=5, lr=1e-2, epochs=2, seed=3)
