@@ -2,11 +2,14 @@
 
 The tape holds only what one training step of the model records:
 embedding gathers (`take_rows`), `concat`, `add`, `matmul`, `softmax`,
-the mean cross-entropy, and the fused kernels (`fused`) of the encoders
-and the attention layer, whose backwards are written by hand.  The
-per-op functions the kernels are checked against (elementwise ops,
-indexing, reductions) and the finite-difference checker live in the test
-suite, in `tests/reference.py`.
+the mean cross-entropy, and the kernels of the encoders and the
+attention layer.  Each computes its value, writes its backward by hand
+and hands both to `fused`, the one constructor that puts a node on the
+tape: it records the inputs that take a gradient, and none under
+`no_grad`.  The per-op functions the kernels are checked against
+(elementwise ops, indexing, reductions) and the finite-difference
+checker live in the test suite, in `tests/reference.py`, and build
+their nodes through `fused` too.
 """
 
 from __future__ import annotations
@@ -57,6 +60,15 @@ class Tensor:
         return self.value.shape
 
     def accumulate(self, g: np.ndarray) -> None:
+        """Add `g` into the gradient, summed over the axes along which
+        numpy broadcast this tensor."""
+        shape = self.value.shape
+        if g.shape != shape:  # no sum over no axes: it would turn -0.0 into 0.0
+            if g.ndim > len(shape):
+                g = g.sum(axis=tuple(range(g.ndim - len(shape))))
+            axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+            if axes:
+                g = g.sum(axis=axes, keepdims=True)
         if self.grad is None:
             # a copy, never `g` itself: add hands one array to both parents
             self.grad = np.array(g, dtype=np.float64)
@@ -104,82 +116,55 @@ def constant(value) -> Tensor:
     return Tensor(value)
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def _track(a: Tensor, *rest: Tensor) -> bool:
-    if not _grad_enabled:
-        return False
-    if a.requires_grad or a._parents:
-        return True
-    return any(t.requires_grad or t._parents for t in rest)
-
-
 def needs_grad(t: Tensor) -> bool:
     """Whether gradients flow into `t`: a parameter or a taped result."""
     return t.requires_grad or bool(t._parents)
 
 
+def taped_inputs(inputs: Sequence[Tensor]) -> tuple[Tensor, ...]:
+    """The parents a node over `inputs` records: none under `no_grad`,
+    else every input for which `needs_grad` holds."""
+    if not _grad_enabled:
+        return ()
+    return tuple(t for t in inputs if needs_grad(t))
+
+
 def fused(value, inputs: Sequence[Tensor], backward: Callable[[np.ndarray], None]) -> Tensor:
-    """One tape node for a kernel computed outside the tape.
+    """The one constructor of a taped node: `value`, computed outside the
+    tape, over `inputs`.
 
     `backward(g)` receives the gradient of the output and accumulates
-    into every input for which `needs_grad` holds.  Inputs that take no
-    gradient are left off the tape.
+    into every input for which `needs_grad` holds.  Only the inputs of
+    `taped_inputs` go on the tape; with none, the result is a constant.
     """
-    if not _grad_enabled:
-        return Tensor(value)
-    parents = tuple(t for t in inputs if needs_grad(t))
+    parents = taped_inputs(inputs)
     if not parents:
         return Tensor(value)
     return Tensor(value, parents=parents, backward=backward)
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum `g` down to `shape` (inverse of numpy broadcasting)."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
-
-
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out_val = a.value + b.value
-    if not _track(a, b):
-        return Tensor(out_val)
-
+def add(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
-        if a.requires_grad or a._parents:
-            a.accumulate(_unbroadcast(g, a.value.shape))
-        if b.requires_grad or b._parents:
-            b.accumulate(_unbroadcast(g, b.value.shape))
+        if needs_grad(a):
+            a.accumulate(g)
+        if needs_grad(b):
+            b.accumulate(g)
 
-    return Tensor(out_val, parents=(a, b), backward=backward)
+    return fused(a.value + b.value, (a, b), backward)
 
 
-def matmul(a, b) -> Tensor:
+def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product: numpy @ semantics for 1-D/2-D operands plus a
     batched n-D left operand against a 2-D right operand."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    out_val = a.value @ b.value
-    if not _track(a, b):
-        return Tensor(out_val)
     av, bv = a.value, b.value
 
     def backward(g):
-        if a.requires_grad or a._parents:
+        if needs_grad(a):
             if bv.ndim == 1:
                 a.accumulate(g * bv if av.ndim == 1 else g[..., None] * bv)
             else:
                 a.accumulate(g @ bv.T)
-        if b.requires_grad or b._parents:
+        if needs_grad(b):
             if av.ndim == 1:
                 b.accumulate(g * av if bv.ndim == 1 else np.outer(av, g))
             elif av.ndim == 2:
@@ -189,7 +174,7 @@ def matmul(a, b) -> Tensor:
                 axes = tuple(range(av.ndim - 1))
                 b.accumulate(np.tensordot(av, g, axes=(axes, axes)))
 
-    return Tensor(out_val, parents=(a, b), backward=backward)
+    return fused(av @ bv, (a, b), backward)
 
 
 def take_rows(a: Tensor, idx) -> Tensor:
@@ -201,9 +186,6 @@ def take_rows(a: Tensor, idx) -> Tensor:
     separate zeros + np.add.at buffer, bit for bit.
     """
     idx = np.asarray(idx)
-    out_val = a.value[idx]
-    if not _track(a):
-        return Tensor(out_val)
 
     def backward(g):
         if a.grad is None:
@@ -215,25 +197,19 @@ def take_rows(a: Tensor, idx) -> Tensor:
         np.add.at(sums, slot.reshape(idx.shape), g)
         a.grad[rows] += sums
 
-    return Tensor(out_val, parents=(a,), backward=backward)
+    return fused(a.value[idx], (a,), backward)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
-    out_val = np.concatenate([t.value for t in tensors], axis=axis)
-    if not _track(*tensors):
-        return Tensor(out_val)
-    sizes = [t.value.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
     def backward(g):
+        offsets = np.cumsum([0] + [t.value.shape[axis] for t in tensors])
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad or t._parents:
+            if needs_grad(t):
                 sl = [slice(None)] * g.ndim
                 sl[axis] = slice(lo, hi)
                 t.accumulate(g[tuple(sl)])
 
-    return Tensor(out_val, parents=tuple(tensors), backward=backward)
+    return fused(np.concatenate([t.value for t in tensors], axis=axis), tensors, backward)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -241,14 +217,12 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     shifted = a.value - a.value.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     out_val = e / e.sum(axis=axis, keepdims=True)
-    if not _track(a):
-        return Tensor(out_val)
 
     def backward(g):
         dot = (g * out_val).sum(axis=axis, keepdims=True)
         a.accumulate(out_val * (g - dot))
 
-    return Tensor(out_val, parents=(a,), backward=backward)
+    return fused(out_val, (a,), backward)
 
 
 def mean_cross_entropy(logits: Tensor, targets) -> Tensor:
@@ -262,8 +236,6 @@ def mean_cross_entropy(logits: Tensor, targets) -> Tensor:
     shifted = logits.value - logits.value.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     out_val = np.asarray(np.mean(shifted[rows, targets] - lse[:, 0])) * -1.0
-    if not _track(logits):
-        return Tensor(out_val)
 
     def backward(g):
         per_row = g * -1.0 / len(rows)
@@ -271,4 +243,4 @@ def mean_cross_entropy(logits: Tensor, targets) -> Tensor:
         grad[rows, targets] += per_row
         logits.accumulate(grad)
 
-    return Tensor(out_val, parents=(logits,), backward=backward)
+    return fused(out_val, (logits,), backward)

@@ -30,6 +30,7 @@ import mmap
 import os
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
 
 import numpy as np
@@ -44,6 +45,7 @@ _ALIGN = 64  # payload start; views that are not aligned leave numpy's BLAS path
 _TABLES = ("tables/spatial", "tables/temporal")
 _SEQUENCES = ("cache/oseq", "cache/dseq")
 _F8, _I8 = "<f8", "<i8"
+_int64s = partial(np.asarray, dtype=np.int64)
 
 
 class CheckpointFormatError(ValueError):
@@ -151,6 +153,15 @@ def save_checkpoint(
         raise
 
 
+def _field(header: dict, section: str, key: str, convert):
+    """`convert(header[section][key])`; a value it refuses names its key."""
+    value = header[section][key]
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ValueError(f"{section}.{key}: {e}") from None
+
+
 def _in_range(ids: np.ndarray, n: int) -> bool:
     return ids.size == 0 or 0 <= ids.min() <= ids.max() < n
 
@@ -231,25 +242,24 @@ def load_checkpoint(path: str) -> CheckpointBundle:
 
         try:
             config = ModelConfig(**header["config"])
-            loc_ids = list(header["ids"]["locations"])
-            user_ids = list(header["ids"]["users"])
+            loc_ids = _field(header, "ids", "locations", list)
+            user_ids = _field(header, "ids", "users", list)
             vocab = Vocab(
                 n_locations=len(loc_ids),
                 n_users=len(user_ids),
                 n_timeslots=header["vocab"]["n_timeslots"],
-                geohash_codes=list(header["vocab"]["geohash_codes"]),
-                loc_geohash=np.asarray(header["vocab"]["loc_geohash"], dtype=np.int64),
+                geohash_codes=_field(header, "vocab", "geohash_codes", list),
+                loc_geohash=_field(header, "vocab", "loc_geohash", _int64s),
                 geohash_precision=config.geohash_precision,
                 utc_offset_hours=config.utc_offset_hours,
             )
             specs = [
                 (str(t["name"]), str(t["dtype"]), tuple(t["shape"])) for t in header["tensors"]
             ]
-            d_max_km = float(header["scales"]["d_max_km"])
-            t_max_hours = float(header["scales"]["t_max_hours"])
-            meta = header["cache"]
-            last_dest = np.asarray(meta["last_dest"], dtype=np.int64)
-            n_train = np.asarray(meta["n_train"], dtype=np.int64)
+            d_max_km = _field(header, "scales", "d_max_km", float)
+            t_max_hours = _field(header, "scales", "t_max_hours", float)
+            last_dest = _field(header, "cache", "last_dest", _int64s)
+            n_train = _field(header, "cache", "n_train", _int64s)
             _check_header(vocab, (loc_ids, user_ids), specs, last_dest, n_train)
         except (KeyError, TypeError, ValueError, OverflowError) as e:
             # ValueError covers ContractViolation from an invalid stored config

@@ -157,12 +157,18 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
+def _training_run(args) -> tuple:
+    """(config, corpus, split, vocab, tables) of a `train`, `ablate` or
+    `sweep` run; an empty corpus is refused before any training."""
     cfg = parse_train_config(load_json(args.config))
     corpus = load_corpus(args.trips, args.locations)
     if corpus.is_empty:
         raise ContractViolation("training corpus has no users")
-    split, vocab, tables = prepare_split(corpus, cfg.model, cfg.train_ratio)
+    return cfg, corpus, *prepare_split(corpus, cfg.model, cfg.train_ratio)
+
+
+def cmd_train(args) -> int:
+    cfg, corpus, split, vocab, tables = _training_run(args)
     ranker = fit_ranker(cfg.model.variant, cfg.model, split, vocab, tables)
     model = ranker.model
     save_checkpoint(
@@ -187,13 +193,17 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _id_indices(bundle) -> list[dict[str, int]]:
+    """The bundle's user ids and location ids, each mapped to its index."""
+    return [{x: i for i, x in enumerate(ids)} for ids in (bundle.user_ids, bundle.location_ids)]
+
+
 def _test_queries_from_rows(bundle, rows) -> tuple[list[list[TrainingExample]], int]:
     """Group raw test rows per known user and chain each user's queries
     from the end of their training history, as `build_test_queries` does.
     Rows of unknown users or locations, and of users without encoder
     states (under two training trips), are counted as skipped."""
-    user_index = {uid: i for i, uid in enumerate(bundle.user_ids)}
-    loc_index = {lid: i for i, lid in enumerate(bundle.location_ids)}
+    user_index, loc_index = _id_indices(bundle)
     per_user: dict[int, list[Trip]] = {}
     skipped = 0
     for user_id, origin_id, dest_id, pickup, dropoff in rows:
@@ -232,8 +242,7 @@ def cmd_predict(args) -> int:
         raise ContractViolation(f"--top must be at least 1, got {args.top}")
     bundle = load_checkpoint(args.checkpoint)
     model, cache = bundle.model, bundle.cache
-    user_index = {uid: i for i, uid in enumerate(bundle.user_ids)}
-    loc_index = {lid: i for i, lid in enumerate(bundle.location_ids)}
+    user_index, loc_index = _id_indices(bundle)
     if args.user not in user_index:
         raise ContractViolation(f"unknown user id {args.user!r}")
     for loc in (args.origin, args.prev_dest):
@@ -283,8 +292,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg = parse_train_config(load_json(args.config))
-    corpus = load_corpus(args.trips, args.locations)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     if not variants:
         raise ContractViolation("no variants given")
@@ -292,8 +299,7 @@ def cmd_ablate(args) -> int:
     for v in variants:
         if v not in METHODS:
             raise ContractViolation(f"unknown ablation target {v!r}")
-
-    split, vocab, tables = prepare_split(corpus, cfg.model, cfg.train_ratio)
+    cfg, _, split, vocab, tables = _training_run(args)
     queries = build_test_queries(split)
     lines = [f"config_sha256={config_sha256(cfg.as_dict())}"]
     for v in variants:
@@ -343,8 +349,6 @@ def cmd_study(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = parse_train_config(load_json(args.config))
-    corpus = load_corpus(args.trips, args.locations)
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ContractViolation("no sweep values given")
@@ -352,7 +356,7 @@ def cmd_sweep(args) -> int:
         parsed = [float(v) for v in values]
     except ValueError:
         raise ContractViolation(f"sweep values must be numeric: {values}") from None
-    split, vocab, tables = prepare_split(corpus, cfg.model, cfg.train_ratio)
+    cfg, _, split, vocab, tables = _training_run(args)
     results = sensitivity_sweep(cfg.model, args.param, parsed, split, vocab, tables)
     lines = [f"config_sha256={config_sha256(cfg.as_dict())}", f"param={args.param}"]
     for value, report in results:
@@ -379,6 +383,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
+    def training(name: str, func, help: str) -> argparse.ArgumentParser:
+        p = command(name, func, help)
+        p.add_argument("--config", required=True, help="JSON hyperparameter file")
+        p.add_argument("--trips", required=True)
+        p.add_argument("--locations", required=True)
+        return p
+
     p = command("preprocess", cmd_preprocess, "drop sparse users and locations")
     p.add_argument("--trips", required=True)
     p.add_argument("--locations", required=True)
@@ -387,10 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-trips", type=int, default=10)
     p.add_argument("--min-users", type=int, default=10)
 
-    p = command("train", cmd_train, "train a model and save a checkpoint")
-    p.add_argument("--config", required=True, help="JSON hyperparameter file")
-    p.add_argument("--trips", required=True)
-    p.add_argument("--locations", required=True)
+    p = training("train", cmd_train, "train a model and save a checkpoint")
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--out-test", help="write the held-out test trips here")
 
@@ -412,10 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-locations", required=True)
     p.add_argument("--manifest", help="write the planted-rule manifest here")
 
-    p = command("ablate", cmd_ablate, "compare variants and baselines")
-    p.add_argument("--config", required=True)
-    p.add_argument("--trips", required=True)
-    p.add_argument("--locations", required=True)
+    p = training("ablate", cmd_ablate, "compare variants and baselines")
     p.add_argument(
         "--variants",
         default="stod-ppa,od-ppa,od-lstm,u-top,top",
@@ -423,10 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seeds", default="0", help="comma list of training seeds")
 
-    p = command("sweep", cmd_sweep, "vary one hyperparameter and re-train")
-    p.add_argument("--config", required=True)
-    p.add_argument("--trips", required=True)
-    p.add_argument("--locations", required=True)
+    p = training("sweep", cmd_sweep, "vary one hyperparameter and re-train")
     p.add_argument("--param", required=True)
     p.add_argument("--values", required=True, help="comma list of values")
 

@@ -341,7 +341,7 @@ def _encode(
     inputs = [x for feeds, _, _ in branches for x, _ in feeds]
     inputs += [t for feeds, rec, b in branches for t in (*(w for _, w in feeds), rec, b)]
     inputs += [] if w_h is None else [w_h]
-    if h0.ndim > 1 and ag._track(*inputs):
+    if h0.ndim > 1 and ag.taped_inputs(inputs):
         raise ContractViolation("a row-axis encode takes no gradient; run it under no_grad")
     p = _project(branches, hidden)
     if p.shape[-2] == 0:

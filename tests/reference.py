@@ -6,8 +6,8 @@ time slot of one timestamp.
 The fused kernels of `odnext` (the encoders, the attention node, the mean
 cross-entropy) are tested against compositions of these functions, every
 gradient against `grad_check`, and `geo.timeslots` against `timeslot_of`.
-The ops tape through the same `Tensor` as the kernels, so one graph may
-mix both.
+The ops build their nodes through `ag.fused`, as the kernels do, so one
+graph may mix both.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 import odnext.autograd as ag
-from odnext.autograd import Tensor, _as_tensor, _track, _unbroadcast, add, concat, matmul
+from odnext.autograd import Tensor, add, concat, matmul
 from odnext.data import encoder_sequences
 from odnext.geo import TIMESLOT_HOURS
 from odnext.model import _causal_mask
@@ -29,48 +29,36 @@ from odnext.stlstm import LSTMWeights, STLSTMWeights, lstm_encode, lstm_spec, st
 
 
 def grad_enabled() -> bool:
-    return ag._grad_enabled
+    """Whether an op over a parameter would go on the tape."""
+    return bool(ag.taped_inputs([ag.parameter(0.0)]))
 
 
 def _unary(a: Tensor, out_val: np.ndarray, grad: Callable[[np.ndarray], np.ndarray]) -> Tensor:
     """A node over one input whose backward accumulates `grad(g)` into it."""
-    if not _track(a):
-        return Tensor(out_val)
-    return Tensor(out_val, parents=(a,), backward=lambda g: a.accumulate(grad(g)))
+    return ag.fused(out_val, (a,), lambda g: a.accumulate(grad(g)))
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out_val = a.value - b.value
-    if not _track(a, b):
-        return Tensor(out_val)
-
+def sub(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         if ag.needs_grad(a):
-            a.accumulate(_unbroadcast(g, a.value.shape))
+            a.accumulate(g)
         if ag.needs_grad(b):
-            b.accumulate(-_unbroadcast(g, b.value.shape))
+            b.accumulate(-g)
 
-    return Tensor(out_val, parents=(a, b), backward=backward)
+    return ag.fused(a.value - b.value, (a, b), backward)
 
 
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out_val = a.value * b.value
-    if not _track(a, b):
-        return Tensor(out_val)
-
+def mul(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         if ag.needs_grad(a):
-            a.accumulate(_unbroadcast(g * b.value, a.value.shape))
+            a.accumulate(g * b.value)
         if ag.needs_grad(b):
-            b.accumulate(_unbroadcast(g * a.value, b.value.shape))
+            b.accumulate(g * a.value)
 
-    return Tensor(out_val, parents=(a, b), backward=backward)
+    return ag.fused(a.value * b.value, (a, b), backward)
 
 
-def scale(a, c: float) -> Tensor:
-    a = _as_tensor(a)
+def scale(a: Tensor, c: float) -> Tensor:
     return _unary(a, a.value * c, lambda g: g * c)
 
 
@@ -80,16 +68,13 @@ def index(a: Tensor, key) -> Tensor:
     Basic keys select each element at most once, so the backward adds
     straight into the selected part of `a.grad`.
     """
-    out_val = np.array(a.value[key], copy=True)
-    if not _track(a):
-        return Tensor(out_val)
 
     def backward(g):
         if a.grad is None:
             a.grad = np.zeros_like(a.value)
         a.grad[key] += g
 
-    return Tensor(out_val, parents=(a,), backward=backward)
+    return ag.fused(np.array(a.value[key], copy=True), (a,), backward)
 
 
 def take_per_row(a: Tensor, cols) -> Tensor:
@@ -107,17 +92,13 @@ def take_per_row(a: Tensor, cols) -> Tensor:
 
 def stack(tensors: Sequence[Tensor]) -> Tensor:
     """Stack equal-shape tensors along a new leading axis."""
-    tensors = [_as_tensor(t) for t in tensors]
-    out_val = np.stack([t.value for t in tensors])
-    if not _track(*tensors):
-        return Tensor(out_val)
 
     def backward(g):
         for i, t in enumerate(tensors):
             if ag.needs_grad(t):
                 t.accumulate(g[i])
 
-    return Tensor(out_val, parents=tuple(tensors), backward=backward)
+    return ag.fused(np.stack([t.value for t in tensors]), tensors, backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:

@@ -206,6 +206,27 @@ class TestSoftmax:
         )
 
 
+# every op over two inputs, and over one, that builds a node
+MIXED_OPS = {
+    "add": ag.add,
+    "matmul": ag.matmul,
+    "concat": lambda a, b: ag.concat([a, b], axis=1),
+    "sub": ref.sub,
+    "mul": ref.mul,
+    "stack": lambda a, b: ref.stack([a, b]),
+}
+SINGLE_OPS = {
+    "take_rows": lambda a: ag.take_rows(a, [1, 1, 0]),
+    "softmax": ag.softmax,
+    "mean_cross_entropy": lambda a: ag.mean_cross_entropy(a, [0, 1]),
+    "scale": lambda a: ref.scale(a, 2.0),
+    "index": lambda a: ref.index(a, slice(0, 1)),
+    "take_per_row": lambda a: ref.take_per_row(a, [1, 0]),
+    "log_softmax": ref.log_softmax,
+    "sigmoid": ref.sigmoid,
+}
+
+
 class TestGraph:
     def test_diamond_fanout_accumulates(self):
         # a feeds two branches; grads from both must add.
@@ -233,6 +254,22 @@ class TestGraph:
             out = ref.mul(a, a)
         assert out._parents == ()
         assert ref.grad_enabled()
+
+    @pytest.mark.parametrize("op", sorted(MIXED_OPS))
+    @pytest.mark.parametrize("param_first", [True, False])
+    def test_a_constant_input_stays_off_the_tape(self, op, param_first):
+        p, c = ag.parameter(np.ones((2, 2))), ag.constant(np.full((2, 2), 2.0))
+        out = MIXED_OPS[op](p, c) if param_first else MIXED_OPS[op](c, p)
+        assert out._parents == (p,)
+        ref.mean_all(out).backward()
+        assert p.grad is not None and c.grad is None
+
+    @pytest.mark.parametrize("op", sorted(MIXED_OPS) + sorted(SINGLE_OPS))
+    def test_no_op_tapes_under_no_grad(self, op):
+        p, q = ag.parameter(np.ones((2, 2))), ag.parameter(np.full((2, 2), 2.0))
+        with ag.no_grad():
+            out = MIXED_OPS[op](p, q) if op in MIXED_OPS else SINGLE_OPS[op](p)
+        assert out._parents == () and out._backward is None
 
     def test_constant_gets_no_gradient(self):
         a = ag.parameter(np.array([1.0, 2.0]))

@@ -602,6 +602,11 @@ class TestExitCodes:
             ("config", "lr", -1.0),
             ("cache", "n_train", "abc"),
             ("cache", "last_dest", [["x"]]),
+            ("vocab", "loc_geohash", ["x"]),
+            ("vocab", "geohash_codes", 7),
+            ("ids", "users", None),
+            ("scales", "d_max_km", "far"),
+            ("scales", "t_max_hours", [1.0]),
             # each of the wrong JSON type for its setting; 5.0 is the stored
             # dim as a float, which would build the same parameters
             ("config", "dim", 4.0),
@@ -622,6 +627,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error:")
+        assert key in err, err
         if section == "config":
             assert f"configuration key {key!r} must be " in err, err
 
@@ -867,6 +873,25 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("command", ["train", "ablate", "sweep"])
+    def test_empty_corpus_is_refused_before_training(self, pipeline, tmp_path, capsys, command):
+        trips = tmp_path / "trips.csv"
+        trips.write_text(pipeline["p_trips"].read_text().splitlines()[0] + "\n")
+        extra = {
+            "train": ["--out", str(tmp_path / "m.ckpt")],
+            "ablate": [],
+            "sweep": ["--param", "epochs", "--values", "1"],
+        }[command]
+        rc = main([
+            command, "--config", str(pipeline["train_cfg"]),
+            "--trips", str(trips), "--locations", str(pipeline["p_locs"]), *extra,
+        ])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == "error: training corpus has no users\n"
         assert captured.out == ""
         assert not (tmp_path / "m.ckpt").exists()
 

@@ -6,7 +6,7 @@ own module, and every public top-level function and every
 public method of a class in `src/odnext` outside its own `def`.  A name
 counts as an identifier, an attribute, an import or an identifier-like
 string constant (perfbench wraps methods by name).  A helper only tests call belongs in
-`tests/reference.py`.
+`tests/reference.py`.  Only `autograd.fused` puts a node on the tape.
 """
 
 import ast
@@ -107,3 +107,34 @@ def test_public_functions_of_every_module_are_used_outside_their_def():
 def test_public_methods_are_used_outside_their_def():
     unused = _unused_defs(_class_scopes)
     assert not unused, f"only tests call {unused}; move them to tests/reference.py"
+
+
+def _taped_constructions(tree: ast.AST, skip: ast.AST | None = None) -> list[int]:
+    """Lines of the `Tensor(...)` calls in `tree`, outside `skip`, that pass
+    parents or a backward (by keyword, or as the third or fourth argument)."""
+    lines = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            keywords = {k.arg for k in node.keywords}
+            if name == "Tensor" and (len(node.args) > 2 or keywords & {"parents", "backward"}):
+                lines.append(node.lineno)
+        stack.extend(ast.iter_child_nodes(node))
+    return sorted(lines)
+
+
+def test_only_fused_puts_a_node_on_the_tape():
+    """Every taped `Tensor` of the program and of `tests/reference.py` is
+    built by `autograd.fused`."""
+    paths = [*sorted((ROOT / "src").rglob("*.py")), ROOT / "tests" / "reference.py"]
+    trees = {p: _parse(p) for p in paths}
+    fused = next(f for f in _public_defs(trees[PACKAGE / "autograd.py"].body) if f.name == "fused")
+    assert _taped_constructions(fused), "fused no longer builds the taped node"
+    found = [
+        f"{p.name}:{n}" for p, tree in trees.items() for n in _taped_constructions(tree, fused)
+    ]
+    assert not found, f"taped Tensor built outside autograd.fused at {found}"
