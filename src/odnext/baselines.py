@@ -17,10 +17,16 @@ from .nn import (
     prefixed,
     train_per_user,
 )
-from .stlstm import LSTMWeights, equal_length_chunks, lstm_encode, lstm_spec
+from .stlstm import LSTMWeights, encode_by_length, lstm_encode, lstm_spec
 
 FREQUENCY_KINDS = ("top", "u-top", "taxi")
 TAXI_LAMBDA = 0.5  # taxi's weight on the user's own proportions
+
+
+def rank_descending(probs: np.ndarray) -> np.ndarray:
+    """Location indices by descending probability along the last axis, so
+    one call ranks every row of a (Q, |L|) array; ties by ascending index."""
+    return np.argsort(-probs, axis=-1, kind="stable")
 
 
 class FrequencyRanker:
@@ -116,18 +122,14 @@ class ODLSTM:
     def fit(self, train: Corpus) -> list[float]:
         """Train in place, then store each user's final (h, c) after the
         training sequence (zeros below two trips); histories of equal
-        length run through the LSTM together, as one row-axis encode."""
+        length run through the LSTM together (`encode_by_length`)."""
         seqs = [encoder_sequences(trips) for trips in train.trips_by_user]
         usable = [(u, s) for u, s in enumerate(seqs) if s.targets.size]
         self.loss_curve = train_per_user(self.params, self.config, usable, self._loss, train.users)
-        self._final = [None] * len(seqs)
-        with ag.no_grad():
-            for chunk in equal_length_chunks([len(s.oseq) for s in seqs]):
-                oseq = np.stack([seqs[u].oseq for u in chunk])
-                dseq = np.stack([seqs[u].dseq for u in chunk])
-                _, h, c = lstm_encode(self.lstm, self._inputs(oseq, dseq))
-                for b, u in enumerate(chunk):
-                    self._final[u] = (h[b].copy(), c[b].copy())
+        final = encode_by_length(
+            seqs, lambda rows: lstm_encode(self.lstm, self._inputs(rows.oseq, rows.dseq))[1:]
+        )
+        self._final = [(h.copy(), c.copy()) for h, c in final]
         return self.loss_curve
 
     def rank_user(self, user: int, queries) -> list[np.ndarray]:
@@ -143,4 +145,4 @@ class ODLSTM:
             states, _, _ = lstm_encode(self.lstm, self._inputs(oseq, dseq), h0, c0)
             logits = ag.matmul(states, self.params["out/W_loc"])
             probs = ag.softmax(logits, axis=1).value
-        return list(np.argsort(-probs, axis=1, kind="stable"))
+        return list(rank_descending(probs))

@@ -189,11 +189,14 @@ def save_corpus(corpus: Corpus, trips_path: str, locations_path: str) -> None:
 def preprocess(corpus: Corpus, min_trips: int = 10, min_users: int = 10) -> Corpus:
     """Iteratively drop sparse users and locations until a fixpoint.
 
-    A surviving user has >= min_trips trips; a surviving location is
-    visited (as origin or destination) by >= min_users distinct users.
+    A surviving user has >= min_trips >= 1 trips; a surviving location is
+    visited (as origin or destination) by >= min_users >= 0 distinct users.
     Dropping a location drops the trips that touch it, which can drop a
     user, and so on.  Index spaces are re-compacted in the result.
     """
+    for name, value, bound in (("min_trips", min_trips, 1), ("min_users", min_users, 0)):
+        if value < bound:
+            raise ValueError(f"{name} must be at least {bound}, got {value}")
     user_trips = {u: list(trips) for u, trips in enumerate(corpus.trips_by_user)}
     alive_locs = set(range(corpus.n_locations))
 

@@ -8,7 +8,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .baselines import FREQUENCY_KINDS, FrequencyRanker, ODLSTM
+from .baselines import FREQUENCY_KINDS, FrequencyRanker, ODLSTM, rank_descending
 from .data import (
     Corpus,
     IntervalTables,
@@ -26,12 +26,6 @@ from .nn import ContractViolation, settings
 from .synth import SynthConfig, generate
 
 METHODS = VARIANTS + ("od-lstm",) + FREQUENCY_KINDS
-
-
-def rank_descending(probs: np.ndarray) -> np.ndarray:
-    """Location indices by descending probability along the last axis, so
-    one call ranks every row of a (Q, |L|) array; ties by ascending index."""
-    return np.argsort(-probs, axis=-1, kind="stable")
 
 
 def target_ranks(rankings: Sequence[np.ndarray], targets: Sequence[int]) -> np.ndarray:

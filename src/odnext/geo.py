@@ -35,13 +35,18 @@ class GeoPoint:
 
 
 def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
-    """Great-circle distance in kilometres on a sphere of mean radius."""
+    """Great-circle distance in kilometres on a sphere of mean radius; past a
+    quarter circumference, pi R less that to b's antipode (asin is steep at 1)."""
     phi1 = math.radians(a.lat)
     phi2 = math.radians(b.lat)
     dphi = math.radians(b.lat - a.lat)
     dlam = math.radians(b.lon - a.lon)
-    s = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(s)))
+    cosines = math.cos(phi1) * math.cos(phi2)
+    s = math.sin(dphi / 2.0) ** 2 + cosines * math.sin(dlam / 2.0) ** 2
+    if s <= 0.5:
+        return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(s))
+    s = math.sin((phi1 + phi2) / 2.0) ** 2 + cosines * math.cos(dlam / 2.0) ** 2
+    return EARTH_RADIUS_KM * (math.pi - 2.0 * math.asin(math.sqrt(s)))
 
 
 def geohash_encode(p: GeoPoint, precision: int = 5) -> str:

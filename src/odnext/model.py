@@ -14,16 +14,18 @@ the user's examples backpropagates through decoder and encoders, and
 the optimizer takes one step per user.  After training the encoder
 states are frozen into an EncodedCache; prediction only re-runs the
 decoder against the cached states.  One decoder (`Model._decode`)
-serves training, cached prediction and cold start.
+serves training, cached prediction and cold start, and every prediction
+runs it off the tape through `Model._probs`; a cold user is the one row
+of a table holding the mean user embedding.
 
-One encode path (`Model._encode`) serves training and inference.  The
-cache build and cold start call it off the tape per length bucket: the
-fields of up to `stlstm.MAX_ROWS` equal-length histories are stacked
-along a leading row axis (`Model._encode_rows`), which each encoder runs
-as one recurrence, with the same bits as one encode per history.  A
-cold user's history is encoded once, and all of its queries are decoded
-in one batch under the causal mask, because encoder states depend only
-on the prefix.
+One encode path (`Model._encode`) serves training and inference.  Off
+the tape every history goes through `stlstm.encode_by_length`
+(`Model._encode_all`): the fields of up to `stlstm.MAX_ROWS`
+equal-length histories are stacked along a leading row axis, which each
+encoder runs as one recurrence, with the same bits as one encode per
+history.  A cold user's history is encoded once, and all of its queries
+are decoded in one batch under the causal mask, because encoder states
+depend only on the prefix.
 
 Ablation variants share the training protocol but remove or replace
 pieces; see VARIANTS.
@@ -31,7 +33,7 @@ pieces; see VARIANTS.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Mapping
 
 import numpy as np
@@ -55,7 +57,7 @@ from .stlstm import (
     LSTMWeights,
     STLSTMInput,
     STLSTMWeights,
-    equal_length_chunks,
+    encode_by_length,
     lstm_encode,
     lstm_spec,
     st_lstm_encode,
@@ -311,15 +313,9 @@ class Model:
         states_d = st_lstm_encode(self.enc_d, self._st_input(seqs.dseq, seqs.d_slots, d_emb))
         return states_o, states_d, o_emb, d_emb
 
-    def _encode_rows(self, chunk: list[Sequences]) -> tuple[np.ndarray, np.ndarray]:
-        """(B, T, sd) origin and destination states of B equal-length
-        histories: `_encode` of their stacked fields, off the tape; row b
-        equals `_encode` of chunk[b] bit for bit."""
-        stacked = (np.stack([getattr(s, f.name) for s in chunk]) for f in fields(Sequences))
-        rows = Sequences(*stacked)
-        with ag.no_grad():
-            states_o, states_d, _, _ = self._encode(rows)
-        return states_o.value, states_d.value
+    def _encode_all(self, histories: list[Sequences]) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(states_o, states_d) of each history, off the tape (`encode_by_length`)."""
+        return encode_by_length(histories, lambda rows: [t.value for t in self._encode(rows)[:2]])
 
     def _stack(self, states_o: Tensor, states_d: Tensor) -> Tensor:
         """The decoder's states: the origin block over the destination
@@ -333,25 +329,23 @@ class Model:
         states: Tensor,
         o_emb: Tensor,
         d_emb: Tensor,
-        user: int | None,
-        user_vec: np.ndarray | None,
+        user: int,
+        users: Tensor | None,
         mask: np.ndarray | None,
     ) -> tuple[Tensor, Tensor | None]:
         """Logits (E, |L|) and attention weights for E queries
         (user, o_emb[e], d_emb[e]) against `states` (see `_stack`; for
         encoder-only one pair row per query goes straight into the output
-        layer and there are no weights).  The user is embedding row `user`,
-        or the raw vector `user_vec` when `user` is None (cold start)."""
+        layer and there are no weights).  The user is row `user` of
+        `users`, or of the user embedding when `users` is None."""
         c, w_out = self.config, self.params["out/W_loc"]
         v = c.variant
         if v == "encoder-only":
             return ag.matmul(states, w_out), None
-        n_q = o_emb.value.shape[0]
+        table = self.params["emb/user"] if users is None else users
 
         def user_rows() -> Tensor:
-            if user is None:
-                return ag.constant(np.tile(user_vec, (n_q, 1)))
-            return ag.take_rows(self.params["emb/user"], np.full(n_q, user, dtype=np.int64))
+            return ag.take_rows(table, np.full(o_emb.shape[0], user, dtype=np.int64))
 
         cols = [o_emb, d_emb]
         if v not in ("user-add", "user-concat"):
@@ -359,10 +353,7 @@ class Model:
         queries = ag.concat(cols, axis=1)
         summary, alpha = attend(queries, states, self.params["attn/W_A"], mask, c.leaky_slope)
         if v == "user-add":
-            if user is None:
-                summary = ag.add(summary, ag.constant(user_vec))
-            else:
-                summary = ag.add(summary, ag.take_rows(self.params["emb/user"], int(user)))
+            summary = ag.add(summary, ag.take_rows(table, user))
         elif v == "user-concat":
             summary = ag.concat([summary, user_rows()], axis=1)
         return ag.matmul(summary, w_out), alpha
@@ -395,14 +386,10 @@ class Model:
 
     def build_cache(self, train: Corpus) -> EncodedCache:
         """Freeze encoder states for every user of the training corpus;
-        histories of equal length are encoded together (`_encode_rows`)."""
+        histories of equal length are encoded together (`_encode_all`)."""
         utc = self.config.utc_offset_hours
         seqs = [encoder_sequences(trips, utc) for trips in train.trips_by_user]
-        states: list[np.ndarray] = [np.empty(0)] * len(seqs)
-        for chunk in equal_length_chunks([len(s.oseq) for s in seqs]):
-            states_o, states_d = self._encode_rows([seqs[u] for u in chunk])
-            for b, u in enumerate(chunk):
-                states[u] = np.concatenate([states_o[b], states_d[b]], axis=0)
+        states = [np.concatenate(pair, axis=0) for pair in self._encode_all(seqs)]
         histories = train.trips_by_user
         last_dest = np.array([t[-1].dest_loc if t else -1 for t in histories], dtype=np.int64)
         n_train = np.array([len(t) for t in histories], dtype=np.int64)
@@ -410,35 +397,30 @@ class Model:
             states, [s.oseq for s in seqs], [s.dseq for s in seqs], last_dest, n_train
         )
 
-    def _predict_states(
-        self,
-        states_np: np.ndarray,
-        origins: np.ndarray,
-        dprevs: np.ndarray,
-        user: int | None,
-        user_vec_value: np.ndarray | None,
+    def _probs(
+        self, states: Tensor, origins: np.ndarray, dprevs: np.ndarray, user: int, users, mask
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        """`_decode` against frozen states, all of which every query sees;
-        returns (probs, alpha), alpha None for encoder-only."""
-        if states_np.shape[0] == 0:
-            raise ColdStartError("no encoder states available for this history")
+        """(probs, alpha) of the queries (origins[e], dprevs[e]): `_decode`
+        and its softmax, off the tape; alpha is None for encoder-only."""
+        emb = self.params["emb/loc"]
         with ag.no_grad():
-            if self.config.variant == "encoder-only":
-                half = states_np.shape[0] // 2
-                pair = np.concatenate([states_np[half - 1], states_np[-1]])
-                states = ag.constant(np.tile(pair, (len(origins), 1)))
-            else:
-                states = ag.constant(states_np)
-            logits, alpha = self._decode(
-                states,
-                ag.take_rows(self.params["emb/loc"], origins),
-                ag.take_rows(self.params["emb/loc"], dprevs),
-                user,
-                user_vec_value,
-                None,
-            )
+            origin_emb, dprev_emb = ag.take_rows(emb, origins), ag.take_rows(emb, dprevs)
+            logits, alpha = self._decode(states, origin_emb, dprev_emb, user, users, mask)
             probs = ag.softmax(logits, axis=1)
         return probs.value, (None if alpha is None else alpha.value)
+
+    def _predict_states(
+        self, states_np: np.ndarray, origins: np.ndarray, dprevs: np.ndarray, user: int, users=None
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """`_probs` against frozen states in the cache's layout (the origin
+        block over the destination block), all of which every query sees."""
+        if states_np.shape[0] == 0:
+            raise ColdStartError("no encoder states available for this history")
+        if self.config.variant == "encoder-only":
+            half = states_np.shape[0] // 2
+            pair = np.concatenate([states_np[half - 1], states_np[-1]])
+            states_np = np.tile(pair, (len(origins), 1))
+        return self._probs(ag.constant(states_np), origins, dprevs, user, users, None)
 
     def predict_batch(
         self, cache: EncodedCache, user: int, origins, dprevs
@@ -448,7 +430,7 @@ class Model:
         origins = np.asarray(origins, dtype=np.int64)
         dprevs = np.asarray(dprevs, dtype=np.int64)
         self._check_locs(origins, dprevs)
-        probs, _ = self._predict_states(cache.states[user], origins, dprevs, user, None)
+        probs, _ = self._predict_states(cache.states[user], origins, dprevs, user)
         return probs
 
     def _check_user(self, user: int) -> None:
@@ -477,9 +459,9 @@ class Model:
         if not (0 <= origin < self.vocab.n_locations and 0 <= dprev < self.vocab.n_locations):
             raise ContractViolation("location index out of range")
         query = np.array([origin, dprev], dtype=np.int64)
-        probs, alpha = self._predict_states(cache.states[user], query[:1], query[1:], user, None)
+        probs, alpha = self._predict_states(cache.states[user], query[:1], query[1:], user)
         mean_w = alpha[0].mean(axis=1)
-        half = len(cache.oseq[user])
+        half = len(mean_w) // 2
         return probs[0], mean_w[:half], mean_w[half:]
 
     # -- cold start -------------------------------------------------------
@@ -505,11 +487,9 @@ class Model:
         seqs = encoder_sequences(prefix, self.config.utc_offset_hours, aligned=True)
         query = np.array([origin, prev_dest], dtype=np.int64)
         self._check_locs(seqs.oseq, seqs.dseq, query)
-        with ag.no_grad():
-            states_o, states_d, _, _ = self._encode(seqs)
-            states_np = np.concatenate([states_o.value, states_d.value], axis=0)
-        user_vec = self.cold_user_vector()
-        probs, _ = self._predict_states(states_np, query[:1], query[1:], None, user_vec)
+        states = np.concatenate(self._encode_all([seqs])[0], axis=0)
+        users = ag.constant(self.cold_user_vector()[None])
+        probs, _ = self._predict_states(states, query[:1], query[1:], 0, users)
         return probs[0]
 
     def predict_cold_cohort(self, cohort: list[list[Trip]]) -> list[np.ndarray]:
@@ -521,7 +501,7 @@ class Model:
         States depend only on the prefix, so a history is encoded once
         over trips[:-1], and every query is decoded in one batch: query j
         sees the first j states of each block, which is `_causal_mask`.
-        Histories of equal length are encoded together (`_encode_rows`);
+        Histories of equal length are encoded together (`_encode_all`);
         each is then decoded on its own, so a user's rows do not depend
         on the rest of the cohort.
         """
@@ -531,23 +511,11 @@ class Model:
         for s, q in zip(seqs, queries):
             self._check_locs(s.oseq, s.dseq, q)
         out = [np.zeros((0, self.vocab.n_locations))] * len(cohort)
-        user_vec = self.cold_user_vector()
-        emb = self.params["emb/loc"]
-        for chunk in equal_length_chunks([len(q) for q in queries]):
-            n = len(queries[chunk[0]])
-            if n == 0:
-                continue
-            states_o, states_d = self._encode_rows([seqs[u] for u in chunk])
-            mask = _causal_mask(n) if self._has_attention else None
-            with ag.no_grad():
-                for b, u in enumerate(chunk):
-                    logits, _ = self._decode(
-                        self._stack(ag.constant(states_o[b]), ag.constant(states_d[b])),
-                        ag.take_rows(emb, queries[u]),
-                        ag.take_rows(emb, seqs[u].dseq),
-                        None,
-                        user_vec,
-                        mask,
-                    )
-                    out[u] = ag.softmax(logits, axis=1).value
+        asked = [u for u, q in enumerate(queries) if len(q)]
+        masks = {n: _causal_mask(n) for n in {len(queries[u]) for u in asked}}
+        users = ag.constant(self.cold_user_vector()[None])
+        for u, (states_o, states_d) in zip(asked, self._encode_all([seqs[u] for u in asked])):
+            states = self._stack(ag.constant(states_o), ag.constant(states_d))
+            mask = masks[len(queries[u])]
+            out[u], _ = self._probs(states, queries[u], seqs[u].dseq, 0, users, mask)
         return out

@@ -26,8 +26,8 @@ the bits of its own one-sequence encode, because each row keeps its own
 products: one vector-matrix product per row and step
 (`np.matmul(h[:, None, :], u)`) and one projection product per (T, in)
 slice.  A stacked (B, H) or (B*T, in) GEMM would regroup the sums.
-Callers take at most MAX_ROWS sequences per encode
-(`equal_length_chunks`); training keeps one sequence per call.
+`encode_by_length` runs histories this way, at most MAX_ROWS per
+encode; training keeps one sequence per call.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ import numpy as np
 
 from .autograd import Tensor, constant
 from . import autograd as ag
+from .data import Sequences
 from .nn import ContractViolation, ParamSpec, glorot_uniform, zeros_init
 
 MAX_ROWS = 16  # sequences per row-axis encode
@@ -372,13 +373,24 @@ def _encode(
     return ag.fused(states, inputs, backward), tr.hidden[-1], tr.cells[-1]
 
 
-def equal_length_chunks(lengths: Sequence[int]) -> list[list[int]]:
-    """Indices of `lengths` grouped by length, in first-seen order, in runs
-    of at most MAX_ROWS: the sequences that one row-axis encode takes."""
+def encode_by_length(histories: Sequence[Sequences], encode: Callable) -> list[tuple]:
+    """Each history's rows of `encode`, which runs off the tape once per run
+    of at most MAX_ROWS equal-length histories (by length, in first-seen
+    order): it maps their `Sequences` fields, stacked on a leading row
+    axis, to arrays with that axis, and history i gets its own rows."""
     groups: dict[int, list[int]] = {}
-    for i, n in enumerate(lengths):
-        groups.setdefault(n, []).append(i)
-    return [g[k : k + MAX_ROWS] for g in groups.values() for k in range(0, len(g), MAX_ROWS)]
+    for i, s in enumerate(histories):
+        groups.setdefault(len(s.oseq), []).append(i)
+    runs = [g[k : k + MAX_ROWS] for g in groups.values() for k in range(0, len(g), MAX_ROWS)]
+    out: list[tuple] = [()] * len(histories)
+    with ag.no_grad():
+        for run in runs:
+            members = [histories[i] for i in run]
+            stacked = (np.stack([getattr(s, f.name) for s in members]) for f in fields(Sequences))
+            result = encode(Sequences(*stacked))
+            for b, i in enumerate(run):
+                out[i] = tuple(r[b] for r in result)
+    return out
 
 
 def st_lstm_encode(w: STLSTMWeights, inp: STLSTMInput) -> Tensor:

@@ -241,8 +241,8 @@ def cold_history(model, trips) -> np.ndarray:
             model._stack(states_o, states_d),
             ag.take_rows(model.params["emb/loc"], queries),
             d_emb,
-            None,
-            model.cold_user_vector(),
+            0,
+            ag.constant(model.cold_user_vector()[None]),
             mask,
         )
         return ag.softmax(logits, axis=1).value

@@ -927,6 +927,27 @@ class TestExitCodes:
         assert captured.out == ""
 
     @pytest.mark.parametrize(
+        "flag, value, bound",
+        [("--min-trips", "0", 1), ("--min-trips", "-5", 1), ("--min-users", "-1", 0)],
+    )
+    def test_preprocess_threshold_below_its_bound_is_1(
+        self, pipeline, tmp_path, capsys, flag, value, bound
+    ):
+        """A user with no trip left is no user, so `--min-trips` takes an
+        integer >= 1 and `--min-users` one >= 0; nothing is written."""
+        out_trips, out_locs = tmp_path / "t.csv", tmp_path / "l.csv"
+        rc = main([
+            "preprocess", "--trips", str(pipeline["trips"]), "--locations", str(pipeline["locs"]),
+            "--out-trips", str(out_trips), "--out-locations", str(out_locs), flag, value,
+        ])
+        captured = capsys.readouterr()
+        name = flag[2:].replace("-", "_")
+        assert rc == 1
+        assert captured.err == f"error: {name} must be at least {bound}, got {value}\n"
+        assert captured.out == ""
+        assert not out_trips.exists() and not out_locs.exists()
+
+    @pytest.mark.parametrize(
         "command, key, value",
         [
             ("synth", "n_users", -3),

@@ -18,14 +18,14 @@ import odnext.autograd as ag
 import reference as ref
 from helpers import DAY, make_locations
 from odnext.baselines import ODLSTM, ODLSTMConfig
-from odnext.data import Corpus, Trip, build_interval_tables, build_vocab
+from odnext.data import Corpus, Sequences, Trip, build_interval_tables, build_vocab
 from odnext.evaluation import cold_start_eval
 from odnext.model import ATTENTION_CONTEXTS, VARIANTS, Model, ModelConfig
 from odnext.nn import ContractViolation
 from odnext.stlstm import (
     MAX_ROWS,
     STLSTMInput,
-    equal_length_chunks,
+    encode_by_length,
     lstm_encode,
     st_lstm_encode,
 )
@@ -87,12 +87,26 @@ def reference_eval(model, top, cohort):
     return model_hits / n, top_hits / n, n
 
 
-def test_chunks_group_by_length_and_cap_rows():
+def test_encode_by_length_groups_caps_and_hands_back_rows():
     lengths = [3, 0, 3] + [5] * (2 * MAX_ROWS + 1) + [0]
-    chunks = equal_length_chunks(lengths)
-    assert sorted(i for c in chunks for i in c) == list(range(len(lengths)))
-    assert all(len(c) <= MAX_ROWS and len({lengths[i] for i in c}) == 1 for c in chunks)
-    assert [len(c) for c in chunks] == [2, 2, MAX_ROWS, MAX_ROWS, 1]
+    histories = [Sequences(*[np.full(n, i, dtype=np.int64)] * 5) for i, n in enumerate(lengths)]
+    seen, taped = [], []
+
+    def encode(rows):
+        seen.append(rows.oseq.shape)
+        taped.append(ag.taped_inputs([ag.parameter(0.0)]))
+        return rows.oseq, np.full(len(rows.oseq), len(seen) - 1), np.arange(len(rows.oseq))
+
+    out = encode_by_length(histories, encode)
+    assert seen == [(2, 3), (2, 0), (MAX_ROWS, 5), (MAX_ROWS, 5), (1, 5)]
+    assert not any(taped)
+    fives = list(range(3, 4 + 2 * MAX_ROWS))
+    runs = [[0, 2], [1, len(lengths) - 1], fives[:MAX_ROWS], fives[MAX_ROWS:-1], fives[-1:]]
+    for call, run in enumerate(runs):
+        for b, i in enumerate(run):
+            oseq, got_call, got_row = out[i]
+            np.testing.assert_array_equal(oseq, histories[i].oseq)
+            assert (got_call, got_row) == (call, b)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
