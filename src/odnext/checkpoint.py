@@ -1,4 +1,4 @@
-"""Checkpoint format 2: one magic line, one JSON header line, raw tensors.
+"""Checkpoint format 3: one magic line, one JSON header line, raw tensors.
 
 The header carries what is small and per model: the configuration, the
 vocabulary (with the string ids needed to answer queries by id), the
@@ -7,11 +7,15 @@ and the list of tensors with their dtypes and shapes.  The tensors follow
 the header as raw little-endian bytes in that order: the model
 parameters, the two interval tables, then every user's cached origin and
 destination sequences (`cache/oseq`, `cache/dseq`, int64, users one after
-another) and encoder states (`cache/states`, float64), which `n_train`
-splits per user.  The header line is padded with spaces so that the
-payload starts on a 64-byte boundary; every tensor is 8 bytes per element,
-so each one starts on an 8-byte boundary, and a save/load/save round trip
-reproduces the file byte for byte.
+another), encoder states (`cache/states`, float64) and, for every variant
+but encoder-only, the states' attention keys (`cache/keys`, float64, the
+shape of `cache/states`), which `n_train` splits per user.  The cached
+states and keys hold only for the parameters stored with them.  Format 3
+added `cache/keys`; files of an older format are refused.  The header
+line is padded with spaces so that the payload starts on a 64-byte
+boundary; every tensor is 8 bytes per element, so each one starts on an
+8-byte boundary, and a save/load/save round trip reproduces the file byte
+for byte.
 
 `load_checkpoint` maps the payload privately (`mmap.ACCESS_COPY`) and
 wraps each tensor as a view, so a load reads the header and then only the
@@ -40,7 +44,7 @@ from .geo import N_TIMESLOTS
 from .model import EncodedCache, Model, ModelConfig, param_specs
 from .nn import ContractViolation
 
-MAGIC = "ODNEXT-CKPT 2"
+MAGIC = "ODNEXT-CKPT 3"
 _ALIGN = 64  # payload start; views that are not aligned leave numpy's BLAS path
 _TABLES = ("tables/spatial", "tables/temporal")
 _SEQUENCES = ("cache/oseq", "cache/dseq")
@@ -79,6 +83,8 @@ def _tensor_list(model: Model, cache: EncodedCache) -> list[tuple[str, str, np.n
     for key, seqs in zip(_SEQUENCES, (cache.oseq, cache.dseq)):
         out.append((key, _I8, np.concatenate([np.empty(0, dtype=np.int64), *seqs])))
     out.append(("cache/states", _F8, np.concatenate([np.empty((0, sd)), *cache.states])))
+    if cache.keys is not None:
+        out.append(("cache/keys", _F8, np.concatenate([np.empty((0, sd)), *cache.keys])))
     return out
 
 
@@ -110,13 +116,16 @@ def save_checkpoint(
     if len(cache.states) != model.vocab.n_users:
         raise ContractViolation("cache does not cover every user")
     lengths = _history_lengths(cache.n_train)
-    sd = model.config.state_dim
+    shapes = [(2 * n, model.config.state_dim) for n in lengths]
     if (
         [len(s) for s in cache.oseq] != lengths
         or [len(s) for s in cache.dseq] != lengths
-        or [s.shape for s in cache.states] != [(2 * n, sd) for n in lengths]
+        or [s.shape for s in cache.states] != shapes
     ):
         raise ContractViolation("cached sequences and states do not match n_train")
+    key_shapes = None if cache.keys is None else [k.shape for k in cache.keys]
+    if key_shapes != (None if model.config.variant == "encoder-only" else shapes):
+        raise ContractViolation("cached attention keys do not match the states")
     tensors = _tensor_list(model, cache)
     header = {
         "config": model.config.as_dict(),
@@ -201,6 +210,8 @@ def _expected_tensors(config: ModelConfig, vocab: Vocab, lengths: list[int]) -> 
     rows = sum(lengths)
     out += [(key, _I8, (rows,)) for key in _SEQUENCES]
     out.append(("cache/states", _F8, (2 * rows, config.state_dim)))
+    if config.variant != "encoder-only":
+        out.append(("cache/keys", _F8, (2 * rows, config.state_dim)))
     return out
 
 
@@ -307,6 +318,8 @@ def load_checkpoint(path: str) -> CheckpointBundle:
     params = {name[len("param/") :]: a for name, a in arrays.items() if name.startswith("param/")}
     model = Model(config, vocab, tables, params)
     oseq, dseq = (_split(arrays[key], lengths) for key in _SEQUENCES)
-    states = _split(arrays["cache/states"], [2 * n for n in lengths])
-    cache = EncodedCache(states, oseq, dseq, last_dest, n_train)
+    rows = [2 * n for n in lengths]
+    states = _split(arrays["cache/states"], rows)
+    keys = _split(arrays["cache/keys"], rows) if "cache/keys" in arrays else None
+    cache = EncodedCache(states, keys, oseq, dseq, last_dest, n_train)
     return CheckpointBundle(model=model, cache=cache, location_ids=loc_ids, user_ids=user_ids)

@@ -12,11 +12,13 @@ distribution over candidate locations.
 Training treats one user as a minibatch: the mean cross-entropy over
 the user's examples backpropagates through decoder and encoders, and
 the optimizer takes one step per user.  After training the encoder
-states are frozen into an EncodedCache; prediction only re-runs the
-decoder against the cached states.  One decoder (`Model._decode`)
-serves training, cached prediction and cold start, and every prediction
-runs it off the tape through `Model._probs`; a cold user is the one row
-of a table holding the mean user embedding.
+states are frozen into an EncodedCache, with their projection through
+the attention's state block (the keys, which depend on no query);
+prediction only re-runs the decoder against the cached states and keys.
+One decoder (`Model._decode`) serves training, cached prediction and
+cold start, and every prediction runs it off the tape through
+`Model._probs`; a cold user is the one row of a table holding the mean
+user embedding.
 
 One encode path (`Model._encode`) serves training and inference.  Off
 the tape every history goes through `stlstm.encode_by_length`
@@ -108,11 +110,15 @@ class EncodedCache:
     """Frozen per-user encoder states plus the metadata prediction needs.
 
     states[u] has one row per encoder state: the origin block (length
-    n_train - 1) followed by the destination block.  last_dest / n_train
-    let evaluation chain test queries onto the training history.
+    n_train - 1) followed by the destination block.  keys[u] is their
+    projection through the attention's state block (`attention_keys`),
+    row for row, or keys is None for encoder-only, which does not attend.
+    Both hold only for the weights the cache was built with.  last_dest /
+    n_train let evaluation chain test queries onto the training history.
     """
 
     states: list[np.ndarray]
+    keys: list[np.ndarray] | None
     oseq: list[np.ndarray]
     dseq: list[np.ndarray]
     last_dest: np.ndarray
@@ -137,8 +143,20 @@ def _leaky_relu_slope(positive: np.ndarray, slope: float, out: np.ndarray) -> np
     return out
 
 
+def attention_keys(states: np.ndarray, w_a: np.ndarray) -> np.ndarray:
+    """The states' projection through the state block of w_a (the last sd
+    rows): the per-state term of the attention scores, which depends on
+    no query."""
+    return states @ w_a[len(w_a) - w_a.shape[1] :]
+
+
 def attend(
-    queries: Tensor, states: Tensor, w_a: Tensor, mask: np.ndarray | None, slope: float
+    queries: Tensor,
+    states: Tensor,
+    w_a: Tensor,
+    mask: np.ndarray | None,
+    slope: float,
+    keys: np.ndarray | None = None,
 ) -> tuple[Tensor, Tensor]:
     """Per-dimension attention as one tape node.
 
@@ -148,13 +166,19 @@ def attend(
     S and the summary (E, sd) the alpha-weighted sum of states.  Returns
     (summary, alpha); alpha is a constant, no gradient flows through it.
     The backward is the analytic one of that chain, expression for
-    expression.
+    expression.  `keys`, h_proj computed before (`attention_keys`), may
+    stand in for it off the tape only.
     """
     q, s, w = queries.value, states.value, w_a.value
     n_q = q.shape[1]
     w_q, w_s = w[:n_q], w[n_q:]
-    pre = (q @ w_q)[:, None, :] + (s @ w_s)[None, :, :]
-    positive = pre >= 0  # for the backward
+    taped = ag.taped_inputs((queries, states, w_a))
+    if keys is None:
+        keys = attention_keys(s, w)
+    elif taped:
+        raise ContractViolation("attention keys computed before are for off-tape use only")
+    pre = (q @ w_q)[:, None, :] + keys[None, :, :]
+    positive = (pre >= 0) if taped else None  # read only by the backward
     alpha = _leaky_relu(pre, slope)  # the scores, then alpha, in place
     if mask is not None:
         alpha += mask
@@ -332,12 +356,14 @@ class Model:
         user: int,
         users: Tensor | None,
         mask: np.ndarray | None,
+        keys: np.ndarray | None = None,
     ) -> tuple[Tensor, Tensor | None]:
         """Logits (E, |L|) and attention weights for E queries
         (user, o_emb[e], d_emb[e]) against `states` (see `_stack`; for
         encoder-only one pair row per query goes straight into the output
         layer and there are no weights).  The user is row `user` of
-        `users`, or of the user embedding when `users` is None."""
+        `users`, or of the user embedding when `users` is None; `keys`
+        goes to `attend`."""
         c, w_out = self.config, self.params["out/W_loc"]
         v = c.variant
         if v == "encoder-only":
@@ -351,7 +377,9 @@ class Model:
         if v not in ("user-add", "user-concat"):
             cols.insert(0, user_rows())
         queries = ag.concat(cols, axis=1)
-        summary, alpha = attend(queries, states, self.params["attn/W_A"], mask, c.leaky_slope)
+        summary, alpha = attend(
+            queries, states, self.params["attn/W_A"], mask, c.leaky_slope, keys
+        )
         if v == "user-add":
             summary = ag.add(summary, ag.take_rows(table, user))
         elif v == "user-concat":
@@ -385,42 +413,66 @@ class Model:
     # -- cached prediction ------------------------------------------------
 
     def build_cache(self, train: Corpus) -> EncodedCache:
-        """Freeze encoder states for every user of the training corpus;
-        histories of equal length are encoded together (`_encode_all`)."""
+        """Freeze encoder states for every user of the training corpus, and
+        for an attending variant their attention keys; histories of equal
+        length are encoded together (`_encode_all`)."""
         utc = self.config.utc_offset_hours
         seqs = [encoder_sequences(trips, utc) for trips in train.trips_by_user]
         states = [np.concatenate(pair, axis=0) for pair in self._encode_all(seqs)]
+        keys = None
+        if self._has_attention:  # per user, the shapes `attend` multiplies
+            w_a = self.params["attn/W_A"].value
+            keys = [attention_keys(s, w_a) for s in states]
         histories = train.trips_by_user
         last_dest = np.array([t[-1].dest_loc if t else -1 for t in histories], dtype=np.int64)
         n_train = np.array([len(t) for t in histories], dtype=np.int64)
         return EncodedCache(
-            states, [s.oseq for s in seqs], [s.dseq for s in seqs], last_dest, n_train
+            states, keys, [s.oseq for s in seqs], [s.dseq for s in seqs], last_dest, n_train
         )
 
     def _probs(
-        self, states: Tensor, origins: np.ndarray, dprevs: np.ndarray, user: int, users, mask
+        self,
+        states: Tensor,
+        origins: np.ndarray,
+        dprevs: np.ndarray,
+        user: int,
+        users,
+        mask,
+        keys: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """(probs, alpha) of the queries (origins[e], dprevs[e]): `_decode`
         and its softmax, off the tape; alpha is None for encoder-only."""
         emb = self.params["emb/loc"]
         with ag.no_grad():
             origin_emb, dprev_emb = ag.take_rows(emb, origins), ag.take_rows(emb, dprevs)
-            logits, alpha = self._decode(states, origin_emb, dprev_emb, user, users, mask)
+            logits, alpha = self._decode(states, origin_emb, dprev_emb, user, users, mask, keys)
             probs = ag.softmax(logits, axis=1)
         return probs.value, (None if alpha is None else alpha.value)
 
     def _predict_states(
-        self, states_np: np.ndarray, origins: np.ndarray, dprevs: np.ndarray, user: int, users=None
+        self,
+        states_np: np.ndarray,
+        origins: np.ndarray,
+        dprevs: np.ndarray,
+        user: int,
+        users=None,
+        keys: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """`_probs` against frozen states in the cache's layout (the origin
-        block over the destination block), all of which every query sees."""
+        block over the destination block), all of which every query sees;
+        `keys` are the states' attention keys, computed here when None."""
         if states_np.shape[0] == 0:
             raise ColdStartError("no encoder states available for this history")
         if self.config.variant == "encoder-only":
             half = states_np.shape[0] // 2
             pair = np.concatenate([states_np[half - 1], states_np[-1]])
             states_np = np.tile(pair, (len(origins), 1))
-        return self._probs(ag.constant(states_np), origins, dprevs, user, users, None)
+        return self._probs(ag.constant(states_np), origins, dprevs, user, users, None, keys)
+
+    def _predict_cached(self, cache: EncodedCache, user: int, origins, dprevs):
+        """`_predict_states` of one known user against the cache."""
+        keys = None if cache.keys is None else cache.keys[user]
+        return self._predict_states(cache.states[user], origins, dprevs, user, keys=keys)
 
     def predict_batch(
         self, cache: EncodedCache, user: int, origins, dprevs
@@ -430,7 +482,7 @@ class Model:
         origins = np.asarray(origins, dtype=np.int64)
         dprevs = np.asarray(dprevs, dtype=np.int64)
         self._check_locs(origins, dprevs)
-        probs, _ = self._predict_states(cache.states[user], origins, dprevs, user)
+        probs, _ = self._predict_cached(cache, user, origins, dprevs)
         return probs
 
     def _check_user(self, user: int) -> None:
@@ -459,8 +511,8 @@ class Model:
         if not (0 <= origin < self.vocab.n_locations and 0 <= dprev < self.vocab.n_locations):
             raise ContractViolation("location index out of range")
         query = np.array([origin, dprev], dtype=np.int64)
-        probs, alpha = self._predict_states(cache.states[user], query[:1], query[1:], user)
-        mean_w = alpha[0].mean(axis=1)
+        probs, alpha = self._predict_cached(cache, user, query[:1], query[1:])
+        mean_w = alpha[0].sum(axis=1) / alpha.shape[2]  # np.mean's sum and divide
         half = len(mean_w) // 2
         return probs[0], mean_w[:half], mean_w[half:]
 

@@ -7,13 +7,16 @@ synthetic corpus, so that a refactor can show it changed no bit.
 
 Every model variant, under both attention contexts, contributes its loss
 curve, parameters, encoder cache, checkpoint bytes, `predict_batch` rows,
-`attention` (not for encoder-only, which has none), `predict_cold`
-rows, `predict_cold_cohort` rows (an empty and a one-trip history
-included), `EvalReport`, and the predictions of its reloaded checkpoint;
-od-lstm contributes its loss curve, parameters and rankings.  The tool
-calls public APIs only, so it also runs against an older `src`.
-`--compare` prints "no component differs" or the components that do,
-and exits 0 either way: a change need not be bit-exact.
+`attention` and the cache's attention `keys` (neither for encoder-only,
+which does not attend), `predict_cold` rows, `predict_cold_cohort` rows
+(an empty and a one-trip history included), `EvalReport`, and the
+predictions of its reloaded checkpoint; od-lstm contributes its loss
+curve, parameters and rankings.  The tool calls public APIs only, so it
+also runs against an older `src`, which may lack a component (an older
+cache holds no keys).  `--compare` prints "no component differs" or one
+line per component that does: `differs:` when both sides have it, `new:`
+or `gone:` when only the second or only the first has it.  It exits 0
+either way: a change need not be bit-exact.
 """
 
 from __future__ import annotations
@@ -37,9 +40,10 @@ from odnext.synth import SynthConfig, generate
 SYNTH = SynthConfig(n_users=24, n_locations=12, n_clusters=3, trips_per_user=12, n_cold_users=6)
 TRAIN = dict(dim=6, hdim=6, lr=1e-2, epochs=2, seed=0)
 MODEL_COMPONENTS = (
-    "losses", "params", "cache", "checkpoint", "predict_batch", "attention",
+    "losses", "params", "cache", "keys", "checkpoint", "predict_batch", "attention",
     "predict_cold", "predict_cold_cohort", "eval", "reloaded",
 )
+ATTENDING_ONLY = ("keys", "attention")  # components encoder-only does not have
 OD_LSTM_COMPONENTS = ("losses", "params", "rankings")
 
 
@@ -91,6 +95,8 @@ def _model_digests(model, corpus, split, queries, cohort, workdir) -> dict[str, 
         "predict_batch": _sha(*batches(model, cache)),
         "eval": _text_sha(repr(evaluate(ModelRanker(model, cache), queries))),
     }
+    if getattr(cache, "keys", None) is not None:  # kept apart from "cache"
+        out["keys"] = _sha(*cache.keys)
     if model.config.variant != "encoder-only":
         out["attention"] = _sha(
             *(
@@ -147,10 +153,19 @@ def differing(before: dict[str, str], after: dict[str, str]) -> list[str]:
     return sorted(k for k in before.keys() | after.keys() if before.get(k) != after.get(k))
 
 
+def comparison(before: dict[str, str], after: dict[str, str]) -> list[str]:
+    """One line per component of `differing`: `new:` when only `after` has
+    it, `gone:` when only `before` has it, `differs:` otherwise."""
+    return [
+        f"{'new' if k not in before else 'gone' if k not in after else 'differs'}: {k}"
+        for k in differing(before, after)
+    ]
+
+
 def main(argv: list[str]) -> int:
     if argv[:1] == ["--compare"] and len(argv) == 3:
-        changed = differing(_read(argv[1]), _read(argv[2]))
-        print("\n".join(f"differs: {k}" for k in changed) if changed else "no component differs")
+        lines = comparison(_read(argv[1]), _read(argv[2]))
+        print("\n".join(lines) if lines else "no component differs")
         return 0
     if argv:
         print(__doc__, file=sys.stderr)

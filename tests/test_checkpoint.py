@@ -69,7 +69,7 @@ class TestRoundTrip:
         np.testing.assert_array_equal(bundle.model.tables.temporal, model.tables.temporal)
         assert bundle.model.tables.d_max_km == model.tables.d_max_km
         assert bundle.model.tables.t_max_hours == model.tables.t_max_hours
-        for a, b in zip(bundle.cache.states, cache.states):
+        for a, b in zip(bundle.cache.states + bundle.cache.keys, cache.states + cache.keys):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(bundle.cache.last_dest, cache.last_dest)
         np.testing.assert_array_equal(bundle.cache.n_train, cache.n_train)
@@ -97,6 +97,7 @@ def _bundle_arrays(bundle):
         [p.value for p in m.params.values()]
         + [m.tables.spatial, m.tables.temporal]
         + list(bundle.cache.states)
+        + list(bundle.cache.keys or [])
     )
 
 
@@ -166,6 +167,39 @@ class TestLoad:
             if got is not None:
                 assert vars(got).keys() == vars(expect).keys()
                 assert all(loaded.params[f"{enc}/{k}"] is t for k, t in vars(got).items())
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("context", ATTENTION_CONTEXTS)
+    def test_reloaded_keys_predict_as_keys_computed_per_query(
+        self, trained, tmp_path, variant, context
+    ):
+        """Every attending variant stores `cache/keys` (encoder-only none);
+        the loaded cache's `predict_batch` and `attention` have the bits of
+        `_predict_states`, which projects the states itself, and of the
+        same cache without keys."""
+        corpus, split, model, _, _ = trained
+        cfg = ModelConfig(dim=5, hdim=6, seed=3, variant=variant, attention_context=context)
+        fresh = Model(cfg, model.vocab, model.tables)
+        path = str(tmp_path / "fresh.ckpt")
+        save_checkpoint(path, fresh, fresh.build_cache(split.train),
+                        [r.loc_id for r in corpus.locations], corpus.users)
+        _, fields, _ = split_checkpoint(open(path, "rb").read())
+        names = [t["name"] for t in fields["tensors"]]
+        attends = variant != "encoder-only"
+        assert ("cache/keys" in names) == attends
+        bundle = load_checkpoint(path)
+        m, cache = bundle.model, bundle.cache
+        assert (cache.keys is not None) == attends
+        keyless = replace(cache, keys=None)
+        origins, dprevs = np.array([0, 3, 7]), np.array([2, 2, 5])
+        for u in np.flatnonzero(cache.n_train >= 2):
+            got = m.predict_batch(cache, u, origins, dprevs)
+            want, _ = m._predict_states(cache.states[u], origins, dprevs, u)
+            assert got.tobytes() == want.tobytes()
+            assert got.tobytes() == m.predict_batch(keyless, u, origins, dprevs).tobytes()
+            if attends:
+                for got, want in zip(m.attention(cache, u, 1, 4), m.attention(keyless, u, 1, 4)):
+                    assert got.tobytes() == want.tobytes()
 
     def test_declared_params_are_required(self, trained):
         _, _, model, _, _ = trained
@@ -237,6 +271,15 @@ class TestFailureModes:
             save_checkpoint(str(tmp_path / "x.ckpt"), model, short,
                             [r.loc_id for r in corpus.locations], corpus.users)
 
+    def test_save_refuses_keys_that_disagree_with_the_states(self, trained, tmp_path):
+        corpus, _, model, cache, _ = trained
+        ids = [r.loc_id for r in corpus.locations], corpus.users
+        short = [k[:-1] if len(k) else k for k in cache.keys]
+        narrow = [k[:, 1:] for k in cache.keys]
+        for keys in (short, narrow, cache.keys[1:], None):
+            with pytest.raises(ContractViolation, match="attention keys"):
+                save_checkpoint(str(tmp_path / "x.ckpt"), model, replace(cache, keys=keys), *ids)
+
     @pytest.mark.parametrize("kind", ["users", "locations"])
     def test_duplicate_ids_are_refused(self, trained, tmp_path, capsys, kind):
         """A header whose index 1 repeats index 0's id is not loaded (exit 2),
@@ -261,15 +304,18 @@ class TestFailureModes:
         assert guarded(save_checkpoint, target, model, cache, loc_ids, user_ids) == 1
         assert "duplicate" in capsys.readouterr().err
 
-    def test_version_1_file_is_2(self, trained, tmp_path, capsys):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_older_format_version_is_2(self, trained, tmp_path, capsys, version):
+        """Format 2 held no attention keys; format 1 predates the aligned, mapped payload."""
         _, fields, payload = split_checkpoint(open(trained[-1], "rb").read())
-        old = tmp_path / "v1.ckpt"
-        old.write_bytes(join_checkpoint(fields, payload, magic="ODNEXT-CKPT 1"))
+        old = tmp_path / "old.ckpt"
+        old.write_bytes(join_checkpoint(fields, payload, magic=f"ODNEXT-CKPT {version}"))
         rc = main(["predict", "--checkpoint", str(old),
                    "--user", "U0000", "--origin", "L000", "--prev-dest", "L001"])
         err = capsys.readouterr().err
         assert rc == 2
-        assert err.startswith("error:") and "version 1" in err
+        assert err.startswith("error:") and f"version {version}" in err
+        assert "train again" in err
 
     @pytest.mark.parametrize("key,value", [("cache/oseq", 8), ("cache/dseq", -1)])
     def test_out_of_range_payload_location_is_2(self, trained, tmp_path, capsys, key, value):

@@ -24,7 +24,9 @@ from odnext.model import (
     _leaky_relu,
     _leaky_relu_slope,
     attend,
+    attention_keys,
 )
+from odnext.nn import ContractViolation
 from odnext.stlstm import STLSTMInput, _regroup, _ungroup, lstm_encode, st_lstm_encode
 from odnext.synth import SynthConfig, generate
 from reference import init_lstm, init_st_lstm, lstm_step, st_lstm_step
@@ -232,9 +234,30 @@ class TestAttentionKernel:
             _close(got, want)
 
     @pytest.mark.parametrize("masked", [False, True])
+    def test_keys_computed_before_keep_every_bit(self, masked):
+        rng = np.random.default_rng([17, int(masked)])
+        q, s, w = rng.normal(size=(5, 9)), rng.normal(size=(8, 4)), rng.normal(size=(13, 4))
+        mask = np.where(rng.uniform(size=(5, 8, 1)) < 0.5, 0.0, -1e30) if masked else None
+        args = [ag.constant(q), ag.constant(s), ag.parameter(w)]
+        with ag.no_grad():
+            want = attend(*args, mask, 0.2)
+            got = attend(*args, mask, 0.2, keys=attention_keys(s, w))
+        for a, b in zip(got, want):
+            assert a.value.tobytes() == b.value.tobytes()
+
+    def test_keys_computed_before_are_refused_on_the_tape(self):
+        rng = np.random.default_rng(18)
+        q, s, w = rng.normal(size=(2, 3)), rng.normal(size=(4, 2)), rng.normal(size=(5, 2))
+        args = [ag.constant(q), ag.constant(s), ag.parameter(w)]
+        with pytest.raises(ContractViolation, match="off-tape"):
+            attend(*args, None, 0.2, keys=attention_keys(s, w))
+
+    @pytest.mark.parametrize("masked", [False, True])
     def test_inference_allocates_about_two_score_arrays(self, masked):
         # the pre-activations, and the scores that become alpha in place;
-        # the weighted states reuse the pre-activations' buffer
+        # the weighted states reuse the pre-activations' buffer, and only a
+        # taped call keeps the backward's (E, S, sd) sign mask (which took
+        # the peak to 2.2 arrays)
         n_ex, n_states, sd = 18, 82, 64
         rng = np.random.default_rng(15)
         args = [
@@ -253,7 +276,7 @@ class TestAttentionKernel:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-        assert peak <= 2.5 * n_ex * n_states * sd * 8
+        assert peak <= 2.17 * n_ex * n_states * sd * 8
 
 
 class TestMaskFreeLeakyRelu:

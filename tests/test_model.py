@@ -5,7 +5,7 @@ import pytest
 
 import odnext.autograd as ag
 from odnext.data import build_interval_tables, build_vocab, chronological_split
-from odnext.model import VARIANTS, ColdStartError, Model, ModelConfig
+from odnext.model import ATTENTION_CONTEXTS, VARIANTS, ColdStartError, Model, ModelConfig
 from odnext.nn import ContractViolation
 from odnext.synth import SynthConfig, generate
 
@@ -249,6 +249,26 @@ class TestCacheEquivalence:
             fresh_states = np.concatenate([so.value, sd.value], axis=0)
         fresh, _ = m._predict_states(fresh_states, origins, dprevs, user, None)
         np.testing.assert_allclose(cached, fresh, atol=1e-12)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("context", ATTENTION_CONTEXTS)
+    def test_cache_keys_are_the_states_projection(self, small_world, variant, context):
+        """keys[u] is states[u] @ W_A[qw:] bit for bit, the product `attend`
+        forms when it gets no keys; encoder-only, which does not attend,
+        has none."""
+        corpus, _, _ = small_world
+        m = make_model(small_world, variant=variant, attention_context=context, epochs=1)
+        m.fit(corpus)
+        cache = m.build_cache(corpus)
+        if variant == "encoder-only":
+            assert cache.keys is None
+            return
+        w_a = m.params["attn/W_A"].value
+        w_s = w_a[len(w_a) - m.config.state_dim :]
+        assert len(cache.keys) == len(cache.states)
+        for keys, states in zip(cache.keys, cache.states, strict=True):
+            assert keys.shape == states.shape
+            assert keys.tobytes() == (states @ w_s).tobytes()
 
     def test_cache_metadata(self, trained):
         corpus, model, cache, _ = trained
