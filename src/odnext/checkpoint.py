@@ -9,20 +9,21 @@ parameters, the two interval tables, then every user's cached origin and
 destination sequences (`cache/oseq`, `cache/dseq`, int64, users one after
 another), encoder states (`cache/states`, float64) and, for every variant
 but encoder-only, the states' attention keys (`cache/keys`, float64, the
-shape of `cache/states`), which `n_train` splits per user.  The cached
-states and keys hold only for the parameters stored with them.  Format 3
-added `cache/keys`; files of an older format are refused.  The header
-line is padded with spaces so that the payload starts on a 64-byte
-boundary; every tensor is 8 bytes per element, so each one starts on an
-8-byte boundary, and a save/load/save round trip reproduces the file byte
-for byte.
+shape of `cache/states`).  These four are `EncodedCache`'s flat arrays
+as they are: a user's rows are a view taken on access, at offsets
+derived once from `n_train`.  The cached states and keys hold only for
+the parameters stored with them.  Format 3 added `cache/keys`; files of
+an older format are refused.  The header line is padded with spaces so
+that the payload starts on a 64-byte boundary; every tensor is 8 bytes
+per element, so each one starts on an 8-byte boundary, and a
+save/load/save round trip reproduces the file byte for byte.
 
 `load_checkpoint` maps the payload privately (`mmap.ACCESS_COPY`) and
-wraps each tensor as a view, so a load reads the header and then only the
-pages that a query touches, and writing into a loaded array never reaches
-the file.  `save_checkpoint` writes a temporary file next to the target
-and renames it over the target, so a process serving from the old file
-keeps its mapping intact.
+wraps each tensor as a view, with no per-user work, so a load reads the
+header and then only the pages that a query touches, and writing into a
+loaded array never reaches the file.  `save_checkpoint` writes a
+temporary file next to the target and renames it over the target, so a
+process serving from the old file keeps its mapping intact.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 
 from .data import IntervalTables, Vocab
 from .geo import N_TIMESLOTS
-from .model import EncodedCache, Model, ModelConfig, param_specs
+from .model import EncodedCache, Model, ModelConfig, history_bounds, param_specs
 from .nn import ContractViolation
 
 MAGIC = "ODNEXT-CKPT 3"
@@ -64,11 +65,6 @@ class CheckpointBundle:
     user_ids: list[str]
 
 
-def _history_lengths(n_train: np.ndarray) -> list[int]:
-    """Per user, the length of each cached encoder sequence."""
-    return [max(n - 1, 0) for n in n_train.tolist()]
-
-
 def _repeated(ids: list) -> list:
     """The ids that occur more than once (counted only when there are any)."""
     if len(set(ids)) == len(ids):
@@ -77,14 +73,12 @@ def _repeated(ids: list) -> list:
 
 
 def _tensor_list(model: Model, cache: EncodedCache) -> list[tuple[str, str, np.ndarray]]:
-    sd = model.config.state_dim
     out = [(f"param/{name}", _F8, p.value) for name, p in model.params.items()]
     out += [(key, _F8, t) for key, t in zip(_TABLES, (model.tables.spatial, model.tables.temporal))]
-    for key, seqs in zip(_SEQUENCES, (cache.oseq, cache.dseq)):
-        out.append((key, _I8, np.concatenate([np.empty(0, dtype=np.int64), *seqs])))
-    out.append(("cache/states", _F8, np.concatenate([np.empty((0, sd)), *cache.states])))
+    out += [(key, _I8, rows.flat) for key, rows in zip(_SEQUENCES, (cache.oseq, cache.dseq))]
+    out.append(("cache/states", _F8, cache.states.flat))
     if cache.keys is not None:
-        out.append(("cache/keys", _F8, np.concatenate([np.empty((0, sd)), *cache.keys])))
+        out.append(("cache/keys", _F8, cache.keys.flat))
     return out
 
 
@@ -115,16 +109,13 @@ def save_checkpoint(
             raise ContractViolation(f"duplicate {what} ids {repeated[:3]}")
     if len(cache.states) != model.vocab.n_users:
         raise ContractViolation("cache does not cover every user")
-    lengths = _history_lengths(cache.n_train)
-    shapes = [(2 * n, model.config.state_dim) for n in lengths]
-    if (
-        [len(s) for s in cache.oseq] != lengths
-        or [len(s) for s in cache.dseq] != lengths
-        or [s.shape for s in cache.states] != shapes
-    ):
+    rows = int(history_bounds(cache.n_train)[-1])
+    states = (2 * rows, model.config.state_dim)
+    flat = (cache.oseq.flat.shape, cache.dseq.flat.shape, cache.states.flat.shape)
+    if flat != ((rows,), (rows,), states):
         raise ContractViolation("cached sequences and states do not match n_train")
-    key_shapes = None if cache.keys is None else [k.shape for k in cache.keys]
-    if key_shapes != (None if model.config.variant == "encoder-only" else shapes):
+    keys = None if cache.keys is None else cache.keys.flat.shape
+    if keys != (None if model.config.variant == "encoder-only" else states):
         raise ContractViolation("cached attention keys do not match the states")
     tensors = _tensor_list(model, cache)
     header = {
@@ -202,23 +193,16 @@ def _check_header(vocab: Vocab, ids: tuple, specs: list, last_dest, n_train) -> 
         raise ValueError(f"cached location outside [0, {n_loc})")
 
 
-def _expected_tensors(config: ModelConfig, vocab: Vocab, lengths: list[int]) -> list:
-    """(name, dtype, shape) of every stored tensor, in file order, for
-    cached sequences of the given per-user lengths."""
-    out = [(f"param/{s.name}", _F8, s.shape) for s in param_specs(config, vocab)]
+def _expected_tensors(config: ModelConfig, vocab: Vocab, params: list, rows: int) -> list:
+    """(name, dtype, shape) of every stored tensor, in file order, for the
+    declared parameters `params` and `rows` cached sequence rows in all."""
+    out = [(f"param/{s.name}", _F8, s.shape) for s in params]
     out += [(key, _F8, (vocab.n_locations, vocab.n_locations)) for key in _TABLES]
-    rows = sum(lengths)
     out += [(key, _I8, (rows,)) for key in _SEQUENCES]
     out.append(("cache/states", _F8, (2 * rows, config.state_dim)))
     if config.variant != "encoder-only":
         out.append(("cache/keys", _F8, (2 * rows, config.state_dim)))
     return out
-
-
-def _split(flat: np.ndarray, lengths: list[int]) -> list[np.ndarray]:
-    """Consecutive views of `flat`, one per length."""
-    bounds = list(accumulate(lengths, initial=0))
-    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def _read_magic(f, path: str) -> None:
@@ -276,8 +260,11 @@ def load_checkpoint(path: str) -> CheckpointBundle:
             # ValueError covers ContractViolation from an invalid stored config
             raise CheckpointFormatError(f"{path}: incomplete or invalid header ({e})") from None
 
-        lengths = _history_lengths(n_train)
-        expected = _expected_tensors(config, vocab, lengths)
+        bounds = history_bounds(n_train)
+        if bounds.min() < 0:  # a sum past int64 wraps negative first
+            raise CheckpointFormatError(f"{path}: n_train sums beyond int64")
+        params = param_specs(config, vocab)
+        expected = _expected_tensors(config, vocab, params, int(bounds[-1]))
         if specs != expected:
             stored = {name: rest for name, *rest in specs}
             wanted = {name: rest for name, *rest in expected}
@@ -315,11 +302,13 @@ def load_checkpoint(path: str) -> CheckpointBundle:
         d_max_km=d_max_km,
         t_max_hours=t_max_hours,
     )
-    params = {name[len("param/") :]: a for name, a in arrays.items() if name.startswith("param/")}
-    model = Model(config, vocab, tables, params)
-    oseq, dseq = (_split(arrays[key], lengths) for key in _SEQUENCES)
-    rows = [2 * n for n in lengths]
-    states = _split(arrays["cache/states"], rows)
-    keys = _split(arrays["cache/keys"], rows) if "cache/keys" in arrays else None
-    cache = EncodedCache(states, keys, oseq, dseq, last_dest, n_train)
+    values = {name[len("param/") :]: a for name, a in arrays.items() if name.startswith("param/")}
+    model = Model(config, vocab, tables, values, specs=params)
+    cache = EncodedCache.from_flat(
+        arrays["cache/states"],
+        arrays.get("cache/keys"),
+        *(arrays[key] for key in _SEQUENCES),
+        last_dest,
+        n_train,
+    )
     return CheckpointBundle(model=model, cache=cache, location_ids=loc_ids, user_ids=user_ids)

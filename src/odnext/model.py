@@ -105,24 +105,73 @@ class ModelConfig(TrainConfig):
         return self.dim if self.variant == "decoder-only" else self.hdim
 
 
+class UserRows:
+    """One cached field of every user, kept flat as the checkpoint stores
+    it: `flat` holds the users' rows one after another, and `rows[u]` is
+    user u's run of them, a view taken on access (no copy).  Read-only as
+    a sequence: `len`, iteration in user order, and an index as a list
+    takes it (-1 is the last user)."""
+
+    __slots__ = ("flat", "_starts", "_ends")
+
+    def __init__(self, flat: np.ndarray, bounds: list[int]):
+        self.flat = flat
+        self._starts, self._ends = bounds[:-1], bounds[1:]
+
+    def __len__(self) -> int:
+        return len(self._starts)
+
+    def __getitem__(self, user) -> np.ndarray:
+        return self.flat[self._starts[user] : self._ends[user]]
+
+    def __iter__(self):
+        flat = self.flat
+        return (flat[a:b] for a, b in zip(self._starts, self._ends))
+
+
+def history_bounds(n_train: np.ndarray) -> np.ndarray:
+    """(n_users + 1,) offsets into the flat cached sequences: 0, then where
+    each user's run of max(n_train - 1, 0) rows ends."""
+    return np.concatenate(([0], np.cumsum(np.maximum(n_train - 1, 0))))
+
+
 @dataclass
 class EncodedCache:
     """Frozen per-user encoder states plus the metadata prediction needs.
 
-    states[u] has one row per encoder state: the origin block (length
-    n_train - 1) followed by the destination block.  keys[u] is their
-    projection through the attention's state block (`attention_keys`),
-    row for row, or keys is None for encoder-only, which does not attend.
-    Both hold only for the weights the cache was built with.  last_dest /
-    n_train let evaluation chain test queries onto the training history.
+    The four per-user fields keep the checkpoint's layout, one flat array
+    each with the users one after another (`UserRows`); `from_flat`
+    derives the users' offsets from n_train once.  states[u] has one row
+    per encoder state: the origin block (length n_train - 1) followed by
+    the destination block.  keys[u] is their projection through the
+    attention's state block (`attention_keys`), row for row, or keys is
+    None for encoder-only, which does not attend.  Both hold only for the
+    weights the cache was built with.  oseq[u] / dseq[u] are the encoded
+    locations, and last_dest / n_train let evaluation chain test queries
+    onto the training history.
     """
 
-    states: list[np.ndarray]
-    keys: list[np.ndarray] | None
-    oseq: list[np.ndarray]
-    dseq: list[np.ndarray]
+    states: UserRows
+    keys: UserRows | None
+    oseq: UserRows
+    dseq: UserRows
     last_dest: np.ndarray
     n_train: np.ndarray
+
+    @classmethod
+    def from_flat(cls, states, keys, oseq, dseq, last_dest, n_train) -> EncodedCache:
+        """The cache over flat (2R, sd) states and keys (or None) and (R,)
+        sequences, R the sum of max(n_train - 1, 0)."""
+        bounds = history_bounds(n_train)
+        runs, pairs = bounds.tolist(), (2 * bounds).tolist()
+        return cls(
+            UserRows(states, pairs),
+            None if keys is None else UserRows(keys, pairs),
+            UserRows(oseq, runs),
+            UserRows(dseq, runs),
+            last_dest,
+            n_train,
+        )
 
 
 def _leaky_relu(pre: np.ndarray, slope: float) -> np.ndarray:
@@ -218,16 +267,6 @@ def _causal_mask(n_examples: int) -> np.ndarray:
     return np.where(allowed, 0.0, _MASK_OFF)[:, :, None]
 
 
-def _encoder(config: ModelConfig, n_locations: int):
-    """(weights class, field declaration) of each of the two encoders, or
-    None for decoder-only."""
-    if config.variant == "decoder-only":
-        return None
-    if config.variant == "od-ppa":
-        return LSTMWeights, lstm_spec(config.dim, config.hdim)
-    return STLSTMWeights, st_lstm_spec(config.dim, config.hdim, n_locations)
-
-
 def param_specs(config: ModelConfig, vocab: Vocab) -> list[ParamSpec]:
     """Every parameter of a model: name, shape and initialiser, in draw
     order, which is also the order of `Model.params` and of a checkpoint."""
@@ -244,9 +283,13 @@ def param_specs(config: ModelConfig, vocab: Vocab) -> list[ParamSpec]:
         # embedding rows live in the hidden space instead of dim
         user_dim = c.hdim if c.variant == "user-add" else c.dim
         specs.append(ParamSpec("emb/user", (v.n_users, user_dim), embedding_init))
-    encoder = _encoder(c, v.n_locations)
-    if encoder is not None:
-        specs += prefixed("enc_o", encoder[1]) + prefixed("enc_d", encoder[1])
+    if c.variant != "decoder-only":
+        encoder = (
+            lstm_spec(c.dim, c.hdim)
+            if c.variant == "od-ppa"
+            else st_lstm_spec(c.dim, c.hdim, v.n_locations)
+        )
+        specs += prefixed("enc_o", encoder) + prefixed("enc_d", encoder)
     if c.variant == "encoder-only":
         out_rows = 2 * c.hdim
     else:
@@ -262,7 +305,9 @@ class Model:
 
     Without `params` every parameter is drawn from `config.seed`; with
     `params` (name -> array, as `param_specs` declares them) the model
-    wraps those arrays as they are, with no draw and no copy.
+    wraps those arrays as they are, with no draw and no copy.  A caller
+    that has built `param_specs(config, vocab)` already passes it as
+    `specs`.
     """
 
     def __init__(
@@ -271,6 +316,7 @@ class Model:
         vocab: Vocab,
         tables: IntervalTables,
         params: Mapping[str, np.ndarray] | None = None,
+        specs: list[ParamSpec] | None = None,
     ):
         if vocab.n_locations < 1:
             raise ContractViolation("vocabulary has no locations")
@@ -281,17 +327,18 @@ class Model:
         self.config = config
         self.vocab = vocab
         self.tables = tables
-        specs = param_specs(config, vocab)
+        if specs is None:
+            specs = param_specs(config, vocab)
         if params is None:
             self.params = draw_params(specs, np.random.default_rng(config.seed))
         else:
             self.params = wrap_params(specs, params)
-        encoder = _encoder(config, vocab.n_locations)
         self.enc_o: STLSTMWeights | LSTMWeights | None = None
         self.enc_d: STLSTMWeights | LSTMWeights | None = None
-        if encoder is not None:  # the same Tensors as `params`, by field name
-            self.enc_o = encoder[0].from_params(self.params, "enc_o")
-            self.enc_d = encoder[0].from_params(self.params, "enc_d")
+        if config.variant != "decoder-only":  # the same Tensors as `params`, by field name
+            weights = LSTMWeights if config.variant == "od-ppa" else STLSTMWeights
+            self.enc_o = weights.from_params(self.params, "enc_o")
+            self.enc_d = weights.from_params(self.params, "enc_d")
         self.loss_curve: list[float] = []
 
     # -- variant geometry -------------------------------------------------
@@ -414,21 +461,27 @@ class Model:
 
     def build_cache(self, train: Corpus) -> EncodedCache:
         """Freeze encoder states for every user of the training corpus, and
-        for an attending variant their attention keys; histories of equal
-        length are encoded together (`_encode_all`)."""
+        for an attending variant their attention keys, in the flat layout
+        (`EncodedCache`); histories of equal length are encoded together
+        (`_encode_all`)."""
         utc = self.config.utc_offset_hours
         seqs = [encoder_sequences(trips, utc) for trips in train.trips_by_user]
-        states = [np.concatenate(pair, axis=0) for pair in self._encode_all(seqs)]
+        pairs = self._encode_all(seqs)
+        sd = self.config.state_dim
+        states = np.concatenate([np.empty((0, sd)), *(s for pair in pairs for s in pair)])
         keys = None
         if self._has_attention:  # per user, the shapes `attend` multiplies
             w_a = self.params["attn/W_A"].value
-            keys = [attention_keys(s, w_a) for s in states]
+            per_user = (attention_keys(np.concatenate(pair), w_a) for pair in pairs)
+            keys = np.concatenate([np.empty((0, sd)), *per_user])
+        oseq, dseq = (
+            np.concatenate([np.empty(0, dtype=np.int64), *(getattr(s, f) for s in seqs)])
+            for f in ("oseq", "dseq")
+        )
         histories = train.trips_by_user
         last_dest = np.array([t[-1].dest_loc if t else -1 for t in histories], dtype=np.int64)
         n_train = np.array([len(t) for t in histories], dtype=np.int64)
-        return EncodedCache(
-            states, keys, [s.oseq for s in seqs], [s.dseq for s in seqs], last_dest, n_train
-        )
+        return EncodedCache.from_flat(states, keys, oseq, dseq, last_dest, n_train)
 
     def _probs(
         self,

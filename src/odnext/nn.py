@@ -97,7 +97,7 @@ class ParamSpec(NamedTuple):
 
 
 def prefixed(prefix: str, specs: Sequence[ParamSpec]) -> list[ParamSpec]:
-    return [s._replace(name=f"{prefix}/{s.name}") for s in specs]
+    return [ParamSpec(f"{prefix}/{name}", shape, init) for name, shape, init in specs]
 
 
 def draw_params(specs: Sequence[ParamSpec], rng: np.random.Generator) -> dict[str, Tensor]:
@@ -182,7 +182,9 @@ def train_per_user(
     mean loss.
 
     A non-finite loss stops training with ContractViolation naming the
-    epoch and the user, before backward/step can spread it into params.
+    epoch and the user, before backward/step can spread it into params;
+    numpy's floating-point warnings are off while the loss is computed,
+    so that check is the one report of a diverged forward pass.
     """
     if not batches:
         raise ContractViolation("no user has enough trips to train on")
@@ -193,8 +195,9 @@ def train_per_user(
         total = 0.0
         for pos in order_rng.permutation(len(batches)):
             user, batch = batches[pos]
-            loss = loss_fn(user, batch)
-            value = loss.item()
+            with np.errstate(all="ignore"):
+                loss = loss_fn(user, batch)
+                value = loss.item()
             if not math.isfinite(value):
                 raise ContractViolation(
                     f"training diverged: loss {value} at epoch {epoch + 1}, "

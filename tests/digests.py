@@ -11,12 +11,15 @@ curve, parameters, encoder cache, checkpoint bytes, `predict_batch` rows,
 which does not attend), `predict_cold` rows, `predict_cold_cohort` rows
 (an empty and a one-trip history included), `EvalReport`, and the
 predictions of its reloaded checkpoint; od-lstm contributes its loss
-curve, parameters and rankings.  The tool calls public APIs only, so it
-also runs against an older `src`, which may lack a component (an older
-cache holds no keys).  `--compare` prints "no component differs" or one
-line per component that does: `differs:` when both sides have it, `new:`
-or `gone:` when only the second or only the first has it.  It exits 0
-either way: a change need not be bit-exact.
+curve, parameters and rankings.  The cache and its keys are hashed user
+by user, each user's rows as one array, so a cache kept as one list
+entry per user and one kept flat (views taken per user) hash alike.  The
+tool calls public APIs only, so it also runs against an older `src`,
+which may lack a component (an older cache holds no keys).  `--compare`
+prints "no component differs" or one line per component that does:
+`differs:` when both sides have it, `new:` or `gone:` when only the
+second or only the first has it.  It exits 0 either way: a change need
+not be bit-exact.
 """
 
 from __future__ import annotations
@@ -88,15 +91,24 @@ def _model_digests(model, corpus, split, queries, cohort, workdir) -> dict[str, 
     def batches(m, c):
         return [m.predict_batch(c, u, origins, dprevs) for u, origins, dprevs in asked]
 
+    def per_user(rows):
+        return [rows[u] for u in range(len(cache.n_train))]
+
     out = {
         "losses": _sha(np.array(model.loss_curve)),
         "params": _sha(*(model.params[k].value for k in sorted(model.params))),
-        "cache": _sha(*cache.states, *cache.oseq, *cache.dseq, cache.last_dest, cache.n_train),
+        "cache": _sha(
+            *per_user(cache.states),
+            *per_user(cache.oseq),
+            *per_user(cache.dseq),
+            cache.last_dest,
+            cache.n_train,
+        ),
         "predict_batch": _sha(*batches(model, cache)),
         "eval": _text_sha(repr(evaluate(ModelRanker(model, cache), queries))),
     }
     if getattr(cache, "keys", None) is not None:  # kept apart from "cache"
-        out["keys"] = _sha(*cache.keys)
+        out["keys"] = _sha(*per_user(cache.keys))
     if model.config.variant != "encoder-only":
         out["attention"] = _sha(
             *(

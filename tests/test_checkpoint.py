@@ -20,17 +20,20 @@ from odnext.checkpoint import (
 )
 from odnext.cli import guarded, main
 from odnext.data import (
+    Corpus,
     build_interval_tables,
     build_test_queries,
     build_vocab,
     chronological_split,
 )
 from odnext.evaluation import ModelRanker, evaluate
-from odnext.model import ATTENTION_CONTEXTS, VARIANTS, Model, ModelConfig
+from odnext.model import ATTENTION_CONTEXTS, VARIANTS, EncodedCache, Model, ModelConfig
 from odnext.nn import ContractViolation
 from odnext.synth import SynthConfig, generate
 
 from helpers import join_checkpoint, split_checkpoint, tensor_offset
+
+CACHE_FIELDS = ("states", "keys", "oseq", "dseq")
 
 
 @pytest.fixture(scope="module")
@@ -69,8 +72,10 @@ class TestRoundTrip:
         np.testing.assert_array_equal(bundle.model.tables.temporal, model.tables.temporal)
         assert bundle.model.tables.d_max_km == model.tables.d_max_km
         assert bundle.model.tables.t_max_hours == model.tables.t_max_hours
-        for a, b in zip(bundle.cache.states + bundle.cache.keys, cache.states + cache.keys):
-            np.testing.assert_array_equal(a, b)
+        for field in CACHE_FIELDS:
+            got, want = getattr(bundle.cache, field), getattr(cache, field)
+            for a, b in zip(got, want, strict=True):
+                np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(bundle.cache.last_dest, cache.last_dest)
         np.testing.assert_array_equal(bundle.cache.n_train, cache.n_train)
 
@@ -89,6 +94,73 @@ class TestRoundTrip:
         assert bundle.user_ids == corpus.users
         assert bundle.model.vocab.geohash_codes == model.vocab.geohash_codes
         np.testing.assert_array_equal(bundle.model.vocab.loc_geohash, model.vocab.loc_geohash)
+
+
+@pytest.fixture(scope="module", params=VARIANTS)
+def short_histories(request, trained, tmp_path_factory):
+    """For each variant: an untrained model over the training corpus plus
+    one user with a single trip and one with none, its built cache, and
+    that cache saved and loaded back."""
+    corpus, split, model, _, _ = trained
+    train = split.train
+    users = [*train.users, "U-one", "U-none"]
+    histories = [*train.trips_by_user, train.trips_by_user[0][:1], []]
+    extended = Corpus(train.locations, users, histories)
+    cfg = ModelConfig(dim=5, hdim=6, seed=1, variant=request.param)
+    fresh = Model(cfg, build_vocab(extended), model.tables)
+    cache = fresh.build_cache(extended)
+    path = str(tmp_path_factory.mktemp("short") / "model.ckpt")
+    save_checkpoint(path, fresh, cache, [r.loc_id for r in corpus.locations], users)
+    return fresh, cache, load_checkpoint(path).cache
+
+
+class TestFlatLayout:
+    def test_each_field_yields_one_array_per_user(self, short_histories):
+        model, built, loaded = short_histories
+        sd = model.config.state_dim
+        for cache in (built, loaded):
+            assert {0, 1} <= set(cache.n_train.tolist())
+            runs = np.maximum(cache.n_train - 1, 0).tolist()
+            for name in CACHE_FIELDS:
+                rows = getattr(cache, name)
+                if rows is None:
+                    assert name == "keys" and model.config.variant == "encoder-only"
+                    continue
+                want = [(2 * n, sd) if name in ("states", "keys") else (n,) for n in runs]
+                assert len(rows) == len(want)
+                assert [a.shape for a in rows] == want
+                assert [rows[u].shape for u in range(len(rows))] == want
+
+    def test_rows_index_as_a_list_does(self, short_histories):
+        _, built, loaded = short_histories
+        for rows in (built.states, loaded.oseq):
+            listed = list(rows)
+            for u in (0, -1, -len(listed)):
+                np.testing.assert_array_equal(rows[u], listed[u])
+            for u in (len(listed), -len(listed) - 1):
+                with pytest.raises(IndexError):
+                    rows[u]
+
+    def test_loaded_rows_are_views_of_one_mapped_buffer_per_field(self, short_histories):
+        _, _, loaded = short_histories
+        fields = [getattr(loaded, name) for name in CACHE_FIELDS]
+        fields = [rows for rows in fields if rows is not None]
+        for rows in fields:
+            assert not rows.flat.flags.owndata  # the mapping's, not a copy
+            assert all(np.shares_memory(row, rows.flat) for row in rows if row.size)
+            assert sum(row.size for row in rows) == rows.flat.size
+        for i, rows in enumerate(fields):
+            assert not any(np.shares_memory(rows.flat, other.flat) for other in fields[i + 1 :])
+
+
+def _rebuilt(cache, **changed):
+    """`cache` built again from its flat arrays, with some of them, or its
+    `last_dest` or `n_train`, replaced."""
+    fields = {"last_dest": cache.last_dest, "n_train": cache.n_train}
+    for name in CACHE_FIELDS:
+        rows = getattr(cache, name)
+        fields[name] = None if rows is None else rows.flat
+    return EncodedCache.from_flat(**{**fields, **changed})
 
 
 def _bundle_arrays(bundle):
@@ -266,19 +338,31 @@ class TestFailureModes:
         """Users' sequences and states are stored back to back and split by
         n_train, so a cache that disagrees with it is refused, not misfiled."""
         corpus, _, model, cache, _ = trained
-        short = replace(cache, states=[cache.states[0][1:], *cache.states[1:]])
-        with pytest.raises(ContractViolation, match="n_train"):
-            save_checkpoint(str(tmp_path / "x.ckpt"), model, short,
-                            [r.loc_id for r in corpus.locations], corpus.users)
+        ids = [r.loc_id for r in corpus.locations], corpus.users
+        states, oseq = cache.states.flat, cache.oseq.flat
+        first = len(cache.states[0])
+        for bad in (
+            dict(states=states[1:]),  # one state row short
+            dict(states=states[first:]),  # the first user's rows missing
+            dict(states=states[:, 1:]),  # one column narrow
+            dict(oseq=oseq[:-1]),
+            dict(dseq=oseq[1:]),
+        ):
+            with pytest.raises(ContractViolation, match="n_train"):
+                save_checkpoint(str(tmp_path / "x.ckpt"), model, _rebuilt(cache, **bad), *ids)
+        shrunk = _rebuilt(cache, n_train=cache.n_train[1:], last_dest=cache.last_dest[1:])
+        with pytest.raises(ContractViolation, match="every user"):
+            save_checkpoint(str(tmp_path / "x.ckpt"), model, shrunk, *ids)
 
     def test_save_refuses_keys_that_disagree_with_the_states(self, trained, tmp_path):
         corpus, _, model, cache, _ = trained
         ids = [r.loc_id for r in corpus.locations], corpus.users
-        short = [k[:-1] if len(k) else k for k in cache.keys]
-        narrow = [k[:, 1:] for k in cache.keys]
-        for keys in (short, narrow, cache.keys[1:], None):
+        keys = cache.keys.flat
+        first = len(cache.keys[0])
+        # one row short, one column narrow, the first user's rows missing, none
+        for bad in (keys[:-1], keys[:, 1:], keys[first:], None):
             with pytest.raises(ContractViolation, match="attention keys"):
-                save_checkpoint(str(tmp_path / "x.ckpt"), model, replace(cache, keys=keys), *ids)
+                save_checkpoint(str(tmp_path / "x.ckpt"), model, _rebuilt(cache, keys=bad), *ids)
 
     @pytest.mark.parametrize("kind", ["users", "locations"])
     def test_duplicate_ids_are_refused(self, trained, tmp_path, capsys, kind):

@@ -77,6 +77,14 @@ def _shift_n_train(delta):
     return edit
 
 
+def _wrap_n_train(fields, payload):
+    """Four users' n_train each raised by 2**62: the sum of the history
+    lengths wraps past int64 back to the stored total."""
+    n_train = fields["cache"]["n_train"]
+    for u in [u for u, n in enumerate(n_train) if n >= 2][:4]:
+        n_train[u] += 2**62
+
+
 def _halve_state_width(fields, payload):
     spec = next(t for t in fields["tensors"] if t["name"] == "cache/states")
     rows, width = spec["shape"]
@@ -117,6 +125,7 @@ HEADER_PAYLOAD_MISMATCHES = {
     "geohash-negative": _set_geohash(-1),
     "n_train-plus-1": _shift_n_train(1),
     "n_train-minus-1": _shift_n_train(-1),
+    "n_train-wraps-int64": _wrap_n_train,
     "state-width": _halve_state_width,
     "oseq-location-999": _set_sequence("cache/oseq", 999),
     "dseq-location-negative": _set_sequence("cache/dseq", -1),
@@ -1007,6 +1016,25 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         last = proc.stderr.strip().splitlines()[-1]
         assert last.startswith("error:") and key in last, last
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_diverged_training_is_one_error_line(self, pipeline, tmp_path):
+        """A learning rate that overflows the forward pass ends in the loss
+        check's `error:` line alone: no numpy warning comes before it."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**TRAIN_CFG, "epochs": 1, "lr": 1e300}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "odnext", "train", "--config", str(cfg),
+             "--trips", str(pipeline["p_trips"]), "--locations", str(pipeline["p_locs"]),
+             "--out", str(tmp_path / "m.ckpt")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "error: training diverged: loss nan at epoch 1, user 'U0007' (index 7)\n"
+        ), proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
         assert not (tmp_path / "m.ckpt").exists()
 
     def test_unknown_predict_user_is_1(self, pipeline, capsys):
