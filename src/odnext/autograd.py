@@ -1,13 +1,14 @@
 """Minimal reverse-mode autodiff over dense float64 numpy arrays.
 
-The tape holds only what one training step of the model records:
-embedding gathers (`take_rows`), `concat`, `add`, `matmul`, `softmax`,
-the mean cross-entropy, and the kernels of the encoders and the
-attention layer.  Each computes its value, writes its backward by hand
-and hands both to `fused`, the one constructor that puts a node on the
-tape: it records the inputs that take a gradient, and none under
-`no_grad`.  The per-op functions the kernels are checked against
-(elementwise ops, indexing, reductions) and the finite-difference
+The tape holds only what one training step records: embedding gathers
+(`take_rows`, whose backward `scatter_rows` the decoder kernel reuses),
+`concat`, `matmul`, the mean cross-entropy, and the kernels of the
+encoders and the decoder; `softmax` serves the baseline's ranking.
+Each computes its value, writes its backward by hand and hands both to
+`fused`, the one constructor that puts a node on the tape: it records
+the inputs that take a gradient, and none under `no_grad`.  The per-op
+functions the kernels are checked against (`add` and the other
+elementwise ops, indexing, reductions) and the finite-difference
 checker live in the test suite, in `tests/reference.py`, and build
 their nodes through `fused` too.
 """
@@ -70,7 +71,7 @@ class Tensor:
             if axes:
                 g = g.sum(axis=axes, keepdims=True)
         if self.grad is None:
-            # a copy, never `g` itself: add hands one array to both parents
+            # a copy, never `g` itself: a node may hand one array to two parents
             self.grad = np.array(g, dtype=np.float64)
         else:
             self.grad += g
@@ -143,16 +144,6 @@ def fused(value, inputs: Sequence[Tensor], backward: Callable[[np.ndarray], None
     return Tensor(value, parents=parents, backward=backward)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    def backward(g):
-        if needs_grad(a):
-            a.accumulate(g)
-        if needs_grad(b):
-            b.accumulate(g)
-
-    return fused(a.value + b.value, (a, b), backward)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product: numpy @ semantics for 1-D/2-D operands plus a
     batched n-D left operand against a 2-D right operand."""
@@ -177,27 +168,29 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return fused(av @ bv, (a, b), backward)
 
 
-def take_rows(a: Tensor, idx) -> Tensor:
-    """Row gather; gradients accumulate additively into repeated rows.
+def scatter_rows(a: Tensor, idx: np.ndarray, g: np.ndarray) -> None:
+    """Add `g`, the gradient of `a.value[idx]`, into `a.grad` in place;
+    repeated rows accumulate additively.
 
-    The backward adds into `a.grad` in place.  Once `a.grad` holds an
-    earlier gradient, each gathered row's contributions are summed first,
-    in index order, and then added, so the result equals adding a
-    separate zeros + np.add.at buffer, bit for bit.
+    Once `a.grad` holds an earlier gradient, each gathered row's
+    contributions are summed first, in index order, and then added, so
+    the result equals adding a separate zeros + np.add.at buffer, bit for
+    bit.
     """
+    if a.grad is None:
+        a.grad = np.zeros_like(a.value)
+        np.add.at(a.grad, idx, g)
+        return
+    rows, slot = np.unique(idx, return_inverse=True)
+    sums = np.zeros((rows.size,) + a.value.shape[1:])
+    np.add.at(sums, slot.reshape(idx.shape), g)
+    a.grad[rows] += sums
+
+
+def take_rows(a: Tensor, idx) -> Tensor:
+    """Row gather; its backward is `scatter_rows`."""
     idx = np.asarray(idx)
-
-    def backward(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.value)
-            np.add.at(a.grad, idx, g)
-            return
-        rows, slot = np.unique(idx, return_inverse=True)
-        sums = np.zeros((rows.size,) + a.value.shape[1:])
-        np.add.at(sums, slot.reshape(idx.shape), g)
-        a.grad[rows] += sums
-
-    return fused(a.value[idx], (a,), backward)
+    return fused(a.value[idx], (a,), lambda g: scatter_rows(a, idx, g))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

@@ -15,10 +15,12 @@ the optimizer takes one step per user.  After training the encoder
 states are frozen into an EncodedCache, with their projection through
 the attention's state block (the keys, which depend on no query);
 prediction only re-runs the decoder against the cached states and keys.
-One decoder (`Model._decode`) serves training, cached prediction and
-cold start, and every prediction runs it off the tape through
-`Model._probs`; a cold user is the one row of a table holding the mean
-user embedding.
+One decoder serves training, cached prediction and cold start:
+`Model._decode_forward` computes it on plain arrays (query rows,
+attention, the user-add or user-concat step, output layer).  Training
+wraps that forward in one tape node with a hand-written backward
+(`Model._decode`); every prediction calls it with no tape, through
+`Model._probs`, and a cold user's vector is the mean user embedding.
 
 One encode path (`Model._encode`) serves training and inference.  Off
 the tape every history goes through `stlstm.encode_by_length`
@@ -200,34 +202,32 @@ def attention_keys(states: np.ndarray, w_a: np.ndarray) -> np.ndarray:
 
 
 def attend(
-    queries: Tensor,
-    states: Tensor,
-    w_a: Tensor,
+    q: np.ndarray,
+    s: np.ndarray,
+    w_a: np.ndarray,
     mask: np.ndarray | None,
     slope: float,
     keys: np.ndarray | None = None,
-) -> tuple[Tensor, Tensor]:
-    """Per-dimension attention as one tape node.
+    taped: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Per-dimension attention on arrays, the middle of the decoder kernel.
 
-    queries (E, qw) and states (S, sd) project through the row blocks of
-    w_a (qw + sd, sd); scores = leaky_relu(q_proj[e] + h_proj[s]) plus the
-    optional additive mask (E, S, 1); alpha (E, S, sd) is the softmax over
-    S and the summary (E, sd) the alpha-weighted sum of states.  Returns
-    (summary, alpha); alpha is a constant, no gradient flows through it.
-    The backward is the analytic one of that chain, expression for
-    expression.  `keys`, h_proj computed before (`attention_keys`), may
+    queries q (E, qw) and states s (S, sd) project through the row blocks
+    of w_a (qw + sd, sd); scores = leaky_relu(q_proj[e] + h_proj[s]) plus
+    the optional additive mask (E, S, 1); alpha (E, S, sd) is the softmax
+    over S and the summary (E, sd) the alpha-weighted sum of states.
+    Returns (summary, alpha, positive): `positive`, the pre-activations'
+    sign mask that only `attend_backward` reads, is built for a `taped`
+    call alone.  `keys`, h_proj computed before (`attention_keys`), may
     stand in for it off the tape only.
     """
-    q, s, w = queries.value, states.value, w_a.value
     n_q = q.shape[1]
-    w_q, w_s = w[:n_q], w[n_q:]
-    taped = ag.taped_inputs((queries, states, w_a))
     if keys is None:
-        keys = attention_keys(s, w)
+        keys = attention_keys(s, w_a)
     elif taped:
         raise ContractViolation("attention keys computed before are for off-tape use only")
-    pre = (q @ w_q)[:, None, :] + keys[None, :, :]
-    positive = (pre >= 0) if taped else None  # read only by the backward
+    pre = (q @ w_a[:n_q])[:, None, :] + keys[None, :, :]
+    positive = (pre >= 0) if taped else None
     alpha = _leaky_relu(pre, slope)  # the scores, then alpha, in place
     if mask is not None:
         alpha += mask
@@ -237,26 +237,44 @@ def attend(
     # pre is spent; its buffer takes the weighted states, so a call holds
     # two (E, S, sd) arrays, not three
     summary = np.multiply(alpha, s[None], out=pre).sum(axis=1)
+    return summary, alpha, positive
 
-    def backward(g):
-        d_pre = g[:, None, :] * s[None]  # d alpha, then d scores, then d pre
-        # scratch then takes the slope factor and g * alpha, so the backward
-        # holds two (E, S, sd) arrays besides alpha
-        scratch = d_pre * alpha
-        d_pre -= scratch.sum(axis=1, keepdims=True)
-        d_pre *= alpha
-        d_pre *= _leaky_relu_slope(positive, slope, out=scratch)
-        d_q_proj = d_pre.sum(axis=1)
-        d_s_proj = d_pre.sum(axis=0)
-        if ag.needs_grad(queries):
-            queries.accumulate(d_q_proj @ w_q.T)
-        if ag.needs_grad(states):
-            g_alpha = np.multiply(g[:, None, :], alpha, out=scratch)
-            states.accumulate(g_alpha.sum(axis=0) + d_s_proj @ w_s.T)
-        if ag.needs_grad(w_a):
-            w_a.accumulate(np.concatenate([q.T @ d_q_proj, s.T @ d_s_proj]))
 
-    return ag.fused(summary, (queries, states, w_a), backward), ag.constant(alpha)
+def attend_backward(
+    g: np.ndarray,
+    q: np.ndarray,
+    s: np.ndarray,
+    w_a: np.ndarray,
+    alpha: np.ndarray,
+    positive: np.ndarray,
+    slope: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The gradients (of q, s, w_a) of `attend`'s summary, given its
+    gradient g (E, sd): the analytic backward of the chain, expression for
+    expression; alpha takes none."""
+    n_q = q.shape[1]
+    w_q, w_s = w_a[:n_q], w_a[n_q:]
+    d_pre = g[:, None, :] * s[None]  # d alpha, then d scores, then d pre
+    # scratch then takes the slope factor and g * alpha, so the backward
+    # holds two (E, S, sd) arrays besides alpha
+    scratch = d_pre * alpha
+    d_pre -= scratch.sum(axis=1, keepdims=True)
+    d_pre *= alpha
+    d_pre *= _leaky_relu_slope(positive, slope, out=scratch)
+    d_q_proj = d_pre.sum(axis=1)
+    d_s_proj = d_pre.sum(axis=0)
+    g_alpha = np.multiply(g[:, None, :], alpha, out=scratch)
+    return (
+        d_q_proj @ w_q.T,
+        g_alpha.sum(axis=0) + d_s_proj @ w_s.T,
+        np.concatenate([q.T @ d_q_proj, s.T @ d_s_proj]),
+    )
+
+
+def _is_index(x) -> bool:
+    """Whether `x` is one integer index: a Python or numpy integer, not a
+    bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _causal_mask(n_examples: int) -> np.ndarray:
@@ -388,56 +406,101 @@ class Model:
         """(states_o, states_d) of each history, off the tape (`encode_by_length`)."""
         return encode_by_length(histories, lambda rows: [t.value for t in self._encode(rows)[:2]])
 
-    def _stack(self, states_o: Tensor, states_d: Tensor) -> Tensor:
-        """The decoder's states: the origin block over the destination
-        block, or for encoder-only each step's aligned (origin, destination)
-        state pair."""
-        axis = 1 if self.config.variant == "encoder-only" else 0
-        return ag.concat([states_o, states_d], axis=axis)
+    @property
+    def _stack_axis(self) -> int:
+        """The axis along which the decoder's states join the encoders'
+        outputs: the origin block over the destination block, or for
+        encoder-only each step's aligned (origin, destination) state pair."""
+        return 1 if self.config.variant == "encoder-only" else 0
 
-    def _decode(
+    def _decode_forward(
         self,
-        states: Tensor,
-        o_emb: Tensor,
-        d_emb: Tensor,
-        user: int,
-        users: Tensor | None,
+        states: np.ndarray,
+        o_rows: np.ndarray,
+        d_rows: np.ndarray,
+        user_vec: np.ndarray | None,
         mask: np.ndarray | None,
         keys: np.ndarray | None = None,
-    ) -> tuple[Tensor, Tensor | None]:
-        """Logits (E, |L|) and attention weights for E queries
-        (user, o_emb[e], d_emb[e]) against `states` (see `_stack`; for
-        encoder-only one pair row per query goes straight into the output
-        layer and there are no weights).  The user is row `user` of
-        `users`, or of the user embedding when `users` is None; `keys`
-        goes to `attend`."""
-        c, w_out = self.config, self.params["out/W_loc"]
-        v = c.variant
-        if v == "encoder-only":
-            return ag.matmul(states, w_out), None
-        table = self.params["emb/user"] if users is None else users
+        taped: bool = False,
+    ) -> tuple[np.ndarray, np.ndarray | None, tuple]:
+        """The decoder on arrays: (logits (E, |L|), alpha, saved) for E
+        queries (user_vec, o_rows[e], d_rows[e]) against `states` (stacked
+        along `_stack_axis`; for encoder-only one pair row per query goes
+        straight into the output layer and alpha is None).  `saved` is
+        what `_decode`'s backward reads: the queries, the output layer's
+        input and `attend`'s sign mask (built only when `taped`); `keys`
+        go to `attend`."""
+        c, w_out = self.config, self.params["out/W_loc"].value
+        if c.variant == "encoder-only":
+            return states @ w_out, None, (None, states, None)
+        user_rows = user_vec[None].repeat(len(o_rows), axis=0)
+        personal = c.variant not in ("user-add", "user-concat")
+        q = np.concatenate((user_rows, o_rows, d_rows) if personal else (o_rows, d_rows), axis=1)
+        w_a = self.params["attn/W_A"].value
+        summary, alpha, positive = attend(q, states, w_a, mask, c.leaky_slope, keys, taped)
+        if c.variant == "user-add":
+            summary += user_vec
+        elif c.variant == "user-concat":
+            summary = np.concatenate((summary, user_rows), axis=1)
+        return summary @ w_out, alpha, (q, summary, positive)
 
-        def user_rows() -> Tensor:
-            return ag.take_rows(table, np.full(o_emb.shape[0], user, dtype=np.int64))
+    def _decode(
+        self, states: Tensor, o_emb: Tensor, d_emb: Tensor, user: int, mask: np.ndarray | None
+    ) -> tuple[Tensor, np.ndarray | None]:
+        """(logits, alpha) of `_decode_forward` for user `user`'s queries
+        (o_emb[e], d_emb[e]), the logits as one tape node.
 
-        cols = [o_emb, d_emb]
-        if v not in ("user-add", "user-concat"):
-            cols.insert(0, user_rows())
-        queries = ag.concat(cols, axis=1)
-        summary, alpha = attend(
-            queries, states, self.params["attn/W_A"], mask, c.leaky_slope, keys
+        The backward is that of the taped composition it replaces (the
+        user rows' `take_rows`, the queries' `concat`, the attention, the
+        user-add `add` or user-concat `concat`, the output `matmul`),
+        expression for expression.  Each input takes one gradient from
+        this node, so the order in which they take them changes no bit.
+        """
+        c, p = self.config, self.params
+        v, w_out = c.variant, p["out/W_loc"]
+        table, w_a = p.get("emb/user"), p.get("attn/W_A")
+        user_vec = None if table is None else table.value[user]
+        logits, alpha, (q, out, positive) = self._decode_forward(
+            states.value, o_emb.value, d_emb.value, user_vec, mask, taped=True
         )
-        if v == "user-add":
-            summary = ag.add(summary, ag.take_rows(table, user))
-        elif v == "user-concat":
-            summary = ag.concat([summary, user_rows()], axis=1)
-        return ag.matmul(summary, w_out), alpha
 
-    def _forward(self, batch: tuple, user: int) -> tuple[Tensor, Tensor | None]:
+        def backward(g):
+            d_out = g @ w_out.value.T
+            if ag.needs_grad(w_out):
+                w_out.accumulate(out.T @ g)
+            if v == "encoder-only":
+                if ag.needs_grad(states):
+                    states.accumulate(d_out)
+                return
+            rows = np.full(len(q), user, dtype=np.int64)  # the gathered user rows
+            if v == "user-add":
+                rows, d_user = np.asarray(user), d_out.sum(axis=0)
+            elif v == "user-concat":
+                d_user, d_out = d_out[:, c.state_dim :], d_out[:, : c.state_dim]
+            d_q, d_s, d_w = attend_backward(
+                d_out, q, states.value, w_a.value, alpha, positive, c.leaky_slope
+            )
+            if v not in ("user-add", "user-concat"):  # the user rows lead the queries
+                d_user, d_q = d_q[:, : c.dim], d_q[:, c.dim :]
+            o_d = (o_emb, d_q[:, : c.dim]), (d_emb, d_q[:, c.dim :])
+            for t, d in ((states, d_s), (w_a, d_w), *o_d):
+                if ag.needs_grad(t):
+                    t.accumulate(d)
+            if ag.needs_grad(table):
+                ag.scatter_rows(table, rows, d_user)
+
+        if v == "encoder-only":
+            inputs = (states, w_out)
+        else:
+            inputs = (states, o_emb, d_emb, table, w_a, w_out)
+        return ag.fused(logits, inputs, backward), alpha
+
+    def _forward(self, batch: tuple, user: int) -> tuple[Tensor, np.ndarray | None]:
         """(logits (E, |L|), alpha) for every example of one `_batch`."""
         seqs, mask = batch
         states_o, states_d, o_emb, d_emb = self._encode(seqs)
-        return self._decode(self._stack(states_o, states_d), o_emb, d_emb, user, None, mask)
+        states = ag.concat([states_o, states_d], axis=self._stack_axis)
+        return self._decode(states, o_emb, d_emb, user, mask)
 
     def _loss(self, user: int, batch: tuple) -> Tensor:
         logits, _ = self._forward(batch, user)
@@ -485,22 +548,22 @@ class Model:
 
     def _probs(
         self,
-        states: Tensor,
-        origins: np.ndarray,
-        dprevs: np.ndarray,
-        user: int,
-        users,
-        mask,
+        states: np.ndarray,
+        o_rows: np.ndarray,
+        d_rows: np.ndarray,
+        user_vec: np.ndarray | None,
+        mask: np.ndarray | None,
         keys: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        """(probs, alpha) of the queries (origins[e], dprevs[e]): `_decode`
-        and its softmax, off the tape; alpha is None for encoder-only."""
-        emb = self.params["emb/loc"]
-        with ag.no_grad():
-            origin_emb, dprev_emb = ag.take_rows(emb, origins), ag.take_rows(emb, dprevs)
-            logits, alpha = self._decode(states, origin_emb, dprev_emb, user, users, mask, keys)
-            probs = ag.softmax(logits, axis=1)
-        return probs.value, (None if alpha is None else alpha.value)
+        """(probs, alpha) of the queries (o_rows[e], d_rows[e]) for the user
+        vector `user_vec`: `_decode_forward` on arrays, with no tape, then
+        `ag.softmax`'s expressions in place; alpha is None for
+        encoder-only."""
+        logits, alpha, _ = self._decode_forward(states, o_rows, d_rows, user_vec, mask, keys)
+        logits -= logits.max(axis=1, keepdims=True)
+        np.exp(logits, out=logits)
+        logits /= logits.sum(axis=1, keepdims=True)
+        return logits, alpha
 
     def _predict_states(
         self,
@@ -508,19 +571,25 @@ class Model:
         origins: np.ndarray,
         dprevs: np.ndarray,
         user: int,
-        users=None,
+        users: np.ndarray | None = None,
         keys: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """`_probs` against frozen states in the cache's layout (the origin
-        block over the destination block), all of which every query sees;
-        `keys` are the states' attention keys, computed here when None."""
+        block over the destination block), all of which every query sees.
+        The user is row `user` of `users`, or of the user embedding when
+        `users` is None; `keys` are the states' attention keys, computed
+        here when None."""
         if states_np.shape[0] == 0:
             raise ColdStartError("no encoder states available for this history")
+        user_vec = None
         if self.config.variant == "encoder-only":
             half = states_np.shape[0] // 2
             pair = np.concatenate([states_np[half - 1], states_np[-1]])
             states_np = np.tile(pair, (len(origins), 1))
-        return self._probs(ag.constant(states_np), origins, dprevs, user, users, None, keys)
+        else:
+            user_vec = (self.params["emb/user"].value if users is None else users)[user]
+        emb = self.params["emb/loc"].value
+        return self._probs(states_np, emb[origins], emb[dprevs], user_vec, None, keys)
 
     def _predict_cached(self, cache: EncodedCache, user: int, origins, dprevs):
         """`_predict_states` of one known user against the cache."""
@@ -530,22 +599,45 @@ class Model:
     def predict_batch(
         self, cache: EncodedCache, user: int, origins, dprevs
     ) -> np.ndarray:
-        """(Q, |L|) next-destination distributions for one user's queries."""
+        """(Q, |L|) next-destination distributions for one user's queries:
+        `origins` and `dprevs` are two integer sequences of length Q."""
         self._check_user(user)
-        origins = np.asarray(origins, dtype=np.int64)
-        dprevs = np.asarray(dprevs, dtype=np.int64)
+        origins, dprevs = np.asarray(origins), np.asarray(dprevs)
+        if origins.ndim != 1 or origins.shape != dprevs.shape:
+            raise ContractViolation(
+                "origins and previous destinations must be two 1-D sequences of one length"
+            )
+        if origins.size and not (origins.dtype.kind in "iu" and dprevs.dtype.kind in "iu"):
+            raise ContractViolation("location indices must be integers")
+        origins = origins.astype(np.int64, copy=False)
+        dprevs = dprevs.astype(np.int64, copy=False)
         self._check_locs(origins, dprevs)
         probs, _ = self._predict_cached(cache, user, origins, dprevs)
         return probs
 
-    def _check_user(self, user: int) -> None:
+    def _check_user(self, user) -> None:
+        if not _is_index(user):
+            raise ContractViolation(f"user index must be an integer, not {user!r}")
         if not 0 <= user < self.vocab.n_users:
             raise ContractViolation(f"user index {user} out of range")
 
     def _check_locs(self, *seqs: np.ndarray) -> None:
+        """Refuse int64 location indices outside [0, |L|): one reduction
+        each, as unsigned, where a negative index reads as a huge one."""
+        n = self.vocab.n_locations
         for idx in seqs:
-            if idx.size and (idx.min() < 0 or idx.max() >= self.vocab.n_locations):
+            if idx.size and np.maximum.reduce(idx.view(np.uint64), axis=None) >= n:
                 raise ContractViolation("location index out of range")
+
+    def _check_loc_pair(self, origin, dprev) -> None:
+        """One query's origin and previous destination: plain comparisons,
+        with no array reduction."""
+        if not (_is_index(origin) and _is_index(dprev)):
+            raise ContractViolation(
+                f"location indices must be integers, not {origin!r} and {dprev!r}"
+            )
+        if not (0 <= origin < self.vocab.n_locations and 0 <= dprev < self.vocab.n_locations):
+            raise ContractViolation("location index out of range")
 
     def attention(
         self, cache: EncodedCache, user: int, origin: int, dprev: int
@@ -560,9 +652,7 @@ class Model:
                 f"variant {self.config.variant!r} has no attention weights"
             )
         self._check_user(user)
-        # plain comparisons: one query needs no array reduction
-        if not (0 <= origin < self.vocab.n_locations and 0 <= dprev < self.vocab.n_locations):
-            raise ContractViolation("location index out of range")
+        self._check_loc_pair(origin, dprev)
         query = np.array([origin, dprev], dtype=np.int64)
         probs, alpha = self._predict_cached(cache, user, query[:1], query[1:])
         mean_w = alpha[0].sum(axis=1) / alpha.shape[2]  # np.mean's sum and divide
@@ -584,16 +674,17 @@ class Model:
 
         `prefix` is the user's full earlier history: one encode over every
         origin and destination in it (nothing is trimmed, so one prior trip
-        is enough context), then one `_decode` of the query (origin,
-        previous destination, mean user embedding) against all its states.
+        is enough context), then one decode of the query (origin, previous
+        destination, mean user embedding) against all its states.
         """
         if not prefix:
             raise ColdStartError("cold-start prediction needs at least one prior trip")
+        self._check_loc_pair(origin, prev_dest)
         seqs = encoder_sequences(prefix, self.config.utc_offset_hours, aligned=True)
+        self._check_locs(seqs.oseq, seqs.dseq)
         query = np.array([origin, prev_dest], dtype=np.int64)
-        self._check_locs(seqs.oseq, seqs.dseq, query)
         states = np.concatenate(self._encode_all([seqs])[0], axis=0)
-        users = ag.constant(self.cold_user_vector()[None])
+        users = self.cold_user_vector()[None]
         probs, _ = self._predict_states(states, query[:1], query[1:], 0, users)
         return probs[0]
 
@@ -618,9 +709,9 @@ class Model:
         out = [np.zeros((0, self.vocab.n_locations))] * len(cohort)
         asked = [u for u, q in enumerate(queries) if len(q)]
         masks = {n: _causal_mask(n) for n in {len(queries[u]) for u in asked}}
-        users = ag.constant(self.cold_user_vector()[None])
-        for u, (states_o, states_d) in zip(asked, self._encode_all([seqs[u] for u in asked])):
-            states = self._stack(ag.constant(states_o), ag.constant(states_d))
+        emb, cold = self.params["emb/loc"].value, self.cold_user_vector()
+        for u, pair in zip(asked, self._encode_all([seqs[u] for u in asked])):
+            states = np.concatenate(pair, axis=self._stack_axis)
             mask = masks[len(queries[u])]
-            out[u], _ = self._probs(states, queries[u], seqs[u].dseq, 0, users, mask)
+            out[u], _ = self._probs(states, emb[queries[u]], emb[seqs[u].dseq], cold, mask)
         return out

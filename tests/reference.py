@@ -1,9 +1,10 @@
 """Reference code the program does not run: per-op autograd functions,
-step-by-step recurrent cells, one-sequence-at-a-time versions of the
-row-axis encodes, a finite-difference gradient checker, and the scalar
-time slot of one timestamp.
+step-by-step recurrent cells, the decoder as the taped composition the
+decoder kernel replaced, one-sequence-at-a-time versions of the row-axis
+encodes, a finite-difference gradient checker, and the scalar time slot
+of one timestamp.
 
-The fused kernels of `odnext` (the encoders, the attention node, the mean
+The fused kernels of `odnext` (the encoders, the decoder, the mean
 cross-entropy) are tested against compositions of these functions, every
 gradient against `grad_check`, and `geo.timeslots` against `timeslot_of`.
 The ops build their nodes through `ag.fused`, as the kernels do, so one
@@ -18,10 +19,11 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 import odnext.autograd as ag
-from odnext.autograd import Tensor, add, concat, matmul
+from odnext.autograd import Tensor, concat, matmul, take_rows
 from odnext.data import encoder_sequences
 from odnext.geo import TIMESLOT_HOURS
-from odnext.model import _causal_mask
+from odnext.model import _causal_mask, attend_backward
+from odnext.model import attend as attend_arrays
 from odnext.nn import draw_params
 from odnext.stlstm import LSTMWeights, STLSTMWeights, lstm_encode, lstm_spec, st_lstm_spec
 
@@ -36,6 +38,16 @@ def grad_enabled() -> bool:
 def _unary(a: Tensor, out_val: np.ndarray, grad: Callable[[np.ndarray], np.ndarray]) -> Tensor:
     """A node over one input whose backward accumulates `grad(g)` into it."""
     return ag.fused(out_val, (a,), lambda g: a.accumulate(grad(g)))
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    def backward(g):
+        if ag.needs_grad(a):
+            a.accumulate(g)
+        if ag.needs_grad(b):
+            b.accumulate(g)
+
+    return ag.fused(a.value + b.value, (a, b), backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -203,6 +215,53 @@ def st_lstm_step(
     return h, c, c_s, c_t
 
 
+# -- the decoder as a composition of taped nodes -------------------------------
+
+
+def attend(
+    queries: Tensor, states: Tensor, w_a: Tensor, mask: np.ndarray | None, slope: float
+) -> tuple[Tensor, Tensor]:
+    """`model.attend` and `model.attend_backward` as one tape node, the
+    attention node the decoder kernel absorbed: (summary, alpha), alpha a
+    constant."""
+    q, s, w = queries.value, states.value, w_a.value
+    summary, alpha, positive = attend_arrays(q, s, w, mask, slope, taped=True)
+
+    def backward(g):
+        grads = attend_backward(g, q, s, w, alpha, positive, slope)
+        for t, d in zip((queries, states, w_a), grads):
+            if ag.needs_grad(t):
+                t.accumulate(d)
+
+    return ag.fused(summary, (queries, states, w_a), backward), ag.constant(alpha)
+
+
+def decode(model, states, o_emb, d_emb, user, users, mask) -> tuple[Tensor, Tensor | None]:
+    """`Model._decode` as the taped composition it replaced: (logits,
+    alpha) of the queries (user, o_emb[e], d_emb[e]) against `states`, the
+    user row `user` of `users`, or of the user embedding when `users` is
+    None."""
+    c, w_out = model.config, model.params["out/W_loc"]
+    v = c.variant
+    if v == "encoder-only":
+        return matmul(states, w_out), None
+    table = model.params["emb/user"] if users is None else users
+
+    def user_rows() -> Tensor:
+        return take_rows(table, np.full(o_emb.shape[0], user, dtype=np.int64))
+
+    cols = [o_emb, d_emb]
+    if v not in ("user-add", "user-concat"):
+        cols.insert(0, user_rows())
+    queries = concat(cols, axis=1)
+    summary, alpha = attend(queries, states, model.params["attn/W_A"], mask, c.leaky_slope)
+    if v == "user-add":
+        summary = add(summary, take_rows(table, user))
+    elif v == "user-concat":
+        summary = concat([summary, user_rows()], axis=1)
+    return matmul(summary, w_out), alpha
+
+
 # -- tape-free encodes, one sequence at a time --------------------------------
 
 
@@ -231,15 +290,16 @@ def final_states(od, train) -> list[tuple[np.ndarray, np.ndarray]]:
 def cold_history(model, trips) -> np.ndarray:
     """One history's `Model.predict_cold_cohort` rows with its own
     `Model._encode` of the history: encode trips[:-1] once, decode every
-    query under the causal mask."""
+    query under the causal mask through the taped composition `decode`."""
     seqs = encoder_sequences(trips[:-1], model.config.utc_offset_hours, aligned=True)
     queries = np.array([t.origin_loc for t in trips[1:]], dtype=np.int64)
     mask = _causal_mask(len(queries)) if model.config.variant != "encoder-only" else None
     with ag.no_grad():
         states_o, states_d, _, d_emb = model._encode(seqs)
-        logits, _ = model._decode(
-            model._stack(states_o, states_d),
-            ag.take_rows(model.params["emb/loc"], queries),
+        logits, _ = decode(
+            model,
+            concat([states_o, states_d], axis=model._stack_axis),
+            take_rows(model.params["emb/loc"], queries),
             d_emb,
             0,
             ag.constant(model.cold_user_vector()[None]),

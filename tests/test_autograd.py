@@ -31,7 +31,7 @@ class TestElementwise:
     def test_add_sub_mul_chain(self):
         r = rng_of(0)
         fd_check(
-            lambda p: ref.mean_all(ref.mul(ag.add(p["a"], p["b"]), ref.sub(p["a"], p["c"]))),
+            lambda p: ref.mean_all(ref.mul(ref.add(p["a"], p["b"]), ref.sub(p["a"], p["c"]))),
             {"a": r.normal(size=(3, 4)), "b": r.normal(size=(3, 4)), "c": r.normal(size=(3, 4))},
         )
 
@@ -97,7 +97,7 @@ class TestIndexing:
         table = ag.parameter(r.normal(size=(6, 3)))
         idx_a, idx_b = np.array([4, 1, 4, 0, 4]), np.array([[4, 2], [4, 4]])
         g_a, g_b = r.normal(size=(5, 3)) * 1e3, r.normal(size=(2, 2, 3))
-        loss = ag.add(
+        loss = ref.add(
             ref.mean_all(ref.mul(ag.take_rows(table, idx_a), ag.constant(g_a))),
             ref.mean_all(ref.mul(ag.take_rows(table, idx_b), ag.constant(g_b))),
         )
@@ -208,7 +208,7 @@ class TestSoftmax:
 
 # every op over two inputs, and over one, that builds a node
 MIXED_OPS = {
-    "add": ag.add,
+    "add": ref.add,
     "matmul": ag.matmul,
     "concat": lambda a, b: ag.concat([a, b], axis=1),
     "sub": ref.sub,
@@ -231,7 +231,7 @@ class TestGraph:
     def test_diamond_fanout_accumulates(self):
         # a feeds two branches; grads from both must add.
         a = ag.parameter(np.array([2.0]))
-        loss = ag.add(ref.mul(a, a), ref.scale(a, 3.0))  # a^2 + 3a
+        loss = ref.add(ref.mul(a, a), ref.scale(a, 3.0))  # a^2 + 3a
         ref.mean_all(loss).backward()
         np.testing.assert_allclose(a.grad, [7.0])
 

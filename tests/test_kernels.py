@@ -2,8 +2,9 @@
 
 The recurrent encoders, the attention decoder and the loss each run as
 one tape node with a hand-written backward.  Each is checked here
-against the unfused reference: the step functions, the autograd chain
-the attention layer used to be, and log_softmax + take_per_row +
+against the unfused reference: the step functions, the taped
+composition the decoder used to be (`reference.decode`), the autograd
+chain the attention used to be, and log_softmax + take_per_row +
 mean_all.
 """
 
@@ -17,6 +18,7 @@ import odnext.autograd as ag
 import reference as ref
 from odnext.data import build_interval_tables, build_vocab
 from odnext.model import (
+    ATTENTION_CONTEXTS,
     VARIANTS,
     Model,
     ModelConfig,
@@ -142,11 +144,11 @@ def reference_attend(queries, states, w_a, mask, slope):
     q_proj = ag.matmul(queries, ref.index(w_a, (slice(0, qw), slice(None))))
     h_proj = ag.matmul(states, ref.index(w_a, (slice(qw, None), slice(None))))
     scores = ref.leaky_relu(
-        ag.add(ref.reshape(q_proj, (n_ex, 1, sd)), ref.reshape(h_proj, (1, n_states, sd))),
+        ref.add(ref.reshape(q_proj, (n_ex, 1, sd)), ref.reshape(h_proj, (1, n_states, sd))),
         slope,
     )
     if mask is not None:
-        scores = ag.add(scores, ag.constant(mask))
+        scores = ref.add(scores, ag.constant(mask))
     alpha = ag.softmax(scores, axis=1)
     summary = ref.sum_axis(ref.mul(alpha, ref.reshape(states, (1, n_states, sd))), 1)
     return summary, alpha
@@ -225,7 +227,7 @@ class TestAttentionKernel:
         probe = ag.constant(rng.normal(size=(n_ex, sd)))
         mask = _causal_mask(n_ex) if masked else None
         results = []
-        for fn in (attend, reference_attend):
+        for fn in (ref.attend, reference_attend):
             tensors = [ag.parameter(v.copy()) for v in values]
             summary, alpha = fn(*tensors, mask, 0.2)
             ref.mean_all(ref.mul(summary, probe)).backward()
@@ -238,44 +240,40 @@ class TestAttentionKernel:
         rng = np.random.default_rng([17, int(masked)])
         q, s, w = rng.normal(size=(5, 9)), rng.normal(size=(8, 4)), rng.normal(size=(13, 4))
         mask = np.where(rng.uniform(size=(5, 8, 1)) < 0.5, 0.0, -1e30) if masked else None
-        args = [ag.constant(q), ag.constant(s), ag.parameter(w)]
-        with ag.no_grad():
-            want = attend(*args, mask, 0.2)
-            got = attend(*args, mask, 0.2, keys=attention_keys(s, w))
-        for a, b in zip(got, want):
-            assert a.value.tobytes() == b.value.tobytes()
+        want = attend(q, s, w, mask, 0.2)
+        got = attend(q, s, w, mask, 0.2, keys=attention_keys(s, w))
+        for a, b in zip(got[:2], want[:2]):
+            assert a.tobytes() == b.tobytes()
 
     def test_keys_computed_before_are_refused_on_the_tape(self):
         rng = np.random.default_rng(18)
         q, s, w = rng.normal(size=(2, 3)), rng.normal(size=(4, 2)), rng.normal(size=(5, 2))
-        args = [ag.constant(q), ag.constant(s), ag.parameter(w)]
         with pytest.raises(ContractViolation, match="off-tape"):
-            attend(*args, None, 0.2, keys=attention_keys(s, w))
+            attend(q, s, w, None, 0.2, keys=attention_keys(s, w), taped=True)
 
     @pytest.mark.parametrize("masked", [False, True])
     def test_inference_allocates_about_two_score_arrays(self, masked):
         # the pre-activations, and the scores that become alpha in place;
         # the weighted states reuse the pre-activations' buffer, and only a
-        # taped call keeps the backward's (E, S, sd) sign mask (which took
+        # taped call builds the backward's (E, S, sd) sign mask (which took
         # the peak to 2.2 arrays)
         n_ex, n_states, sd = 18, 82, 64
         rng = np.random.default_rng(15)
         args = [
-            ag.constant(rng.normal(size=(n_ex, 96))),
-            ag.constant(rng.normal(size=(n_states, sd))),
-            ag.parameter(rng.normal(size=(96 + sd, sd))),
+            rng.normal(size=(n_ex, 96)),
+            rng.normal(size=(n_states, sd)),
+            rng.normal(size=(96 + sd, sd)),
         ]
         mask = None
         if masked:
             mask = np.where(rng.uniform(size=(n_ex, n_states, 1)) < 0.5, 0.0, -1e30)
-        with ag.no_grad():
-            attend(*args, mask, 0.01)  # warm up numpy's caches
-            tracemalloc.start()
-            try:
-                attend(*args, mask, 0.01)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+        attend(*args, mask, 0.01)  # warm up numpy's caches
+        tracemalloc.start()
+        try:
+            attend(*args, mask, 0.01)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert peak <= 2.17 * n_ex * n_states * sd * 8
 
 
@@ -319,10 +317,10 @@ class TestMaskFreeLeakyRelu:
         w = np.concatenate([np.array(w_row)[None], rng.normal(size=(4, 4))])
         mask = _causal_mask(3) if masked else None
         with np.errstate(invalid="ignore", over="ignore"):
-            summary, alpha = attend(ag.constant(q), ag.constant(s), ag.constant(w), mask, slope)
+            summary, alpha, _ = attend(q, s, w, mask, slope)
             want_summary, want_alpha = masked_attend(q, s, w, mask, slope)
-        np.testing.assert_array_equal(np.isnan(alpha.value), np.isnan(want_alpha))
-        np.testing.assert_array_equal(np.isnan(summary.value), np.isnan(want_summary))
+        np.testing.assert_array_equal(np.isnan(alpha), np.isnan(want_alpha))
+        np.testing.assert_array_equal(np.isnan(summary), np.isnan(want_summary))
 
 
 class TestCrossEntropyKernel:
@@ -346,7 +344,103 @@ class TestCrossEntropyKernel:
         assert np.isfinite(fused_in.grad).all()
 
 
+def _decoder_world(variant, context="causal"):
+    corpus, _ = generate(
+        SynthConfig(n_users=3, n_locations=9, n_clusters=3, trips_per_user=12, seed=7)
+    )
+    model = Model(
+        ModelConfig(dim=4, hdim=5, variant=variant, attention_context=context),
+        build_vocab(corpus),
+        build_interval_tables(corpus),
+    )
+    return corpus, model
+
+
+def _bytes(arrays):
+    return [np.ascontiguousarray(a).tobytes() for a in arrays]
+
+
+class TestDecoderKernel:
+    """`Model._decode`, one tape node, against the taped composition it
+    replaced (`reference.decode`), bit for bit: the logits, alpha and the
+    gradient of every input."""
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_matches_taped_composition_bit_for_bit(self, variant, masked):
+        _, model = _decoder_world(variant)
+        c, n_ex = model.config, 6
+        rng = np.random.default_rng([19, VARIANTS.index(variant), int(masked)])
+        if variant == "encoder-only":  # one aligned state pair per query
+            states_shape = (n_ex, 2 * c.hdim)
+        else:
+            states_shape = (2 * n_ex, c.state_dim)
+        values = [
+            rng.normal(size=states_shape),
+            rng.normal(size=(n_ex, c.dim)),
+            rng.normal(size=(n_ex, c.dim)),
+        ]
+        mask = _causal_mask(n_ex) if masked else None
+        probe = ag.constant(rng.normal(size=(n_ex, model.vocab.n_locations)))
+        names = [n for n in ("emb/user", "attn/W_A", "out/W_loc") if n in model.params]
+        params = [model.params[n] for n in names]
+        results = []
+        for decode in (model._decode, lambda *a: ref.decode(model, *a[:4], None, a[4])):
+            inputs = [ag.parameter(v.copy()) for v in values]
+            _zero(params)
+            logits, alpha = decode(*inputs, 2, mask)
+            ref.mean_all(ref.mul(logits, probe)).backward()
+            alpha = None if alpha is None else getattr(alpha, "value", alpha)
+            results.append((logits.value, alpha, _grads(inputs + params)))
+        (got_logits, got_alpha, got_grads), (want_logits, want_alpha, want_grads) = results
+        assert got_logits.tobytes() == want_logits.tobytes()
+        assert (got_alpha is None) == (want_alpha is None) == (variant == "encoder-only")
+        if got_alpha is not None:
+            assert got_alpha.tobytes() == want_alpha.tobytes()
+        labels = ["states", "o_emb", "d_emb", *names]
+        for label, got, want in zip(labels, got_grads, want_grads, strict=True):
+            if variant == "encoder-only" and label in ("o_emb", "d_emb"):
+                assert not want.any()  # no query rows reach the output layer
+            else:
+                assert want.any(), label
+            assert got.tobytes() == want.tobytes(), label
+        _zero(params)
+
+    @pytest.mark.parametrize("context", ATTENTION_CONTEXTS)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_training_step_keeps_every_gradient_bit(self, variant, context, monkeypatch):
+        """A whole `_loss` backward, encoders included, gives every
+        parameter the same gradient bits with the kernel as with the
+        composition, so the tape accumulates in an order that keeps them."""
+        corpus, model = _decoder_world(variant, context)
+        batch = model._batch(corpus.trips_by_user[1])
+        grads = []
+        for swap in (False, True):
+            if swap:
+                monkeypatch.setattr(
+                    model, "_decode", lambda s, o, d, u, m: ref.decode(model, s, o, d, u, None, m)
+                )
+            _zero(model.params.values())
+            loss = model._loss(1, batch)
+            loss.backward()
+            grads.append((loss.value.tobytes(), _bytes(_grads(model.params.values()))))
+        assert grads[0] == grads[1]
+        _zero(model.params.values())
+
+
 class TestTapeSize:
+    # one causal step's tape, leaves included: the decoder is one node over
+    # the states, the two embedding gathers and its three parameters (the
+    # composition took 44, 20, 39, 12, 45 and 45)
+    NODES = {
+        "stod-ppa": 41,
+        "od-ppa": 17,
+        "encoder-only": 39,
+        "decoder-only": 9,
+        "user-add": 41,
+        "user-concat": 41,
+    }
+
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_independent_of_history_length(self, variant):
         corpus, _ = generate(
@@ -360,6 +454,6 @@ class TestTapeSize:
         trips = corpus.trips_by_user[0]
         short = tape_size(model._loss(0, model._batch(trips[:5])))
         long = tape_size(model._loss(0, model._batch(trips)))
-        assert short == long
+        assert short == long == self.NODES[variant]
         # the per-step tape held 772 tensors for a 21-trip stod-ppa user
         assert long <= 772 // 10

@@ -149,7 +149,7 @@ class TestAttention:
         corpus, _, _ = small_world
         m = make_model(small_world)
         _, alpha = m._forward(m._batch(corpus.trips_by_user[1]), 1)
-        sums = alpha.value.sum(axis=1)
+        sums = alpha.sum(axis=1)
         np.testing.assert_allclose(sums, 1.0, atol=1e-9)
 
     def test_attention_api_splits_blocks(self, trained):
@@ -324,6 +324,57 @@ class TestValidation:
         user, origin, dprev = self.BAD_QUERIES[case]
         with pytest.raises(ContractViolation, match="out of range"):
             model.predict_batch(cache, user, [origin], [dprev])
+
+
+    # requests the Python API once truncated (1.5 read as 1), refused only
+    # inside numpy, or refused with a TypeError
+    BAD_REQUESTS = {
+        "origin-float": ("predict_batch", 0, [1.5], [2]),
+        "dprev-float": ("predict_batch", 0, [1], [2.0]),
+        "origin-bool": ("predict_batch", 0, [True], [2]),
+        "lengths-differ": ("predict_batch", 0, [1, 2], [3]),
+        "two-dimensional": ("predict_batch", 0, [[1], [2]], [[3], [4]]),
+        "scalar-queries": ("predict_batch", 0, 1, 2),
+        "object-origins": ("predict_batch", 0, [2**70], [2]),
+        "user-float-batch": ("predict_batch", 0.5, [1], [2]),
+        "user-bool-batch": ("predict_batch", True, [1], [2]),
+        "attention-origin-float": ("attention", 0, 1.5, 2),
+        "attention-dprev-float": ("attention", 0, 1, np.float64(2.0)),
+        "attention-user-float": ("attention", 0.5, 1, 2),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_REQUESTS))
+    def test_refuses_requests_that_are_not_integer_indices(self, trained, case, monkeypatch):
+        _, model, cache, _ = trained
+        method, user, origins, dprevs = self.BAD_REQUESTS[case]
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a refused request reached the decoder")
+
+        monkeypatch.setattr(model, "_predict_cached", no_work)
+        with pytest.raises(ContractViolation):
+            getattr(model, method)(cache, user, origins, dprevs)
+
+    @pytest.mark.parametrize("origin,dprev", [(1.5, 2), (1, 2.0), (True, 2)])
+    def test_cold_prediction_refuses_non_integer_locations(self, trained, origin, dprev):
+        corpus, model, _, _ = trained
+        with pytest.raises(ContractViolation, match="integers"):
+            model.predict_cold(corpus.trips_by_user[0][:3], origin, dprev)
+
+    def test_accepts_numpy_integers_and_empty_requests(self, trained):
+        _, model, cache, _ = trained
+        want = model.predict_batch(cache, 2, [1, 3], [0, 2])
+        for origins, dprevs in (
+            (np.array([1, 3], dtype=np.int32), np.array([0, 2], dtype=np.uint8)),
+            ((np.int64(1), 3), [0, np.uint16(2)]),
+        ):
+            got = model.predict_batch(cache, np.int64(2), origins, dprevs)
+            assert got.tobytes() == want.tobytes()
+        assert model.predict_batch(cache, 2, [], []).shape == (0, model.vocab.n_locations)
+        # one query, as a product of one row has its own bits
+        one = model.predict_batch(cache, 2, [1], [0])
+        probs, _, _ = model.attention(cache, np.int32(2), np.int64(1), np.uint8(0))
+        assert probs.tobytes() == one[0].tobytes()
 
 
 class TestColdStart:

@@ -100,7 +100,7 @@ class TestSTLSTM:
 
         def loss():
             h, c, cs, ct = st_lstm_step(w, x, geo, slot, dspace, dtime, h0, c0, c0, c0)
-            return ref.mean_all(ref.mul(ag.add(ag.add(ag.add(h, c), cs), ct), probe))
+            return ref.mean_all(ref.mul(ref.add(ref.add(ref.add(h, c), cs), ct), probe))
 
         assert grad_check(loss, params) < 1e-4
 
