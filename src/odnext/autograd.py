@@ -3,14 +3,15 @@
 The tape holds only what one training step records: embedding gathers
 (`take_rows`, whose backward `scatter_rows` the decoder kernel reuses),
 `concat`, `matmul`, the mean cross-entropy, and the kernels of the
-encoders and the decoder; `softmax` serves the baseline's ranking.
-Each computes its value, writes its backward by hand and hands both to
-`fused`, the one constructor that puts a node on the tape: it records
-the inputs that take a gradient, and none under `no_grad`.  The per-op
-functions the kernels are checked against (`add` and the other
-elementwise ops, indexing, reductions) and the finite-difference
-checker live in the test suite, in `tests/reference.py`, and build
-their nodes through `fused` too.
+encoders and the decoder.  Each computes its value, writes its backward
+by hand and hands both to `fused`, the one constructor that puts a node
+on the tape: it records the inputs for which `needs_grad` holds, so a
+node over constants alone is a constant.  There is no mode that switches
+the tape off: an inference path stays off it because it computes on
+constants or plain arrays.  The per-op functions the kernels are checked
+against (`add` and the other elementwise ops, indexing, reductions,
+softmax) and the finite-difference checker live in the test suite, in
+`tests/reference.py`, and build their nodes through `fused` too.
 """
 
 from __future__ import annotations
@@ -18,25 +19,6 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
-
-# Graph construction can be switched off for inference / finite differences.
-_grad_enabled = True
-
-
-class no_grad:
-    """Context manager that disables graph construction."""
-
-    def __enter__(self):
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
-        return self
-
-    def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._prev
-        return False
-
 
 class Tensor:
     """A node in the computation graph holding a float64 array."""
@@ -122,23 +104,15 @@ def needs_grad(t: Tensor) -> bool:
     return t.requires_grad or bool(t._parents)
 
 
-def taped_inputs(inputs: Sequence[Tensor]) -> tuple[Tensor, ...]:
-    """The parents a node over `inputs` records: none under `no_grad`,
-    else every input for which `needs_grad` holds."""
-    if not _grad_enabled:
-        return ()
-    return tuple(t for t in inputs if needs_grad(t))
-
-
 def fused(value, inputs: Sequence[Tensor], backward: Callable[[np.ndarray], None]) -> Tensor:
     """The one constructor of a taped node: `value`, computed outside the
     tape, over `inputs`.
 
     `backward(g)` receives the gradient of the output and accumulates
-    into every input for which `needs_grad` holds.  Only the inputs of
-    `taped_inputs` go on the tape; with none, the result is a constant.
+    into every input for which `needs_grad` holds.  Only those inputs go
+    on the tape; with none, the result is a constant.
     """
-    parents = taped_inputs(inputs)
+    parents = tuple(t for t in inputs if needs_grad(t))
     if not parents:
         return Tensor(value)
     return Tensor(value, parents=parents, backward=backward)
@@ -203,19 +177,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                 t.accumulate(g[tuple(sl)])
 
     return fused(np.concatenate([t.value for t in tensors], axis=axis), tensors, backward)
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax (max subtraction along `axis`)."""
-    shifted = a.value - a.value.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_val = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        dot = (g * out_val).sum(axis=axis, keepdims=True)
-        a.accumulate(out_val * (g - dot))
-
-    return fused(out_val, (a,), backward)
 
 
 def mean_cross_entropy(logits: Tensor, targets) -> Tensor:

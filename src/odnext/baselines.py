@@ -15,9 +15,10 @@ from .nn import (
     embedding_init,
     glorot_uniform,
     prefixed,
+    softmax_rows,
     train_per_user,
 )
-from .stlstm import LSTMWeights, encode_by_length, lstm_encode, lstm_spec
+from .stlstm import LSTMWeights, encode_by_length, gather_input, lstm_encode, lstm_spec
 
 FREQUENCY_KINDS = ("top", "u-top", "taxi")
 TAXI_LAMBDA = 0.5  # taxi's weight on the user's own proportions
@@ -32,9 +33,9 @@ def rank_descending(probs: np.ndarray) -> np.ndarray:
 class FrequencyRanker:
     """Counts-based destination ranking.
 
-    top:   global destination counts, descending; ties by index.
+    top:   corpus-wide destination counts, descending; ties by index.
     u-top: the user's own counts first; unvisited locations follow in
-           global order.  Ties break by global position.
+           corpus-wide order.  Ties break by that order.
     taxi:  TAXI_LAMBDA * user proportion + (1 - TAXI_LAMBDA) * global
            proportion, with the same tie-break as u-top.
     """
@@ -73,7 +74,7 @@ class FrequencyRanker:
             u_prop = uc / u_total if u_total else np.zeros(n)
             g_prop = self.global_counts / g_total if g_total else np.zeros(n)
             key = TAXI_LAMBDA * u_prop + (1.0 - TAXI_LAMBDA) * g_prop
-        # descending key; a stable sort of the global order breaks ties by it
+        # descending key; a stable sort of the corpus-wide order breaks ties by it
         order = self.global_order
         return order[np.argsort(-key[order], kind="stable")]
 
@@ -111,8 +112,9 @@ class ODLSTM:
         self._final: list[tuple[np.ndarray, np.ndarray]] = []
 
     def _inputs(self, oseq: np.ndarray, dseq: np.ndarray) -> Tensor:
+        """The LSTM input of a (T,) sequence, a constant for (B, T) rows."""
         emb = self.params["emb/loc"]
-        return ag.concat([ag.take_rows(emb, oseq), ag.take_rows(emb, dseq)], axis=-1)
+        return ag.concat([gather_input(emb, oseq), gather_input(emb, dseq)], axis=-1)
 
     def _loss(self, user: int, seqs: Sequences) -> Tensor:
         states, _, _ = lstm_encode(self.lstm, self._inputs(seqs.oseq, seqs.dseq))
@@ -133,7 +135,8 @@ class ODLSTM:
         return self.loss_curve
 
     def rank_user(self, user: int, queries) -> list[np.ndarray]:
-        """Rankings for one user's chronological test queries."""
+        """Rankings for one user's chronological test queries: one row of a
+        row-axis encode from the user's final state, then arrays."""
         if not self._final:
             raise ContractViolation("model has not been fitted")
         if not queries:
@@ -141,8 +144,7 @@ class ODLSTM:
         h0, c0 = self._final[user]
         oseq = np.array([q.origin for q in queries], dtype=np.int64)
         dseq = np.array([q.prev_dest for q in queries], dtype=np.int64)
-        with ag.no_grad():
-            states, _, _ = lstm_encode(self.lstm, self._inputs(oseq, dseq), h0, c0)
-            logits = ag.matmul(states, self.params["out/W_loc"])
-            probs = ag.softmax(logits, axis=1).value
+        x = self._inputs(oseq[None], dseq[None])
+        states, _, _ = lstm_encode(self.lstm, x, h0[None], c0[None])
+        probs = softmax_rows(states.value[0] @ self.params["out/W_loc"].value)
         return list(rank_descending(probs))

@@ -1,5 +1,5 @@
 """Trip corpus ingestion, filtering, chronological splitting, and the
-per-location global interval tables.
+per-location interval tables over the whole corpus.
 
 File formats (UTF-8 CSV with headers):
   trips:     user_id,origin_id,dest_id,pickup_ts,dropoff_ts
@@ -21,6 +21,7 @@ log = logging.getLogger(__name__)
 
 TRIPS_HEADER = ["user_id", "origin_id", "dest_id", "pickup_ts", "dropoff_ts"]
 LOCATIONS_HEADER = ["loc_id", "lat", "lon"]
+_TS_RANGE = np.iinfo(np.int64)  # timestamps are held as int64 epoch seconds
 
 
 class CorpusFormatError(ValueError):
@@ -104,7 +105,7 @@ def load_locations(locations_path: str) -> list[LocationRecord]:
 
 def load_trip_rows(trips_path: str) -> list[tuple[str, str, str, int, int]]:
     """Parse the trip CSV into raw (user, origin, dest, pickup, dropoff)
-    rows without resolving location ids."""
+    rows without resolving location ids; timestamps must fit in int64."""
     rows: list[tuple[str, str, str, int, int]] = []
     with open(trips_path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
@@ -125,6 +126,11 @@ def load_trip_rows(trips_path: str) -> list[tuple[str, str, str, int, int]]:
                 ) from None
             if dropoff < pickup:
                 raise CorpusFormatError(f"{trips_path}:{lineno}: dropoff before pickup")
+            if pickup < _TS_RANGE.min or dropoff > _TS_RANGE.max:
+                raise CorpusFormatError(
+                    f"{trips_path}:{lineno}: timestamps must lie in "
+                    f"[{_TS_RANGE.min}, {_TS_RANGE.max}] epoch seconds"
+                )
             rows.append((user_id, origin_id, dest_id, pickup, dropoff))
     return rows
 

@@ -19,17 +19,19 @@ One decoder serves training, cached prediction and cold start:
 `Model._decode_forward` computes it on plain arrays (query rows,
 attention, the user-add or user-concat step, output layer).  Training
 wraps that forward in one tape node with a hand-written backward
-(`Model._decode`); every prediction calls it with no tape, through
+(`Model._decode`); every prediction calls it on plain arrays, through
 `Model._probs`, and a cold user's vector is the mean user embedding.
 
-One encode path (`Model._encode`) serves training and inference.  Off
-the tape every history goes through `stlstm.encode_by_length`
+One encode path (`Model._encode`) serves training and inference.  For
+inference every history goes through `stlstm.encode_by_length`
 (`Model._encode_all`): the fields of up to `stlstm.MAX_ROWS`
 equal-length histories are stacked along a leading row axis, which each
 encoder runs as one recurrence, with the same bits as one encode per
-history.  A cold user's history is encoded once, and all of its queries
-are decoded in one batch under the causal mask, because encoder states
-depend only on the prefix.
+history.  Such rows gather constants and encode into constants, so no
+inference path builds a tape node: that follows from what it computes
+on, not from a mode.  A cold user's history is encoded once, and all of
+its queries are decoded in one batch under the causal mask, because
+encoder states depend only on the prefix.
 
 Ablation variants share the training protocol but remove or replace
 pieces; see VARIANTS.
@@ -54,6 +56,7 @@ from .nn import (
     glorot_uniform,
     prefixed,
     setting,
+    softmax_rows,
     train_per_user,
     wrap_params,
 )
@@ -62,6 +65,7 @@ from .stlstm import (
     STLSTMInput,
     STLSTMWeights,
     encode_by_length,
+    gather_input,
     lstm_encode,
     lstm_spec,
     st_lstm_encode,
@@ -379,18 +383,18 @@ class Model:
     def _st_input(self, seq: np.ndarray, slots: np.ndarray, loc_emb: Tensor) -> STLSTMInput:
         return STLSTMInput(
             loc=loc_emb,
-            geo=ag.take_rows(self.params["emb/geo"], self.vocab.loc_geohash[seq]),
-            slot=ag.take_rows(self.params["emb/slot"], slots),
+            geo=gather_input(self.params["emb/geo"], self.vocab.loc_geohash[seq]),
+            slot=gather_input(self.params["emb/slot"], slots),
             dspace=ag.constant(self.tables.spatial[seq]),
             dtime=ag.constant(self.tables.temporal[seq]),
         )
 
     def _encode(self, seqs: Sequences) -> tuple[Tensor, Tensor, Tensor, Tensor]:
         """Return (states_o, states_d, o_emb, d_emb) for one user history,
-        or, off the tape, for B equal-length histories whose fields are
-        stacked (B, T) arrays."""
-        o_emb = ag.take_rows(self.params["emb/loc"], seqs.oseq)
-        d_emb = ag.take_rows(self.params["emb/loc"], seqs.dseq)
+        or, as constants, for B equal-length histories whose fields are
+        stacked (B, T) arrays (`gather_input`)."""
+        o_emb = gather_input(self.params["emb/loc"], seqs.oseq)
+        d_emb = gather_input(self.params["emb/loc"], seqs.dseq)
         v = self.config.variant
         if v == "decoder-only":
             return o_emb, d_emb, o_emb, d_emb
@@ -403,7 +407,7 @@ class Model:
         return states_o, states_d, o_emb, d_emb
 
     def _encode_all(self, histories: list[Sequences]) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(states_o, states_d) of each history, off the tape (`encode_by_length`)."""
+        """(states_o, states_d) of each history as arrays (`encode_by_length`)."""
         return encode_by_length(histories, lambda rows: [t.value for t in self._encode(rows)[:2]])
 
     @property
@@ -556,45 +560,38 @@ class Model:
         keys: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """(probs, alpha) of the queries (o_rows[e], d_rows[e]) for the user
-        vector `user_vec`: `_decode_forward` on arrays, with no tape, then
-        `ag.softmax`'s expressions in place; alpha is None for
-        encoder-only."""
+        vector `user_vec`: `_decode_forward` on arrays, then `softmax_rows`;
+        alpha is None for encoder-only."""
         logits, alpha, _ = self._decode_forward(states, o_rows, d_rows, user_vec, mask, keys)
-        logits -= logits.max(axis=1, keepdims=True)
-        np.exp(logits, out=logits)
-        logits /= logits.sum(axis=1, keepdims=True)
-        return logits, alpha
+        return softmax_rows(logits), alpha
 
     def _predict_states(
         self,
         states_np: np.ndarray,
         origins: np.ndarray,
         dprevs: np.ndarray,
-        user: int,
-        users: np.ndarray | None = None,
+        user_vec: np.ndarray | None,
         keys: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """`_probs` against frozen states in the cache's layout (the origin
-        block over the destination block), all of which every query sees.
-        The user is row `user` of `users`, or of the user embedding when
-        `users` is None; `keys` are the states' attention keys, computed
-        here when None."""
+        block over the destination block), all of which every query sees,
+        for the user vector `user_vec` (encoder-only reads none); `keys`
+        are the states' attention keys, computed here when None."""
         if states_np.shape[0] == 0:
             raise ColdStartError("no encoder states available for this history")
-        user_vec = None
         if self.config.variant == "encoder-only":
             half = states_np.shape[0] // 2
             pair = np.concatenate([states_np[half - 1], states_np[-1]])
             states_np = np.tile(pair, (len(origins), 1))
-        else:
-            user_vec = (self.params["emb/user"].value if users is None else users)[user]
         emb = self.params["emb/loc"].value
         return self._probs(states_np, emb[origins], emb[dprevs], user_vec, None, keys)
 
     def _predict_cached(self, cache: EncodedCache, user: int, origins, dprevs):
-        """`_predict_states` of one known user against the cache."""
+        """`_predict_states` of one known user, with their embedding row,
+        against the cache."""
+        user_vec = self.params["emb/user"].value[user] if self._has_attention else None
         keys = None if cache.keys is None else cache.keys[user]
-        return self._predict_states(cache.states[user], origins, dprevs, user, keys=keys)
+        return self._predict_states(cache.states[user], origins, dprevs, user_vec, keys)
 
     def predict_batch(
         self, cache: EncodedCache, user: int, origins, dprevs
@@ -684,8 +681,7 @@ class Model:
         self._check_locs(seqs.oseq, seqs.dseq)
         query = np.array([origin, prev_dest], dtype=np.int64)
         states = np.concatenate(self._encode_all([seqs])[0], axis=0)
-        users = self.cold_user_vector()[None]
-        probs, _ = self._predict_states(states, query[:1], query[1:], 0, users)
+        probs, _ = self._predict_states(states, query[:1], query[1:], self.cold_user_vector())
         return probs[0]
 
     def predict_cold_cohort(self, cohort: list[list[Trip]]) -> list[np.ndarray]:

@@ -1,5 +1,6 @@
 """Optimizer, parameter declaration and initialization, per-user training
-with its configuration, and config settings (`setting`, `check_settings`).
+with its configuration, config settings (`setting`, `check_settings`),
+and the in-place row softmax that every off-tape prediction ends in.
 The finite-difference gradient checker is test code (`tests/reference.py`)."""
 
 from __future__ import annotations
@@ -86,6 +87,15 @@ def embedding_init(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
 
 def zeros_init(rng: np.random.Generator, *shape: int) -> np.ndarray:
     return np.zeros(shape)
+
+
+def softmax_rows(logits: np.ndarray) -> np.ndarray:
+    """The softmax of each row of a 2-D array, written over it and
+    returned: the row max subtracted, exp, then the row sum divided out."""
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return logits
 
 
 class ParamSpec(NamedTuple):

@@ -21,13 +21,15 @@ the autograd tape and live in the test suite (`tests/reference.py`).
 
 Every input may also carry a leading row axis: B equal-length sequences
 that share one encoder's weights run through the same `_encode` as one
-recurrence, off the tape and without a backward trace.  Every row gets
-the bits of its own one-sequence encode, because each row keeps its own
-products: one vector-matrix product per row and step
+recurrence, without a backward trace, so their states are constants
+whatever the inputs and weights are.  Every row gets the bits of its
+own one-sequence encode, because each row keeps its own products: one
+vector-matrix product per row and step
 (`np.matmul(h[:, None, :], u)`) and one projection product per (T, in)
 slice.  A stacked (B, H) or (B*T, in) GEMM would regroup the sums.
 `encode_by_length` runs histories this way, at most MAX_ROWS per
-encode; training keeps one sequence per call.
+encode; training keeps one sequence per call, the only encode that
+goes on the tape.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import numpy as np
 from .autograd import Tensor, constant
 from . import autograd as ag
 from .data import Sequences
-from .nn import ContractViolation, ParamSpec, glorot_uniform, zeros_init
+from .nn import ParamSpec, glorot_uniform, zeros_init
 
 MAX_ROWS = 16  # sequences per row-axis encode
 
@@ -133,9 +135,9 @@ class STLSTMInput:
     """Per-step context of one encoded sequence, all length T.
 
     loc/geo/slot are (T, dim) embedding rows; dspace/dtime are (T, |L|)
-    rows of the global interval tables for the visited locations.  With a
-    leading (B,) axis on every field, B equal-length sequences encode
-    together, off the tape.
+    rows of the corpus-wide interval tables for the visited locations.
+    With a leading (B,) axis on every field, B equal-length sequences
+    encode together into constant states.
     """
 
     loc: Tensor
@@ -333,23 +335,19 @@ def _encode(
 
     With (B, T, in) inputs and (B, H)/(B, C) initial states, B sequences
     run as one recurrence: the states are (B, T, H) and the final state
-    (B, H)/(B, C).  Such an encode keeps no backward trace, so it refuses
-    the tape.
+    (B, H)/(B, C).  Such an encode keeps no backward trace, so its states
+    are a constant.
     """
     hidden = h0.shape[-1]
-    # every input and weight goes on the tape; the inputs come first, as
-    # their order fixes the order of the backward pass
-    inputs = [x for feeds, _, _ in branches for x, _ in feeds]
-    inputs += [t for feeds, rec, b in branches for t in (*(w for _, w in feeds), rec, b)]
-    inputs += [] if w_h is None else [w_h]
-    if h0.ndim > 1 and ag.taped_inputs(inputs):
-        raise ContractViolation("a row-axis encode takes no gradient; run it under no_grad")
     p = _project(branches, hidden)
     if p.shape[-2] == 0:
         return constant(np.zeros((*p.shape[:-1], hidden))), h0, c0
     u = _regroup([rec.value for _, rec, _ in branches], hidden)
     w_h_value = None if w_h is None else w_h.value
     tr = _recur(p.swapaxes(0, -2), u, w_h_value, h0, c0)
+    states = tr.hidden[1:].swapaxes(0, -2)
+    if h0.ndim > 1:
+        return constant(states), tr.hidden[-1], tr.cells[-1]
 
     def backward(g):
         d_p, d_u, d_w_h = _bptt(tr, u, w_h_value, g)
@@ -369,27 +367,39 @@ def _encode(
         if w_h is not None and ag.needs_grad(w_h):
             w_h.accumulate(d_w_h)
 
-    states = tr.hidden[1:].swapaxes(0, -2)
+    # every input and weight goes on the tape; the inputs come first, as
+    # their order fixes the order of the backward pass
+    inputs = [x for feeds, _, _ in branches for x, _ in feeds]
+    inputs += [t for feeds, rec, b in branches for t in (*(w for _, w in feeds), rec, b)]
+    inputs += [] if w_h is None else [w_h]
     return ag.fused(states, inputs, backward), tr.hidden[-1], tr.cells[-1]
 
 
+def gather_input(table: Tensor, idx: np.ndarray) -> Tensor:
+    """The rows of `table` at `idx` as an encoder input: a taped gather
+    (`take_rows`) for one (T,) training sequence, a constant for (B, T)
+    rows, whose row-axis encode takes no gradient."""
+    if idx.ndim == 1:
+        return ag.take_rows(table, idx)
+    return constant(table.value[idx])
+
+
 def encode_by_length(histories: Sequence[Sequences], encode: Callable) -> list[tuple]:
-    """Each history's rows of `encode`, which runs off the tape once per run
-    of at most MAX_ROWS equal-length histories (by length, in first-seen
-    order): it maps their `Sequences` fields, stacked on a leading row
-    axis, to arrays with that axis, and history i gets its own rows."""
+    """Each history's rows of `encode`, which runs once per run of at most
+    MAX_ROWS equal-length histories (by length, in first-seen order): it
+    maps their `Sequences` fields, stacked on a leading row axis, to arrays
+    with that axis, and history i gets its own rows."""
     groups: dict[int, list[int]] = {}
     for i, s in enumerate(histories):
         groups.setdefault(len(s.oseq), []).append(i)
     runs = [g[k : k + MAX_ROWS] for g in groups.values() for k in range(0, len(g), MAX_ROWS)]
     out: list[tuple] = [()] * len(histories)
-    with ag.no_grad():
-        for run in runs:
-            members = [histories[i] for i in run]
-            stacked = (np.stack([getattr(s, f.name) for s in members]) for f in fields(Sequences))
-            result = encode(Sequences(*stacked))
-            for b, i in enumerate(run):
-                out[i] = tuple(r[b] for r in result)
+    for run in runs:
+        members = [histories[i] for i in run]
+        stacked = (np.stack([getattr(s, f.name) for s in members]) for f in fields(Sequences))
+        result = encode(Sequences(*stacked))
+        for b, i in enumerate(run):
+            out[i] = tuple(r[b] for r in result)
     return out
 
 
@@ -416,8 +426,8 @@ def lstm_encode(
 
     Gradients flow from the stacked states into `x` and the weights.  The
     final state is a view of the forward trace, so a caller that keeps it
-    should copy it.  A (B, T, in_dim) input runs B sequences together, off
-    the tape, from (B, H) states.
+    should copy it.  A (B, T, in_dim) input runs B sequences together from
+    (B, H) states, into constant states.
     """
     rows = x.value.shape[:-2]
     h = np.zeros((*rows, w.hidden_dim)) if h0 is None else h0

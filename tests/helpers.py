@@ -37,6 +37,13 @@ def degenerate_st_weights(lstm: LSTMWeights, dim: int, n_locations: int) -> STLS
     )
 
 
+def user_vector(model, user: int) -> np.ndarray | None:
+    """Row `user` of the model's user embedding, the vector
+    `Model._predict_states` takes; None for encoder-only, which has none."""
+    table = model.params.get("emb/user")
+    return None if table is None else table.value[user]
+
+
 def make_locations(n, rng=None, lat0=40.0, lon0=-74.0, span=0.5):
     """n random locations near a reference point."""
     rng = rng or np.random.default_rng(7)

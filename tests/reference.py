@@ -30,11 +30,6 @@ from odnext.stlstm import LSTMWeights, STLSTMWeights, lstm_encode, lstm_spec, st
 # -- autograd ops -----------------------------------------------------------
 
 
-def grad_enabled() -> bool:
-    """Whether an op over a parameter would go on the tape."""
-    return bool(ag.taped_inputs([ag.parameter(0.0)]))
-
-
 def _unary(a: Tensor, out_val: np.ndarray, grad: Callable[[np.ndarray], np.ndarray]) -> Tensor:
     """A node over one input whose backward accumulates `grad(g)` into it."""
     return ag.fused(out_val, (a,), lambda g: a.accumulate(grad(g)))
@@ -143,6 +138,19 @@ def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
     mask = a.value >= 0
     out_val = np.where(mask, a.value, slope * a.value)
     return _unary(a, out_val, lambda g: g * np.where(mask, 1.0, slope))
+
+
+def softmax(a: Tensor, axis: int = -1) -> Tensor:
+    """Numerically stable softmax (max subtraction along `axis`)."""
+    shifted = a.value - a.value.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    out_val = e / e.sum(axis=axis, keepdims=True)
+
+    def backward(g):
+        dot = (g * out_val).sum(axis=axis, keepdims=True)
+        a.accumulate(out_val * (g - dot))
+
+    return ag.fused(out_val, (a,), backward)
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -262,28 +270,26 @@ def decode(model, states, o_emb, d_emb, user, users, mask) -> tuple[Tensor, Tens
     return matmul(summary, w_out), alpha
 
 
-# -- tape-free encodes, one sequence at a time --------------------------------
+# -- the row-axis encodes, one sequence at a time -----------------------------
 
 
 def cache_states(model, train) -> list[np.ndarray]:
     """`Model.build_cache` states as one `Model._encode` per user."""
     out = []
-    with ag.no_grad():
-        for trips in train.trips_by_user:
-            seqs = encoder_sequences(trips, model.config.utc_offset_hours)
-            states_o, states_d, _, _ = model._encode(seqs)
-            out.append(np.concatenate([states_o.value, states_d.value], axis=0))
+    for trips in train.trips_by_user:
+        seqs = encoder_sequences(trips, model.config.utc_offset_hours)
+        states_o, states_d, _, _ = model._encode(seqs)
+        out.append(np.concatenate([states_o.value, states_d.value], axis=0))
     return out
 
 
 def final_states(od, train) -> list[tuple[np.ndarray, np.ndarray]]:
     """The od-lstm's final (h, c) per user, one `lstm_encode` per user."""
     out = []
-    with ag.no_grad():
-        for trips in train.trips_by_user:
-            seqs = encoder_sequences(trips)
-            _, h, c = lstm_encode(od.lstm, od._inputs(seqs.oseq, seqs.dseq))
-            out.append((h.copy(), c.copy()))
+    for trips in train.trips_by_user:
+        seqs = encoder_sequences(trips)
+        _, h, c = lstm_encode(od.lstm, od._inputs(seqs.oseq, seqs.dseq))
+        out.append((h.copy(), c.copy()))
     return out
 
 
@@ -294,18 +300,17 @@ def cold_history(model, trips) -> np.ndarray:
     seqs = encoder_sequences(trips[:-1], model.config.utc_offset_hours, aligned=True)
     queries = np.array([t.origin_loc for t in trips[1:]], dtype=np.int64)
     mask = _causal_mask(len(queries)) if model.config.variant != "encoder-only" else None
-    with ag.no_grad():
-        states_o, states_d, _, d_emb = model._encode(seqs)
-        logits, _ = decode(
-            model,
-            concat([states_o, states_d], axis=model._stack_axis),
-            take_rows(model.params["emb/loc"], queries),
-            d_emb,
-            0,
-            ag.constant(model.cold_user_vector()[None]),
-            mask,
-        )
-        return ag.softmax(logits, axis=1).value
+    states_o, states_d, _, d_emb = model._encode(seqs)
+    logits, _ = decode(
+        model,
+        concat([states_o, states_d], axis=model._stack_axis),
+        take_rows(model.params["emb/loc"], queries),
+        d_emb,
+        0,
+        ag.constant(model.cold_user_vector()[None]),
+        mask,
+    )
+    return softmax(logits, axis=1).value
 
 
 # -- time slots ---------------------------------------------------------------
@@ -343,20 +348,19 @@ def grad_check(
     }
 
     worst = 0.0
-    with ag.no_grad():
-        for name, p in params.items():
-            flat = p.value.ravel()
-            a_flat = analytic[name].ravel()
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + h
-                f_plus = float(loss_fn().value)
-                flat[i] = orig - h
-                f_minus = float(loss_fn().value)
-                flat[i] = orig
-                numeric = (f_plus - f_minus) / (2.0 * h)
-                denom = max(abs(a_flat[i]), abs(numeric), 1e-8)
-                worst = max(worst, abs(a_flat[i] - numeric) / denom)
+    for name, p in params.items():
+        flat = p.value.ravel()
+        a_flat = analytic[name].ravel()
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            f_plus = float(loss_fn().value)
+            flat[i] = orig - h
+            f_minus = float(loss_fn().value)
+            flat[i] = orig
+            numeric = (f_plus - f_minus) / (2.0 * h)
+            denom = max(abs(a_flat[i]), abs(numeric), 1e-8)
+            worst = max(worst, abs(a_flat[i] - numeric) / denom)
     for p in params.values():
         p.zero_grad()
     return worst

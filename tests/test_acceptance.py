@@ -24,7 +24,7 @@ from odnext.model import Model, ModelConfig
 from reference import grad_check, init_lstm, lstm_step, st_lstm_step
 
 from gradcheck_fixtures import GRADCHECK_SEEDS, micro_loss
-from helpers import degenerate_st_weights, random_corpus
+from helpers import degenerate_st_weights, random_corpus, user_vector
 from test_dataset import brute_force_filter
 from test_eval import evaluated, oracle_mismatches, random_cases
 from test_geo import CANONICAL
@@ -100,7 +100,9 @@ def test_criterion_02_normalization(capsys):
         for u in range(corpus.n_users):
             origins = rng.integers(0, corpus.n_locations, size=25)
             dprevs = rng.integers(0, corpus.n_locations, size=25)
-            probs, alpha = m._predict_states(cache.states[u], origins, dprevs, u, None)
+            probs, alpha = m._predict_states(
+                cache.states[u], origins, dprevs, user_vector(m, u)
+            )
             worst_attn = max(worst_attn, float(np.abs(alpha.sum(axis=1) - 1.0).max()))
             worst_prob = max(worst_prob, float(np.abs(probs.sum(axis=1) - 1.0).max()))
             n_queries += 25
@@ -178,10 +180,9 @@ def test_criterion_05_cache_equivalence(bench, capsys, tmp_path_factory):
         cached = m.predict_batch(cache, u, origins, dprevs)
         cached_probs[u] = (origins, dprevs, cached)
         trips = split.train.trips_by_user[u]
-        with ag.no_grad():
-            so, sd, _, _ = m._encode(m._batch(trips)[0])
-            states = np.concatenate([so.value, sd.value], axis=0)
-        fresh, _ = m._predict_states(states, origins, dprevs, u, None)
+        so, sd, _, _ = m._encode(m._batch(trips)[0])
+        states = np.concatenate([so.value, sd.value], axis=0)
+        fresh, _ = m._predict_states(states, origins, dprevs, user_vector(m, u))
         worst = max(worst, float(np.abs(cached - fresh).max()))
 
     path = tmp_path_factory.mktemp("accept") / "bench.ckpt"

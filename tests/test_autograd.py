@@ -1,5 +1,5 @@
 """Reverse-mode tape: every op's backward against finite differences,
-plus graph-shape edge cases (fan-out, reuse, no_grad).  The ops the
+plus graph-shape edge cases (fan-out, reuse, ops over constants).  The ops the
 program does not use come from `reference`.
 """
 
@@ -161,34 +161,34 @@ class TestSoftmax:
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_rows_sum_to_one(self, seed):
         z = rng_of(seed).normal(scale=5.0, size=(4, 7))
-        s = ag.softmax(ag.constant(z), axis=-1).value
+        s = ref.softmax(ag.constant(z), axis=-1).value
         np.testing.assert_allclose(s.sum(axis=-1), np.ones(4), atol=1e-12)
         assert (s >= 0).all()
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_shift_invariance(self, seed):
         z = rng_of(seed).normal(size=(5,))
-        a = ag.softmax(ag.constant(z)).value
-        b = ag.softmax(ag.constant(z + 123.456)).value
+        a = ref.softmax(ag.constant(z)).value
+        b = ref.softmax(ag.constant(z + 123.456)).value
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_extreme_logits_stay_finite(self):
         z = np.array([1e4, 0.0, -1e4])
-        s = ag.softmax(ag.constant(z)).value
+        s = ref.softmax(ag.constant(z)).value
         assert np.isfinite(s).all()
         assert s[0] == pytest.approx(1.0)
 
     def test_gradient(self):
         r = rng_of(11)
         fd_check(
-            lambda p: ref.mean_all(ref.mul(ag.softmax(p["z"], axis=1), p["w"])),
+            lambda p: ref.mean_all(ref.mul(ref.softmax(p["z"], axis=1), p["w"])),
             {"z": r.normal(size=(3, 5)), "w": r.normal(size=(3, 5))},
         )
 
     def test_log_softmax_matches_log_of_softmax(self):
         z = rng_of(12).normal(size=(2, 6))
         a = ref.log_softmax(ag.constant(z), axis=-1).value
-        b = np.log(ag.softmax(ag.constant(z), axis=-1).value)
+        b = np.log(ref.softmax(ag.constant(z), axis=-1).value)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_log_softmax_gradient(self):
@@ -201,7 +201,7 @@ class TestSoftmax:
     def test_softmax_axis1_of_3d(self):
         r = rng_of(14)
         fd_check(
-            lambda p: ref.mean_all(ref.mul(ag.softmax(p["z"], axis=1), p["w"])),
+            lambda p: ref.mean_all(ref.mul(ref.softmax(p["z"], axis=1), p["w"])),
             {"z": r.normal(size=(2, 4, 3)), "w": r.normal(size=(2, 4, 3))},
         )
 
@@ -217,7 +217,7 @@ MIXED_OPS = {
 }
 SINGLE_OPS = {
     "take_rows": lambda a: ag.take_rows(a, [1, 1, 0]),
-    "softmax": ag.softmax,
+    "softmax": ref.softmax,
     "mean_cross_entropy": lambda a: ag.mean_cross_entropy(a, [0, 1]),
     "scale": lambda a: ref.scale(a, 2.0),
     "index": lambda a: ref.index(a, slice(0, 1)),
@@ -248,13 +248,6 @@ class TestGraph:
         with pytest.raises(ValueError):
             ref.scale(a, 2.0).backward()
 
-    def test_no_grad_blocks_taping(self):
-        a = ag.parameter(np.ones(3))
-        with ag.no_grad():
-            out = ref.mul(a, a)
-        assert out._parents == ()
-        assert ref.grad_enabled()
-
     @pytest.mark.parametrize("op", sorted(MIXED_OPS))
     @pytest.mark.parametrize("param_first", [True, False])
     def test_a_constant_input_stays_off_the_tape(self, op, param_first):
@@ -266,10 +259,12 @@ class TestGraph:
 
     @pytest.mark.parametrize("op", sorted(MIXED_OPS) + sorted(SINGLE_OPS))
     def test_no_op_tapes_under_no_grad(self, op):
-        p, q = ag.parameter(np.ones((2, 2))), ag.parameter(np.full((2, 2), 2.0))
-        with ag.no_grad():
-            out = MIXED_OPS[op](p, q) if op in MIXED_OPS else SINGLE_OPS[op](p)
+        """Over inputs none of which takes a gradient, every op returns a
+        constant: what keeps inference off the tape, with no mode."""
+        p, q = ag.constant(np.ones((2, 2))), ag.constant(np.full((2, 2), 2.0))
+        out = MIXED_OPS[op](p, q) if op in MIXED_OPS else SINGLE_OPS[op](p)
         assert out._parents == () and out._backward is None
+        assert not ag.needs_grad(out)
 
     def test_constant_gets_no_gradient(self):
         a = ag.parameter(np.array([1.0, 2.0]))

@@ -31,7 +31,7 @@ from odnext.model import ATTENTION_CONTEXTS, VARIANTS, EncodedCache, Model, Mode
 from odnext.nn import ContractViolation
 from odnext.synth import SynthConfig, generate
 
-from helpers import join_checkpoint, split_checkpoint, tensor_offset
+from helpers import join_checkpoint, split_checkpoint, tensor_offset, user_vector
 
 CACHE_FIELDS = ("states", "keys", "oseq", "dseq")
 
@@ -266,7 +266,7 @@ class TestLoad:
         origins, dprevs = np.array([0, 3, 7]), np.array([2, 2, 5])
         for u in np.flatnonzero(cache.n_train >= 2):
             got = m.predict_batch(cache, u, origins, dprevs)
-            want, _ = m._predict_states(cache.states[u], origins, dprevs, u)
+            want, _ = m._predict_states(cache.states[u], origins, dprevs, user_vector(m, u))
             assert got.tobytes() == want.tobytes()
             assert got.tobytes() == m.predict_batch(keyless, u, origins, dprevs).tobytes()
             if attends:

@@ -581,6 +581,28 @@ class TestExitCodes:
         capsys.readouterr()
         assert rc == 2
 
+    def test_timestamp_outside_int64_is_2(self, pipeline, tmp_path, capsys):
+        """A pickup below int64's range ends in one `path:line:` error line,
+        not in an OverflowError from the time-slot arithmetic."""
+        lines = pipeline["p_trips"].read_text().splitlines()
+        fields = lines[1].split(",")
+        fields[3] = str(-(10**20))
+        bad = tmp_path / "trips.csv"
+        bad.write_text("\n".join([lines[0], ",".join(fields), *lines[2:]]) + "\n")
+        rc = main(
+            [
+                "train",
+                "--config", str(pipeline["train_cfg"]),
+                "--trips", str(bad),
+                "--locations", str(pipeline["p_locs"]),
+                "--out", str(tmp_path / "m.ckpt"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: {bad}:2: timestamps must lie in ")
+        assert err.count("\n") == 1
+
     def test_corrupt_checkpoint_is_2(self, pipeline, tmp_path, capsys):
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"garbage\n{}\n")

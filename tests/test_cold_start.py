@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 import odnext.autograd as ag
-import reference as ref
-from odnext.data import Corpus, build_interval_tables, build_vocab
-from odnext.evaluation import cold_start_eval, rank_descending
+from odnext.baselines import ODLSTM, ODLSTMConfig
+from odnext.data import Corpus, build_interval_tables, build_vocab, chain_queries
+from odnext.evaluation import ModelRanker, cold_start_eval, evaluate, rank_descending
 from odnext.model import VARIANTS, ColdStartError, Model, ModelConfig
 from odnext.nn import ContractViolation
 from odnext.synth import SynthConfig, generate
@@ -127,9 +127,14 @@ def test_out_of_range_location_raises(model, world, field):
 
 
 def test_tape_stays_empty(model, world, monkeypatch):
-    """No tape-free path records a node or touches a gradient: one cold
-    history, the cohort path and its scorer, and the cache build."""
+    """No off-tape entry point records a node or touches a gradient, with
+    no mode switched: the cache build, cached prediction and attention,
+    evaluation over the cache, one cold query, the cohort path (a refused
+    cohort included) and its scorer, and the od-lstm's ranking."""
     corpus, cold = world
+    od = ODLSTM(ODLSTMConfig(dim=4, hdim=5, lr=1e-2, epochs=1, seed=2), corpus.n_locations)
+    od.fit(corpus)
+    cache = model.build_cache(corpus)
     taped = []
     init = ag.Tensor.__init__
 
@@ -139,29 +144,59 @@ def test_tape_stays_empty(model, world, monkeypatch):
             taped.append(self)
 
     monkeypatch.setattr(ag.Tensor, "__init__", recording_init)
-    trips = next(t for t in cold if len(t) >= 2)
+    trips = next(t for t in cold if len(t) >= 3)
+    refused = list(trips)
+    refused[1] = dataclasses.replace(refused[1], origin_loc=model.vocab.n_locations)
     top = np.arange(model.vocab.n_locations)
-    grads = {n: p.grad.copy() for n, p in model.params.items()}
-    for path in (
+    queries = [chain_queries(u, t[-1].dest_loc, t[:3]) for u, t in enumerate(corpus.trips_by_user)]
+
+    def refuse_cohort():
+        with pytest.raises(ContractViolation):
+            model.predict_cold_cohort(cold + [refused])
+
+    params = [*model.params.values(), *od.params.values()]
+    grads = [p.grad.copy() for p in params]
+    paths = [
+        lambda: model.build_cache(corpus),
+        lambda: model.predict_batch(cache, 1, [0, 2], [1, 1]),
+        lambda: evaluate(ModelRanker(model, cache), queries),
+        lambda: model.predict_cold(trips[:2], trips[2].origin_loc, trips[1].dest_loc),
         lambda: model.predict_cold_cohort([trips]),
         lambda: model.predict_cold_cohort(cold + corpus.trips_by_user),
+        refuse_cohort,
         lambda: cold_start_eval(model, top, cold),
-        lambda: model.build_cache(corpus),
-    ):
+        lambda: od.rank_user(1, queries[1]),
+    ]
+    if model.config.variant != "encoder-only":
+        paths.append(lambda: model.attention(cache, 1, 0, 1))
+    for path in paths:
         path()
         assert taped == []
-        assert ref.grad_enabled()
-        for n, p in model.params.items():
-            np.testing.assert_array_equal(p.grad, grads[n])
+        for p, g in zip(params, grads, strict=True):
+            np.testing.assert_array_equal(p.grad, g)
 
 
 def test_grad_mode_restored_after_a_refused_cohort(model, world):
-    _, cold = world
+    """A cohort refused part way leaves training as it was: the training
+    loss still tapes, and its backward reaches every parameter."""
+    corpus, cold = world
     trips = list(next(t for t in cold if len(t) >= 3))
     trips[1] = dataclasses.replace(trips[1], origin_loc=model.vocab.n_locations)
     with pytest.raises(ContractViolation):
         model.predict_cold_cohort(cold + [trips])
-    assert ref.grad_enabled()
+    saved = {n: p.grad for n, p in model.params.items()}
+    try:
+        for p in model.params.values():
+            p.zero_grad()
+        loss = model._loss(0, model._batch(corpus.trips_by_user[0]))
+        assert loss._parents
+        loss.backward()
+        for n, p in model.params.items():
+            assert p.grad is not None, n
+            assert np.isfinite(p.grad).all(), n
+    finally:
+        for n, p in model.params.items():
+            p.grad = saved[n]
 
 
 def test_predict_cold_contracts(model, world):

@@ -84,6 +84,22 @@ class TestLoadErrors:
         with pytest.raises(CorpusFormatError, match="integer"):
             load_corpus(tp, lp)
 
+    @pytest.mark.parametrize("pickup, dropoff", [(-(2**63), 0), (0, 2**63 - 1)])
+    def test_int64_timestamps_load(self, tmp_path, pickup, dropoff):
+        tp, lp = self.write(
+            tmp_path, f"user_id,origin_id,dest_id,pickup_ts,dropoff_ts\nu,A,A,{pickup},{dropoff}\n"
+        )
+        trip = load_corpus(tp, lp).trips_by_user[0][0]
+        assert (trip.pickup_ts, trip.dropoff_ts) == (pickup, dropoff)
+
+    @pytest.mark.parametrize("pickup, dropoff", [(-(2**63) - 1, 0), (0, 2**63), (2**63, 2**63)])
+    def test_timestamp_outside_int64(self, tmp_path, pickup, dropoff):
+        tp, lp = self.write(
+            tmp_path, f"user_id,origin_id,dest_id,pickup_ts,dropoff_ts\nu,A,A,{pickup},{dropoff}\n"
+        )
+        with pytest.raises(CorpusFormatError, match=r"t\.csv:2: timestamps must lie in"):
+            load_corpus(tp, lp)
+
     def test_dropoff_before_pickup(self, tmp_path):
         tp, lp = self.write(
             tmp_path, "user_id,origin_id,dest_id,pickup_ts,dropoff_ts\nu,A,A,10,5\n"

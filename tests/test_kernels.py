@@ -149,7 +149,7 @@ def reference_attend(queries, states, w_a, mask, slope):
     )
     if mask is not None:
         scores = ref.add(scores, ag.constant(mask))
-    alpha = ag.softmax(scores, axis=1)
+    alpha = ref.softmax(scores, axis=1)
     summary = ref.sum_axis(ref.mul(alpha, ref.reshape(states, (1, n_states, sd))), 1)
     return summary, alpha
 

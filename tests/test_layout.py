@@ -6,7 +6,8 @@ own module, and every public top-level function and every
 public method of a class in `src/odnext` outside its own `def`.  A name
 counts as an identifier, an attribute, an import or an identifier-like
 string constant (perfbench wraps methods by name).  A helper only tests call belongs in
-`tests/reference.py`.  Only `autograd.fused` puts a node on the tape.
+`tests/reference.py`.  Only `autograd.fused` puts a node on the tape,
+and no module keeps a process-wide mode (no `global` statement).
 """
 
 import ast
@@ -138,3 +139,16 @@ def test_only_fused_puts_a_node_on_the_tape():
         f"{p.name}:{n}" for p, tree in trees.items() for n in _taped_constructions(tree, fused)
     ]
     assert not found, f"taped Tensor built outside autograd.fused at {found}"
+
+
+def test_no_module_keeps_a_mutable_mode():
+    """No `src/odnext` function rebinds a module-level name: whether a path
+    builds a tape follows from what it computes on, not from a switch that
+    training and inference share."""
+    found = [
+        f"{p.name}:{node.lineno}"
+        for p in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(_parse(p))
+        if isinstance(node, ast.Global)
+    ]
+    assert not found, f"`global` statements at {found}"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-import odnext.autograd as ag
+from helpers import user_vector
 from odnext.data import build_interval_tables, build_vocab, chronological_split
 from odnext.model import ATTENTION_CONTEXTS, VARIANTS, ColdStartError, Model, ModelConfig
 from odnext.nn import ContractViolation
@@ -244,10 +244,9 @@ class TestCacheEquivalence:
         origins = np.array([0, 2], dtype=np.int64)
         dprevs = np.array([1, 1], dtype=np.int64)
         cached = m.predict_batch(cache, user, origins, dprevs)
-        with ag.no_grad():
-            so, sd, _, _ = m._encode(m._batch(corpus.trips_by_user[user])[0])
-            fresh_states = np.concatenate([so.value, sd.value], axis=0)
-        fresh, _ = m._predict_states(fresh_states, origins, dprevs, user, None)
+        so, sd, _, _ = m._encode(m._batch(corpus.trips_by_user[user])[0])
+        fresh_states = np.concatenate([so.value, sd.value], axis=0)
+        fresh, _ = m._predict_states(fresh_states, origins, dprevs, user_vector(m, user))
         np.testing.assert_allclose(cached, fresh, atol=1e-12)
 
     @pytest.mark.parametrize("variant", VARIANTS)

@@ -90,16 +90,14 @@ def reference_eval(model, top, cohort):
 def test_encode_by_length_groups_caps_and_hands_back_rows():
     lengths = [3, 0, 3] + [5] * (2 * MAX_ROWS + 1) + [0]
     histories = [Sequences(*[np.full(n, i, dtype=np.int64)] * 5) for i, n in enumerate(lengths)]
-    seen, taped = [], []
+    seen = []
 
     def encode(rows):
         seen.append(rows.oseq.shape)
-        taped.append(ag.taped_inputs([ag.parameter(0.0)]))
         return rows.oseq, np.full(len(rows.oseq), len(seen) - 1), np.arange(len(rows.oseq))
 
     out = encode_by_length(histories, encode)
     assert seen == [(2, 3), (2, 0), (MAX_ROWS, 5), (MAX_ROWS, 5), (1, 5)]
-    assert not any(taped)
     fives = list(range(3, 4 + 2 * MAX_ROWS))
     runs = [[0, 2], [1, len(lengths) - 1], fives[:MAX_ROWS], fives[MAX_ROWS:-1], fives[-1:]]
     for call, run in enumerate(runs):
@@ -152,28 +150,28 @@ def test_lstm_rows_match_one_sequence_from_any_state(rows, steps):
     x = rng.normal(size=(rows, steps, 3))
     h0 = rng.normal(size=(rows, 5))
     c0 = rng.normal(size=(rows, 5))
-    with ag.no_grad():
-        states, h, c = lstm_encode(w, ag.constant(x), h0, c0)
-        assert states.shape == (rows, steps, 5)
-        for b in range(rows):
-            one, h_b, c_b = lstm_encode(w, ag.constant(x[b]), h0[b], c0[b])
-            np.testing.assert_array_equal(states.value[b], one.value)
-            np.testing.assert_array_equal(h[b], h_b)
-            np.testing.assert_array_equal(c[b], c_b)
+    states, h, c = lstm_encode(w, ag.constant(x), h0, c0)
+    assert states.shape == (rows, steps, 5)
+    for b in range(rows):
+        one, h_b, c_b = lstm_encode(w, ag.constant(x[b]), h0[b], c0[b])
+        np.testing.assert_array_equal(states.value[b], one.value)
+        np.testing.assert_array_equal(h[b], h_b)
+        np.testing.assert_array_equal(c[b], c_b)
 
 
-def test_row_encodes_refuse_the_tape():
+def test_a_row_axis_encode_is_a_constant():
+    """Rows keep no backward trace, so their states go on no tape, even
+    over parameters; a one-sequence encode of the same inputs does."""
     rng = np.random.default_rng(0)
     w = init_lstm(rng, 3, 4)
-    with pytest.raises(ContractViolation):
-        lstm_encode(w, ag.constant(np.zeros((2, 3, 3))))
+    x = ag.parameter(rng.normal(size=(2, 3, 3)))
+    states, _, _ = lstm_encode(w, x)
+    assert states.shape == (2, 3, 4) and not ag.needs_grad(states)
+    assert ag.needs_grad(lstm_encode(w, ag.take_rows(x, 0))[0])
     stw = init_st_lstm(rng, 3, 4, 5)
-    emb, dist = ag.constant(np.zeros((2, 3, 3))), ag.constant(np.zeros((2, 3, 5)))
-    rows = STLSTMInput(emb, emb, emb, dist, dist)
-    with pytest.raises(ContractViolation):
-        st_lstm_encode(stw, rows)
-    with ag.no_grad():
-        assert st_lstm_encode(stw, rows).shape == (2, 3, 4)
+    emb, dist = ag.parameter(np.zeros((2, 3, 3))), ag.parameter(np.zeros((2, 3, 5)))
+    states = st_lstm_encode(stw, STLSTMInput(emb, emb, emb, dist, dist))
+    assert states.shape == (2, 3, 4) and not ag.needs_grad(states)
 
 
 # (member, trip) pairs; the last trip's destination is only a scored
