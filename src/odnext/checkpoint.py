@@ -21,9 +21,10 @@ save/load/save round trip reproduces the file byte for byte.
 `load_checkpoint` maps the payload privately (`mmap.ACCESS_COPY`) and
 wraps each tensor as a view, with no per-user work, so a load reads the
 header and then only the pages that a query touches, and writing into a
-loaded array never reaches the file.  `save_checkpoint` writes a
-temporary file next to the target and renames it over the target, so a
-process serving from the old file keeps its mapping intact.
+loaded array never reaches the file.  `save_checkpoint` runs the
+loader's own checks (`_check_header`, `_expected_tensors`), so it writes
+only what a load accepts, to a temporary file next to the target that it
+renames over the target: a process serving the old file keeps its mapping.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 
 from .data import IntervalTables, Vocab
 from .geo import N_TIMESLOTS
-from .model import EncodedCache, Model, ModelConfig, history_bounds, param_specs
+from .model import EncodedCache, Model, ModelConfig, history_bounds, in_range, param_specs
 from .nn import ContractViolation
 
 MAGIC = "ODNEXT-CKPT 3"
@@ -63,13 +64,6 @@ class CheckpointBundle:
     cache: EncodedCache
     location_ids: list[str]
     user_ids: list[str]
-
-
-def _repeated(ids: list) -> list:
-    """The ids that occur more than once (counted only when there are any)."""
-    if len(set(ids)) == len(ids):
-        return []
-    return [i for i, count in Counter(ids).items() if count > 1]
 
 
 def _tensor_list(model: Model, cache: EncodedCache) -> list[tuple[str, str, np.ndarray]]:
@@ -97,34 +91,28 @@ def save_checkpoint(
     location_ids: list[str],
     user_ids: list[str],
 ) -> None:
-    """Write the checkpoint to a temporary file in the target's directory
-    and rename it over `path`: a file that another process has mapped is
-    replaced, never truncated, and a failed save leaves `path` as it was."""
-    if len(location_ids) != model.vocab.n_locations:
-        raise ContractViolation("location id list does not match the vocabulary")
-    if len(user_ids) != model.vocab.n_users:
-        raise ContractViolation("user id list does not match the vocabulary")
-    for what, ids in (("location", location_ids), ("user", user_ids)):
-        if repeated := _repeated(ids):
-            raise ContractViolation(f"duplicate {what} ids {repeated[:3]}")
-    if len(cache.states) != model.vocab.n_users:
-        raise ContractViolation("cache does not cover every user")
-    rows = int(history_bounds(cache.n_train)[-1])
-    states = (2 * rows, model.config.state_dim)
-    flat = (cache.oseq.flat.shape, cache.dseq.flat.shape, cache.states.flat.shape)
-    if flat != ((rows,), (rows,), states):
-        raise ContractViolation("cached sequences and states do not match n_train")
-    keys = None if cache.keys is None else cache.keys.flat.shape
-    if keys != (None if model.config.variant == "encoder-only" else states):
-        raise ContractViolation("cached attention keys do not match the states")
+    """Check the header and tensors as `load_checkpoint` does, then write
+    a temporary file in the target's directory and rename it over `path`:
+    a mapped file is replaced, never truncated, and a failed save leaves
+    `path` as it was."""
+    vocab, config = model.vocab, model.config
     tensors = _tensor_list(model, cache)
+    specs = [(name, dtype, a.shape) for name, dtype, a in tensors]
+    try:
+        _check_header(vocab, (location_ids, user_ids), specs, cache.last_dest, cache.n_train)
+    except ValueError as e:
+        raise ContractViolation(str(e)) from None
+    rows = int(history_bounds(cache.n_train)[-1])
+    expected = _expected_tensors(config, vocab, param_specs(config, vocab), rows)
+    if wrong := _mismatch(specs, expected):
+        raise ContractViolation(wrong)
     header = {
-        "config": model.config.as_dict(),
+        "config": config.as_dict(),
         "ids": {"locations": list(location_ids), "users": list(user_ids)},
         "vocab": {
-            "geohash_codes": list(model.vocab.geohash_codes),
-            "loc_geohash": model.vocab.loc_geohash.tolist(),
-            "n_timeslots": model.vocab.n_timeslots,
+            "geohash_codes": list(vocab.geohash_codes),
+            "loc_geohash": vocab.loc_geohash.tolist(),
+            "n_timeslots": vocab.n_timeslots,
         },
         "scales": {
             "d_max_km": model.tables.d_max_km,
@@ -134,9 +122,7 @@ def save_checkpoint(
             "last_dest": cache.last_dest.tolist(),
             "n_train": cache.n_train.tolist(),
         },
-        "tensors": [
-            {"name": n, "dtype": dtype, "shape": list(a.shape)} for n, dtype, a in tensors
-        ],
+        "tensors": [{"name": n, "dtype": dtype, "shape": list(shape)} for n, dtype, shape in specs],
     }
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
     try:
@@ -162,34 +148,33 @@ def _field(header: dict, section: str, key: str, convert):
         raise ValueError(f"{section}.{key}: {e}") from None
 
 
-def _in_range(ids: np.ndarray, n: int) -> bool:
-    return ids.size == 0 or 0 <= ids.min() <= ids.max() < n
-
-
 def _check_header(vocab: Vocab, ids: tuple, specs: list, last_dest, n_train) -> None:
     """Raise ValueError where the header disagrees with itself or with the
-    program: a time-slot count other than `geo.N_TIMESLOTS`, repeated ids,
-    tensor shapes that are not sizes, geohash ids against the geohash
-    codes, cache fields against the user count, or a last destination
-    outside the vocabulary."""
+    program: a time-slot count other than `geo.N_TIMESLOTS`, id lists that
+    are not the vocabulary's size or repeat an id, tensor shapes that are
+    not sizes, geohash ids against the geohash codes, cache fields against
+    the user count, or a last destination outside the vocabulary."""
     n_loc = vocab.n_locations
     if n_loc < 1:
         raise ValueError("no location ids")
     if type(vocab.n_timeslots) is not int or vocab.n_timeslots != N_TIMESLOTS:
         raise ValueError(f"n_timeslots {vocab.n_timeslots!r} is not the program's {N_TIMESLOTS}")
-    for what, names in zip(("location", "user"), ids):
-        if repeated := _repeated(names):
+    for what, names, n in zip(("location", "user"), ids, (n_loc, vocab.n_users)):
+        if len(names) != n:
+            raise ValueError(f"{len(names)} {what} ids for a vocabulary of {n}")
+        if len(set(names)) != len(names):  # counted only when there are repeats
+            repeated = [i for i, count in Counter(names).items() if count > 1]
             raise ValueError(f"duplicate {what} ids {repeated[:3]}")
     if not all(type(n) is int and n >= 0 for _, _, shape in specs for n in shape):
         raise ValueError("tensor shapes must be non-negative integers")
-    if vocab.loc_geohash.shape != (n_loc,) or not _in_range(vocab.loc_geohash, vocab.n_geohashes):
+    if vocab.loc_geohash.shape != (n_loc,) or not in_range(vocab.loc_geohash, vocab.n_geohashes):
         raise ValueError(f"loc_geohash is not {n_loc} ids in [0, {vocab.n_geohashes})")
     n = vocab.n_users
     if (last_dest.shape, n_train.shape) != ((n,), (n,)):
         raise ValueError(f"cache metadata does not cover {vocab.n_users} users")
     if np.any(n_train < 0) or np.any(last_dest[n_train == 0] != -1):
         raise ValueError("n_train must be non-negative, and last_dest -1 exactly where it is 0")
-    if not _in_range(last_dest[n_train > 0], n_loc):
+    if not in_range(last_dest[n_train > 0], n_loc):
         raise ValueError(f"cached location outside [0, {n_loc})")
 
 
@@ -203,6 +188,17 @@ def _expected_tensors(config: ModelConfig, vocab: Vocab, params: list, rows: int
     if config.variant != "encoder-only":
         out.append(("cache/keys", _F8, (2 * rows, config.state_dim)))
     return out
+
+
+def _mismatch(specs: list, expected: list) -> str | None:
+    """A message naming the tensors in which two (name, dtype, shape)
+    lists differ, or None where they agree."""
+    if specs == expected:
+        return None
+    stored = {name: rest for name, *rest in specs}
+    wanted = {name: rest for name, *rest in expected}
+    wrong = [k for k in sorted(stored.keys() | wanted.keys()) if stored.get(k) != wanted.get(k)]
+    return f"tensors missing, extra, misshapen or out of order: {wrong or 'order'}"
 
 
 def _read_magic(f, path: str) -> None:
@@ -261,18 +257,12 @@ def load_checkpoint(path: str) -> CheckpointBundle:
             raise CheckpointFormatError(f"{path}: incomplete or invalid header ({e})") from None
 
         bounds = history_bounds(n_train)
-        if bounds.min() < 0:  # a sum past int64 wraps negative first
+        if (bounds < 0).any():  # a sum past int64 wraps negative first
             raise CheckpointFormatError(f"{path}: n_train sums beyond int64")
         params = param_specs(config, vocab)
         expected = _expected_tensors(config, vocab, params, int(bounds[-1]))
-        if specs != expected:
-            stored = {name: rest for name, *rest in specs}
-            wanted = {name: rest for name, *rest in expected}
-            keys = sorted(stored.keys() | wanted.keys())
-            wrong = [k for k in keys if stored.get(k) != wanted.get(k)]
-            raise CheckpointFormatError(
-                f"{path}: tensors missing, extra, misshapen or out of order: {wrong or 'order'}"
-            )
+        if wrong := _mismatch(specs, expected):
+            raise CheckpointFormatError(f"{path}: {wrong}")
         start = f.tell()
         if start % _ALIGN:
             raise CheckpointFormatError(f"{path}: payload not on a {_ALIGN}-byte boundary")
@@ -293,7 +283,7 @@ def load_checkpoint(path: str) -> CheckpointBundle:
         for (name, dtype, shape), at in zip(specs, offsets)
     }
     n_loc = vocab.n_locations
-    if not all(_in_range(arrays[key], n_loc) for key in _SEQUENCES):
+    if not all(in_range(arrays[key], n_loc) for key in _SEQUENCES):
         raise CheckpointFormatError(f"{path}: cached location outside [0, {n_loc})")
 
     tables = IntervalTables(

@@ -4,6 +4,8 @@ per-location interval tables over the whole corpus.
 File formats (UTF-8 CSV with headers):
   trips:     user_id,origin_id,dest_id,pickup_ts,dropoff_ts
   locations: loc_id,lat,lon
+Both are read by `_csv_rows` (header, row width, blank rows skipped) and
+written by `_write_csv`; each loader checks only its own fields.
 """
 
 from __future__ import annotations
@@ -75,31 +77,35 @@ def _sort_trips(trips: list[Trip]) -> list[Trip]:
     return sorted(trips, key=lambda t: (t.pickup_ts, t.dropoff_ts))
 
 
+def _csv_rows(path: str, header: list[str]):
+    """(line, fields) of each non-blank row of the CSV at `path` after its
+    header, which must be `header`; every row has the header's width.  The
+    line is the file line a row ends on (a quoted field may span lines)."""
+    with open(path, newline="", encoding="utf-8") as f:
+        reader = csv.reader(f)
+        if next(reader, None) != header:
+            raise CorpusFormatError(f"{path}:1: expected header {','.join(header)}")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise CorpusFormatError(f"{path}:{reader.line_num}: expected {len(header)} fields")
+            yield reader.line_num, row
+
+
 def load_locations(locations_path: str) -> list[LocationRecord]:
     """Parse the location CSV; ids must be unique, coordinates valid."""
     locations: list[LocationRecord] = []
     seen: set[str] = set()
-    with open(locations_path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != LOCATIONS_HEADER:
-            raise CorpusFormatError(
-                f"{locations_path}:1: expected header {','.join(LOCATIONS_HEADER)}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise CorpusFormatError(f"{locations_path}:{lineno}: expected 3 fields")
-            loc_id, lat_s, lon_s = row
-            if loc_id in seen:
-                raise CorpusFormatError(f"{locations_path}:{lineno}: duplicate loc_id {loc_id}")
-            try:
-                point = GeoPoint(float(lat_s), float(lon_s))
-            except ValueError as e:
-                raise CorpusFormatError(f"{locations_path}:{lineno}: {e}") from None
-            seen.add(loc_id)
-            locations.append(LocationRecord(loc_id, point))
+    for lineno, (loc_id, lat_s, lon_s) in _csv_rows(locations_path, LOCATIONS_HEADER):
+        if loc_id in seen:
+            raise CorpusFormatError(f"{locations_path}:{lineno}: duplicate loc_id {loc_id}")
+        try:
+            point = GeoPoint(float(lat_s), float(lon_s))
+        except ValueError as e:
+            raise CorpusFormatError(f"{locations_path}:{lineno}: {e}") from None
+        seen.add(loc_id)
+        locations.append(LocationRecord(loc_id, point))
     return locations
 
 
@@ -107,31 +113,21 @@ def load_trip_rows(trips_path: str) -> list[tuple[str, str, str, int, int]]:
     """Parse the trip CSV into raw (user, origin, dest, pickup, dropoff)
     rows without resolving location ids; timestamps must fit in int64."""
     rows: list[tuple[str, str, str, int, int]] = []
-    with open(trips_path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != TRIPS_HEADER:
-            raise CorpusFormatError(f"{trips_path}:1: expected header {','.join(TRIPS_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise CorpusFormatError(f"{trips_path}:{lineno}: expected 5 fields")
-            user_id, origin_id, dest_id, pu_s, do_s = row
-            try:
-                pickup, dropoff = int(pu_s), int(do_s)
-            except ValueError:
-                raise CorpusFormatError(
-                    f"{trips_path}:{lineno}: timestamps must be integer epoch seconds"
-                ) from None
-            if dropoff < pickup:
-                raise CorpusFormatError(f"{trips_path}:{lineno}: dropoff before pickup")
-            if pickup < _TS_RANGE.min or dropoff > _TS_RANGE.max:
-                raise CorpusFormatError(
-                    f"{trips_path}:{lineno}: timestamps must lie in "
-                    f"[{_TS_RANGE.min}, {_TS_RANGE.max}] epoch seconds"
-                )
-            rows.append((user_id, origin_id, dest_id, pickup, dropoff))
+    for lineno, (user_id, origin_id, dest_id, pu_s, do_s) in _csv_rows(trips_path, TRIPS_HEADER):
+        try:
+            pickup, dropoff = int(pu_s), int(do_s)
+        except ValueError:
+            raise CorpusFormatError(
+                f"{trips_path}:{lineno}: timestamps must be integer epoch seconds"
+            ) from None
+        if dropoff < pickup:
+            raise CorpusFormatError(f"{trips_path}:{lineno}: dropoff before pickup")
+        if pickup < _TS_RANGE.min or dropoff > _TS_RANGE.max:
+            raise CorpusFormatError(
+                f"{trips_path}:{lineno}: timestamps must lie in "
+                f"[{_TS_RANGE.min}, {_TS_RANGE.max}] epoch seconds"
+            )
+        rows.append((user_id, origin_id, dest_id, pickup, dropoff))
     return rows
 
 
@@ -162,29 +158,26 @@ def load_corpus(trips_path: str, locations_path: str) -> Corpus:
     )
 
 
-def save_locations(corpus: Corpus, locations_path: str) -> None:
-    with open(locations_path, "w", newline="", encoding="utf-8") as f:
+def _write_csv(path: str, header: list[str], rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
-        w.writerow(LOCATIONS_HEADER)
-        for rec in corpus.locations:
-            w.writerow([rec.loc_id, repr(rec.point.lat), repr(rec.point.lon)])
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def save_locations(corpus: Corpus, locations_path: str) -> None:
+    rows = ([r.loc_id, repr(r.point.lat), repr(r.point.lon)] for r in corpus.locations)
+    _write_csv(locations_path, LOCATIONS_HEADER, rows)
 
 
 def save_trips(corpus: Corpus, trips_path: str) -> None:
-    with open(trips_path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(TRIPS_HEADER)
-        for uidx, trips in enumerate(corpus.trips_by_user):
-            for t in trips:
-                w.writerow(
-                    [
-                        corpus.users[uidx],
-                        corpus.locations[t.origin_loc].loc_id,
-                        corpus.locations[t.dest_loc].loc_id,
-                        t.pickup_ts,
-                        t.dropoff_ts,
-                    ]
-                )
+    users, locs = corpus.users, corpus.locations
+    rows = (
+        [users[u], locs[t.origin_loc].loc_id, locs[t.dest_loc].loc_id, t.pickup_ts, t.dropoff_ts]
+        for u, trips in enumerate(corpus.trips_by_user)
+        for t in trips
+    )
+    _write_csv(trips_path, TRIPS_HEADER, rows)
 
 
 def save_corpus(corpus: Corpus, trips_path: str, locations_path: str) -> None:

@@ -164,9 +164,6 @@ def cold_start_eval(
         if len(trips) < 2:
             continue
         targets = np.array([t.dest_loc for t in trips[1:]], dtype=np.int64)
-        # the last destination is only a target, so no encode checked it
-        if targets.min() < 0 or targets.max() >= model.vocab.n_locations:
-            raise ContractViolation("cold-start target location out of range")
         model_hits += int(np.count_nonzero(probs.argmax(axis=1) == targets))
         top_hits += int(np.count_nonzero(targets == top_ranking[0]))
         n += len(targets)

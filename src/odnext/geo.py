@@ -1,6 +1,6 @@
 """Geospatial primitives: haversine distance, geohash cells, timeslot bins.
-
-All functions are pure and safe for concurrent use.
+A geohash is only encoded, never decoded: one bisection walk gives the
+code and its cell's box.  All functions are pure and safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -49,20 +49,22 @@ def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
     return EARTH_RADIUS_KM * (math.pi - 2.0 * math.asin(math.sqrt(s)))
 
 
-def geohash_encode(p: GeoPoint, precision: int = 5) -> str:
-    """Standard base-32 geohash of `p` (boundary coordinates round up)."""
+def geohash_cell(p: GeoPoint, precision: int = 5) -> tuple[str, tuple[float, float, float, float]]:
+    """The standard base-32 geohash of `p` (boundary coordinates round up)
+    and the box of its cell, (lat_lo, lat_hi, lon_lo, lon_hi), from one
+    bisection walk."""
     if not 1 <= precision <= 12:
         raise ValueError(f"geohash precision {precision} outside [1, 12]")
+    lat, lon = p.lat, p.lon
     lat_lo, lat_hi = -90.0, 90.0
     lon_lo, lon_hi = -180.0, 180.0
     chars: list[str] = []
     ch = 0
-    bit = 0
     even = True  # longitude bit first
-    while len(chars) < precision:
+    for i in range(1, 5 * precision + 1):
         if even:
             mid = (lon_lo + lon_hi) / 2.0
-            if p.lon >= mid:
+            if lon >= mid:
                 ch = (ch << 1) | 1
                 lon_lo = mid
             else:
@@ -70,49 +72,22 @@ def geohash_encode(p: GeoPoint, precision: int = 5) -> str:
                 lon_hi = mid
         else:
             mid = (lat_lo + lat_hi) / 2.0
-            if p.lat >= mid:
+            if lat >= mid:
                 ch = (ch << 1) | 1
                 lat_lo = mid
             else:
                 ch = ch << 1
                 lat_hi = mid
         even = not even
-        bit += 1
-        if bit == 5:
+        if i % 5 == 0:
             chars.append(GEOHASH_BASE32[ch])
             ch = 0
-            bit = 0
-    return "".join(chars)
+    return "".join(chars), (lat_lo, lat_hi, lon_lo, lon_hi)
 
 
-def geohash_bounds(code: str) -> tuple[float, float, float, float]:
-    """(lat_lo, lat_hi, lon_lo, lon_hi) of a geohash cell."""
-    if not code:
-        raise ValueError("empty geohash")
-    lat_lo, lat_hi = -90.0, 90.0
-    lon_lo, lon_hi = -180.0, 180.0
-    even = True
-    for c in code:
-        try:
-            val = GEOHASH_BASE32.index(c)
-        except ValueError:
-            raise ValueError(f"invalid geohash character {c!r}") from None
-        for shift in range(4, -1, -1):
-            bit = (val >> shift) & 1
-            if even:
-                mid = (lon_lo + lon_hi) / 2.0
-                if bit:
-                    lon_lo = mid
-                else:
-                    lon_hi = mid
-            else:
-                mid = (lat_lo + lat_hi) / 2.0
-                if bit:
-                    lat_lo = mid
-                else:
-                    lat_hi = mid
-            even = not even
-    return lat_lo, lat_hi, lon_lo, lon_hi
+def geohash_encode(p: GeoPoint, precision: int = 5) -> str:
+    """The base-32 geohash of `p`: `geohash_cell`'s code."""
+    return geohash_cell(p, precision)[0]
 
 
 def timeslots(ts: np.ndarray, utc_offset_hours: int = 0) -> np.ndarray:

@@ -84,6 +84,7 @@ VARIANTS = (
 ATTENTION_CONTEXTS = ("all", "causal")
 
 _MASK_OFF = -1e30  # additive mask value; exp underflows to exactly zero
+_UINT64_OF = {np.dtype(o + "i8"): np.dtype(o + "u8") for o in "<>"}  # same byte order
 
 
 class ColdStartError(ContractViolation):
@@ -273,6 +274,13 @@ def attend_backward(
         g_alpha.sum(axis=0) + d_s_proj @ w_s.T,
         np.concatenate([q.T @ d_q_proj, s.T @ d_s_proj]),
     )
+
+
+def in_range(idx: np.ndarray, n: int) -> bool:
+    """Whether every int64 index in `idx`, of either byte order (a mapped
+    `<i8` payload view too), lies in [0, n): one reduction over `idx` read
+    as unsigned, where a negative index is a huge one."""
+    return not idx.size or np.maximum.reduce(idx.view(_UINT64_OF[idx.dtype]), axis=None) < n
 
 
 def _is_index(x) -> bool:
@@ -619,11 +627,9 @@ class Model:
             raise ContractViolation(f"user index {user} out of range")
 
     def _check_locs(self, *seqs: np.ndarray) -> None:
-        """Refuse int64 location indices outside [0, |L|): one reduction
-        each, as unsigned, where a negative index reads as a huge one."""
-        n = self.vocab.n_locations
+        """Refuse int64 location indices outside [0, |L|)."""
         for idx in seqs:
-            if idx.size and np.maximum.reduce(idx.view(np.uint64), axis=None) >= n:
+            if not in_range(idx, self.vocab.n_locations):
                 raise ContractViolation("location index out of range")
 
     def _check_loc_pair(self, origin, dprev) -> None:
@@ -695,11 +701,13 @@ class Model:
         sees the first j states of each block, which is `_causal_mask`.
         Histories of equal length are encoded together (`_encode_all`);
         each is then decoded on its own, so a user's rows do not depend
-        on the rest of the cohort.
+        on the rest of the cohort.  Every location is range-checked first.
         """
         utc = self.config.utc_offset_hours
         seqs = [encoder_sequences(trips[:-1], utc, aligned=True) for trips in cohort]
         queries = [np.array([t.origin_loc for t in trips[1:]], dtype=np.int64) for trips in cohort]
+        last = np.array([t.dest_loc for trips in cohort for t in trips[-1:]], dtype=np.int64)
+        self._check_locs(last)  # a target, which no encode reads
         for s, q in zip(seqs, queries):
             self._check_locs(s.oseq, s.dseq, q)
         out = [np.zeros((0, self.vocab.n_locations))] * len(cohort)

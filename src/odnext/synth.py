@@ -29,7 +29,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .data import Corpus, LocationRecord, Trip
-from .geo import GeoPoint, geohash_bounds, geohash_encode
+from .geo import GeoPoint, geohash_cell
 from .nn import ContractViolation, check_settings, setting
 
 GEOHASH_PRECISION = 5
@@ -88,11 +88,10 @@ def _cluster_layout(cfg: SynthConfig, rng: np.random.Generator):
     members: list[list[int]] = []
     for k in range(cfg.n_clusters):
         center = GeoPoint(40.0 + 0.06 * (k // n_cols), -74.0 + 0.06 * (k % n_cols))
-        code = geohash_encode(center, GEOHASH_PRECISION)
+        code, (lat_lo, lat_hi, lon_lo, lon_hi) = geohash_cell(center, GEOHASH_PRECISION)
         if code in codes:
             raise ContractViolation("cluster layout produced a geohash collision")
         codes.append(code)
-        lat_lo, lat_hi, lon_lo, lon_hi = geohash_bounds(code)
         lat_m = 0.1 * (lat_hi - lat_lo)
         lon_m = 0.1 * (lon_hi - lon_lo)
         idx_list = []

@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from odnext import checkpoint as checkpoint_module
 from odnext import model as model_module
@@ -27,7 +29,7 @@ from odnext.data import (
     chronological_split,
 )
 from odnext.evaluation import ModelRanker, evaluate
-from odnext.model import ATTENTION_CONTEXTS, VARIANTS, EncodedCache, Model, ModelConfig
+from odnext.model import ATTENTION_CONTEXTS, VARIANTS, EncodedCache, Model, ModelConfig, in_range
 from odnext.nn import ContractViolation
 from odnext.synth import SynthConfig, generate
 
@@ -336,7 +338,8 @@ class TestFailureModes:
 
     def test_save_validates_cache_against_n_train(self, trained, tmp_path):
         """Users' sequences and states are stored back to back and split by
-        n_train, so a cache that disagrees with it is refused, not misfiled."""
+        n_train, so a cache that disagrees with it is refused, not misfiled;
+        the refusal names the tensor."""
         corpus, _, model, cache, _ = trained
         ids = [r.loc_id for r in corpus.locations], corpus.users
         states, oseq = cache.states.flat, cache.oseq.flat
@@ -348,10 +351,11 @@ class TestFailureModes:
             dict(oseq=oseq[:-1]),
             dict(dseq=oseq[1:]),
         ):
-            with pytest.raises(ContractViolation, match="n_train"):
+            (name,) = bad
+            with pytest.raises(ContractViolation, match=rf"misshapen.*\['cache/{name}'\]"):
                 save_checkpoint(str(tmp_path / "x.ckpt"), model, _rebuilt(cache, **bad), *ids)
         shrunk = _rebuilt(cache, n_train=cache.n_train[1:], last_dest=cache.last_dest[1:])
-        with pytest.raises(ContractViolation, match="every user"):
+        with pytest.raises(ContractViolation, match="does not cover 12 users"):
             save_checkpoint(str(tmp_path / "x.ckpt"), model, shrunk, *ids)
 
     def test_save_refuses_keys_that_disagree_with_the_states(self, trained, tmp_path):
@@ -361,8 +365,35 @@ class TestFailureModes:
         first = len(cache.keys[0])
         # one row short, one column narrow, the first user's rows missing, none
         for bad in (keys[:-1], keys[:, 1:], keys[first:], None):
-            with pytest.raises(ContractViolation, match="attention keys"):
+            with pytest.raises(ContractViolation, match=r"misshapen.*\['cache/keys'\]"):
                 save_checkpoint(str(tmp_path / "x.ckpt"), model, _rebuilt(cache, keys=bad), *ids)
+
+    @pytest.mark.parametrize("mutation", ["param-shape", "last-dest", "loc-geohash"])
+    def test_save_refuses_what_load_refuses(self, trained, tmp_path, monkeypatch, mutation):
+        """Save checks the header and tensor list with the loader's own
+        checks: a parameter whose shape departs from its declaration, a
+        last destination outside the vocabulary for a user with history,
+        or a location's geohash id outside the geohash codes is a contract
+        violation at save, and no file is written."""
+        corpus, _, model, cache, _ = trained
+        if mutation == "param-shape":
+            w_a = model.params["attn/W_A"]
+            monkeypatch.setattr(w_a, "value", w_a.value[:, :-1])
+            message = r"misshapen.*\['param/attn/W_A'\]"
+        elif mutation == "last-dest":
+            last_dest = cache.last_dest.copy()
+            last_dest[np.flatnonzero(cache.n_train)[0]] = model.vocab.n_locations
+            cache = _rebuilt(cache, last_dest=last_dest)
+            message = "cached location outside"
+        else:
+            loc_geohash = model.vocab.loc_geohash.copy()
+            loc_geohash[-1] = model.vocab.n_geohashes
+            monkeypatch.setattr(model.vocab, "loc_geohash", loc_geohash)
+            message = "loc_geohash is not"
+        loc_ids = [r.loc_id for r in corpus.locations]
+        with pytest.raises(ContractViolation, match=message):
+            save_checkpoint(str(tmp_path / "x.ckpt"), model, cache, loc_ids, corpus.users)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("kind", ["users", "locations"])
     def test_duplicate_ids_are_refused(self, trained, tmp_path, capsys, kind):
@@ -417,6 +448,36 @@ class TestFailureModes:
                    "--user", "U0000", "--origin", "L000", "--prev-dest", "L001"])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+@given(
+    hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5),
+               elements=_INT64 | st.integers(-2, 9)),
+    st.integers(0, 2**63 - 1) | st.integers(0, 9),
+)
+@example(np.array([-(2**63)]), 5)
+@example(np.array([2**63 - 1]), 2**63 - 1)
+@example(np.array([0, 2**63 - 2]), 2**63 - 1)
+@example(np.zeros(0, dtype=np.int64), 0)
+@example(np.array([3, -1], dtype=">i8"), 5)
+@example(np.array([3, 4], dtype=">i8"), 5)
+def test_in_range_is_the_min_max_test(idx, n):
+    assert in_range(idx, n) == (idx.size == 0 or 0 <= idx.min() <= idx.max() < n)
+
+
+@given(st.integers(0, 9), st.data())
+def test_in_range_reads_a_mapped_cache_array(trained, n, data):
+    """The loader range-checks the payload's little-endian int64 views as
+    they are mapped, as read or with a value written into the private
+    mapping."""
+    seq = load_checkpoint(trained[-1]).cache.oseq.flat
+    assert seq.dtype.str == "<i8" and not seq.flags.owndata
+    if data.draw(st.booleans()):
+        seq[data.draw(st.integers(0, len(seq) - 1))] = data.draw(_INT64)
+    assert in_range(seq, n) == (0 <= seq.min() <= seq.max() < n)
 
 
 class _FullDisk:

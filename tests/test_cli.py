@@ -22,7 +22,7 @@ from odnext.cli import (
     parse_overrides,
     parse_train_config,
 )
-from odnext.checkpoint import load_checkpoint, save_checkpoint
+from odnext.checkpoint import load_checkpoint
 from odnext.data import build_test_queries, chronological_split, load_corpus, save_corpus
 from odnext.evaluation import (
     STUDY_MODEL,
@@ -34,7 +34,7 @@ from odnext.evaluation import (
     prepare_split,
     study_seed,
 )
-from odnext.model import Model, ModelConfig
+from odnext.model import ModelConfig
 from odnext.nn import ContractViolation, settings as declared_settings
 from odnext.synth import SynthConfig
 
@@ -613,7 +613,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("key", ["config", "ids", "vocab", "scales", "cache", "tensors"])
     @pytest.mark.parametrize("command", ["predict", "eval"])
     def test_checkpoint_missing_header_key_is_2(self, pipeline, tmp_path, capsys, key, command):
-        _, fields, payload = split_checkpoint(pipeline["ckpt"].read_bytes())
+        _, fields, payload = split_checkpoint(open(pipeline["ckpt"], "rb").read())
         del fields[key]
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(join_checkpoint(fields, payload))
@@ -929,16 +929,17 @@ class TestExitCodes:
     def test_checkpoint_for_other_timeslot_count_is_2(self, pipeline, tmp_path, capsys):
         """A checkpoint that agrees with itself but was written for another
         number of time slots than `geo.timeslots` yields is not loaded."""
-        bundle = load_checkpoint(str(pipeline["ckpt"]))
-        m = bundle.model
-        params = {k: p.value for k, p in m.params.items()}
-        params["emb/slot"] = params["emb/slot"][:3]
-        model = Model(m.config, replace(m.vocab, n_timeslots=3), m.tables, params)
-        path = str(tmp_path / "slots.ckpt")
-        save_checkpoint(path, model, bundle.cache, bundle.location_ids, bundle.user_ids)
+        _, fields, payload = split_checkpoint(pipeline["ckpt"].read_bytes())
+        fields["vocab"]["n_timeslots"] = 3
+        slot = next(t for t in fields["tensors"] if t["name"] == "param/emb/slot")
+        at, width = tensor_offset(fields, slot["name"]), 8 * slot["shape"][1]
+        payload = payload[: at + 3 * width] + payload[at + slot["shape"][0] * width :]
+        slot["shape"][0] = 3
+        bad = tmp_path / "slots.ckpt"
+        bad.write_bytes(join_checkpoint(fields, payload))
         for command in (
-            ["eval", "--checkpoint", path, "--test", str(pipeline["test"])],
-            ["predict", "--checkpoint", path, "--user", "U0000", "--origin", "L000",
+            ["eval", "--checkpoint", str(bad), "--test", str(pipeline["test"])],
+            ["predict", "--checkpoint", str(bad), "--user", "U0000", "--origin", "L000",
              "--prev-dest", "L001"],
         ):
             rc = main(command)

@@ -126,6 +126,20 @@ def test_out_of_range_location_raises(model, world, field):
         cold_start_eval(model, np.arange(model.vocab.n_locations), [trips])
 
 
+@pytest.mark.parametrize("dest", ["n_locations", -1])
+def test_out_of_range_last_destination_raises(model, world, dest):
+    """A history's last destination is a target that no encode reads, and
+    it is range-checked all the same."""
+    _, cold = world
+    trips = list(next(t for t in cold if len(t) >= 2))
+    dest = model.vocab.n_locations if dest == "n_locations" else dest
+    trips[-1] = dataclasses.replace(trips[-1], dest_loc=dest)
+    with pytest.raises(ContractViolation, match="location index out of range"):
+        model.predict_cold_cohort([trips])
+    with pytest.raises(ContractViolation, match="location index out of range"):
+        cold_start_eval(model, np.arange(model.vocab.n_locations), [trips])
+
+
 def test_tape_stays_empty(model, world, monkeypatch):
     """No off-tape entry point records a node or touches a gradient, with
     no mode switched: the cache build, cached prediction and attention,

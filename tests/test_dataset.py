@@ -77,6 +77,14 @@ class TestLoadErrors:
         with pytest.raises(CorpusFormatError, match="t.csv:2"):
             load_corpus(tp, lp)
 
+    def test_error_names_the_file_line_after_a_multi_line_field(self, tmp_path):
+        """A quoted id that spans two lines does not shift the line number
+        of a later bad row."""
+        locs = 'loc_id,lat,lon\n"A\nB",40.0,-74.0\nC,95.0,-74.0\n'
+        tp, lp = self.write(tmp_path, "user_id,origin_id,dest_id,pickup_ts,dropoff_ts\n", locs)
+        with pytest.raises(CorpusFormatError, match=r"l\.csv:4: latitude 95\.0"):
+            load_corpus(tp, lp)
+
     def test_non_integer_timestamp(self, tmp_path):
         tp, lp = self.write(
             tmp_path, "user_id,origin_id,dest_id,pickup_ts,dropoff_ts\nu,A,A,x,2\n"

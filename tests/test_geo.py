@@ -10,7 +10,7 @@ from odnext.geo import (
     EARTH_RADIUS_KM,
     N_TIMESLOTS,
     GeoPoint,
-    geohash_bounds,
+    geohash_cell,
     geohash_encode,
     haversine_km,
     timeslots,
@@ -101,32 +101,26 @@ class TestGeohash:
 
     @given(points, st.integers(min_value=1, max_value=12))
     def test_point_inside_own_cell(self, p, precision):
-        code = geohash_encode(p, precision)
-        lat_lo, lat_hi, lon_lo, lon_hi = geohash_bounds(code)
+        code, (lat_lo, lat_hi, lon_lo, lon_hi) = geohash_cell(p, precision)
+        assert code == geohash_encode(p, precision)
         assert lat_lo <= p.lat <= lat_hi
         assert lon_lo <= p.lon <= lon_hi
 
     @given(points, st.integers(min_value=1, max_value=10))
     def test_cell_center_reencodes_to_same_code(self, p, precision):
-        code = geohash_encode(p, precision)
-        lat_lo, lat_hi, lon_lo, lon_hi = geohash_bounds(code)
+        code, (lat_lo, lat_hi, lon_lo, lon_hi) = geohash_cell(p, precision)
         center = GeoPoint((lat_lo + lat_hi) / 2, (lon_lo + lon_hi) / 2)
         assert geohash_encode(center, precision) == code
 
     def test_bounds_shrink_by_factor_32_per_character(self):
-        code = geohash_encode(GeoPoint(57.64911, 10.40744), 8)
+        point = GeoPoint(57.64911, 10.40744)
         for p in range(1, 8):
-            a = geohash_bounds(code[:p])
-            b = geohash_bounds(code[: p + 1])
+            _, a = geohash_cell(point, p)
+            _, b = geohash_cell(point, p + 1)
+            assert a[0] <= b[0] <= b[1] <= a[1] and a[2] <= b[2] <= b[3] <= a[3]
             area_a = (a[1] - a[0]) * (a[3] - a[2])
             area_b = (b[1] - b[0]) * (b[3] - b[2])
             assert area_a / area_b == pytest.approx(32.0, rel=1e-9)
-
-    def test_bounds_rejects_bad_alphabet(self):
-        with pytest.raises(ValueError):
-            geohash_bounds("ab")  # 'a' is not in the base32 alphabet
-        with pytest.raises(ValueError):
-            geohash_bounds("")
 
     def test_distinct_cells_partition(self):
         # Points straddling the prime meridian land in different cells.
