@@ -91,7 +91,8 @@ def save_checkpoint(
     location_ids: list[str],
     user_ids: list[str],
 ) -> None:
-    """Check the header and tensors as `load_checkpoint` does, then write
+    """Check the header and tensors as `load_checkpoint` does, and that
+    each array casts to its stored dtype without loss, then write
     a temporary file in the target's directory and rename it over `path`:
     a mapped file is replaced, never truncated, and a failed save leaves
     `path` as it was."""
@@ -106,6 +107,8 @@ def save_checkpoint(
     expected = _expected_tensors(config, vocab, param_specs(config, vocab), rows)
     if wrong := _mismatch(specs, expected):
         raise ContractViolation(wrong)
+    if unsafe := [name for name, dtype, a in tensors if not np.can_cast(a.dtype, dtype, "safe")]:
+        raise ContractViolation(f"tensors that do not cast safely to their stored dtype: {unsafe}")
     header = {
         "config": config.as_dict(),
         "ids": {"locations": list(location_ids), "users": list(user_ids)},

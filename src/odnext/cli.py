@@ -206,7 +206,7 @@ def _test_queries_from_rows(bundle, rows) -> tuple[list[list[TrainingExample]], 
     user_index, loc_index = _id_indices(bundle)
     per_user: dict[int, list[Trip]] = {}
     skipped = 0
-    for user_id, origin_id, dest_id, pickup, dropoff in rows:
+    for _, user_id, origin_id, dest_id, pickup, dropoff in rows:
         if user_id not in user_index or origin_id not in loc_index or dest_id not in loc_index:
             skipped += 1
             continue

@@ -109,10 +109,11 @@ def load_locations(locations_path: str) -> list[LocationRecord]:
     return locations
 
 
-def load_trip_rows(trips_path: str) -> list[tuple[str, str, str, int, int]]:
-    """Parse the trip CSV into raw (user, origin, dest, pickup, dropoff)
-    rows without resolving location ids; timestamps must fit in int64."""
-    rows: list[tuple[str, str, str, int, int]] = []
+def load_trip_rows(trips_path: str) -> list[tuple[int, str, str, str, int, int]]:
+    """Parse the trip CSV into raw (line, user, origin, dest, pickup,
+    dropoff) rows without resolving location ids; timestamps must fit in
+    int64.  The line is `_csv_rows`'s, for later messages."""
+    rows: list[tuple[int, str, str, str, int, int]] = []
     for lineno, (user_id, origin_id, dest_id, pu_s, do_s) in _csv_rows(trips_path, TRIPS_HEADER):
         try:
             pickup, dropoff = int(pu_s), int(do_s)
@@ -127,7 +128,7 @@ def load_trip_rows(trips_path: str) -> list[tuple[str, str, str, int, int]]:
                 f"{trips_path}:{lineno}: timestamps must lie in "
                 f"[{_TS_RANGE.min}, {_TS_RANGE.max}] epoch seconds"
             )
-        rows.append((user_id, origin_id, dest_id, pickup, dropoff))
+        rows.append((lineno, user_id, origin_id, dest_id, pickup, dropoff))
     return rows
 
 
@@ -139,10 +140,10 @@ def load_corpus(trips_path: str, locations_path: str) -> Corpus:
     users: list[str] = []
     user_index: dict[str, int] = {}
     trips_by_user: dict[int, list[Trip]] = {}
-    for user_id, origin_id, dest_id, pickup, dropoff in load_trip_rows(trips_path):
+    for lineno, user_id, origin_id, dest_id, pickup, dropoff in load_trip_rows(trips_path):
         for loc_id in (origin_id, dest_id):
             if loc_id not in loc_index:
-                raise CorpusFormatError(f"{trips_path}: unknown loc_id {loc_id!r}")
+                raise CorpusFormatError(f"{trips_path}:{lineno}: unknown loc_id {loc_id!r}")
         if user_id not in user_index:
             user_index[user_id] = len(users)
             users.append(user_id)

@@ -219,29 +219,30 @@ def attend(
 
     queries q (E, qw) and states s (S, sd) project through the row blocks
     of w_a (qw + sd, sd); scores = leaky_relu(q_proj[e] + h_proj[s]) plus
-    the optional additive mask (E, S, 1); alpha (E, S, sd) is the softmax
-    over S and the summary (E, sd) the alpha-weighted sum of states.
-    Returns (summary, alpha, positive): `positive`, the pre-activations'
-    sign mask that only `attend_backward` reads, is built for a `taped`
-    call alone.  `keys`, h_proj computed before (`attention_keys`), may
-    stand in for it off the tape only.
+    the optional additive mask (S, E, 1); alpha (S, E, sd) is the softmax
+    over S and the summary (E, sd) the alpha-weighted sum of states.  The
+    layout is state-major, so each reduction over S runs over the leading
+    axis.  Returns (summary, alpha, positive): `positive`, the
+    pre-activations' sign mask that only `attend_backward` reads, is built
+    for a `taped` call alone.  `keys`, h_proj computed before
+    (`attention_keys`), may stand in for it off the tape only.
     """
     n_q = q.shape[1]
     if keys is None:
         keys = attention_keys(s, w_a)
     elif taped:
         raise ContractViolation("attention keys computed before are for off-tape use only")
-    pre = (q @ w_a[:n_q])[:, None, :] + keys[None, :, :]
+    pre = (q @ w_a[:n_q])[None] + keys[:, None, :]
     positive = (pre >= 0) if taped else None
     alpha = _leaky_relu(pre, slope)  # the scores, then alpha, in place
     if mask is not None:
         alpha += mask
-    alpha -= alpha.max(axis=1, keepdims=True)
+    alpha -= alpha.max(axis=0)
     np.exp(alpha, out=alpha)
-    alpha /= alpha.sum(axis=1, keepdims=True)
+    alpha /= alpha.sum(axis=0)
     # pre is spent; its buffer takes the weighted states, so a call holds
-    # two (E, S, sd) arrays, not three
-    summary = np.multiply(alpha, s[None], out=pre).sum(axis=1)
+    # two (S, E, sd) arrays, not three
+    summary = np.multiply(alpha, s[:, None], out=pre).sum(axis=0)
     return summary, alpha, positive
 
 
@@ -256,22 +257,22 @@ def attend_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The gradients (of q, s, w_a) of `attend`'s summary, given its
     gradient g (E, sd): the analytic backward of the chain, expression for
-    expression; alpha takes none."""
+    expression, on its (S, E, sd) layout; alpha takes none."""
     n_q = q.shape[1]
     w_q, w_s = w_a[:n_q], w_a[n_q:]
-    d_pre = g[:, None, :] * s[None]  # d alpha, then d scores, then d pre
+    d_pre = g[None] * s[:, None]  # d alpha, then d scores, then d pre
     # scratch then takes the slope factor and g * alpha, so the backward
-    # holds two (E, S, sd) arrays besides alpha
+    # holds two (S, E, sd) arrays besides alpha
     scratch = d_pre * alpha
-    d_pre -= scratch.sum(axis=1, keepdims=True)
+    d_pre -= scratch.sum(axis=0)
     d_pre *= alpha
     d_pre *= _leaky_relu_slope(positive, slope, out=scratch)
-    d_q_proj = d_pre.sum(axis=1)
-    d_s_proj = d_pre.sum(axis=0)
-    g_alpha = np.multiply(g[:, None, :], alpha, out=scratch)
+    d_q_proj = d_pre.sum(axis=0)
+    d_s_proj = d_pre.sum(axis=1)
+    g_alpha = np.multiply(g[None], alpha, out=scratch)
     return (
         d_q_proj @ w_q.T,
-        g_alpha.sum(axis=0) + d_s_proj @ w_s.T,
+        g_alpha.sum(axis=1) + d_s_proj @ w_s.T,
         np.concatenate([q.T @ d_q_proj, s.T @ d_s_proj]),
     )
 
@@ -290,11 +291,10 @@ def _is_index(x) -> bool:
 
 
 def _causal_mask(n_examples: int) -> np.ndarray:
-    """Additive (E, 2E, 1) mask: example e sees the first e+1 states of
-    each encoder block."""
-    lower = np.tril(np.ones((n_examples, n_examples), dtype=bool))
-    allowed = np.concatenate([lower, lower], axis=1)
-    return np.where(allowed, 0.0, _MASK_OFF)[:, :, None]
+    """Additive (2E, E, 1) mask in `attend`'s state-major layout: example
+    e sees the first e+1 states of each encoder block."""
+    upper = np.triu(np.ones((n_examples, n_examples), dtype=bool))  # j <= e
+    return np.where(np.vstack([upper, upper]), 0.0, _MASK_OFF)[:, :, None]
 
 
 def param_specs(config: ModelConfig, vocab: Vocab) -> list[ParamSpec]:
@@ -647,8 +647,8 @@ class Model:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(probs, origin_weights, dest_weights) for one query.
 
-        Weights are attention fractions averaged over hidden dimensions,
-        split into the origin-state block and the destination-state block.
+        Weights are the query's (S, sd) column `alpha[:, 0]`, averaged over
+        hidden dimensions and split into origin- and destination-state blocks.
         """
         if not self._has_attention:
             raise ContractViolation(
@@ -658,7 +658,7 @@ class Model:
         self._check_loc_pair(origin, dprev)
         query = np.array([origin, dprev], dtype=np.int64)
         probs, alpha = self._predict_cached(cache, user, query[:1], query[1:])
-        mean_w = alpha[0].sum(axis=1) / alpha.shape[2]  # np.mean's sum and divide
+        mean_w = alpha[:, 0].sum(axis=1) / alpha.shape[2]  # np.mean's sum and divide
         half = len(mean_w) // 2
         return probs[0], mean_w[:half], mean_w[half:]
 

@@ -103,7 +103,7 @@ def test_criterion_02_normalization(capsys):
             probs, alpha = m._predict_states(
                 cache.states[u], origins, dprevs, user_vector(m, u)
             )
-            worst_attn = max(worst_attn, float(np.abs(alpha.sum(axis=1) - 1.0).max()))
+            worst_attn = max(worst_attn, float(np.abs(alpha.sum(axis=0) - 1.0).max()))
             worst_prob = max(worst_prob, float(np.abs(probs.sum(axis=1) - 1.0).max()))
             n_queries += 25
     ok = n_queries == 1000 and worst_attn <= 1e-9 and worst_prob <= 1e-9

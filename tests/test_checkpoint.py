@@ -395,6 +395,21 @@ class TestFailureModes:
             save_checkpoint(str(tmp_path / "x.ckpt"), model, cache, loc_ids, corpus.users)
         assert list(tmp_path.iterdir()) == []
 
+    def test_save_refuses_an_array_that_would_be_truncated(self, trained, tmp_path):
+        """A float `cache/oseq` is refused with the tensor named, where its
+        cast to the stored int64 would truncate it into a file that loads;
+        the target file is left as it was."""
+        corpus, _, model, cache, path = trained
+        target = tmp_path / "x.ckpt"
+        target.write_bytes(open(path, "rb").read())
+        before = target.read_bytes()
+        bad = _rebuilt(cache, oseq=cache.oseq.flat + 0.7)
+        loc_ids = [r.loc_id for r in corpus.locations]
+        with pytest.raises(ContractViolation, match=r"cast safely.*\['cache/oseq'\]"):
+            save_checkpoint(str(target), model, bad, loc_ids, corpus.users)
+        assert target.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["x.ckpt"]
+
     @pytest.mark.parametrize("kind", ["users", "locations"])
     def test_duplicate_ids_are_refused(self, trained, tmp_path, capsys, kind):
         """A header whose index 1 repeats index 0's id is not loaded (exit 2),

@@ -603,6 +603,21 @@ class TestExitCodes:
         assert err.startswith(f"error: {bad}:2: timestamps must lie in ")
         assert err.count("\n") == 1
 
+    def test_unknown_location_id_names_its_line_and_is_2(self, tmp_path, capsys):
+        trips, locs = tmp_path / "t1.csv", tmp_path / "l1.csv"
+        trips.write_text("user_id,origin_id,dest_id,pickup_ts,dropoff_ts\nu,A,A,1,2\nu,A,Z,3,4\n")
+        locs.write_text("loc_id,lat,lon\nA,40.0,-74.0\n")
+        rc = main(
+            [
+                "preprocess", "--trips", str(trips), "--locations", str(locs),
+                "--out-trips", str(tmp_path / "o.csv"),
+                "--out-locations", str(tmp_path / "ol.csv"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"error: {trips}:3: unknown loc_id 'Z'\n"
+
     def test_corrupt_checkpoint_is_2(self, pipeline, tmp_path, capsys):
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"garbage\n{}\n")

@@ -117,9 +117,9 @@ class TestLoadErrors:
 
     def test_unknown_location(self, tmp_path):
         tp, lp = self.write(
-            tmp_path, "user_id,origin_id,dest_id,pickup_ts,dropoff_ts\nu,A,Z,1,2\n"
+            tmp_path, "user_id,origin_id,dest_id,pickup_ts,dropoff_ts\nu,A,A,1,2\nu,A,Z,3,4\n"
         )
-        with pytest.raises(CorpusFormatError, match="Z"):
+        with pytest.raises(CorpusFormatError, match=r"t\.csv:3: unknown loc_id 'Z'$"):
             load_corpus(tp, lp)
 
     def test_duplicate_location_id(self, tmp_path):

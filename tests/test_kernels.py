@@ -22,10 +22,12 @@ from odnext.model import (
     VARIANTS,
     Model,
     ModelConfig,
+    _MASK_OFF,
     _causal_mask,
     _leaky_relu,
     _leaky_relu_slope,
     attend,
+    attend_backward,
     attention_keys,
 )
 from odnext.nn import ContractViolation
@@ -138,7 +140,9 @@ class TestRecurrentKernels:
 
 
 def reference_attend(queries, states, w_a, mask, slope):
-    """The attention layer as the autograd chain the fused kernel replaced."""
+    """The attention layer as the autograd chain the fused kernel replaced,
+    query-major: it takes `attend`'s (S, E, 1) mask and returns alpha as
+    (E, S, sd)."""
     n_ex, qw = queries.value.shape
     n_states, sd = states.value.shape
     q_proj = ag.matmul(queries, ref.index(w_a, (slice(0, qw), slice(None))))
@@ -148,7 +152,7 @@ def reference_attend(queries, states, w_a, mask, slope):
         slope,
     )
     if mask is not None:
-        scores = ref.add(scores, ag.constant(mask))
+        scores = ref.add(scores, ag.constant(mask.transpose(1, 0, 2)))
     alpha = ref.softmax(scores, axis=1)
     summary = ref.sum_axis(ref.mul(alpha, ref.reshape(states, (1, n_states, sd))), 1)
     return summary, alpha
@@ -156,16 +160,54 @@ def reference_attend(queries, states, w_a, mask, slope):
 
 def masked_attend(q, s, w, mask, slope):
     """(summary, alpha) of `attend` on plain arrays, with the leaky ReLU
-    as the masked copy the elementwise max replaced."""
+    as the masked copy the elementwise max replaced; query-major like
+    `reference_attend`."""
     pre = (q @ w[: q.shape[1]])[:, None, :] + (s @ w[q.shape[1] :])[None, :, :]
     alpha = pre * slope
     np.copyto(alpha, pre, where=pre >= 0)
+    if mask is not None:
+        alpha += mask.transpose(1, 0, 2)
+    alpha -= alpha.max(axis=1, keepdims=True)
+    np.exp(alpha, out=alpha)
+    alpha /= alpha.sum(axis=1, keepdims=True)
+    return (alpha * s[None]).sum(axis=1), alpha
+
+
+def query_major_attend(q, s, w_a, mask, slope):
+    """`attend` (taped) in the query-major (E, S, sd) layout, reducing
+    over the middle axis: (summary, alpha, positive), with `mask` (E, S,
+    1).  The state-major kernel keeps its bits wherever sd > 1 or E = 1."""
+    n_q = q.shape[1]
+    pre = (q @ w_a[:n_q])[:, None, :] + attention_keys(s, w_a)[None, :, :]
+    positive = pre >= 0
+    alpha = _leaky_relu(pre, slope)
     if mask is not None:
         alpha += mask
     alpha -= alpha.max(axis=1, keepdims=True)
     np.exp(alpha, out=alpha)
     alpha /= alpha.sum(axis=1, keepdims=True)
-    return (alpha * s[None]).sum(axis=1), alpha
+    summary = np.multiply(alpha, s[None], out=pre).sum(axis=1)
+    return summary, alpha, positive
+
+
+def query_major_attend_backward(g, q, s, w_a, alpha, positive, slope):
+    """`attend_backward` in the query-major layout: the gradients of q, s
+    and w_a."""
+    n_q = q.shape[1]
+    w_q, w_s = w_a[:n_q], w_a[n_q:]
+    d_pre = g[:, None, :] * s[None]
+    scratch = d_pre * alpha
+    d_pre -= scratch.sum(axis=1, keepdims=True)
+    d_pre *= alpha
+    d_pre *= _leaky_relu_slope(positive, slope, out=scratch)
+    d_q_proj = d_pre.sum(axis=1)
+    d_s_proj = d_pre.sum(axis=0)
+    g_alpha = np.multiply(g[:, None, :], alpha, out=scratch)
+    return (
+        d_q_proj @ w_q.T,
+        g_alpha.sum(axis=0) + d_s_proj @ w_s.T,
+        np.concatenate([q.T @ d_q_proj, s.T @ d_s_proj]),
+    )
 
 
 SLOPES = (0.0, 0.01, 0.5, 1.0, 2.0, 10.0)
@@ -231,15 +273,57 @@ class TestAttentionKernel:
             tensors = [ag.parameter(v.copy()) for v in values]
             summary, alpha = fn(*tensors, mask, 0.2)
             ref.mean_all(ref.mul(summary, probe)).backward()
+            if fn is reference_attend:  # query-major
+                alpha = ag.constant(alpha.value.transpose(1, 0, 2))
             results.append([summary.value, alpha.value, *_grads(tensors)])
         for got, want in zip(*results):
             _close(got, want)
+
+    @given(
+        st.integers(1, 40),
+        st.integers(1, 60),
+        st.integers(1, 24),
+        st.integers(1, 16),
+        st.sampled_from([None, "causal", "random"]),
+        st.sampled_from([0.01, 2.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_state_major_keeps_the_query_major_bits(
+        self, n_ex, n_states, qw, sd, mask_kind, slope, seed
+    ):
+        """Forward and backward equal the query-major kernels bit for bit,
+        alpha and the sign mask transposed: every reduction over S adds
+        the same terms in the same order from either axis.  The exception
+        is sd = 1 with several queries: there the query-major reductions
+        ran along a contiguous axis, which numpy sums pairwise, so the two
+        layouts agree only to rounding."""
+        rng = np.random.default_rng(seed)
+        mask = None
+        if mask_kind == "causal":
+            n_states, mask = 2 * n_ex, _causal_mask(n_ex)
+        elif mask_kind == "random":
+            mask = np.where(rng.uniform(size=(n_states, n_ex, 1)) < 0.5, 0.0, _MASK_OFF)
+        q, s = rng.normal(size=(n_ex, qw)), rng.normal(size=(n_states, sd))
+        w, g = rng.normal(size=(qw + sd, sd)), rng.normal(size=(n_ex, sd))
+        got = attend(q, s, w, mask, slope, taped=True)
+        qm_mask = None if mask is None else mask.transpose(1, 0, 2)
+        want = query_major_attend(q, s, w, qm_mask, slope)
+        assert got[1].shape == got[2].shape == (n_states, n_ex, sd)
+        got_grads = attend_backward(g, q, s, w, got[1], got[2], slope)
+        want_grads = query_major_attend_backward(g, q, s, w, want[1], want[2], slope)
+        np.testing.assert_array_equal(got[2], want[2].transpose(1, 0, 2))  # the sign mask
+        alphas = got[1], want[1].transpose(1, 0, 2)
+        for a, b in [(got[0], want[0]), alphas, *zip(got_grads, want_grads)]:
+            if sd > 1 or n_ex == 1:
+                assert a.tobytes() == b.tobytes()
+            else:
+                np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("masked", [False, True])
     def test_keys_computed_before_keep_every_bit(self, masked):
         rng = np.random.default_rng([17, int(masked)])
         q, s, w = rng.normal(size=(5, 9)), rng.normal(size=(8, 4)), rng.normal(size=(13, 4))
-        mask = np.where(rng.uniform(size=(5, 8, 1)) < 0.5, 0.0, -1e30) if masked else None
+        mask = np.where(rng.uniform(size=(8, 5, 1)) < 0.5, 0.0, -1e30) if masked else None
         want = attend(q, s, w, mask, 0.2)
         got = attend(q, s, w, mask, 0.2, keys=attention_keys(s, w))
         for a, b in zip(got[:2], want[:2]):
@@ -266,7 +350,7 @@ class TestAttentionKernel:
         ]
         mask = None
         if masked:
-            mask = np.where(rng.uniform(size=(n_ex, n_states, 1)) < 0.5, 0.0, -1e30)
+            mask = np.where(rng.uniform(size=(n_states, n_ex, 1)) < 0.5, 0.0, -1e30)
         attend(*args, mask, 0.01)  # warm up numpy's caches
         tracemalloc.start()
         try:
@@ -319,7 +403,7 @@ class TestMaskFreeLeakyRelu:
         with np.errstate(invalid="ignore", over="ignore"):
             summary, alpha, _ = attend(q, s, w, mask, slope)
             want_summary, want_alpha = masked_attend(q, s, w, mask, slope)
-        np.testing.assert_array_equal(np.isnan(alpha), np.isnan(want_alpha))
+        np.testing.assert_array_equal(np.isnan(alpha), np.isnan(want_alpha.transpose(1, 0, 2)))
         np.testing.assert_array_equal(np.isnan(summary), np.isnan(want_summary))
 
 

@@ -149,7 +149,7 @@ class TestAttention:
         corpus, _, _ = small_world
         m = make_model(small_world)
         _, alpha = m._forward(m._batch(corpus.trips_by_user[1]), 1)
-        sums = alpha.sum(axis=1)
+        sums = alpha.sum(axis=0)  # (S, E, sd): over the states
         np.testing.assert_allclose(sums, 1.0, atol=1e-9)
 
     def test_attention_api_splits_blocks(self, trained):
