@@ -15,10 +15,11 @@ from .nn import (
     embedding_init,
     glorot_uniform,
     prefixed,
+    scope,
     softmax_rows,
     train_per_user,
 )
-from .stlstm import LSTMWeights, encode_by_length, gather_input, lstm_encode, lstm_spec
+from .stlstm import encode_by_length, gather_input, lstm_encode, lstm_spec
 
 FREQUENCY_KINDS = ("top", "u-top", "taxi")
 TAXI_LAMBDA = 0.5  # taxi's weight on the user's own proportions
@@ -107,7 +108,7 @@ class ODLSTM:
             ParamSpec("out/W_loc", (config.hdim, n_locations), glorot_uniform),
         ]
         self.params = draw_params(specs, np.random.default_rng(config.seed))
-        self.lstm = LSTMWeights.from_params(self.params, "lstm")
+        self.lstm = scope(self.params, "lstm")
         self.loss_curve: list[float] = []
         self._final: list[tuple[np.ndarray, np.ndarray]] = []
 

@@ -116,11 +116,12 @@ def parse_seeds(text: str) -> list[int]:
 
 
 def _emit(lines: list[str], report_path: str | None) -> None:
+    """Write the report file, then print: a closed stdout cannot cost the file."""
     text = "\n".join(lines)
-    print(text)
     if report_path:
         with open(report_path, "w", encoding="utf-8") as f:
             f.write(text + "\n")
+    print(text)
 
 
 def _report_lines(report: EvalReport, prefix: str = "") -> list[str]:

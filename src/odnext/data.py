@@ -197,38 +197,23 @@ def preprocess(corpus: Corpus, min_trips: int = 10, min_users: int = 10) -> Corp
     for name, value, bound in (("min_trips", min_trips, 1), ("min_users", min_users, 0)):
         if value < bound:
             raise ValueError(f"{name} must be at least {bound}, got {value}")
-    user_trips = {u: list(trips) for u, trips in enumerate(corpus.trips_by_user)}
+    user_trips = dict(enumerate(corpus.trips_by_user))
     alive_locs = set(range(corpus.n_locations))
-
-    changed = True
-    while changed:
-        changed = False
-        for u in list(user_trips):
-            if len(user_trips[u]) < min_trips:
-                del user_trips[u]
-                changed = True
-        visitors: dict[int, set[int]] = {}
+    while True:
+        user_trips = {u: trips for u, trips in user_trips.items() if len(trips) >= min_trips}
+        visitors: dict[int, set[int]] = {loc: set() for loc in alive_locs}
         for u, trips in user_trips.items():
             for t in trips:
-                visitors.setdefault(t.origin_loc, set()).add(u)
-                visitors.setdefault(t.dest_loc, set()).add(u)
-        dead = {
-            loc
-            for loc in alive_locs
-            if len(visitors.get(loc, ())) < min_users
+                visitors[t.origin_loc].add(u)
+                visitors[t.dest_loc].add(u)
+        dead = {loc for loc, users in visitors.items() if len(users) < min_users}
+        if not dead:
+            break
+        alive_locs -= dead
+        user_trips = {
+            u: [t for t in trips if t.origin_loc in alive_locs and t.dest_loc in alive_locs]
+            for u, trips in user_trips.items()
         }
-        if dead:
-            changed = True
-            alive_locs -= dead
-            for u in list(user_trips):
-                kept = [
-                    t
-                    for t in user_trips[u]
-                    if t.origin_loc in alive_locs and t.dest_loc in alive_locs
-                ]
-                if len(kept) != len(user_trips[u]):
-                    user_trips[u] = kept
-
     loc_map = {old: new for new, old in enumerate(sorted(alive_locs))}
     kept_users = sorted(user_trips)
     result = Corpus(

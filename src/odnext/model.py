@@ -55,15 +55,14 @@ from .nn import (
     embedding_init,
     glorot_uniform,
     prefixed,
+    scope,
     setting,
     softmax_rows,
     train_per_user,
     wrap_params,
 )
 from .stlstm import (
-    LSTMWeights,
     STLSTMInput,
-    STLSTMWeights,
     encode_by_length,
     gather_input,
     lstm_encode,
@@ -363,12 +362,8 @@ class Model:
             self.params = draw_params(specs, np.random.default_rng(config.seed))
         else:
             self.params = wrap_params(specs, params)
-        self.enc_o: STLSTMWeights | LSTMWeights | None = None
-        self.enc_d: STLSTMWeights | LSTMWeights | None = None
-        if config.variant != "decoder-only":  # the same Tensors as `params`, by field name
-            weights = LSTMWeights if config.variant == "od-ppa" else STLSTMWeights
-            self.enc_o = weights.from_params(self.params, "enc_o")
-            self.enc_d = weights.from_params(self.params, "enc_d")
+        self.enc_o = scope(self.params, "enc_o")
+        self.enc_d = scope(self.params, "enc_d")
         self.loss_curve: list[float] = []
 
     # -- variant geometry -------------------------------------------------

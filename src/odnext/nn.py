@@ -110,6 +110,13 @@ def prefixed(prefix: str, specs: Sequence[ParamSpec]) -> list[ParamSpec]:
     return [ParamSpec(f"{prefix}/{name}", shape, init) for name, shape, init in specs]
 
 
+def scope(params: Mapping[str, Tensor], prefix: str) -> dict[str, Tensor]:
+    """The parameters `prefixed` put under `prefix`, by their own names:
+    the same Tensors, not copies."""
+    head = prefix + "/"
+    return {k[len(head) :]: t for k, t in params.items() if k.startswith(head)}
+
+
 def draw_params(specs: Sequence[ParamSpec], rng: np.random.Generator) -> dict[str, Tensor]:
     """Fresh parameters, drawn from `rng` in declaration order."""
     return {s.name: ag.parameter(s.init(rng, *s.shape)) for s in specs}

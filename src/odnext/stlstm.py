@@ -48,50 +48,6 @@ from .nn import ParamSpec, glorot_uniform, zeros_init
 MAX_ROWS = 16  # sequences per row-axis encode
 
 
-class _Weights:
-    """Encoder weights as dataclass fields, one parameter each."""
-
-    @classmethod
-    def from_params(cls, params: Mapping[str, Tensor], prefix: str):
-        return cls(**{f.name: params[f"{prefix}/{f.name}"] for f in fields(cls)})
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.U_h.value.shape[0]
-
-
-@dataclass
-class LSTMWeights(_Weights):
-    """Packed weights of a plain LSTM: columns ordered [i f o g]."""
-
-    W_x: Tensor  # in_dim x 4H
-    U_h: Tensor  # H x 4H
-    b: Tensor  # 4H
-
-
-@dataclass
-class STLSTMWeights(_Weights):
-    """Packed weights of the spatio-temporal cell.
-
-    Main branch columns are [i f o g]; the spatial and temporal branches
-    have no output gate, so their columns are [i f g].  W_h maps the
-    concatenated cell states (c | c_s | c_t) back to the hidden size.
-    """
-
-    W_x: Tensor  # dim x 4H, input = location embedding
-    U_h: Tensor  # H x 4H
-    b: Tensor  # 4H
-    W_s: Tensor  # dim x 3H, input = geo-cell embedding
-    V_s: Tensor  # |L| x 3H, input = scaled distance row
-    U_s: Tensor  # H x 3H
-    b_s: Tensor  # 3H
-    W_t: Tensor  # dim x 3H, input = time-slot embedding
-    V_t: Tensor  # |L| x 3H, input = scaled duration row
-    U_t: Tensor  # H x 3H
-    b_t: Tensor  # 3H
-    W_h: Tensor  # 3H x H
-
-
 def _packed(n_gates: int) -> Callable[..., np.ndarray]:
     """Initialiser of a column-packed gate matrix: one glorot draw per gate
     block, so bounds match the per-gate shapes."""
@@ -104,7 +60,9 @@ def _packed(n_gates: int) -> Callable[..., np.ndarray]:
 
 
 def lstm_spec(in_dim: int, hidden: int) -> list[ParamSpec]:
-    """`LSTMWeights` fields in draw order; the bias starts at zero."""
+    """A plain LSTM's weights in draw order, columns packed [i f o g]:
+    W_x (in_dim, 4H) takes the input, U_h (H, 4H) the hidden state, and
+    the bias b (4H) starts at zero."""
     return [
         ParamSpec("W_x", (in_dim, 4 * hidden), _packed(4)),
         ParamSpec("U_h", (hidden, 4 * hidden), _packed(4)),
@@ -113,8 +71,15 @@ def lstm_spec(in_dim: int, hidden: int) -> list[ParamSpec]:
 
 
 def st_lstm_spec(dim: int, hidden: int, n_locations: int) -> list[ParamSpec]:
-    """`STLSTMWeights` fields in draw order: main (W_x, U_h), spatial (W_s,
-    V_s, U_s), temporal (W_t, V_t, U_t), then W_h; biases start at zero."""
+    """The spatio-temporal cell's weights in draw order.  The main branch
+    is `lstm_spec`'s over the location embedding.  The spatial branch
+    takes the geo-cell embedding through W_s (dim, 3H) and the scaled
+    distance row through V_s (|L|, 3H), with U_s (H, 3H) and b_s (3H);
+    the temporal branch takes the time-slot embedding (W_t) and the
+    scaled duration row (V_t), with U_t and b_t.  The side branches have
+    no output gate, so their columns are [i f g].  W_h (3H, H) maps the
+    stacked cell states (c | c_s | c_t) to the hidden size.  Biases start
+    at zero."""
     gates = 3 * hidden
     return [
         *lstm_spec(dim, hidden),
@@ -403,33 +368,34 @@ def encode_by_length(histories: Sequence[Sequences], encode: Callable) -> list[t
     return out
 
 
-def st_lstm_encode(w: STLSTMWeights, inp: STLSTMInput) -> Tensor:
+def st_lstm_encode(w: Mapping[str, Tensor], inp: STLSTMInput) -> Tensor:
     """Run the sequence (or B sequences, see `STLSTMInput`) from a zero
     state and return the (T, H) stack of hidden states: `_encode` over the
-    main, spatial and temporal branches."""
-    hidden = w.hidden_dim
+    main, spatial and temporal branches of the weights `st_lstm_spec`
+    names."""
+    hidden = w["U_h"].shape[0]
     rows = inp.loc.value.shape[:-2]
     branches = [
-        ([(inp.loc, w.W_x)], w.U_h, w.b),
-        ([(inp.geo, w.W_s), (inp.dspace, w.V_s)], w.U_s, w.b_s),
-        ([(inp.slot, w.W_t), (inp.dtime, w.V_t)], w.U_t, w.b_t),
+        ([(inp.loc, w["W_x"])], w["U_h"], w["b"]),
+        ([(inp.geo, w["W_s"]), (inp.dspace, w["V_s"])], w["U_s"], w["b_s"]),
+        ([(inp.slot, w["W_t"]), (inp.dtime, w["V_t"])], w["U_t"], w["b_t"]),
     ]
-    return _encode(branches, w.W_h, np.zeros((*rows, hidden)), np.zeros((*rows, 3 * hidden)))[0]
+    return _encode(branches, w["W_h"], np.zeros((*rows, hidden)), np.zeros((*rows, 3 * hidden)))[0]
 
 
 def lstm_encode(
-    w: LSTMWeights, x: Tensor, h0: np.ndarray | None = None, c0: np.ndarray | None = None
+    w: Mapping[str, Tensor], x: Tensor, h0: np.ndarray | None = None, c0: np.ndarray | None = None
 ) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """Run a (T, in_dim) input from the state (h0, c0), zeros by default,
-    as `_encode`'s one-branch case; return the (T, H) stacked states and
-    the final (h, c) as arrays.
+    through the weights `lstm_spec` names, as `_encode`'s one-branch case;
+    return the (T, H) stacked states and the final (h, c) as arrays.
 
     Gradients flow from the stacked states into `x` and the weights.  The
     final state is a view of the forward trace, so a caller that keeps it
     should copy it.  A (B, T, in_dim) input runs B sequences together from
     (B, H) states, into constant states.
     """
-    rows = x.value.shape[:-2]
-    h = np.zeros((*rows, w.hidden_dim)) if h0 is None else h0
-    c = np.zeros((*rows, w.hidden_dim)) if c0 is None else c0
-    return _encode([([(x, w.W_x)], w.U_h, w.b)], None, h, c)
+    shape = (*x.value.shape[:-2], w["U_h"].shape[0])
+    h = np.zeros(shape) if h0 is None else h0
+    c = np.zeros(shape) if c0 is None else c0
+    return _encode([([(x, w["W_x"])], w["U_h"], w["b"])], None, h, c)

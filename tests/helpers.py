@@ -10,31 +10,20 @@ import odnext.autograd as ag
 from odnext.checkpoint import MAGIC
 from odnext.data import Corpus, LocationRecord, Trip
 from odnext.geo import GeoPoint
-from odnext.stlstm import LSTMWeights, STLSTMWeights
+from odnext.stlstm import st_lstm_spec
 
 DAY = 86400
 
 
-def degenerate_st_weights(lstm: LSTMWeights, dim: int, n_locations: int) -> STLSTMWeights:
-    """Spatio-temporal weights that collapse onto a plain LSTM: zeroed
-    side branches and a fusion matrix passing only the base cell state."""
-    h = lstm.hidden_dim
-    w_h = np.zeros((3 * h, h))
-    w_h[:h, :] = np.eye(h)
-    return STLSTMWeights(
-        W_x=lstm.W_x,
-        U_h=lstm.U_h,
-        b=lstm.b,
-        W_s=ag.parameter(np.zeros((dim, 3 * h))),
-        V_s=ag.parameter(np.zeros((n_locations, 3 * h))),
-        U_s=ag.parameter(np.zeros((h, 3 * h))),
-        b_s=ag.parameter(np.zeros(3 * h)),
-        W_t=ag.parameter(np.zeros((dim, 3 * h))),
-        V_t=ag.parameter(np.zeros((n_locations, 3 * h))),
-        U_t=ag.parameter(np.zeros((h, 3 * h))),
-        b_t=ag.parameter(np.zeros(3 * h)),
-        W_h=ag.parameter(w_h),
-    )
+def degenerate_st_weights(lstm: dict, dim: int, n_locations: int) -> dict:
+    """Spatio-temporal weights that collapse onto a plain LSTM: the plain
+    cell's own weights, zeroed side branches and a fusion matrix passing
+    only the base cell state."""
+    h = lstm["U_h"].shape[0]
+    w = {s.name: ag.parameter(np.zeros(s.shape)) for s in st_lstm_spec(dim, h, n_locations)}
+    w.update(lstm)
+    w["W_h"].value[:h] = np.eye(h)
+    return w
 
 
 def user_vector(model, user: int) -> np.ndarray | None:

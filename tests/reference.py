@@ -24,8 +24,7 @@ from odnext.data import encoder_sequences
 from odnext.geo import TIMESLOT_HOURS
 from odnext.model import _causal_mask, attend_backward
 from odnext.model import attend as attend_arrays
-from odnext.nn import draw_params
-from odnext.stlstm import LSTMWeights, STLSTMWeights, lstm_encode, lstm_spec, st_lstm_spec
+from odnext.stlstm import lstm_encode
 
 # -- autograd ops -----------------------------------------------------------
 
@@ -164,16 +163,6 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
 # -- recurrent cells, one step at a time ------------------------------------
 
 
-def init_lstm(rng: np.random.Generator, in_dim: int, hidden: int) -> LSTMWeights:
-    return LSTMWeights(**draw_params(lstm_spec(in_dim, hidden), rng))
-
-
-def init_st_lstm(
-    rng: np.random.Generator, dim: int, hidden: int, n_locations: int
-) -> STLSTMWeights:
-    return STLSTMWeights(**draw_params(st_lstm_spec(dim, hidden, n_locations), rng))
-
-
 def _gated_cell(z: Tensor, hidden: int, n_sig: int, c_prev: Tensor):
     """Sigmoid gates z[:n_sig] and the tanh candidate after them; returns
     (gates, c = f * c_prev + i * g)."""
@@ -185,18 +174,19 @@ def _gated_cell(z: Tensor, hidden: int, n_sig: int, c_prev: Tensor):
 
 
 def lstm_step(
-    w: LSTMWeights, x: Tensor, h_prev: Tensor, c_prev: Tensor
+    w: Mapping[str, Tensor], x: Tensor, h_prev: Tensor, c_prev: Tensor
 ) -> tuple[Tensor, Tensor]:
-    """One straightforward step; the reference for the fused encoder."""
-    hidden = w.hidden_dim
-    z = add(add(matmul(x, w.W_x), matmul(h_prev, w.U_h)), w.b)
+    """One straightforward step over `lstm_spec`'s weights; the reference
+    for the fused encoder."""
+    hidden = w["U_h"].shape[0]
+    z = add(add(matmul(x, w["W_x"]), matmul(h_prev, w["U_h"])), w["b"])
     gates, c = _gated_cell(z, hidden, 3 * hidden, c_prev)
     o = index(gates, slice(2 * hidden, 3 * hidden))
     return mul(o, tanh(c)), c
 
 
 def st_lstm_step(
-    w: STLSTMWeights,
+    w: Mapping[str, Tensor],
     x: Tensor,
     geo: Tensor,
     slot: Tensor,
@@ -207,19 +197,21 @@ def st_lstm_step(
     cs_prev: Tensor,
     ct_prev: Tensor,
 ) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    """One spatio-temporal step written branch by branch."""
-    hidden = w.hidden_dim
-    z = add(add(matmul(x, w.W_x), matmul(h_prev, w.U_h)), w.b)
+    """One spatio-temporal step over `st_lstm_spec`'s weights, written
+    branch by branch."""
+    hidden = w["U_h"].shape[0]
+    z = add(add(matmul(x, w["W_x"]), matmul(h_prev, w["U_h"])), w["b"])
     gates, c = _gated_cell(z, hidden, 3 * hidden, c_prev)
     o = index(gates, slice(2 * hidden, 3 * hidden))
 
-    def branch(Wb, Vb, Ub, bb, inp, drow, prev):
-        zb = add(add(add(matmul(inp, Wb), matmul(drow, Vb)), matmul(h_prev, Ub)), bb)
+    def branch(k, inp, drow, prev):  # k: "s" spatial, "t" temporal
+        zb = add(matmul(inp, w[f"W_{k}"]), matmul(drow, w[f"V_{k}"]))
+        zb = add(add(zb, matmul(h_prev, w[f"U_{k}"])), w[f"b_{k}"])
         return _gated_cell(zb, hidden, 2 * hidden, prev)[1]
 
-    c_s = branch(w.W_s, w.V_s, w.U_s, w.b_s, geo, dspace, cs_prev)
-    c_t = branch(w.W_t, w.V_t, w.U_t, w.b_t, slot, dtime, ct_prev)
-    h = mul(o, tanh(matmul(concat([c, c_s, c_t]), w.W_h)))
+    c_s = branch("s", geo, dspace, cs_prev)
+    c_t = branch("t", slot, dtime, ct_prev)
+    h = mul(o, tanh(matmul(concat([c, c_s, c_t]), w["W_h"])))
     return h, c, c_s, c_t
 
 

@@ -21,7 +21,9 @@ from odnext.data import build_interval_tables, build_vocab, preprocess
 from odnext.evaluation import STUDY_MODEL, STUDY_SYNTH, study_seed
 from odnext.geo import GeoPoint, geohash_encode
 from odnext.model import Model, ModelConfig
-from reference import grad_check, init_lstm, lstm_step, st_lstm_step
+from odnext.nn import draw_params
+from odnext.stlstm import lstm_spec
+from reference import grad_check, lstm_step, st_lstm_step
 
 from gradcheck_fixtures import GRADCHECK_SEEDS, micro_loss
 from helpers import degenerate_st_weights, random_corpus, user_vector
@@ -118,7 +120,7 @@ def test_criterion_03_degenerate_equivalence(capsys):
     dim, hidden, n_loc = 5, 7, 9
     worst = 0.0
     for _ in range(100):
-        lstm = init_lstm(rng, dim, hidden)
+        lstm = draw_params(lstm_spec(dim, hidden), rng)
         stw = degenerate_st_weights(lstm, dim, n_loc)
         x = ag.constant(rng.normal(size=dim))
         geo = ag.constant(rng.normal(size=dim))

@@ -205,7 +205,7 @@ class TestLoad:
             np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1 :]
         )
         # the model and its encoders wrap these very arrays, not copies
-        assert bundle.model.enc_o.W_x is bundle.model.params["enc_o/W_x"]
+        assert bundle.model.enc_o["W_x"] is bundle.model.params["enc_o/W_x"]
 
     def test_writing_a_loaded_array_leaves_the_file_unchanged(self, trained, tmp_path):
         path = tmp_path / "copy.ckpt"
@@ -236,11 +236,9 @@ class TestLoad:
         for name, p in fresh.params.items():
             np.testing.assert_array_equal(loaded.params[name].value, p.value)
         for enc in ("enc_o", "enc_d"):
-            expect, got = getattr(fresh, enc), getattr(loaded, enc)
-            assert type(got) is type(expect)
-            if got is not None:
-                assert vars(got).keys() == vars(expect).keys()
-                assert all(loaded.params[f"{enc}/{k}"] is t for k, t in vars(got).items())
+            got = getattr(loaded, enc)
+            assert list(got) == list(getattr(fresh, enc))
+            assert all(loaded.params[f"{enc}/{k}"] is t for k, t in got.items())
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("context", ATTENTION_CONTEXTS)

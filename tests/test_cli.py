@@ -301,6 +301,25 @@ class TestPipeline:
         out = capsys.readouterr().out
         assert report.read_text() == out
 
+    def test_report_file_survives_a_closed_stdout(self, pipeline, capsys, monkeypatch):
+        """`eval ... --report r.txt | head -1`: the reader may close the pipe
+        before the report is printed, and the file still holds it all."""
+
+        class ClosedPipe(io.StringIO):
+            def write(self, s):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        report = pipeline["dir"] / "closed.report"
+        args = ["eval", "--checkpoint", str(pipeline["ckpt"]), "--test", str(pipeline["test"])]
+        assert main(args) == 0
+        full = capsys.readouterr().out
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main([*args, "--report", str(report)]) == 2
+        assert report.read_text() == full
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "error: [Errno 32] Broken pipe"
+        assert sum(line.startswith("error:") for line in err) == 1
+
     def test_ablate_covers_model_and_baselines(self, pipeline, capsys):
         rc = main(
             [

@@ -30,10 +30,18 @@ from odnext.model import (
     attend_backward,
     attention_keys,
 )
-from odnext.nn import ContractViolation
-from odnext.stlstm import STLSTMInput, _regroup, _ungroup, lstm_encode, st_lstm_encode
+from odnext.nn import ContractViolation, draw_params
+from odnext.stlstm import (
+    STLSTMInput,
+    _regroup,
+    _ungroup,
+    lstm_encode,
+    lstm_spec,
+    st_lstm_encode,
+    st_lstm_spec,
+)
 from odnext.synth import SynthConfig, generate
-from reference import init_lstm, init_st_lstm, lstm_step, st_lstm_step
+from reference import lstm_step, st_lstm_step
 
 TOL = 1e-12
 STEPS = (0, 1, 2, 7)
@@ -69,8 +77,8 @@ class TestRecurrentKernels:
     def test_st_lstm_matches_step_loop(self, steps):
         rng = np.random.default_rng([11, steps])
         dim, hidden, n_loc = 4, 5, 6
-        w = init_st_lstm(rng, dim, hidden, n_loc)
-        for p in vars(w).values():  # non-zero biases exercise every column
+        w = draw_params(st_lstm_spec(dim, hidden, n_loc), rng)
+        for p in w.values():  # non-zero biases exercise every column
             p.value += rng.normal(scale=0.1, size=p.value.shape)
         inp = STLSTMInput(
             loc=ag.parameter(rng.normal(size=(steps, dim))),
@@ -80,7 +88,7 @@ class TestRecurrentKernels:
             dtime=ag.parameter(rng.uniform(size=(steps, n_loc))),
         )
         probe = ag.constant(rng.normal(size=(steps, hidden)))
-        tensors = [*vars(w).values(), inp.loc, inp.geo, inp.slot, inp.dspace, inp.dtime]
+        tensors = [*w.values(), inp.loc, inp.geo, inp.slot, inp.dspace, inp.dtime]
 
         fused = st_lstm_encode(w, inp)
         if steps == 0:
@@ -109,13 +117,13 @@ class TestRecurrentKernels:
         # from a non-zero initial state, as a continued sequence starts
         rng = np.random.default_rng([12, steps])
         in_dim, hidden = 3, 5
-        w = init_lstm(rng, in_dim, hidden)
-        w.b.value += rng.normal(scale=0.1, size=w.b.value.shape)
+        w = draw_params(lstm_spec(in_dim, hidden), rng)
+        w["b"].value += rng.normal(scale=0.1, size=w["b"].value.shape)
         x = ag.parameter(rng.normal(size=(steps, in_dim)))
         h0 = rng.normal(scale=0.5, size=hidden)
         c0 = rng.normal(scale=0.5, size=hidden)
         probe = ag.constant(rng.normal(size=(steps, hidden)))
-        tensors = [*vars(w).values(), x]
+        tensors = [*w.values(), x]
 
         fused, h_fin, c_fin = lstm_encode(w, x, h0, c0)
         h, c = ag.constant(h0), ag.constant(c0)

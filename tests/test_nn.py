@@ -1,11 +1,20 @@
-"""Init, Adam, and the gradient-check harness itself."""
+"""Init, parameter scopes, Adam, and the gradient-check harness itself."""
 
 import numpy as np
 from hypothesis import given, strategies as st
 
 import odnext.autograd as ag
 import reference as ref
-from odnext.nn import Adam, embedding_init, glorot_uniform
+from odnext.nn import (
+    Adam,
+    ParamSpec,
+    draw_params,
+    embedding_init,
+    glorot_uniform,
+    prefixed,
+    scope,
+    zeros_init,
+)
 from reference import grad_check
 
 
@@ -15,6 +24,30 @@ class TestEmbedding:
         assert e.shape == (50, 16)
         assert (np.abs(e) <= 0.1).all()
         assert np.abs(e).max() > 0.05  # actually spread out
+
+
+# spec names may nest ("emb/loc"); a prefix and its sibling do not
+_NAMES = st.lists(st.text(alphabet="ab_/", min_size=1, max_size=5), unique=True, max_size=5)
+_PREFIX = st.text(alphabet="ab_", min_size=1, max_size=4)
+
+
+@given(_NAMES, _NAMES, _PREFIX, _PREFIX)
+def test_scope_is_the_inverse_of_prefixed(names, sibling_names, prefix, suffix):
+    """`scope(params, p)` gives back, in order and as the same Tensors,
+    exactly what `prefixed(p, ...)` declared, and nothing of a sibling
+    prefix such as p + "_o"."""
+    sibling = prefix + suffix
+    specs = [ParamSpec(n, (1,), zeros_init) for n in names]
+    siblings = [ParamSpec(n, (2,), zeros_init) for n in sibling_names]
+    params = draw_params(
+        [*prefixed(sibling, siblings), *prefixed(prefix, specs)], np.random.default_rng(0)
+    )
+    got = scope(params, prefix)
+    assert list(got) == names
+    assert all(got[n] is params[f"{prefix}/{n}"] for n in names)
+    respecified = [ParamSpec(n, t.shape, zeros_init) for n, t in got.items()]
+    assert prefixed(prefix, respecified) == prefixed(prefix, specs)
+    assert list(scope(params, sibling)) == sibling_names
 
 
 class TestGlorot:

@@ -21,15 +21,16 @@ from odnext.baselines import ODLSTM, ODLSTMConfig
 from odnext.data import Corpus, Sequences, Trip, build_interval_tables, build_vocab
 from odnext.evaluation import cold_start_eval
 from odnext.model import ATTENTION_CONTEXTS, VARIANTS, Model, ModelConfig
-from odnext.nn import ContractViolation
+from odnext.nn import ContractViolation, draw_params
 from odnext.stlstm import (
     MAX_ROWS,
     STLSTMInput,
     encode_by_length,
     lstm_encode,
+    lstm_spec,
     st_lstm_encode,
+    st_lstm_spec,
 )
-from reference import init_lstm, init_st_lstm
 
 N_LOCATIONS = 7
 
@@ -146,7 +147,7 @@ def test_odlstm_final_states_match_one_encode_per_user(corpus):
 @settings(max_examples=20, deadline=None)
 def test_lstm_rows_match_one_sequence_from_any_state(rows, steps):
     rng = np.random.default_rng([rows, steps])
-    w = init_lstm(rng, 3, 5)
+    w = draw_params(lstm_spec(3, 5), rng)
     x = rng.normal(size=(rows, steps, 3))
     h0 = rng.normal(size=(rows, 5))
     c0 = rng.normal(size=(rows, 5))
@@ -163,12 +164,12 @@ def test_a_row_axis_encode_is_a_constant():
     """Rows keep no backward trace, so their states go on no tape, even
     over parameters; a one-sequence encode of the same inputs does."""
     rng = np.random.default_rng(0)
-    w = init_lstm(rng, 3, 4)
+    w = draw_params(lstm_spec(3, 4), rng)
     x = ag.parameter(rng.normal(size=(2, 3, 3)))
     states, _, _ = lstm_encode(w, x)
     assert states.shape == (2, 3, 4) and not ag.needs_grad(states)
     assert ag.needs_grad(lstm_encode(w, ag.take_rows(x, 0))[0])
-    stw = init_st_lstm(rng, 3, 4, 5)
+    stw = draw_params(st_lstm_spec(3, 4, 5), rng)
     emb, dist = ag.parameter(np.zeros((2, 3, 3))), ag.parameter(np.zeros((2, 3, 5)))
     states = st_lstm_encode(stw, STLSTMInput(emb, emb, emb, dist, dist))
     assert states.shape == (2, 3, 4) and not ag.needs_grad(states)
