@@ -1,30 +1,33 @@
-"""Checkpoint format 3: one magic line, one JSON header line, raw tensors.
+"""Checkpoint format 4: one magic line, one JSON header line, raw tensors.
 
-The header carries what is small and per model: the configuration, the
-vocabulary (with the string ids needed to answer queries by id), the
-interval-table scale constants, each user's `last_dest` and `n_train`,
-and the list of tensors with their dtypes and shapes.  The tensors follow
-the header as raw little-endian bytes in that order: the model
-parameters, the two interval tables, then every user's cached origin and
-destination sequences (`cache/oseq`, `cache/dseq`, int64, users one after
-another), encoder states (`cache/states`, float64) and, for every variant
-but encoder-only, the states' attention keys (`cache/keys`, float64, the
-shape of `cache/states`).  These four are `EncodedCache`'s flat arrays
-as they are: a user's rows are a view taken on access, at offsets
-derived once from `n_train`.  The cached states and keys hold only for
-the parameters stored with them.  Format 3 added `cache/keys`; files of
+The header holds only what the program cannot derive: the configuration,
+the location and user ids, the geohash codes, the time-slot count and the
+interval-table scale constants.  No tensor table is stored: the tensors
+follow as raw little-endian bytes, 8 per element, in the order and with
+the shapes that `_expected_tensors` derives from the header.  They are
+the model parameters, the two interval tables, each location's geohash id
+(`vocab/loc_geohash`), each user's last destination and training-trip
+count (`cache/last_dest`, `cache/n_train`), then every user's cached
+origin and destination sequences (`cache/oseq`, `cache/dseq`, int64),
+encoder states (`cache/states`, float64) and, for every variant but
+encoder-only, the states' attention keys (`cache/keys`, float64, the
+shape of `cache/states`).  The last four are `EncodedCache`'s flat arrays
+as they are, users one after another, so their lengths follow from the
+stored `n_train`; a user's rows are a view taken on access.  The cached
+states and keys hold only for the parameters stored with them.  Files of
 an older format are refused.  The header line is padded with spaces so
-that the payload starts on a 64-byte boundary; every tensor is 8 bytes
-per element, so each one starts on an 8-byte boundary, and a
-save/load/save round trip reproduces the file byte for byte.
+that the payload starts on a 64-byte boundary, so each tensor starts on
+an 8-byte one, and a save/load/save round trip reproduces the file.
 
-`load_checkpoint` maps the payload privately (`mmap.ACCESS_COPY`) and
-wraps each tensor as a view, with no per-user work, so a load reads the
+`load_checkpoint` checks that the payload holds the tensors whose shapes
+the header fixes, maps the file privately (`mmap.ACCESS_COPY`), reads
+`n_train` there and then requires the exact payload size.  Every tensor
+is a view of the mapping, with no per-user work, so a load reads the
 header and then only the pages that a query touches, and writing into a
-loaded array never reaches the file.  `save_checkpoint` runs the
-loader's own checks (`_check_header`, `_expected_tensors`), so it writes
-only what a load accepts, to a temporary file next to the target that it
-renames over the target: a process serving the old file keeps its mapping.
+loaded array never reaches the file.  `save_checkpoint` runs the loader's
+own checks, so it writes only what a load accepts, to a temporary file
+next to the target that it renames over the target: a process serving
+the old file keeps its mapping.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ import mmap
 import os
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate
 
 import numpy as np
@@ -46,12 +48,12 @@ from .geo import N_TIMESLOTS
 from .model import EncodedCache, Model, ModelConfig, history_bounds, in_range, param_specs
 from .nn import ContractViolation
 
-MAGIC = "ODNEXT-CKPT 3"
+MAGIC = "ODNEXT-CKPT 4"
 _ALIGN = 64  # payload start; views that are not aligned leave numpy's BLAS path
 _TABLES = ("tables/spatial", "tables/temporal")
+_INDICES = ("vocab/loc_geohash", "cache/last_dest", "cache/n_train")
 _SEQUENCES = ("cache/oseq", "cache/dseq")
 _F8, _I8 = "<f8", "<i8"
-_int64s = partial(np.asarray, dtype=np.int64)
 
 
 class CheckpointFormatError(ValueError):
@@ -69,6 +71,8 @@ class CheckpointBundle:
 def _tensor_list(model: Model, cache: EncodedCache) -> list[tuple[str, str, np.ndarray]]:
     out = [(f"param/{name}", _F8, p.value) for name, p in model.params.items()]
     out += [(key, _F8, t) for key, t in zip(_TABLES, (model.tables.spatial, model.tables.temporal))]
+    indices = (model.vocab.loc_geohash, cache.last_dest, cache.n_train)
+    out += [(key, _I8, a) for key, a in zip(_INDICES, indices)]
     out += [(key, _I8, rows.flat) for key, rows in zip(_SEQUENCES, (cache.oseq, cache.dseq))]
     out.append(("cache/states", _F8, cache.states.flat))
     if cache.keys is not None:
@@ -100,32 +104,27 @@ def save_checkpoint(
     tensors = _tensor_list(model, cache)
     specs = [(name, dtype, a.shape) for name, dtype, a in tensors]
     try:
-        _check_header(vocab, (location_ids, user_ids), specs, cache.last_dest, cache.n_train)
+        _check_header(vocab, (location_ids, user_ids))
     except ValueError as e:
         raise ContractViolation(str(e)) from None
+    fixed, per_row = _expected_tensors(config, vocab, param_specs(config, vocab))
     rows = int(history_bounds(cache.n_train)[-1])
-    expected = _expected_tensors(config, vocab, param_specs(config, vocab), rows)
-    if wrong := _mismatch(specs, expected):
+    if wrong := _mismatch(specs, fixed + _cached_shapes(per_row, rows)):
         raise ContractViolation(wrong)
     if unsafe := [name for name, dtype, a in tensors if not np.can_cast(a.dtype, dtype, "safe")]:
         raise ContractViolation(f"tensors that do not cast safely to their stored dtype: {unsafe}")
+    try:
+        _check_indices(vocab, cache.last_dest, cache.n_train)
+    except ValueError as e:
+        raise ContractViolation(str(e)) from None
     header = {
         "config": config.as_dict(),
         "ids": {"locations": list(location_ids), "users": list(user_ids)},
-        "vocab": {
-            "geohash_codes": list(vocab.geohash_codes),
-            "loc_geohash": vocab.loc_geohash.tolist(),
-            "n_timeslots": vocab.n_timeslots,
-        },
+        "vocab": {"geohash_codes": list(vocab.geohash_codes), "n_timeslots": vocab.n_timeslots},
         "scales": {
             "d_max_km": model.tables.d_max_km,
             "t_max_hours": model.tables.t_max_hours,
         },
-        "cache": {
-            "last_dest": cache.last_dest.tolist(),
-            "n_train": cache.n_train.tolist(),
-        },
-        "tensors": [{"name": n, "dtype": dtype, "shape": list(shape)} for n, dtype, shape in specs],
     }
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
     try:
@@ -151,12 +150,11 @@ def _field(header: dict, section: str, key: str, convert):
         raise ValueError(f"{section}.{key}: {e}") from None
 
 
-def _check_header(vocab: Vocab, ids: tuple, specs: list, last_dest, n_train) -> None:
+def _check_header(vocab: Vocab, ids: tuple) -> None:
     """Raise ValueError where the header disagrees with itself or with the
-    program: a time-slot count other than `geo.N_TIMESLOTS`, id lists that
-    are not the vocabulary's size or repeat an id, tensor shapes that are
-    not sizes, geohash ids against the geohash codes, cache fields against
-    the user count, or a last destination outside the vocabulary."""
+    program: no location ids, a time-slot count other than
+    `geo.N_TIMESLOTS`, or id lists that are not the vocabulary's size or
+    repeat an id.  Every count that sizes a tensor is then an int."""
     n_loc = vocab.n_locations
     if n_loc < 1:
         raise ValueError("no location ids")
@@ -168,29 +166,42 @@ def _check_header(vocab: Vocab, ids: tuple, specs: list, last_dest, n_train) -> 
         if len(set(names)) != len(names):  # counted only when there are repeats
             repeated = [i for i, count in Counter(names).items() if count > 1]
             raise ValueError(f"duplicate {what} ids {repeated[:3]}")
-    if not all(type(n) is int and n >= 0 for _, _, shape in specs for n in shape):
-        raise ValueError("tensor shapes must be non-negative integers")
-    if vocab.loc_geohash.shape != (n_loc,) or not in_range(vocab.loc_geohash, vocab.n_geohashes):
+
+
+def _check_indices(vocab: Vocab, last_dest: np.ndarray, n_train: np.ndarray) -> None:
+    """Raise ValueError where the index arrays, of the shapes
+    `_expected_tensors` gives them, disagree with the header: a geohash id
+    outside the geohash codes, a negative `n_train`, or a last destination
+    that is not -1 exactly where `n_train` is 0 and a location elsewhere."""
+    n_loc = vocab.n_locations
+    if not in_range(vocab.loc_geohash, vocab.n_geohashes):
         raise ValueError(f"loc_geohash is not {n_loc} ids in [0, {vocab.n_geohashes})")
-    n = vocab.n_users
-    if (last_dest.shape, n_train.shape) != ((n,), (n,)):
-        raise ValueError(f"cache metadata does not cover {vocab.n_users} users")
-    if np.any(n_train < 0) or np.any(last_dest[n_train == 0] != -1):
+    if (n_train < 0).any() or (last_dest[n_train == 0] != -1).any():
         raise ValueError("n_train must be non-negative, and last_dest -1 exactly where it is 0")
     if not in_range(last_dest[n_train > 0], n_loc):
         raise ValueError(f"cached location outside [0, {n_loc})")
 
 
-def _expected_tensors(config: ModelConfig, vocab: Vocab, params: list, rows: int) -> list:
-    """(name, dtype, shape) of every stored tensor, in file order, for the
-    declared parameters `params` and `rows` cached sequence rows in all."""
-    out = [(f"param/{s.name}", _F8, s.shape) for s in params]
-    out += [(key, _F8, (vocab.n_locations, vocab.n_locations)) for key in _TABLES]
-    out += [(key, _I8, (rows,)) for key in _SEQUENCES]
-    out.append(("cache/states", _F8, (2 * rows, config.state_dim)))
+def _expected_tensors(config: ModelConfig, vocab: Vocab, params: list) -> tuple[list, list]:
+    """(fixed, per_row): (name, dtype, shape) of every stored tensor, in
+    file order, for the declared parameters `params`.  The header fixes
+    the shapes in `fixed`, which ends with `cache/n_train`; the cached
+    tensors of `per_row` follow, each shape given for one cached sequence
+    row (`_cached_shapes`)."""
+    n_loc, n_users = vocab.n_locations, vocab.n_users
+    fixed = [(f"param/{s.name}", _F8, s.shape) for s in params]
+    fixed += [(key, _F8, (n_loc, n_loc)) for key in _TABLES]
+    fixed += [(key, _I8, (n,)) for key, n in zip(_INDICES, (n_loc, n_users, n_users))]
+    per_row = [(key, _I8, (1,)) for key in _SEQUENCES]
+    per_row.append(("cache/states", _F8, (2, config.state_dim)))
     if config.variant != "encoder-only":
-        out.append(("cache/keys", _F8, (2 * rows, config.state_dim)))
-    return out
+        per_row.append(("cache/keys", _F8, (2, config.state_dim)))
+    return fixed, per_row
+
+
+def _cached_shapes(per_row: list, rows: int) -> list:
+    """`per_row` for `rows` cached sequence rows in all."""
+    return [(name, dtype, (k * rows, *rest)) for name, dtype, (k, *rest) in per_row]
 
 
 def _mismatch(specs: list, expected: list) -> str | None:
@@ -217,13 +228,31 @@ def _read_magic(f, path: str) -> None:
     raise CheckpointFormatError(f"{path}: missing checkpoint magic {MAGIC!r}")
 
 
+def _sizes(path: str, specs: list, at: int, end: int) -> list[int]:
+    """Each tensor's size in bytes, for `specs` stored from byte `at` of a
+    file of `end` bytes on; the first tensor that ends beyond the file is
+    named in a CheckpointFormatError."""
+    sizes = [8 * math.prod(shape) for _, _, shape in specs]
+    if at + sum(sizes) > end:
+        name = next(name for (name, _, _), n in zip(specs, accumulate(sizes)) if at + n > end)
+        raise CheckpointFormatError(f"{path}: payload truncated at tensor {name!r}")
+    return sizes
+
+
+def _views(mapped: mmap.mmap, specs: list, sizes: list[int], at: int) -> list[np.ndarray]:
+    """One view of the mapping per tensor of `specs`, the first at byte `at`."""
+    offsets = accumulate(sizes, initial=at)
+    return [np.ndarray(shape, dtype, mapped, o) for (_, dtype, shape), o in zip(specs, offsets)]
+
+
 def load_checkpoint(path: str) -> CheckpointBundle:
-    """Read the header and check it against itself, against the model's
-    parameter declaration and against the file size; then map the file
-    privately and wrap every tensor as a view of the mapping (no copy, no
-    read of pages nobody touches), which the model wraps without an
-    initialisation draw.  Cached locations are range-checked on the
-    mapped sequences."""
+    """Read the header and check it against itself and the program; check
+    that the payload holds the tensors whose shapes the header fixes, then
+    map the file privately and wrap every tensor as a view of the mapping
+    (no copy, no read of pages nobody touches), which the model wraps
+    without an initialisation draw.  The index arrays are checked on the
+    mapping, and the stored `n_train` fixes the cached tensors' lengths
+    and so the exact payload size."""
     with open(path, "rb") as f:
         _read_magic(f, path)
         line = f.readline()
@@ -236,72 +265,58 @@ def load_checkpoint(path: str) -> CheckpointBundle:
 
         try:
             config = ModelConfig(**header["config"])
-            loc_ids = _field(header, "ids", "locations", list)
-            user_ids = _field(header, "ids", "users", list)
+            ids = _field(header, "ids", "locations", list), _field(header, "ids", "users", list)
             vocab = Vocab(
-                n_locations=len(loc_ids),
-                n_users=len(user_ids),
+                n_locations=len(ids[0]),
+                n_users=len(ids[1]),
                 n_timeslots=header["vocab"]["n_timeslots"],
                 geohash_codes=_field(header, "vocab", "geohash_codes", list),
-                loc_geohash=_field(header, "vocab", "loc_geohash", _int64s),
+                loc_geohash=None,  # read from the payload, once it is mapped
                 geohash_precision=config.geohash_precision,
                 utc_offset_hours=config.utc_offset_hours,
             )
-            specs = [
-                (str(t["name"]), str(t["dtype"]), tuple(t["shape"])) for t in header["tensors"]
-            ]
             d_max_km = _field(header, "scales", "d_max_km", float)
             t_max_hours = _field(header, "scales", "t_max_hours", float)
-            last_dest = _field(header, "cache", "last_dest", _int64s)
-            n_train = _field(header, "cache", "n_train", _int64s)
-            _check_header(vocab, (loc_ids, user_ids), specs, last_dest, n_train)
+            _check_header(vocab, ids)
         except (KeyError, TypeError, ValueError, OverflowError) as e:
             # ValueError covers ContractViolation from an invalid stored config
             raise CheckpointFormatError(f"{path}: incomplete or invalid header ({e})") from None
 
-        bounds = history_bounds(n_train)
-        if (bounds < 0).any():  # a sum past int64 wraps negative first
-            raise CheckpointFormatError(f"{path}: n_train sums beyond int64")
-        params = param_specs(config, vocab)
-        expected = _expected_tensors(config, vocab, params, int(bounds[-1]))
-        if wrong := _mismatch(specs, expected):
-            raise CheckpointFormatError(f"{path}: {wrong}")
         start = f.tell()
         if start % _ALIGN:
             raise CheckpointFormatError(f"{path}: payload not on a {_ALIGN}-byte boundary")
-        nbytes = [8 * math.prod(shape) for _, _, shape in specs]  # checked ints
-        payload, declared = os.fstat(f.fileno()).st_size - start, sum(nbytes)
-        if declared > payload:
-            ends = accumulate(nbytes)
-            name = next(name for (name, _, _), end in zip(specs, ends) if end > payload)
-            raise CheckpointFormatError(f"{path}: payload truncated at tensor {name!r}")
-        if declared < payload:
-            raise CheckpointFormatError(f"{path}: {payload - declared} trailing bytes")
+        end = os.fstat(f.fileno()).st_size
+        params = param_specs(config, vocab)
+        fixed, per_row = _expected_tensors(config, vocab, params)
+        sizes = _sizes(path, fixed, start, end)
         # private and writable, never written back; the mapping outlives f
         mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_COPY)
 
-    offsets = accumulate(nbytes, initial=start)
-    arrays = {
-        name: np.frombuffer(mapped, dtype=dtype, count=math.prod(shape), offset=at).reshape(shape)
-        for (name, dtype, shape), at in zip(specs, offsets)
-    }
+    views = _views(mapped, fixed, sizes, start)
+    *values, spatial, temporal, loc_geohash, last_dest, n_train = views
+    vocab.loc_geohash = loc_geohash
+    try:
+        _check_indices(vocab, last_dest, n_train)
+    except ValueError as e:
+        raise CheckpointFormatError(f"{path}: {e}") from None
+    bounds = history_bounds(n_train)
+    if (bounds < 0).any():  # a sum past int64 wraps negative first
+        raise CheckpointFormatError(f"{path}: n_train sums beyond int64")
+    cached = _cached_shapes(per_row, int(bounds[-1]))
+    at = start + sum(sizes)
+    sizes = _sizes(path, cached, at, end)
+    if trailing := end - at - sum(sizes):
+        raise CheckpointFormatError(f"{path}: {trailing} trailing bytes")
+    oseq, dseq, states, *keys = _views(mapped, cached, sizes, at)
     n_loc = vocab.n_locations
-    if not all(in_range(arrays[key], n_loc) for key in _SEQUENCES):
+    if not (in_range(oseq, n_loc) and in_range(dseq, n_loc)):
         raise CheckpointFormatError(f"{path}: cached location outside [0, {n_loc})")
 
     tables = IntervalTables(
-        spatial=arrays["tables/spatial"],
-        temporal=arrays["tables/temporal"],
-        d_max_km=d_max_km,
-        t_max_hours=t_max_hours,
+        spatial=spatial, temporal=temporal, d_max_km=d_max_km, t_max_hours=t_max_hours
     )
-    values = {name[len("param/") :]: a for name, a in arrays.items() if name.startswith("param/")}
+    values = dict(zip((s.name for s in params), values))
     model = Model(config, vocab, tables, values, specs=params)
-    cache = EncodedCache.from_flat(
-        arrays["cache/states"],
-        arrays.get("cache/keys"),
-        *(arrays[key] for key in _SEQUENCES),
-        last_dest,
-        n_train,
-    )
-    return CheckpointBundle(model=model, cache=cache, location_ids=loc_ids, user_ids=user_ids)
+    keys = keys[0] if keys else None
+    cache = EncodedCache.from_flat(states, keys, oseq, dseq, last_dest, n_train)
+    return CheckpointBundle(model=model, cache=cache, location_ids=ids[0], user_ids=ids[1])

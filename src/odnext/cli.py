@@ -108,11 +108,15 @@ def parse_overrides(base, d: dict):
 
 
 def parse_seeds(text: str) -> list[int]:
-    """The comma list of integers a `--seeds` flag holds."""
+    """The comma list of distinct integers a `--seeds` flag holds."""
     try:
-        return [int(s) for s in text.split(",")]
+        seeds = [int(s) for s in text.split(",")]
     except ValueError:
         raise ContractViolation(f"--seeds takes a comma list of integers, not {text!r}") from None
+    if len(set(seeds)) != len(seeds):
+        repeated = next(s for i, s in enumerate(seeds) if s in seeds[:i])
+        raise ContractViolation(f"--seeds repeats seed {repeated} in {text!r}")
+    return seeds
 
 
 def _emit(lines: list[str], report_path: str | None) -> None:

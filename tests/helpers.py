@@ -2,12 +2,11 @@
 test modules."""
 
 import json
-import math
 
 import numpy as np
 
 import odnext.autograd as ag
-from odnext.checkpoint import MAGIC
+from odnext.checkpoint import MAGIC, load_checkpoint
 from odnext.data import Corpus, LocationRecord, Trip
 from odnext.geo import GeoPoint
 from odnext.stlstm import st_lstm_spec
@@ -90,11 +89,36 @@ def join_checkpoint(fields: dict, payload: bytes, magic: str = MAGIC) -> bytes:
     return head + b" " * (-(len(head) + 1) % 64) + b"\n" + payload
 
 
-def tensor_offset(fields: dict, name: str) -> int:
-    """Where the named tensor starts in the payload (8 bytes an element)."""
-    at = 0
-    for t in fields["tensors"]:
-        if t["name"] == name:
-            return at
-        at += 8 * math.prod(t["shape"])
-    raise KeyError(name)
+def stored_arrays(bundle) -> dict[str, np.ndarray]:
+    """Every tensor of a loaded checkpoint under its stored name, each a
+    view of the mapped file."""
+    m, c = bundle.model, bundle.cache
+    out = {f"param/{name}": p.value for name, p in m.params.items()}
+    out |= {
+        "tables/spatial": m.tables.spatial,
+        "tables/temporal": m.tables.temporal,
+        "vocab/loc_geohash": m.vocab.loc_geohash,
+        "cache/last_dest": c.last_dest,
+        "cache/n_train": c.n_train,
+        "cache/oseq": c.oseq.flat,
+        "cache/dseq": c.dseq.flat,
+        "cache/states": c.states.flat,
+    }
+    if c.keys is not None:
+        out["cache/keys"] = c.keys.flat
+    return out
+
+
+def tensor_offsets(path) -> dict[str, int]:
+    """Where each tensor of the checkpoint at `path` starts in its payload:
+    the address of its loaded view less that of the first tensor."""
+    arrays = stored_arrays(load_checkpoint(str(path)))
+    address = {name: a.__array_interface__["data"][0] for name, a in arrays.items()}
+    start = min(address.values())
+    return {name: at - start for name, at in address.items()}
+
+
+def int64s(payload: bytearray, at: int, n: int) -> np.ndarray:
+    """The n int64 values from byte `at` of a payload, as a view that
+    edits the payload when written."""
+    return np.frombuffer(payload, dtype="<i8", count=n, offset=at)

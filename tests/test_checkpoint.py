@@ -33,7 +33,14 @@ from odnext.model import ATTENTION_CONTEXTS, VARIANTS, EncodedCache, Model, Mode
 from odnext.nn import ContractViolation
 from odnext.synth import SynthConfig, generate
 
-from helpers import join_checkpoint, split_checkpoint, tensor_offset, user_vector
+from helpers import (
+    int64s,
+    join_checkpoint,
+    split_checkpoint,
+    stored_arrays,
+    tensor_offsets,
+    user_vector,
+)
 
 CACHE_FIELDS = ("states", "keys", "oseq", "dseq")
 
@@ -96,6 +103,38 @@ class TestRoundTrip:
         assert bundle.user_ids == corpus.users
         assert bundle.model.vocab.geohash_codes == model.vocab.geohash_codes
         np.testing.assert_array_equal(bundle.model.vocab.loc_geohash, model.vocab.loc_geohash)
+
+
+class TestHeader:
+    def test_header_holds_only_what_the_program_cannot_derive(self, trained):
+        """No tensor table and no per-location or per-user array: those
+        follow from the configuration and the id counts, or are tensors."""
+        _, fields, _ = split_checkpoint(open(trained[-1], "rb").read())
+        assert {key: sorted(value) for key, value in fields.items()} == {
+            "config": sorted(ModelConfig().as_dict()),
+            "ids": ["locations", "users"],
+            "scales": ["d_max_km", "t_max_hours"],
+            "vocab": ["geohash_codes", "n_timeslots"],
+        }
+
+    def test_header_line_does_not_depend_on_the_cached_histories(self, trained, tmp_path):
+        """Two checkpoints of one model and one set of users, whose caches
+        differ in every user's n_train and in last destinations, have the
+        same header line byte for byte."""
+        corpus, split, model, cache, path = trained
+        train = split.train
+        shorter = Corpus(train.locations, train.users, [t[:-1] for t in train.trips_by_user])
+        other = model.build_cache(shorter)
+        assert (other.n_train != cache.n_train).all()
+        assert (other.last_dest != cache.last_dest).any()
+        other_path = tmp_path / "shorter.ckpt"
+        save_checkpoint(str(other_path), model, other, [r.loc_id for r in corpus.locations],
+                        corpus.users)
+        head = open(path, "rb").read().split(b"\n", 2)[:2]
+        assert other_path.read_bytes().split(b"\n", 2)[:2] == head
+        reloaded = load_checkpoint(str(other_path)).cache
+        assert reloaded.n_train.tolist() == other.n_train.tolist()
+        assert reloaded.last_dest.tolist() == other.last_dest.tolist()
 
 
 @pytest.fixture(scope="module", params=VARIANTS)
@@ -255,13 +294,12 @@ class TestLoad:
         path = str(tmp_path / "fresh.ckpt")
         save_checkpoint(path, fresh, fresh.build_cache(split.train),
                         [r.loc_id for r in corpus.locations], corpus.users)
-        _, fields, _ = split_checkpoint(open(path, "rb").read())
-        names = [t["name"] for t in fields["tensors"]]
+        _, _, payload = split_checkpoint(open(path, "rb").read())
         attends = variant != "encoder-only"
-        assert ("cache/keys" in names) == attends
         bundle = load_checkpoint(path)
         m, cache = bundle.model, bundle.cache
         assert (cache.keys is not None) == attends
+        assert len(payload) == 8 * sum(a.size for a in stored_arrays(bundle).values())
         keyless = replace(cache, keys=None)
         origins, dprevs = np.array([0, 3, 7]), np.array([2, 2, 5])
         for u in np.flatnonzero(cache.n_train >= 2):
@@ -353,7 +391,8 @@ class TestFailureModes:
             with pytest.raises(ContractViolation, match=rf"misshapen.*\['cache/{name}'\]"):
                 save_checkpoint(str(tmp_path / "x.ckpt"), model, _rebuilt(cache, **bad), *ids)
         shrunk = _rebuilt(cache, n_train=cache.n_train[1:], last_dest=cache.last_dest[1:])
-        with pytest.raises(ContractViolation, match="does not cover 12 users"):
+        wrong = r"misshapen.*'cache/last_dest', 'cache/n_train'"
+        with pytest.raises(ContractViolation, match=wrong):
             save_checkpoint(str(tmp_path / "x.ckpt"), model, shrunk, *ids)
 
     def test_save_refuses_keys_that_disagree_with_the_states(self, trained, tmp_path):
@@ -432,9 +471,11 @@ class TestFailureModes:
         assert guarded(save_checkpoint, target, model, cache, loc_ids, user_ids) == 1
         assert "duplicate" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_older_format_version_is_2(self, trained, tmp_path, capsys, version):
-        """Format 2 held no attention keys; format 1 predates the aligned, mapped payload."""
+        """Format 3 stored a tensor table and the per-user lists in its
+        header; format 2 held no attention keys; format 1 predates the
+        aligned, mapped payload."""
         _, fields, payload = split_checkpoint(open(trained[-1], "rb").read())
         old = tmp_path / "old.ckpt"
         old.write_bytes(join_checkpoint(fields, payload, magic=f"ODNEXT-CKPT {version}"))
@@ -450,11 +491,11 @@ class TestFailureModes:
         """The last element of a cached sequence, read from the mapped
         payload, is range-checked like the first."""
         _, fields, payload = split_checkpoint(open(trained[-1], "rb").read())
-        (rows,) = next(t["shape"] for t in fields["tensors"] if t["name"] == key)
-        at = tensor_offset(fields, key) + 8 * (rows - 1)
-        payload = payload[:at] + np.int64(value).tobytes() + payload[at + 8 :]
+        payload = bytearray(payload)
+        rows = len(stored_arrays(load_checkpoint(trained[-1]))[key])
+        int64s(payload, tensor_offsets(trained[-1])[key], rows)[-1] = value
         bad = tmp_path / "range.ckpt"
-        bad.write_bytes(join_checkpoint(fields, payload))
+        bad.write_bytes(join_checkpoint(fields, bytes(payload)))
         with pytest.raises(CheckpointFormatError, match="cached location outside"):
             load_checkpoint(str(bad))
         rc = main(["predict", "--checkpoint", str(bad),

@@ -34,11 +34,12 @@ from odnext.evaluation import (
     prepare_split,
     study_seed,
 )
-from odnext.model import ModelConfig
+from odnext.geo import N_TIMESLOTS
+from odnext.model import VARIANTS, ModelConfig
 from odnext.nn import ContractViolation, settings as declared_settings
 from odnext.synth import SynthConfig
 
-from helpers import corpus_from, join_checkpoint, split_checkpoint, tensor_offset
+from helpers import corpus_from, int64s, join_checkpoint, split_checkpoint, tensor_offsets
 
 SYNTH_CFG = {
     "n_users": 12,
@@ -57,84 +58,74 @@ TRAIN_CFG = {
 }
 
 
-def _drop_location(fields, payload):
+def _drop_location(fields, payload, at):
     fields["ids"]["locations"].pop()
-    fields["vocab"]["loc_geohash"].pop()
 
 
-def _set_geohash(value):
-    def edit(fields, payload):
-        fields["vocab"]["loc_geohash"][0] = value
+def _set_int64(key, value):
+    """An edit of the first int64 of tensor `key`."""
+
+    def edit(fields, payload, at):
+        int64s(payload, at[key], 1)[0] = value
 
     return edit
+
+
+def _n_train(fields, payload, at):
+    """The stored n_train, as a view that edits the payload."""
+    return int64s(payload, at["cache/n_train"], len(fields["ids"]["users"]))
 
 
 def _shift_n_train(delta):
-    def edit(fields, payload):
-        n_train = fields["cache"]["n_train"]
-        n_train[next(u for u, n in enumerate(n_train) if n >= 2)] += delta
+    def edit(fields, payload, at):
+        n_train = _n_train(fields, payload, at)
+        n_train[np.flatnonzero(n_train >= 2)[0]] += delta
 
     return edit
 
 
-def _wrap_n_train(fields, payload):
+def _wrap_n_train(fields, payload, at):
     """Four users' n_train each raised by 2**62: the sum of the history
     lengths wraps past int64 back to the stored total."""
-    n_train = fields["cache"]["n_train"]
-    for u in [u for u, n in enumerate(n_train) if n >= 2][:4]:
-        n_train[u] += 2**62
+    n_train = _n_train(fields, payload, at)
+    n_train[np.flatnonzero(n_train >= 2)[:4]] += 2**62
 
 
-def _halve_state_width(fields, payload):
-    spec = next(t for t in fields["tensors"] if t["name"] == "cache/states")
-    rows, width = spec["shape"]
-    spec["shape"] = [rows * 2, width // 2]
+def _short_payload(fields, payload, at):
+    del payload[-8:]
 
 
-def _set_last_dest(value):
-    def edit(fields, payload):
-        fields["cache"]["last_dest"][0] = value
-
-    return edit
-
-
-def _set_sequence(key, value):
-    def edit(fields, payload):
-        at = tensor_offset(fields, key)
-        payload[at : at + 8] = np.int64(value).tobytes()
-
-    return edit
-
-
-def _fractional_shape(fields, payload):
-    fields["tensors"][0]["shape"][0] += 0.5
+def _long_payload(fields, payload, at):
+    payload += bytes(8)
 
 
 def _set_timeslots(value):
-    def edit(fields, payload):
+    def edit(fields, payload, at):
         fields["vocab"]["n_timeslots"] = value
 
     return edit
 
 
 # edits of the header or of the payload bytes (a bytearray), each in place,
-# after which the file disagrees with itself
+# given where each tensor starts in the payload, after which the file
+# disagrees with itself
 HEADER_PAYLOAD_MISMATCHES = {
     "location-dropped": _drop_location,
-    "geohash-999": _set_geohash(999),
-    "geohash-negative": _set_geohash(-1),
+    "geohash-999": _set_int64("vocab/loc_geohash", 999),
+    "geohash-negative": _set_int64("vocab/loc_geohash", -1),
     "n_train-plus-1": _shift_n_train(1),
     "n_train-minus-1": _shift_n_train(-1),
     "n_train-wraps-int64": _wrap_n_train,
-    "state-width": _halve_state_width,
-    "oseq-location-999": _set_sequence("cache/oseq", 999),
-    "dseq-location-negative": _set_sequence("cache/dseq", -1),
-    "last_dest-999": _set_last_dest(999),
-    "fractional-shape": _fractional_shape,
+    "payload-short": _short_payload,
+    "payload-long": _long_payload,
+    "oseq-location-999": _set_int64("cache/oseq", 999),
+    "dseq-location-negative": _set_int64("cache/dseq", -1),
+    "last_dest-999": _set_int64("cache/last_dest", 999),
     "n_timeslots-3": _set_timeslots(3),
     "n_timeslots-string": _set_timeslots("8"),
     "n_timeslots-fraction": _set_timeslots(8.5),
 }
+
 
 def kv(output):
     pairs = {}
@@ -644,7 +635,7 @@ class TestExitCodes:
         capsys.readouterr()
         assert rc == 2
 
-    @pytest.mark.parametrize("key", ["config", "ids", "vocab", "scales", "cache", "tensors"])
+    @pytest.mark.parametrize("key", ["config", "ids", "vocab", "scales"])
     @pytest.mark.parametrize("command", ["predict", "eval"])
     def test_checkpoint_missing_header_key_is_2(self, pipeline, tmp_path, capsys, key, command):
         _, fields, payload = split_checkpoint(open(pipeline["ckpt"], "rb").read())
@@ -665,9 +656,9 @@ class TestExitCodes:
         "section,key,value",
         [
             ("config", "lr", -1.0),
-            ("cache", "n_train", "abc"),
-            ("cache", "last_dest", [["x"]]),
-            ("vocab", "loc_geohash", ["x"]),
+            ("ids", "locations", 5),
+            ("vocab", "geohash_codes", None),
+            ("config", "variant", "lstm"),
             ("vocab", "geohash_codes", 7),
             ("ids", "users", None),
             ("scales", "d_max_km", "far"),
@@ -700,54 +691,64 @@ class TestExitCodes:
     def test_checkpoint_header_payload_mismatch_is_2(self, pipeline, tmp_path, capsys, mismatch):
         _, fields, payload = split_checkpoint(pipeline["ckpt"].read_bytes())
         payload = bytearray(payload)
-        HEADER_PAYLOAD_MISMATCHES[mismatch](fields, payload)
+        HEADER_PAYLOAD_MISMATCHES[mismatch](fields, payload, tensor_offsets(pipeline["ckpt"]))
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(join_checkpoint(fields, bytes(payload)))
         rc = main(["eval", "--checkpoint", str(bad), "--test", str(pipeline["test"])])
+        err = capsys.readouterr().err
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error:")
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
 
     @settings(max_examples=80, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_mutated_checkpoint_is_2(self, pipeline, tmp_path, data):
-        """A checkpoint whose header or payload length was mutated ends in
-        exit 2 with an `error:` line, with no traceback and no allocation
-        beyond the file's own size (plus a fixed margin for the header)."""
+        """A checkpoint whose header sizes, stored index arrays or payload
+        length were mutated ends in exit 2 with an `error:` line, with no
+        traceback and no allocation beyond the file's own size (plus a fixed
+        margin for the header)."""
         _, fields, payload = split_checkpoint(pipeline["ckpt"].read_bytes())
-        tensors = fields["tensors"]
-        n_train = fields["cache"]["n_train"]
-        index = st.integers(0, len(tensors) - 1)
-        kind = data.draw(
-            st.sampled_from(["name", "shape", "order", "n_train", "truncate", "append"]), "kind"
-        )
-        if kind == "name":
-            t = tensors[data.draw(index, "tensor")]
-            names = st.sampled_from([u["name"] for u in tensors]) | st.text(max_size=20)
-            t["name"] = data.draw(names.filter(lambda n: n != t["name"]), "new name")
-        elif kind == "shape":
-            t = tensors[data.draw(index, "tensor")]
-            sizes = st.integers(0, 10**6) | st.just(10**12)
-            if t["shape"] and data.draw(st.booleans(), "one dimension"):
-                new = list(t["shape"])
-                new[data.draw(st.integers(0, len(new) - 1), "dim")] = data.draw(sizes, "size")
+        payload = bytearray(payload)
+        at = tensor_offsets(pipeline["ckpt"])
+        ids = fields["ids"]
+        n_users, n_loc = len(ids["users"]), len(ids["locations"])
+        int64 = st.integers(-3, 10**6) | st.just(10**12) | st.integers(-(2**63), 2**63 - 1)
+        kind = data.draw(st.sampled_from(
+            ["size", "variant", "ids", "n_train", "last_dest", "loc_geohash", "truncate", "append"]
+        ), "kind")
+        if kind == "size":
+            key = data.draw(st.sampled_from(["dim", "hdim"]), "key")
+            sizes = st.integers(1, 10**6) | st.just(10**12)
+            fields["config"][key] = data.draw(sizes.filter(lambda n: n != fields["config"][key]))
+        elif kind == "variant":
+            variants = st.sampled_from(VARIANTS).filter(lambda v: v != fields["config"]["variant"])
+            fields["config"]["variant"] = data.draw(variants, "variant")
+        elif kind == "ids":
+            names = ids[data.draw(st.sampled_from(["users", "locations"]), "ids")]
+            if data.draw(st.booleans(), "drop"):
+                names.pop()
             else:
-                new = data.draw(st.lists(sizes, max_size=3), "shape")
-            if new == t["shape"]:
-                new = new + [1]
-            t["shape"] = new
-        elif kind == "order":
-            i = data.draw(index, "first")
-            j = data.draw(index.filter(lambda j: j != i), "second")
-            tensors[i], tensors[j] = tensors[j], tensors[i]
+                names += [f"extra{i}" for i in range(data.draw(st.integers(1, 3), "added"))]
         elif kind == "n_train":
-            u = data.draw(st.integers(0, len(n_train) - 1), "user")
-            values = st.integers(-3, 10**6) | st.just(10**12) | st.integers(-(10**20), 10**20)
-            n_train[u] = data.draw(values.filter(lambda n: n != n_train[u]), "n_train")
+            n_train = int64s(payload, at["cache/n_train"], n_users)
+            u = data.draw(st.integers(0, n_users - 1), "user")
+            n_train[u] = data.draw(int64.filter(lambda n: n != n_train[u]), "n_train")
+        elif kind == "last_dest":
+            # a user with history must end at a location, one without at -1
+            last_dest = int64s(payload, at["cache/last_dest"], n_users)
+            u = data.draw(st.integers(0, n_users - 1), "user")
+            n_train = int64s(payload, at["cache/n_train"], n_users)
+            valid = (lambda d: 0 <= d < n_loc) if n_train[u] > 0 else (lambda d: d == -1)
+            last_dest[u] = data.draw(int64.filter(lambda d: not valid(d)), "last_dest")
+        elif kind == "loc_geohash":
+            n_geo = len(fields["vocab"]["geohash_codes"])
+            loc_geohash = int64s(payload, at["vocab/loc_geohash"], n_loc)
+            i = data.draw(st.integers(0, n_loc - 1), "location")
+            loc_geohash[i] = data.draw(int64.filter(lambda g: not 0 <= g < n_geo), "geohash")
         elif kind == "truncate":
-            payload = payload[: -data.draw(st.integers(1, len(payload)), "cut")]
+            del payload[-data.draw(st.integers(1, len(payload)), "cut") :]
         else:
             payload += data.draw(st.binary(min_size=1, max_size=64), "tail")
-        blob = join_checkpoint(fields, payload)
+        blob = join_checkpoint(fields, bytes(payload))
         bad = tmp_path / "mutated.ckpt"
         bad.write_bytes(blob)
 
@@ -892,6 +893,24 @@ class TestExitCodes:
         assert captured.err == f"error: --seeds takes a comma list of integers, not {seeds!r}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["ablate", "study"])
+    @pytest.mark.parametrize("seeds", ["1,1", "2,1,01"])
+    def test_repeated_seed_is_1_and_names_it(self, pipeline, capsys, command, seeds):
+        """A repeated seed would train twice, print its keys twice and
+        weigh twice in every mean; `1` and `01` are the same seed."""
+        args = {
+            "ablate": [
+                "--config", str(pipeline["train_cfg"]),
+                "--trips", str(pipeline["p_trips"]), "--locations", str(pipeline["p_locs"]),
+            ],
+            "study": [],
+        }[command]
+        rc = main([command, *args, "--seeds", seeds])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == f"error: --seeds repeats seed 1 in {seeds!r}\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("variants", ["", " , "])
     def test_empty_ablate_variants_is_1(self, pipeline, capsys, variants):
         rc = main(
@@ -965,10 +984,9 @@ class TestExitCodes:
         number of time slots than `geo.timeslots` yields is not loaded."""
         _, fields, payload = split_checkpoint(pipeline["ckpt"].read_bytes())
         fields["vocab"]["n_timeslots"] = 3
-        slot = next(t for t in fields["tensors"] if t["name"] == "param/emb/slot")
-        at, width = tensor_offset(fields, slot["name"]), 8 * slot["shape"][1]
-        payload = payload[: at + 3 * width] + payload[at + slot["shape"][0] * width :]
-        slot["shape"][0] = 3
+        at = tensor_offsets(pipeline["ckpt"])["param/emb/slot"]
+        width = 8 * fields["config"]["dim"]
+        payload = payload[: at + 3 * width] + payload[at + N_TIMESLOTS * width :]
         bad = tmp_path / "slots.ckpt"
         bad.write_bytes(join_checkpoint(fields, payload))
         for command in (
