@@ -24,10 +24,12 @@ the header fixes, maps the file privately (`mmap.ACCESS_COPY`), reads
 `n_train` there and then requires the exact payload size.  Every tensor
 is a view of the mapping, with no per-user work, so a load reads the
 header and then only the pages that a query touches, and writing into a
-loaded array never reaches the file.  `save_checkpoint` runs the loader's
-own checks, so it writes only what a load accepts, to a temporary file
-next to the target that it renames over the target: a process serving
-the old file keeps its mapping.
+loaded array never reaches the file.  `save_checkpoint` takes the
+tensors by name (`_stored_arrays`) and runs the loader's own checks, so
+it writes only what a load accepts, in the declared order, to a
+temporary file next to the target that it renames over the target: a
+process serving the old file keeps its mapping.  This module is the one
+that knows the stored layout: a loaded model wraps its views unchecked.
 """
 
 from __future__ import annotations
@@ -68,15 +70,16 @@ class CheckpointBundle:
     user_ids: list[str]
 
 
-def _tensor_list(model: Model, cache: EncodedCache) -> list[tuple[str, str, np.ndarray]]:
-    out = [(f"param/{name}", _F8, p.value) for name, p in model.params.items()]
-    out += [(key, _F8, t) for key, t in zip(_TABLES, (model.tables.spatial, model.tables.temporal))]
-    indices = (model.vocab.loc_geohash, cache.last_dest, cache.n_train)
-    out += [(key, _I8, a) for key, a in zip(_INDICES, indices)]
-    out += [(key, _I8, rows.flat) for key, rows in zip(_SEQUENCES, (cache.oseq, cache.dseq))]
-    out.append(("cache/states", _F8, cache.states.flat))
+def _stored_arrays(model: Model, cache: EncodedCache) -> dict[str, np.ndarray]:
+    """Name -> array of every tensor a save writes; `_expected_tensors`
+    gives their order, dtypes and shapes."""
+    out = {f"param/{name}": p.value for name, p in model.params.items()}
+    out |= zip(_TABLES, (model.tables.spatial, model.tables.temporal))
+    out |= zip(_INDICES, (model.vocab.loc_geohash, cache.last_dest, cache.n_train))
+    out |= {key: rows.flat for key, rows in zip(_SEQUENCES, (cache.oseq, cache.dseq))}
+    out["cache/states"] = cache.states.flat
     if cache.keys is not None:
-        out.append(("cache/keys", _F8, cache.keys.flat))
+        out["cache/keys"] = cache.keys.flat
     return out
 
 
@@ -95,23 +98,24 @@ def save_checkpoint(
     location_ids: list[str],
     user_ids: list[str],
 ) -> None:
-    """Check the header and tensors as `load_checkpoint` does, and that
-    each array casts to its stored dtype without loss, then write
-    a temporary file in the target's directory and rename it over `path`:
-    a mapped file is replaced, never truncated, and a failed save leaves
-    `path` as it was."""
+    """Check the header and tensors as `load_checkpoint` does: the arrays
+    of `_stored_arrays` must be the tensors of `_expected_tensors`, by
+    name and shape, each casting to its stored dtype without loss.  Then
+    write them in the declared order to a temporary file in the target's
+    directory and rename it over `path`: a mapped file is replaced, never
+    truncated, and a failed save leaves `path` as it was."""
     vocab, config = model.vocab, model.config
-    tensors = _tensor_list(model, cache)
-    specs = [(name, dtype, a.shape) for name, dtype, a in tensors]
+    arrays = _stored_arrays(model, cache)
     try:
         _check_header(vocab, (location_ids, user_ids))
     except ValueError as e:
         raise ContractViolation(str(e)) from None
     fixed, per_row = _expected_tensors(config, vocab, param_specs(config, vocab))
-    rows = int(history_bounds(cache.n_train)[-1])
-    if wrong := _mismatch(specs, fixed + _cached_shapes(per_row, rows)):
-        raise ContractViolation(wrong)
-    if unsafe := [name for name, dtype, a in tensors if not np.can_cast(a.dtype, dtype, "safe")]:
+    layout = fixed + _cached_shapes(per_row, int(history_bounds(cache.n_train)[-1]))
+    stored = {(name, np.shape(a)) for name, a in arrays.items()}
+    if wrong := sorted({name for name, _ in stored ^ {(k, s) for k, _, s in layout}}):
+        raise ContractViolation(f"tensors missing, extra or misshapen: {wrong}")
+    if unsafe := [k for k, dtype, _ in layout if not np.can_cast(arrays[k].dtype, dtype, "safe")]:
         raise ContractViolation(f"tensors that do not cast safely to their stored dtype: {unsafe}")
     try:
         _check_indices(vocab, cache.last_dest, cache.n_train)
@@ -132,8 +136,8 @@ def save_checkpoint(
         with open(tmp, "xb") as f:
             f.write((MAGIC + "\n").encode("ascii"))
             f.write(_header_line(header))
-            for _, dtype, arr in tensors:
-                f.write(np.ascontiguousarray(arr, dtype=dtype))
+            for name, dtype, _ in layout:
+                f.write(np.ascontiguousarray(arrays[name], dtype=dtype))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -202,17 +206,6 @@ def _expected_tensors(config: ModelConfig, vocab: Vocab, params: list) -> tuple[
 def _cached_shapes(per_row: list, rows: int) -> list:
     """`per_row` for `rows` cached sequence rows in all."""
     return [(name, dtype, (k * rows, *rest)) for name, dtype, (k, *rest) in per_row]
-
-
-def _mismatch(specs: list, expected: list) -> str | None:
-    """A message naming the tensors in which two (name, dtype, shape)
-    lists differ, or None where they agree."""
-    if specs == expected:
-        return None
-    stored = {name: rest for name, *rest in specs}
-    wanted = {name: rest for name, *rest in expected}
-    wrong = [k for k in sorted(stored.keys() | wanted.keys()) if stored.get(k) != wanted.get(k)]
-    return f"tensors missing, extra, misshapen or out of order: {wrong or 'order'}"
 
 
 def _read_magic(f, path: str) -> None:
@@ -297,8 +290,9 @@ def load_checkpoint(path: str) -> CheckpointBundle:
     vocab.loc_geohash = loc_geohash
     try:
         _check_indices(vocab, last_dest, n_train)
-    except ValueError as e:
-        raise CheckpointFormatError(f"{path}: {e}") from None
+    except ValueError as e:  # read at offsets that the header's config and id counts fix
+        cause = "the header's config or ids may not match the payload"
+        raise CheckpointFormatError(f"{path}: {e} ({cause})") from None
     bounds = history_bounds(n_train)
     if (bounds < 0).any():  # a sum past int64 wraps negative first
         raise CheckpointFormatError(f"{path}: n_train sums beyond int64")
@@ -315,8 +309,7 @@ def load_checkpoint(path: str) -> CheckpointBundle:
     tables = IntervalTables(
         spatial=spatial, temporal=temporal, d_max_km=d_max_km, t_max_hours=t_max_hours
     )
-    values = dict(zip((s.name for s in params), values))
-    model = Model(config, vocab, tables, values, specs=params)
+    model = Model(config, vocab, tables, dict(zip((s.name for s in params), values)))
     keys = keys[0] if keys else None
     cache = EncodedCache.from_flat(states, keys, oseq, dseq, last_dest, n_train)
     return CheckpointBundle(model=model, cache=cache, location_ids=ids[0], user_ids=ids[1])

@@ -21,6 +21,8 @@ attention, the user-add or user-concat step, output layer).  Training
 wraps that forward in one tape node with a hand-written backward
 (`Model._decode`); every prediction calls it on plain arrays, through
 `Model._probs`, and a cold user's vector is the mean user embedding.
+Encoder-only has no decoder: `_forward` and `_probs` multiply its
+aligned state pairs by the output layer.
 
 One encode path (`Model._encode`) serves training and inference.  For
 inference every history goes through `stlstm.encode_by_length`
@@ -59,7 +61,6 @@ from .nn import (
     setting,
     softmax_rows,
     train_per_user,
-    wrap_params,
 )
 from .stlstm import (
     STLSTMInput,
@@ -332,11 +333,10 @@ def param_specs(config: ModelConfig, vocab: Vocab) -> list[ParamSpec]:
 class Model:
     """A trainable recommender over a fixed vocabulary and interval tables.
 
-    Without `params` every parameter is drawn from `config.seed`; with
-    `params` (name -> array, as `param_specs` declares them) the model
-    wraps those arrays as they are, with no draw and no copy.  A caller
-    that has built `param_specs(config, vocab)` already passes it as
-    `specs`.
+    Without `params` every parameter is drawn from `config.seed`
+    (`param_specs`); with `params` (name -> array) the model wraps those
+    arrays as they are, with no draw, no copy and no check: they are the
+    views that `load_checkpoint` cut from `param_specs`.
     """
 
     def __init__(
@@ -345,7 +345,6 @@ class Model:
         vocab: Vocab,
         tables: IntervalTables,
         params: Mapping[str, np.ndarray] | None = None,
-        specs: list[ParamSpec] | None = None,
     ):
         if vocab.n_locations < 1:
             raise ContractViolation("vocabulary has no locations")
@@ -356,12 +355,11 @@ class Model:
         self.config = config
         self.vocab = vocab
         self.tables = tables
-        if specs is None:
-            specs = param_specs(config, vocab)
         if params is None:
-            self.params = draw_params(specs, np.random.default_rng(config.seed))
+            rng = np.random.default_rng(config.seed)
+            self.params = draw_params(param_specs(config, vocab), rng)
         else:
-            self.params = wrap_params(specs, params)
+            self.params = {name: ag.parameter(a) for name, a in params.items()}
         self.enc_o = scope(self.params, "enc_o")
         self.enc_d = scope(self.params, "enc_d")
         self.loss_curve: list[float] = []
@@ -415,8 +413,8 @@ class Model:
 
     @property
     def _stack_axis(self) -> int:
-        """The axis along which the decoder's states join the encoders'
-        outputs: the origin block over the destination block, or for
+        """The axis along which the encoders' outputs join: the origin
+        block over the destination block for the decoder, or for
         encoder-only each step's aligned (origin, destination) state pair."""
         return 1 if self.config.variant == "encoder-only" else 0
 
@@ -425,35 +423,31 @@ class Model:
         states: np.ndarray,
         o_rows: np.ndarray,
         d_rows: np.ndarray,
-        user_vec: np.ndarray | None,
+        user_vec: np.ndarray,
         mask: np.ndarray | None,
         keys: np.ndarray | None = None,
         taped: bool = False,
-    ) -> tuple[np.ndarray, np.ndarray | None, tuple]:
-        """The decoder on arrays: (logits (E, |L|), alpha, saved) for E
-        queries (user_vec, o_rows[e], d_rows[e]) against `states` (stacked
-        along `_stack_axis`; for encoder-only one pair row per query goes
-        straight into the output layer and alpha is None).  `saved` is
-        what `_decode`'s backward reads: the queries, the output layer's
-        input and `attend`'s sign mask (built only when `taped`); `keys`
-        go to `attend`."""
-        c, w_out = self.config, self.params["out/W_loc"].value
-        if c.variant == "encoder-only":
-            return states @ w_out, None, (None, states, None)
+    ) -> tuple[np.ndarray, np.ndarray, tuple]:
+        """The attending decoder on arrays: (logits (E, |L|), alpha, saved)
+        for E queries (user_vec, o_rows[e], d_rows[e]) against `states`
+        (the origin block over the destination block).  `saved` is what
+        `_decode`'s backward reads: the queries, the output layer's input
+        and `attend`'s sign mask (built only when `taped`); `keys` go to
+        `attend`."""
+        c, w_a = self.config, self.params["attn/W_A"].value
         user_rows = user_vec[None].repeat(len(o_rows), axis=0)
         personal = c.variant not in ("user-add", "user-concat")
         q = np.concatenate((user_rows, o_rows, d_rows) if personal else (o_rows, d_rows), axis=1)
-        w_a = self.params["attn/W_A"].value
         summary, alpha, positive = attend(q, states, w_a, mask, c.leaky_slope, keys, taped)
         if c.variant == "user-add":
             summary += user_vec
         elif c.variant == "user-concat":
             summary = np.concatenate((summary, user_rows), axis=1)
-        return summary @ w_out, alpha, (q, summary, positive)
+        return summary @ self.params["out/W_loc"].value, alpha, (q, summary, positive)
 
     def _decode(
         self, states: Tensor, o_emb: Tensor, d_emb: Tensor, user: int, mask: np.ndarray | None
-    ) -> tuple[Tensor, np.ndarray | None]:
+    ) -> tuple[Tensor, np.ndarray]:
         """(logits, alpha) of `_decode_forward` for user `user`'s queries
         (o_emb[e], d_emb[e]), the logits as one tape node.
 
@@ -464,21 +458,15 @@ class Model:
         this node, so the order in which they take them changes no bit.
         """
         c, p = self.config, self.params
-        v, w_out = c.variant, p["out/W_loc"]
-        table, w_a = p.get("emb/user"), p.get("attn/W_A")
-        user_vec = None if table is None else table.value[user]
+        v, table, w_a, w_out = c.variant, p["emb/user"], p["attn/W_A"], p["out/W_loc"]
         logits, alpha, (q, out, positive) = self._decode_forward(
-            states.value, o_emb.value, d_emb.value, user_vec, mask, taped=True
+            states.value, o_emb.value, d_emb.value, table.value[user], mask, taped=True
         )
 
         def backward(g):
             d_out = g @ w_out.value.T
             if ag.needs_grad(w_out):
                 w_out.accumulate(out.T @ g)
-            if v == "encoder-only":
-                if ag.needs_grad(states):
-                    states.accumulate(d_out)
-                return
             rows = np.full(len(q), user, dtype=np.int64)  # the gathered user rows
             if v == "user-add":
                 rows, d_user = np.asarray(user), d_out.sum(axis=0)
@@ -496,17 +484,17 @@ class Model:
             if ag.needs_grad(table):
                 ag.scatter_rows(table, rows, d_user)
 
-        if v == "encoder-only":
-            inputs = (states, w_out)
-        else:
-            inputs = (states, o_emb, d_emb, table, w_a, w_out)
-        return ag.fused(logits, inputs, backward), alpha
+        return ag.fused(logits, (states, o_emb, d_emb, table, w_a, w_out), backward), alpha
 
     def _forward(self, batch: tuple, user: int) -> tuple[Tensor, np.ndarray | None]:
-        """(logits (E, |L|), alpha) for every example of one `_batch`."""
+        """(logits (E, |L|), alpha) for every example of one `_batch`; for
+        encoder-only one aligned state pair per example goes straight into
+        the output layer, and alpha is None."""
         seqs, mask = batch
         states_o, states_d, o_emb, d_emb = self._encode(seqs)
         states = ag.concat([states_o, states_d], axis=self._stack_axis)
+        if not self._has_attention:
+            return ag.matmul(states, self.params["out/W_loc"]), None
         return self._decode(states, o_emb, d_emb, user, mask)
 
     def _loss(self, user: int, batch: tuple) -> Tensor:
@@ -564,8 +552,12 @@ class Model:
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """(probs, alpha) of the queries (o_rows[e], d_rows[e]) for the user
         vector `user_vec`: `_decode_forward` on arrays, then `softmax_rows`;
-        alpha is None for encoder-only."""
-        logits, alpha, _ = self._decode_forward(states, o_rows, d_rows, user_vec, mask, keys)
+        for encoder-only, `states` (one pair row per query) times the output
+        layer, and alpha is None."""
+        if not self._has_attention:
+            logits, alpha = states @ self.params["out/W_loc"].value, None
+        else:
+            logits, alpha, _ = self._decode_forward(states, o_rows, d_rows, user_vec, mask, keys)
         return softmax_rows(logits), alpha
 
     def _predict_states(

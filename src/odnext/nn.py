@@ -122,17 +122,6 @@ def draw_params(specs: Sequence[ParamSpec], rng: np.random.Generator) -> dict[st
     return {s.name: ag.parameter(s.init(rng, *s.shape)) for s in specs}
 
 
-def wrap_params(specs: Sequence[ParamSpec], values: Mapping[str, np.ndarray]) -> dict[str, Tensor]:
-    """Parameters over the given arrays, without a copy or a draw; names,
-    order and shapes must be those of the declaration."""
-    got = [(name, np.shape(a)) for name, a in values.items()]
-    want = [(s.name, s.shape) for s in specs]
-    if got != want:
-        wrong = sorted({name for name, _ in set(got) ^ set(want)}) or "order"
-        raise ContractViolation(f"parameters missing, extra, misshapen or out of order: {wrong}")
-    return {name: ag.parameter(a) for name, a in values.items()}
-
-
 class Adam:
     """Adam with bias correction; one shared step counter for all params.
 

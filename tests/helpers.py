@@ -6,7 +6,7 @@ import json
 import numpy as np
 
 import odnext.autograd as ag
-from odnext.checkpoint import MAGIC, load_checkpoint
+from odnext.checkpoint import MAGIC, _stored_arrays, load_checkpoint
 from odnext.data import Corpus, LocationRecord, Trip
 from odnext.geo import GeoPoint
 from odnext.stlstm import st_lstm_spec
@@ -91,22 +91,8 @@ def join_checkpoint(fields: dict, payload: bytes, magic: str = MAGIC) -> bytes:
 
 def stored_arrays(bundle) -> dict[str, np.ndarray]:
     """Every tensor of a loaded checkpoint under its stored name, each a
-    view of the mapped file."""
-    m, c = bundle.model, bundle.cache
-    out = {f"param/{name}": p.value for name, p in m.params.items()}
-    out |= {
-        "tables/spatial": m.tables.spatial,
-        "tables/temporal": m.tables.temporal,
-        "vocab/loc_geohash": m.vocab.loc_geohash,
-        "cache/last_dest": c.last_dest,
-        "cache/n_train": c.n_train,
-        "cache/oseq": c.oseq.flat,
-        "cache/dseq": c.dseq.flat,
-        "cache/states": c.states.flat,
-    }
-    if c.keys is not None:
-        out["cache/keys"] = c.keys.flat
-    return out
+    view of the mapped file: what a save of the bundle would write."""
+    return _stored_arrays(bundle.model, bundle.cache)
 
 
 def tensor_offsets(path) -> dict[str, int]:

@@ -311,18 +311,6 @@ class TestLoad:
                 for got, want in zip(m.attention(cache, u, 1, 4), m.attention(keyless, u, 1, 4)):
                     assert got.tobytes() == want.tobytes()
 
-    def test_declared_params_are_required(self, trained):
-        _, _, model, _, _ = trained
-        params = {k: p.value for k, p in model.params.items()}
-        with pytest.raises(ContractViolation, match="emb/loc"):
-            Model(model.config, model.vocab, model.tables, {**params, "emb/loc": np.zeros((1, 1))})
-        shuffled = dict(reversed(params.items()))
-        with pytest.raises(ContractViolation, match="order"):
-            Model(model.config, model.vocab, model.tables, shuffled)
-        with pytest.raises(ContractViolation, match="out/W_loc"):
-            Model(model.config, model.vocab, model.tables,
-                  {k: v for k, v in params.items() if k != "out/W_loc"})
-
 
 class TestFailureModes:
     def test_wrong_magic(self, tmp_path):
@@ -405,18 +393,25 @@ class TestFailureModes:
             with pytest.raises(ContractViolation, match=r"misshapen.*\['cache/keys'\]"):
                 save_checkpoint(str(tmp_path / "x.ckpt"), model, _rebuilt(cache, keys=bad), *ids)
 
-    @pytest.mark.parametrize("mutation", ["param-shape", "last-dest", "loc-geohash"])
+    @pytest.mark.parametrize(
+        "mutation", ["param-shape", "param-names", "last-dest", "loc-geohash"]
+    )
     def test_save_refuses_what_load_refuses(self, trained, tmp_path, monkeypatch, mutation):
         """Save checks the header and tensor list with the loader's own
         checks: a parameter whose shape departs from its declaration, a
-        last destination outside the vocabulary for a user with history,
-        or a location's geohash id outside the geohash codes is a contract
-        violation at save, and no file is written."""
+        parameter missing or not declared (a model wraps any arrays it is
+        given), a last destination outside the vocabulary for a user with
+        history, or a location's geohash id outside the geohash codes is a
+        contract violation at save, and no file is written."""
         corpus, _, model, cache, _ = trained
         if mutation == "param-shape":
             w_a = model.params["attn/W_A"]
             monkeypatch.setattr(w_a, "value", w_a.value[:, :-1])
             message = r"misshapen.*\['param/attn/W_A'\]"
+        elif mutation == "param-names":
+            values = {k: p.value for k, p in model.params.items() if k != "out/W_loc"}
+            model = Model(model.config, model.vocab, model.tables, {**values, "x": np.zeros(3)})
+            message = r"missing, extra or misshapen: \['param/out/W_loc', 'param/x'\]"
         elif mutation == "last-dest":
             last_dest = cache.last_dest.copy()
             last_dest[np.flatnonzero(cache.n_train)[0]] = model.vocab.n_locations
@@ -577,6 +572,30 @@ class TestSave:
         reloaded = load_checkpoint(str(served))
         for name, p in other.params.items():
             np.testing.assert_array_equal(reloaded.model.params[name].value, p.value)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_the_save_map_names_exactly_the_declared_tensors(self, trained, variant):
+        _, split, model, _, _ = trained
+        cfg = ModelConfig(dim=5, hdim=6, seed=2, variant=variant)
+        fresh = Model(cfg, model.vocab, model.tables)
+        stored = checkpoint_module._stored_arrays(fresh, fresh.build_cache(split.train))
+        fixed, per_row = checkpoint_module._expected_tensors(
+            cfg, model.vocab, model_module.param_specs(cfg, model.vocab)
+        )
+        assert sorted(stored) == sorted(name for name, _, _ in fixed + per_row)
+
+    def test_params_in_another_order_save_the_same_bytes(self, trained, tmp_path):
+        """The save writes the declared tensors by name, in the declared
+        order, whatever the order of the model's parameter dict."""
+        corpus, _, model, cache, path = trained
+        values = {name: p.value for name, p in model.params.items()}
+        reordered = Model(model.config, model.vocab, model.tables, dict(reversed(values.items())))
+        assert list(reordered.params) != list(model.params)
+        target = tmp_path / "reordered.ckpt"
+        save_checkpoint(str(target), reordered, cache, [r.loc_id for r in corpus.locations],
+                        corpus.users)
+        assert target.read_bytes() == open(path, "rb").read()
+        assert list(load_checkpoint(str(target)).model.params) == list(model.params)
 
     @pytest.mark.parametrize("failure", ["write", "replace"])
     def test_failed_save_leaves_the_old_file(self, trained, tmp_path, monkeypatch, failure):

@@ -699,6 +699,28 @@ class TestExitCodes:
         assert rc == 2
         assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("edit", ["variant", "user-dropped", "location-added"])
+    def test_header_that_moves_the_payload_is_named_as_a_cause(
+        self, pipeline, tmp_path, capsys, edit
+    ):
+        """A header whose config or id counts disagree with the payload
+        makes the loader read the index arrays at other offsets; the
+        refusal (exit 2) names the header, not only the bytes read there."""
+        _, fields, payload = split_checkpoint(pipeline["ckpt"].read_bytes())
+        if edit == "variant":
+            fields["config"]["variant"] = "od-ppa"
+        elif edit == "user-dropped":
+            fields["ids"]["users"].pop()
+        else:
+            fields["ids"]["locations"].append("extra")
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(join_checkpoint(fields, payload))
+        rc = main(["eval", "--checkpoint", str(bad), "--test", str(pipeline["test"])])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+        assert "the header's config or ids may not match the payload" in err, err
+
     @settings(max_examples=80, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_mutated_checkpoint_is_2(self, pipeline, tmp_path, data):

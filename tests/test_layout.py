@@ -7,7 +7,8 @@ public method of a class in `src/odnext` outside its own `def`.  A name
 counts as an identifier, an attribute, an import or an identifier-like
 string constant (perfbench wraps methods by name).  A helper only tests call belongs in
 `tests/reference.py`.  Only `autograd.fused` puts a node on the tape,
-and no module keeps a process-wide mode (no `global` statement).
+and no module keeps a process-wide mode (no `global` statement).  Only
+`checkpoint.py` names a stored tensor.
 """
 
 import ast
@@ -152,3 +153,18 @@ def test_no_module_keeps_a_mutable_mode():
         if isinstance(node, ast.Global)
     ]
     assert not found, f"`global` statements at {found}"
+
+
+def test_only_the_checkpoint_names_a_stored_tensor():
+    """The stored layout has one owner: no `src/odnext` module but
+    `checkpoint.py` holds a string that starts a stored tensor's name, so a
+    loaded model wraps what the loader cut without knowing the layout."""
+    sections = ("param/", "tables/", "vocab/", "cache/")
+    found = [
+        f"{p.name}:{node.lineno}"
+        for p in sorted(PACKAGE.glob("*.py"))
+        if p.name != "checkpoint.py"
+        for node in ast.walk(_parse(p))
+        if isinstance(node, ast.Constant) and str(node.value).startswith(sections)
+    ]
+    assert not found, f"stored tensor names outside checkpoint.py at {found}"
