@@ -55,6 +55,8 @@ _ALIGN = 64  # payload start; views that are not aligned leave numpy's BLAS path
 _TABLES = ("tables/spatial", "tables/temporal")
 _INDICES = ("vocab/loc_geohash", "cache/last_dest", "cache/n_train")
 _SEQUENCES = ("cache/oseq", "cache/dseq")
+# appended to a refusal of bytes read where the header's sizes put them
+_CAUSE = "the header's config or ids may not match the payload"
 _F8, _I8 = "<f8", "<i8"
 
 
@@ -224,11 +226,12 @@ def _read_magic(f, path: str) -> None:
 def _sizes(path: str, specs: list, at: int, end: int) -> list[int]:
     """Each tensor's size in bytes, for `specs` stored from byte `at` of a
     file of `end` bytes on; the first tensor that ends beyond the file is
-    named in a CheckpointFormatError."""
+    named in a CheckpointFormatError, with the header as a possible cause:
+    its config and ids fix every size."""
     sizes = [8 * math.prod(shape) for _, _, shape in specs]
     if at + sum(sizes) > end:
         name = next(name for (name, _, _), n in zip(specs, accumulate(sizes)) if at + n > end)
-        raise CheckpointFormatError(f"{path}: payload truncated at tensor {name!r}")
+        raise CheckpointFormatError(f"{path}: payload truncated at tensor {name!r} ({_CAUSE})")
     return sizes
 
 
@@ -291,8 +294,7 @@ def load_checkpoint(path: str) -> CheckpointBundle:
     try:
         _check_indices(vocab, last_dest, n_train)
     except ValueError as e:  # read at offsets that the header's config and id counts fix
-        cause = "the header's config or ids may not match the payload"
-        raise CheckpointFormatError(f"{path}: {e} ({cause})") from None
+        raise CheckpointFormatError(f"{path}: {e} ({_CAUSE})") from None
     bounds = history_bounds(n_train)
     if (bounds < 0).any():  # a sum past int64 wraps negative first
         raise CheckpointFormatError(f"{path}: n_train sums beyond int64")
@@ -300,7 +302,7 @@ def load_checkpoint(path: str) -> CheckpointBundle:
     at = start + sum(sizes)
     sizes = _sizes(path, cached, at, end)
     if trailing := end - at - sum(sizes):
-        raise CheckpointFormatError(f"{path}: {trailing} trailing bytes")
+        raise CheckpointFormatError(f"{path}: {trailing} trailing bytes ({_CAUSE})")
     oseq, dseq, states, *keys = _views(mapped, cached, sizes, at)
     n_loc = vocab.n_locations
     if not (in_range(oseq, n_loc) and in_range(dseq, n_loc)):

@@ -32,8 +32,9 @@ encoder runs as one recurrence, with the same bits as one encode per
 history.  Such rows gather constants and encode into constants, so no
 inference path builds a tape node: that follows from what it computes
 on, not from a mode.  A cold user's history is encoded once, and all of
-its queries are decoded in one batch under the causal mask, because
-encoder states depend only on the prefix.
+its queries are decoded in one batch by one causal `attend`, because
+encoder states depend only on the prefix.  A causal `attend` computes
+only what each query can see, one block of queries at a time.
 
 Ablation variants share the training protocol but remove or replace
 pieces; see VARIANTS.
@@ -83,7 +84,10 @@ VARIANTS = (
 
 ATTENTION_CONTEXTS = ("all", "causal")
 
+ATTEND_BLOCK = 10  # queries per block of a causal `attend` over more queries
 _MASK_OFF = -1e30  # additive mask value; exp underflows to exactly zero
+# the additive mask of a causal block's diagonal: state i from query j < i
+_TRIANGLE = np.where(np.tri(ATTEND_BLOCK, k=-1, dtype=bool), _MASK_OFF, 0.0)[:, :, None]
 _UINT64_OF = {np.dtype(o + "i8"): np.dtype(o + "u8") for o in "<>"}  # same byte order
 
 
@@ -206,44 +210,90 @@ def attention_keys(states: np.ndarray, w_a: np.ndarray) -> np.ndarray:
     return states @ w_a[len(w_a) - w_a.shape[1] :]
 
 
+def _attend_block(
+    q_proj: np.ndarray,
+    keys: np.ndarray,
+    s: np.ndarray,
+    slope: float,
+    causal: bool,
+    taped: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(summary (n, sd), alpha (S, n, sd), sign mask or None) of the n
+    projected queries `q_proj` over the S states `s` and their `keys`:
+    scores = leaky_relu(q_proj[e] + keys[s]), alpha their softmax over S
+    and the summary the alpha-weighted sum of states, every reduction over
+    S along the leading axis.  A causal block's states are the first b of
+    each encoder block (origin rows over destination rows) and its queries
+    the last n of those b, so only the diagonal triangle is masked: the
+    last n rows of each block, state i from query j < i."""
+    pre = q_proj[None] + keys[:, None, :]
+    positive = (pre >= 0) if taped else None
+    alpha = _leaky_relu(pre, slope)  # the scores, then alpha, in place
+    if causal:
+        n = len(q_proj)
+        alpha.reshape(2, -1, *alpha.shape[1:])[:, -n:] += _TRIANGLE[:n, :n]
+    alpha -= alpha.max(axis=0)
+    np.exp(alpha, out=alpha)
+    alpha /= alpha.sum(axis=0)
+    # pre is spent; its buffer takes the weighted states, so a block holds
+    # two (S, n, sd) arrays, not three
+    summary = np.multiply(alpha, s[:, None], out=pre).sum(axis=0)
+    return summary, alpha, positive
+
+
 def attend(
     q: np.ndarray,
     s: np.ndarray,
     w_a: np.ndarray,
-    mask: np.ndarray | None,
+    causal: bool,
     slope: float,
     keys: np.ndarray | None = None,
     taped: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, list]:
     """Per-dimension attention on arrays, the middle of the decoder kernel.
 
     queries q (E, qw) and states s (S, sd) project through the row blocks
-    of w_a (qw + sd, sd); scores = leaky_relu(q_proj[e] + h_proj[s]) plus
-    the optional additive mask (S, E, 1); alpha (S, E, sd) is the softmax
-    over S and the summary (E, sd) the alpha-weighted sum of states.  The
-    layout is state-major, so each reduction over S runs over the leading
-    axis.  Returns (summary, alpha, positive): `positive`, the
-    pre-activations' sign mask that only `attend_backward` reads, is built
-    for a `taped` call alone.  `keys`, h_proj computed before
-    (`attention_keys`), may stand in for it off the tape only.
+    of w_a (qw + sd, sd); scores = leaky_relu(q_proj[e] + h_proj[s]);
+    alpha is their softmax over the states and the summary (E, sd) the
+    alpha-weighted sum of states.  A `causal` call's states are E origin
+    rows over E destination rows, and query e sees rows 0..e of each.
+
+    Such a call with E > ATTEND_BLOCK runs per block of ATTEND_BLOCK
+    queries (`_attend_block`): block [a, b) scores only states 0..b-1 of
+    each encoder block and masks only its diagonal.  Each sum over states
+    adds the same terms in the same order as one masked block over all
+    states and leaves out only exact zeros, so every bit is that block's.
+    A non-causal call, and a causal one with E <= ATTEND_BLOCK, is one
+    block over all states.
+
+    Returns (summary, blocks): per block, in query order, the states it
+    scored (all of `s` for one block), its state-major alpha (S', n, sd)
+    over them, and the pre-activations' sign mask that only
+    `attend_backward` reads, built for a `taped` call alone (else None).
+    `keys`, h_proj computed before (`attention_keys`), may stand in for it
+    off the tape only.
     """
     n_q = q.shape[1]
     if keys is None:
         keys = attention_keys(s, w_a)
     elif taped:
         raise ContractViolation("attention keys computed before are for off-tape use only")
-    pre = (q @ w_a[:n_q])[None] + keys[:, None, :]
-    positive = (pre >= 0) if taped else None
-    alpha = _leaky_relu(pre, slope)  # the scores, then alpha, in place
-    if mask is not None:
-        alpha += mask
-    alpha -= alpha.max(axis=0)
-    np.exp(alpha, out=alpha)
-    alpha /= alpha.sum(axis=0)
-    # pre is spent; its buffer takes the weighted states, so a call holds
-    # two (S, E, sd) arrays, not three
-    summary = np.multiply(alpha, s[:, None], out=pre).sum(axis=0)
-    return summary, alpha, positive
+    q_proj = q @ w_a[:n_q]
+    n_ex, sd = q_proj.shape
+    if not causal or n_ex <= ATTEND_BLOCK:
+        summary, alpha, positive = _attend_block(q_proj, keys, s, slope, causal, taped)
+        return summary, [(s, alpha, positive)]
+    s_blocks, k_blocks = s.reshape(2, n_ex, sd), keys.reshape(2, n_ex, sd)
+    summary, blocks = np.empty((n_ex, sd)), []
+    for a in range(0, n_ex, ATTEND_BLOCK):
+        b = min(a + ATTEND_BLOCK, n_ex)
+        rows = s_blocks[:, :b].reshape(2 * b, sd)  # states 0..b-1 of each encoder block
+        keys_b = k_blocks[:, :b].reshape(2 * b, sd)
+        summary[a:b], alpha, positive = _attend_block(
+            q_proj[a:b], keys_b, rows, slope, True, taped
+        )
+        blocks.append((rows, alpha, positive))
+    return summary, blocks
 
 
 def attend_backward(
@@ -251,28 +301,44 @@ def attend_backward(
     q: np.ndarray,
     s: np.ndarray,
     w_a: np.ndarray,
-    alpha: np.ndarray,
-    positive: np.ndarray,
+    blocks: list,
     slope: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The gradients (of q, s, w_a) of `attend`'s summary, given its
-    gradient g (E, sd): the analytic backward of the chain, expression for
-    expression, on its (S, E, sd) layout; alpha takes none."""
+    gradient g (E, sd) and the `blocks` of its taped call: the analytic
+    backward of the chain, expression for expression, on each block's
+    (S', n, sd) layout; alpha takes none.
+
+    The sums over states (the softmax's and d_q_proj) run per block, as
+    forward.  The sums over queries (d_s_proj and g * alpha) run on across
+    blocks: a block first adds the sums so far of the states that earlier
+    blocks saw into its first query's terms, then sums over its queries, so
+    each state's sum adds the same terms in the same order as one block
+    would, less exact zeros."""
     n_q = q.shape[1]
     w_q, w_s = w_a[:n_q], w_a[n_q:]
-    d_pre = g[None] * s[:, None]  # d alpha, then d scores, then d pre
-    # scratch then takes the slope factor and g * alpha, so the backward
-    # holds two (S, E, sd) arrays besides alpha
-    scratch = d_pre * alpha
-    d_pre -= scratch.sum(axis=0)
-    d_pre *= alpha
-    d_pre *= _leaky_relu_slope(positive, slope, out=scratch)
-    d_q_proj = d_pre.sum(axis=0)
-    d_s_proj = d_pre.sum(axis=1)
-    g_alpha = np.multiply(g[None], alpha, out=scratch)
+    d_q_rows, d_s_proj, g_alpha, a = [], None, None, 0
+    for rows, alpha, positive in blocks:
+        n = alpha.shape[1]
+        g_rows = g[a : a + n]
+        d_pre = g_rows[None] * rows[:, None]  # d alpha, then d scores, then d pre
+        # scratch then takes the slope factor and g * alpha, so the backward
+        # holds two (S, n, sd) arrays besides alpha
+        scratch = d_pre * alpha
+        d_pre -= scratch.sum(axis=0)
+        d_pre *= alpha
+        d_pre *= _leaky_relu_slope(positive, slope, out=scratch)
+        d_q_rows.append(d_pre.sum(axis=0))
+        np.multiply(g_rows[None], alpha, out=scratch)
+        if a:  # earlier blocks saw states 0..a-1 of each encoder block
+            for terms, sums in ((d_pre, d_s_proj), (scratch, g_alpha)):
+                terms.reshape(2, -1, *terms.shape[1:])[:, :a, 0] += sums.reshape(2, a, -1)
+        d_s_proj, g_alpha = d_pre.sum(axis=1), scratch.sum(axis=1)
+        a += n
+    d_q_proj = d_q_rows[0] if len(d_q_rows) == 1 else np.concatenate(d_q_rows)
     return (
         d_q_proj @ w_q.T,
-        g_alpha.sum(axis=1) + d_s_proj @ w_s.T,
+        g_alpha + d_s_proj @ w_s.T,
         np.concatenate([q.T @ d_q_proj, s.T @ d_s_proj]),
     )
 
@@ -288,13 +354,6 @@ def _is_index(x) -> bool:
     """Whether `x` is one integer index: a Python or numpy integer, not a
     bool."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
-def _causal_mask(n_examples: int) -> np.ndarray:
-    """Additive (2E, E, 1) mask in `attend`'s state-major layout: example
-    e sees the first e+1 states of each encoder block."""
-    upper = np.triu(np.ones((n_examples, n_examples), dtype=bool))  # j <= e
-    return np.where(np.vstack([upper, upper]), 0.0, _MASK_OFF)[:, :, None]
 
 
 def param_specs(config: ModelConfig, vocab: Vocab) -> list[ParamSpec]:
@@ -373,13 +432,9 @@ class Model:
 
     # -- forward pieces ---------------------------------------------------
 
-    def _batch(self, trips: list[Trip]) -> tuple[Sequences, np.ndarray | None]:
-        """One user's training arrays: the encoder sequences and, for causal
-        attention, the mask that goes with them."""
-        mask = None
-        if self.config.attention_context == "causal" and self._has_attention:
-            mask = _causal_mask(len(trips) - 1)
-        return encoder_sequences(trips, self.config.utc_offset_hours), mask
+    def _batch(self, trips: list[Trip]) -> Sequences:
+        """One user's training arrays: the encoder sequences."""
+        return encoder_sequences(trips, self.config.utc_offset_hours)
 
     def _st_input(self, seq: np.ndarray, slots: np.ndarray, loc_emb: Tensor) -> STLSTMInput:
         return STLSTMInput(
@@ -424,32 +479,34 @@ class Model:
         o_rows: np.ndarray,
         d_rows: np.ndarray,
         user_vec: np.ndarray,
-        mask: np.ndarray | None,
+        causal: bool,
         keys: np.ndarray | None = None,
         taped: bool = False,
     ) -> tuple[np.ndarray, np.ndarray, tuple]:
-        """The attending decoder on arrays: (logits (E, |L|), alpha, saved)
+        """The attending decoder on arrays: (logits (E, |L|), blocks, saved)
         for E queries (user_vec, o_rows[e], d_rows[e]) against `states`
-        (the origin block over the destination block).  `saved` is what
-        `_decode`'s backward reads: the queries, the output layer's input
-        and `attend`'s sign mask (built only when `taped`); `keys` go to
-        `attend`."""
+        (the origin block over the destination block), query e seeing only
+        states 0..e of each block when `causal`.  `blocks` are `attend`'s,
+        with their sign masks only when `taped`; `saved` is what else
+        `_decode`'s backward reads: the queries and the output layer's
+        input.  `keys` go to `attend`."""
         c, w_a = self.config, self.params["attn/W_A"].value
         user_rows = user_vec[None].repeat(len(o_rows), axis=0)
         personal = c.variant not in ("user-add", "user-concat")
         q = np.concatenate((user_rows, o_rows, d_rows) if personal else (o_rows, d_rows), axis=1)
-        summary, alpha, positive = attend(q, states, w_a, mask, c.leaky_slope, keys, taped)
+        summary, blocks = attend(q, states, w_a, causal, c.leaky_slope, keys, taped)
         if c.variant == "user-add":
             summary += user_vec
         elif c.variant == "user-concat":
             summary = np.concatenate((summary, user_rows), axis=1)
-        return summary @ self.params["out/W_loc"].value, alpha, (q, summary, positive)
+        return summary @ self.params["out/W_loc"].value, blocks, (q, summary)
 
     def _decode(
-        self, states: Tensor, o_emb: Tensor, d_emb: Tensor, user: int, mask: np.ndarray | None
+        self, states: Tensor, o_emb: Tensor, d_emb: Tensor, user: int
     ) -> tuple[Tensor, np.ndarray]:
-        """(logits, alpha) of `_decode_forward` for user `user`'s queries
-        (o_emb[e], d_emb[e]), the logits as one tape node.
+        """(logits, blocks) of `_decode_forward` for user `user`'s queries
+        (o_emb[e], d_emb[e]), causal under the configured attention
+        context, the logits as one tape node.
 
         The backward is that of the taped composition it replaces (the
         user rows' `take_rows`, the queries' `concat`, the attention, the
@@ -459,8 +516,9 @@ class Model:
         """
         c, p = self.config, self.params
         v, table, w_a, w_out = c.variant, p["emb/user"], p["attn/W_A"], p["out/W_loc"]
-        logits, alpha, (q, out, positive) = self._decode_forward(
-            states.value, o_emb.value, d_emb.value, table.value[user], mask, taped=True
+        causal = c.attention_context == "causal"
+        logits, blocks, (q, out) = self._decode_forward(
+            states.value, o_emb.value, d_emb.value, table.value[user], causal, taped=True
         )
 
         def backward(g):
@@ -473,7 +531,7 @@ class Model:
             elif v == "user-concat":
                 d_user, d_out = d_out[:, c.state_dim :], d_out[:, : c.state_dim]
             d_q, d_s, d_w = attend_backward(
-                d_out, q, states.value, w_a.value, alpha, positive, c.leaky_slope
+                d_out, q, states.value, w_a.value, blocks, c.leaky_slope
             )
             if v not in ("user-add", "user-concat"):  # the user rows lead the queries
                 d_user, d_q = d_q[:, : c.dim], d_q[:, c.dim :]
@@ -484,22 +542,21 @@ class Model:
             if ag.needs_grad(table):
                 ag.scatter_rows(table, rows, d_user)
 
-        return ag.fused(logits, (states, o_emb, d_emb, table, w_a, w_out), backward), alpha
+        return ag.fused(logits, (states, o_emb, d_emb, table, w_a, w_out), backward), blocks
 
-    def _forward(self, batch: tuple, user: int) -> tuple[Tensor, np.ndarray | None]:
-        """(logits (E, |L|), alpha) for every example of one `_batch`; for
-        encoder-only one aligned state pair per example goes straight into
-        the output layer, and alpha is None."""
-        seqs, mask = batch
+    def _forward(self, seqs: Sequences, user: int) -> tuple[Tensor, list | None]:
+        """(logits (E, |L|), `attend`'s blocks) for every example of one
+        `_batch`; for encoder-only one aligned state pair per example goes
+        straight into the output layer, and the blocks are None."""
         states_o, states_d, o_emb, d_emb = self._encode(seqs)
         states = ag.concat([states_o, states_d], axis=self._stack_axis)
         if not self._has_attention:
             return ag.matmul(states, self.params["out/W_loc"]), None
-        return self._decode(states, o_emb, d_emb, user, mask)
+        return self._decode(states, o_emb, d_emb, user)
 
-    def _loss(self, user: int, batch: tuple) -> Tensor:
-        logits, _ = self._forward(batch, user)
-        return ag.mean_cross_entropy(logits, batch[0].targets)
+    def _loss(self, user: int, seqs: Sequences) -> Tensor:
+        logits, _ = self._forward(seqs, user)
+        return ag.mean_cross_entropy(logits, seqs.targets)
 
     # -- training ---------------------------------------------------------
 
@@ -547,18 +604,18 @@ class Model:
         o_rows: np.ndarray,
         d_rows: np.ndarray,
         user_vec: np.ndarray | None,
-        mask: np.ndarray | None,
+        causal: bool,
         keys: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """(probs, alpha) of the queries (o_rows[e], d_rows[e]) for the user
-        vector `user_vec`: `_decode_forward` on arrays, then `softmax_rows`;
-        for encoder-only, `states` (one pair row per query) times the output
-        layer, and alpha is None."""
+    ) -> tuple[np.ndarray, list | None]:
+        """(probs, `attend`'s blocks) of the queries (o_rows[e], d_rows[e])
+        for the user vector `user_vec`: `_decode_forward` on arrays, then
+        `softmax_rows`; for encoder-only, `states` (one pair row per query)
+        times the output layer, and the blocks are None."""
         if not self._has_attention:
-            logits, alpha = states @ self.params["out/W_loc"].value, None
+            logits, blocks = states @ self.params["out/W_loc"].value, None
         else:
-            logits, alpha, _ = self._decode_forward(states, o_rows, d_rows, user_vec, mask, keys)
-        return softmax_rows(logits), alpha
+            logits, blocks, _ = self._decode_forward(states, o_rows, d_rows, user_vec, causal, keys)
+        return softmax_rows(logits), blocks
 
     def _predict_states(
         self,
@@ -579,7 +636,7 @@ class Model:
             pair = np.concatenate([states_np[half - 1], states_np[-1]])
             states_np = np.tile(pair, (len(origins), 1))
         emb = self.params["emb/loc"].value
-        return self._probs(states_np, emb[origins], emb[dprevs], user_vec, None, keys)
+        return self._probs(states_np, emb[origins], emb[dprevs], user_vec, False, keys)
 
     def _predict_cached(self, cache: EncodedCache, user: int, origins, dprevs):
         """`_predict_states` of one known user, with their embedding row,
@@ -644,7 +701,7 @@ class Model:
         self._check_user(user)
         self._check_loc_pair(origin, dprev)
         query = np.array([origin, dprev], dtype=np.int64)
-        probs, alpha = self._predict_cached(cache, user, query[:1], query[1:])
+        probs, [(_, alpha, _)] = self._predict_cached(cache, user, query[:1], query[1:])
         mean_w = alpha[:, 0].sum(axis=1) / alpha.shape[2]  # np.mean's sum and divide
         half = len(mean_w) // 2
         return probs[0], mean_w[:half], mean_w[half:]
@@ -685,7 +742,7 @@ class Model:
 
         States depend only on the prefix, so a history is encoded once
         over trips[:-1], and every query is decoded in one batch: query j
-        sees the first j states of each block, which is `_causal_mask`.
+        sees the first j states of each block, which is a causal `attend`.
         Histories of equal length are encoded together (`_encode_all`);
         each is then decoded on its own, so a user's rows do not depend
         on the rest of the cohort.  Every location is range-checked first.
@@ -699,10 +756,8 @@ class Model:
             self._check_locs(s.oseq, s.dseq, q)
         out = [np.zeros((0, self.vocab.n_locations))] * len(cohort)
         asked = [u for u, q in enumerate(queries) if len(q)]
-        masks = {n: _causal_mask(n) for n in {len(queries[u]) for u in asked}}
         emb, cold = self.params["emb/loc"].value, self.cold_user_vector()
         for u, pair in zip(asked, self._encode_all([seqs[u] for u in asked])):
             states = np.concatenate(pair, axis=self._stack_axis)
-            mask = masks[len(queries[u])]
-            out[u], _ = self._probs(states, emb[queries[u]], emb[seqs[u].dseq], cold, mask)
+            out[u], _ = self._probs(states, emb[queries[u]], emb[seqs[u].dseq], cold, True)
         return out

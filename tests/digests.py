@@ -11,7 +11,10 @@ curve, parameters, encoder cache, checkpoint bytes, `predict_batch` rows,
 which does not attend), `predict_cold` rows, `predict_cold_cohort` rows
 (an empty and a one-trip history included), `EvalReport`, and the
 predictions of its reloaded checkpoint; od-lstm contributes its loss
-curve, parameters and rankings.  The cache and its keys are hashed user
+curve, parameters and rankings.  A second corpus of long histories
+(`long/...`), each spanning several query blocks of a causal `attend`,
+adds causal stod-ppa's and od-ppa's loss curve, parameters, cache and
+`predict_cold_cohort` rows.  The cache and its keys are hashed user
 by user, each user's rows as one array, so a cache kept as one list
 entry per user and one kept flat (views taken per user) hash alike.  The
 tool calls public APIs only, so it also runs against an older `src`,
@@ -48,6 +51,11 @@ MODEL_COMPONENTS = (
 )
 ATTENDING_ONLY = ("keys", "attention")  # components encoder-only does not have
 OD_LSTM_COMPONENTS = ("losses", "params", "rankings")
+# 40 trips: 27 training queries per user, 39 per cold history
+LONG_SYNTH = SynthConfig(n_users=8, n_locations=12, n_clusters=3, trips_per_user=40, seed=1)
+LONG_USERS = 6  # trained on; the other two are the cold cohort
+LONG_VARIANTS = ("stod-ppa", "od-ppa")
+LONG_COMPONENTS = ("losses", "params", "cache", "predict_cold_cohort")
 
 
 def _sha(*arrays) -> str:
@@ -80,10 +88,39 @@ def _world():
     return corpus, split, build_test_queries(split), vocab, tables, cold + [[], cold[0][:1]]
 
 
-def _model_digests(model, corpus, split, queries, cohort, workdir) -> dict[str, str]:
-    train = split.train
+def _long_world():
+    """The long-history corpus's split and its cold cohort: the full
+    histories of the users it does not train on."""
+    full, _ = generate(LONG_SYNTH)
+    corpus = Corpus(full.locations, full.users[:LONG_USERS], full.trips_by_user[:LONG_USERS])
+    return corpus, chronological_split(corpus, 0.7), full.trips_by_user[LONG_USERS:]
+
+
+def _per_user(cache, rows) -> list:
+    return [rows[u] for u in range(len(cache.n_train))]
+
+
+def _fitted(model, train) -> tuple[dict[str, str], object]:
+    """Fit `model`; the digests of its loss curve, parameters and cache,
+    and the cache."""
     model.fit(train)
     cache = model.build_cache(train)
+    out = {
+        "losses": _sha(np.array(model.loss_curve)),
+        "params": _sha(*(model.params[k].value for k in sorted(model.params))),
+        "cache": _sha(
+            *_per_user(cache, cache.states),
+            *_per_user(cache, cache.oseq),
+            *_per_user(cache, cache.dseq),
+            cache.last_dest,
+            cache.n_train,
+        ),
+    }
+    return out, cache
+
+
+def _model_digests(model, corpus, split, queries, cohort, workdir) -> dict[str, str]:
+    out, cache = _fitted(model, split.train)
     asked = [
         (u, [x.origin for x in q], [x.prev_dest for x in q]) for u, q in enumerate(queries) if q
     ]
@@ -91,24 +128,12 @@ def _model_digests(model, corpus, split, queries, cohort, workdir) -> dict[str, 
     def batches(m, c):
         return [m.predict_batch(c, u, origins, dprevs) for u, origins, dprevs in asked]
 
-    def per_user(rows):
-        return [rows[u] for u in range(len(cache.n_train))]
-
-    out = {
-        "losses": _sha(np.array(model.loss_curve)),
-        "params": _sha(*(model.params[k].value for k in sorted(model.params))),
-        "cache": _sha(
-            *per_user(cache.states),
-            *per_user(cache.oseq),
-            *per_user(cache.dseq),
-            cache.last_dest,
-            cache.n_train,
-        ),
+    out |= {
         "predict_batch": _sha(*batches(model, cache)),
         "eval": _text_sha(repr(evaluate(ModelRanker(model, cache), queries))),
     }
     if getattr(cache, "keys", None) is not None:  # kept apart from "cache"
-        out["keys"] = _sha(*per_user(cache.keys))
+        out["keys"] = _sha(*_per_user(cache, cache.keys))
     if model.config.variant != "encoder-only":
         out["attention"] = _sha(
             *(
@@ -152,6 +177,14 @@ def digests() -> dict[str, str]:
     out["od-lstm/losses"] = _sha(np.array(od.loss_curve))
     out["od-lstm/params"] = _sha(*(od.params[k].value for k in sorted(od.params)))
     out["od-lstm/rankings"] = _sha(*rankings)
+    corpus, split, cohort = _long_world()
+    vocab, tables = build_vocab(corpus), build_interval_tables(split.train)
+    for variant in LONG_VARIANTS:
+        cfg = ModelConfig(**TRAIN, variant=variant, attention_context="causal")
+        model = Model(cfg, vocab, tables)
+        parts, _ = _fitted(model, split.train)
+        parts["predict_cold_cohort"] = _sha(*model.predict_cold_cohort(cohort))
+        out.update((f"long/{variant}/causal/{name}", v) for name, v in parts.items())
     return out
 
 

@@ -1,6 +1,7 @@
 """Reference code the program does not run: per-op autograd functions,
 step-by-step recurrent cells, the decoder as the taped composition the
-decoder kernel replaced, one-sequence-at-a-time versions of the row-axis
+decoder kernel replaced, the full causal mask that the attention's
+oracles apply, one-sequence-at-a-time versions of the row-axis
 encodes, a finite-difference gradient checker, and the scalar time slot
 of one timestamp.
 
@@ -22,7 +23,7 @@ import odnext.autograd as ag
 from odnext.autograd import Tensor, concat, matmul, take_rows
 from odnext.data import encoder_sequences
 from odnext.geo import TIMESLOT_HOURS
-from odnext.model import _causal_mask, attend_backward
+from odnext.model import _MASK_OFF, attend_backward
 from odnext.model import attend as attend_arrays
 from odnext.stlstm import lstm_encode
 
@@ -218,29 +219,55 @@ def st_lstm_step(
 # -- the decoder as a composition of taped nodes -------------------------------
 
 
+def causal_mask(n_examples: int) -> np.ndarray:
+    """The additive (2E, E, 1) mask of a causal `model.attend` over all of
+    its states, in its state-major layout: example e sees the first e+1
+    states of each encoder block.  The kernel masks only each query
+    block's diagonal; the oracles mask everything with this."""
+    upper = np.triu(np.ones((n_examples, n_examples), dtype=bool))  # j <= e
+    return np.where(np.vstack([upper, upper]), 0.0, _MASK_OFF)[:, :, None]
+
+
+def full_alpha(blocks: list, n_examples: int) -> np.ndarray:
+    """The state-major (S, E, sd) alpha of `model.attend`'s `blocks` over
+    all of its states: the blocks' alphas, and 0.0 wherever a causal
+    block's queries do not look, which is what one block under
+    `causal_mask` gives there."""
+    if len(blocks) == 1:
+        return blocks[0][1]
+    sd = blocks[0][1].shape[2]
+    out, a = np.zeros((2, n_examples, n_examples, sd)), 0
+    for _, alpha, _ in blocks:  # block [a, b) over states 0..b-1 of each encoder block
+        b = a + alpha.shape[1]
+        out[:, :b, a:b] = alpha.reshape(2, b, b - a, sd)
+        a = b
+    return out.reshape(2 * n_examples, n_examples, sd)
+
+
 def attend(
-    queries: Tensor, states: Tensor, w_a: Tensor, mask: np.ndarray | None, slope: float
+    queries: Tensor, states: Tensor, w_a: Tensor, causal: bool, slope: float
 ) -> tuple[Tensor, Tensor]:
     """`model.attend` and `model.attend_backward` as one tape node, the
     attention node the decoder kernel absorbed: (summary, alpha), alpha a
-    constant."""
+    constant (`full_alpha`)."""
     q, s, w = queries.value, states.value, w_a.value
-    summary, alpha, positive = attend_arrays(q, s, w, mask, slope, taped=True)
+    summary, blocks = attend_arrays(q, s, w, causal, slope, taped=True)
 
     def backward(g):
-        grads = attend_backward(g, q, s, w, alpha, positive, slope)
+        grads = attend_backward(g, q, s, w, blocks, slope)
         for t, d in zip((queries, states, w_a), grads):
             if ag.needs_grad(t):
                 t.accumulate(d)
 
-    return ag.fused(summary, (queries, states, w_a), backward), ag.constant(alpha)
+    alpha = ag.constant(full_alpha(blocks, len(q)))
+    return ag.fused(summary, (queries, states, w_a), backward), alpha
 
 
-def decode(model, states, o_emb, d_emb, user, users, mask) -> tuple[Tensor, Tensor | None]:
+def decode(model, states, o_emb, d_emb, user, users, causal) -> tuple[Tensor, Tensor | None]:
     """`Model._decode` as the taped composition it replaced: (logits,
-    alpha) of the queries (user, o_emb[e], d_emb[e]) against `states`, the
-    user row `user` of `users`, or of the user embedding when `users` is
-    None."""
+    alpha) of the queries (user, o_emb[e], d_emb[e]) against `states`,
+    causal or not, the user row `user` of `users`, or of the user
+    embedding when `users` is None."""
     c, w_out = model.config, model.params["out/W_loc"]
     v = c.variant
     if v == "encoder-only":
@@ -254,7 +281,7 @@ def decode(model, states, o_emb, d_emb, user, users, mask) -> tuple[Tensor, Tens
     if v not in ("user-add", "user-concat"):
         cols.insert(0, user_rows())
     queries = concat(cols, axis=1)
-    summary, alpha = attend(queries, states, model.params["attn/W_A"], mask, c.leaky_slope)
+    summary, alpha = attend(queries, states, model.params["attn/W_A"], causal, c.leaky_slope)
     if v == "user-add":
         summary = add(summary, take_rows(table, user))
     elif v == "user-concat":
@@ -288,10 +315,9 @@ def final_states(od, train) -> list[tuple[np.ndarray, np.ndarray]]:
 def cold_history(model, trips) -> np.ndarray:
     """One history's `Model.predict_cold_cohort` rows with its own
     `Model._encode` of the history: encode trips[:-1] once, decode every
-    query under the causal mask through the taped composition `decode`."""
+    query causally through the taped composition `decode`."""
     seqs = encoder_sequences(trips[:-1], model.config.utc_offset_hours, aligned=True)
     queries = np.array([t.origin_loc for t in trips[1:]], dtype=np.int64)
-    mask = _causal_mask(len(queries)) if model.config.variant != "encoder-only" else None
     states_o, states_d, _, d_emb = model._encode(seqs)
     logits, _ = decode(
         model,
@@ -300,7 +326,7 @@ def cold_history(model, trips) -> np.ndarray:
         d_emb,
         0,
         ag.constant(model.cold_user_vector()[None]),
-        mask,
+        True,
     )
     return softmax(logits, axis=1).value
 

@@ -102,7 +102,7 @@ def test_criterion_02_normalization(capsys):
         for u in range(corpus.n_users):
             origins = rng.integers(0, corpus.n_locations, size=25)
             dprevs = rng.integers(0, corpus.n_locations, size=25)
-            probs, alpha = m._predict_states(
+            probs, [(_, alpha, _)] = m._predict_states(
                 cache.states[u], origins, dprevs, user_vector(m, u)
             )
             worst_attn = max(worst_attn, float(np.abs(alpha.sum(axis=0) - 1.0).max()))
@@ -182,7 +182,7 @@ def test_criterion_05_cache_equivalence(bench, capsys, tmp_path_factory):
         cached = m.predict_batch(cache, u, origins, dprevs)
         cached_probs[u] = (origins, dprevs, cached)
         trips = split.train.trips_by_user[u]
-        so, sd, _, _ = m._encode(m._batch(trips)[0])
+        so, sd, _, _ = m._encode(m._batch(trips))
         states = np.concatenate([so.value, sd.value], axis=0)
         fresh, _ = m._predict_states(states, origins, dprevs, user_vector(m, u))
         worst = max(worst, float(np.abs(cached - fresh).max()))

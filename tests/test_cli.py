@@ -699,18 +699,45 @@ class TestExitCodes:
         assert rc == 2
         assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
 
-    @pytest.mark.parametrize("edit", ["variant", "user-dropped", "location-added"])
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            "variant",
+            "user-dropped",
+            "location-added",
+            "od-ppa-as-stod-ppa",
+            "encoder-only-user-dropped",
+        ],
+    )
     def test_header_that_moves_the_payload_is_named_as_a_cause(
         self, pipeline, tmp_path, capsys, edit
     ):
         """A header whose config or id counts disagree with the payload
-        makes the loader read the index arrays at other offsets; the
-        refusal (exit 2) names the header, not only the bytes read there."""
-        _, fields, payload = split_checkpoint(pipeline["ckpt"].read_bytes())
+        makes the loader read the index arrays at other offsets, or finds
+        the payload too short or too long for it; the refusal (exit 2)
+        names the header, not only the bytes read there.  The last two
+        edits end in the payload's size: an od-ppa checkpoint relabelled
+        stod-ppa is short of the larger encoders' tensors, and an
+        encoder-only one with a user dropped keeps that user's rows."""
+        ckpt = pipeline["ckpt"]
+        trained = {"od-ppa-as-stod-ppa": "od-ppa", "encoder-only-user-dropped": "encoder-only"}
+        variant = trained.get(edit)  # a checkpoint of another variant, trained here
+        if variant:
+            cfg, ckpt = tmp_path / "train.json", tmp_path / f"{variant}.ckpt"
+            cfg.write_text(json.dumps({**TRAIN_CFG, "variant": variant}))
+            argv = ["train", "--config", str(cfg), "--trips", str(pipeline["p_trips"])]
+            assert main([*argv, "--locations", str(pipeline["p_locs"]), "--out", str(ckpt)]) == 0
+            capsys.readouterr()
+        _, fields, payload = split_checkpoint(ckpt.read_bytes())
+        expected = ""
         if edit == "variant":
             fields["config"]["variant"] = "od-ppa"
-        elif edit == "user-dropped":
+        elif edit == "od-ppa-as-stod-ppa":
+            fields["config"]["variant"] = "stod-ppa"
+            expected = "payload truncated at tensor 'tables/spatial'"
+        elif edit.endswith("user-dropped"):
             fields["ids"]["users"].pop()
+            expected = "trailing bytes" if variant else ""
         else:
             fields["ids"]["locations"].append("extra")
         bad = tmp_path / "bad.ckpt"
@@ -719,6 +746,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+        assert expected in err, err
         assert "the header's config or ids may not match the payload" in err, err
 
     @settings(max_examples=80, suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -3,7 +3,7 @@ documents, gives the same digests on two runs in one process, and tells a
 component that only one side has from one that differs."""
 
 import digests
-from odnext.model import ATTENTION_CONTEXTS, VARIANTS
+from odnext.model import ATTEND_BLOCK, ATTENTION_CONTEXTS, VARIANTS
 
 
 def test_every_component_is_present_and_two_runs_agree():
@@ -14,9 +14,13 @@ def test_every_component_is_present_and_two_runs_agree():
         for c in ATTENTION_CONTEXTS
         for name in digests.MODEL_COMPONENTS
         if not (v == "encoder-only" and name in digests.ATTENDING_ONLY)
-    } | {f"od-lstm/{name}" for name in digests.OD_LSTM_COMPONENTS}
+    } | {f"od-lstm/{name}" for name in digests.OD_LSTM_COMPONENTS} | {
+        f"long/{v}/causal/{name}"
+        for v in digests.LONG_VARIANTS
+        for name in digests.LONG_COMPONENTS
+    }
     assert set(first) == expected
-    assert len(expected) == 131
+    assert len(expected) == 139
     assert digests.differing(first, digests.digests()) == []
 
 
@@ -27,3 +31,12 @@ def test_compare_names_new_gone_and_differing_components():
         "differs: a/checkpoint", "new: a/keys", "gone: a/keys-old",
     ]
     assert digests.comparison(before, before) == []
+
+
+def test_long_histories_span_three_query_blocks():
+    """Every long history, trained on or cold, runs a causal `attend` over
+    at least three blocks of queries, so the long components cover the
+    sums carried from block to block."""
+    _, split, cohort = digests._long_world()
+    lengths = [len(t) - 1 for t in split.train.trips_by_user + cohort]
+    assert min(lengths) > 2 * ATTEND_BLOCK, lengths

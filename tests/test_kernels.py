@@ -18,12 +18,11 @@ import odnext.autograd as ag
 import reference as ref
 from odnext.data import build_interval_tables, build_vocab
 from odnext.model import (
+    ATTEND_BLOCK,
     ATTENTION_CONTEXTS,
     VARIANTS,
     Model,
     ModelConfig,
-    _MASK_OFF,
-    _causal_mask,
     _leaky_relu,
     _leaky_relu_slope,
     attend,
@@ -150,8 +149,8 @@ class TestRecurrentKernels:
 
 def reference_attend(queries, states, w_a, mask, slope):
     """The attention layer as the autograd chain the fused kernel replaced,
-    query-major: it takes `attend`'s (S, E, 1) mask and returns alpha as
-    (E, S, sd)."""
+    query-major: it takes a state-major (S, E, 1) mask
+    (`reference.causal_mask`) and returns alpha as (E, S, sd)."""
     n_ex, qw = queries.value.shape
     n_states, sd = states.value.shape
     q_proj = ag.matmul(queries, ref.index(w_a, (slice(0, qw), slice(None))))
@@ -230,6 +229,15 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
+def _assert_same_bits(a, b, exact=True):
+    """Equal bit for bit, or, where numpy sums one side pairwise, to
+    rounding."""
+    if exact:
+        assert a.tobytes() == b.tobytes()
+    else:
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+
 class TestGateRegrouping:
     """The kernel joins the branches' packed gate columns by gate, so the
     sigmoid blocks come first and the i/f blocks line up with the stacked
@@ -276,11 +284,11 @@ class TestAttentionKernel:
             rng.normal(size=(qw + sd, sd)),
         ]
         probe = ag.constant(rng.normal(size=(n_ex, sd)))
-        mask = _causal_mask(n_ex) if masked else None
+        mask = ref.causal_mask(n_ex) if masked else None
         results = []
-        for fn in (ref.attend, reference_attend):
+        for fn, context in ((ref.attend, masked), (reference_attend, mask)):
             tensors = [ag.parameter(v.copy()) for v in values]
-            summary, alpha = fn(*tensors, mask, 0.2)
+            summary, alpha = fn(*tensors, context, 0.2)
             ref.mean_all(ref.mul(summary, probe)).backward()
             if fn is reference_attend:  # query-major
                 alpha = ag.constant(alpha.value.transpose(1, 0, 2))
@@ -293,77 +301,111 @@ class TestAttentionKernel:
         st.integers(1, 60),
         st.integers(1, 24),
         st.integers(1, 16),
-        st.sampled_from([None, "causal", "random"]),
         st.sampled_from([0.01, 2.0]),
         st.integers(0, 2**32 - 1),
     )
-    def test_state_major_keeps_the_query_major_bits(
-        self, n_ex, n_states, qw, sd, mask_kind, slope, seed
-    ):
+    def test_state_major_keeps_the_query_major_bits(self, n_ex, n_states, qw, sd, slope, seed):
         """Forward and backward equal the query-major kernels bit for bit,
         alpha and the sign mask transposed: every reduction over S adds
         the same terms in the same order from either axis.  The exception
         is sd = 1 with several queries: there the query-major reductions
         ran along a contiguous axis, which numpy sums pairwise, so the two
-        layouts agree only to rounding."""
+        layouts agree only to rounding.  Causal calls are the next test's."""
         rng = np.random.default_rng(seed)
-        mask = None
-        if mask_kind == "causal":
-            n_states, mask = 2 * n_ex, _causal_mask(n_ex)
-        elif mask_kind == "random":
-            mask = np.where(rng.uniform(size=(n_states, n_ex, 1)) < 0.5, 0.0, _MASK_OFF)
         q, s = rng.normal(size=(n_ex, qw)), rng.normal(size=(n_states, sd))
         w, g = rng.normal(size=(qw + sd, sd)), rng.normal(size=(n_ex, sd))
-        got = attend(q, s, w, mask, slope, taped=True)
-        qm_mask = None if mask is None else mask.transpose(1, 0, 2)
-        want = query_major_attend(q, s, w, qm_mask, slope)
-        assert got[1].shape == got[2].shape == (n_states, n_ex, sd)
-        got_grads = attend_backward(g, q, s, w, got[1], got[2], slope)
+        summary, blocks = attend(q, s, w, False, slope, taped=True)
+        want = query_major_attend(q, s, w, None, slope)
+        [(states, alpha, positive)] = blocks
+        assert states is s and alpha.shape == positive.shape == (n_states, n_ex, sd)
+        got_grads = attend_backward(g, q, s, w, blocks, slope)
         want_grads = query_major_attend_backward(g, q, s, w, want[1], want[2], slope)
-        np.testing.assert_array_equal(got[2], want[2].transpose(1, 0, 2))  # the sign mask
-        alphas = got[1], want[1].transpose(1, 0, 2)
-        for a, b in [(got[0], want[0]), alphas, *zip(got_grads, want_grads)]:
-            if sd > 1 or n_ex == 1:
-                assert a.tobytes() == b.tobytes()
-            else:
-                np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(positive, want[2].transpose(1, 0, 2))  # the sign mask
+        alphas = alpha, want[1].transpose(1, 0, 2)
+        for a, b in [(summary, want[0]), alphas, *zip(got_grads, want_grads)]:
+            _assert_same_bits(a, b, exact=sd > 1 or n_ex == 1)
+
+    @given(
+        st.integers(1, 3 * ATTEND_BLOCK + 2),
+        st.integers(1, 24),
+        st.integers(1, 16),
+        st.sampled_from([0.01, 2.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_blocked_causal_keeps_the_query_major_bits(self, n_ex, qw, sd, slope, seed):
+        """A causal call computes, per block of ATTEND_BLOCK queries, only
+        the states the block can see.  Its summary, each block's alpha and
+        sign mask (the visible entries of the full ones) and all three
+        gradients equal the query-major kernels under the full causal mask
+        bit for bit; at sd = 1 to rounding, as above."""
+        rng = np.random.default_rng(seed)
+        q, s = rng.normal(size=(n_ex, qw)), rng.normal(size=(2 * n_ex, sd))
+        w, g = rng.normal(size=(qw + sd, sd)), rng.normal(size=(n_ex, sd))
+        summary, blocks = attend(q, s, w, True, slope, taped=True)
+        want = query_major_attend(q, s, w, ref.causal_mask(n_ex).transpose(1, 0, 2), slope)
+        got_grads = attend_backward(g, q, s, w, blocks, slope)
+        want_grads = query_major_attend_backward(g, q, s, w, want[1], want[2], slope)
+        exact = sd > 1 or n_ex == 1
+        _assert_same_bits(summary, want[0], exact)
+        # state-major, one (E, E, sd) plane per encoder block
+        want_alpha, want_positive = (
+            a.transpose(1, 0, 2).reshape(2, n_ex, n_ex, sd) for a in want[1:]
+        )
+        assert len(blocks) == -(-n_ex // ATTEND_BLOCK)
+        a = 0
+        for rows, alpha, positive in blocks:  # block [a, b) sees states 0..b-1 of each
+            b = a + alpha.shape[1]
+            assert b - a <= ATTEND_BLOCK and alpha.shape == positive.shape == (2 * b, b - a, sd)
+            assert rows.tobytes() == s.reshape(2, n_ex, sd)[:, :b].tobytes()
+            visible = (2 * b, b - a, sd)
+            _assert_same_bits(alpha, want_alpha[:, :b, a:b].reshape(visible), exact)
+            np.testing.assert_array_equal(positive, want_positive[:, :b, a:b].reshape(visible))
+            a = b
+        assert a == n_ex
+        # what the blocks leave out is what the full mask zeroes
+        full = ref.full_alpha(blocks, n_ex)
+        _assert_same_bits(full, want[1].transpose(1, 0, 2), exact)
+        for got, want_grad in zip(got_grads, want_grads):
+            _assert_same_bits(got, want_grad, exact)
 
     @pytest.mark.parametrize("masked", [False, True])
     def test_keys_computed_before_keep_every_bit(self, masked):
+        # masked: a causal call over more queries than one block
         rng = np.random.default_rng([17, int(masked)])
-        q, s, w = rng.normal(size=(5, 9)), rng.normal(size=(8, 4)), rng.normal(size=(13, 4))
-        mask = np.where(rng.uniform(size=(8, 5, 1)) < 0.5, 0.0, -1e30) if masked else None
-        want = attend(q, s, w, mask, 0.2)
-        got = attend(q, s, w, mask, 0.2, keys=attention_keys(s, w))
-        for a, b in zip(got[:2], want[:2]):
+        n_ex = 2 * ATTEND_BLOCK + 1
+        q, s = rng.normal(size=(n_ex, 9)), rng.normal(size=(2 * n_ex, 4))
+        w = rng.normal(size=(13, 4))
+        want_summary, want_blocks = attend(q, s, w, masked, 0.2)
+        summary, blocks = attend(q, s, w, masked, 0.2, keys=attention_keys(s, w))
+        assert summary.tobytes() == want_summary.tobytes()
+        assert len(blocks) == len(want_blocks) == (3 if masked else 1)
+        for (_, a, _), (_, b, _) in zip(blocks, want_blocks):
             assert a.tobytes() == b.tobytes()
 
     def test_keys_computed_before_are_refused_on_the_tape(self):
         rng = np.random.default_rng(18)
         q, s, w = rng.normal(size=(2, 3)), rng.normal(size=(4, 2)), rng.normal(size=(5, 2))
         with pytest.raises(ContractViolation, match="off-tape"):
-            attend(q, s, w, None, 0.2, keys=attention_keys(s, w), taped=True)
+            attend(q, s, w, False, 0.2, keys=attention_keys(s, w), taped=True)
 
     @pytest.mark.parametrize("masked", [False, True])
     def test_inference_allocates_about_two_score_arrays(self, masked):
         # the pre-activations, and the scores that become alpha in place;
         # the weighted states reuse the pre-activations' buffer, and only a
         # taped call builds the backward's (E, S, sd) sign mask (which took
-        # the peak to 2.2 arrays)
-        n_ex, n_states, sd = 18, 82, 64
+        # the peak to 2.2 arrays).  masked: a causal call over 41 queries,
+        # whose blocks' arrays together hold less
+        n_ex, n_states, sd = (41, 82, 64) if masked else (18, 82, 64)
         rng = np.random.default_rng(15)
         args = [
             rng.normal(size=(n_ex, 96)),
             rng.normal(size=(n_states, sd)),
             rng.normal(size=(96 + sd, sd)),
         ]
-        mask = None
-        if masked:
-            mask = np.where(rng.uniform(size=(n_states, n_ex, 1)) < 0.5, 0.0, -1e30)
-        attend(*args, mask, 0.01)  # warm up numpy's caches
+        attend(*args, masked, 0.01)  # warm up numpy's caches
         tracemalloc.start()
         try:
-            attend(*args, mask, 0.01)
+            attend(*args, masked, 0.01)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -408,9 +450,9 @@ class TestMaskFreeLeakyRelu:
         q = np.array(q_col)[:, None]
         s = rng.normal(size=(6, 4))
         w = np.concatenate([np.array(w_row)[None], rng.normal(size=(4, 4))])
-        mask = _causal_mask(3) if masked else None
+        mask = ref.causal_mask(3) if masked else None
         with np.errstate(invalid="ignore", over="ignore"):
-            summary, alpha, _ = attend(q, s, w, mask, slope)
+            summary, [(_, alpha, _)] = attend(q, s, w, masked, slope)
             want_summary, want_alpha = masked_attend(q, s, w, mask, slope)
         np.testing.assert_array_equal(np.isnan(alpha), np.isnan(want_alpha.transpose(1, 0, 2)))
         np.testing.assert_array_equal(np.isnan(summary), np.isnan(want_summary))
@@ -462,26 +504,27 @@ class TestDecoderKernel:
     @pytest.mark.parametrize("masked", [False, True])
     @pytest.mark.parametrize("variant", ATTENDING)
     def test_matches_taped_composition_bit_for_bit(self, variant, masked):
-        _, model = _decoder_world(variant)
-        c, n_ex = model.config, 6
+        # masked: causal attention over more queries than one block
+        _, model = _decoder_world(variant, "causal" if masked else "all")
+        c, n_ex = model.config, 2 * ATTEND_BLOCK + 3
         rng = np.random.default_rng([19, VARIANTS.index(variant), int(masked)])
         values = [
             rng.normal(size=(2 * n_ex, c.state_dim)),
             rng.normal(size=(n_ex, c.dim)),
             rng.normal(size=(n_ex, c.dim)),
         ]
-        mask = _causal_mask(n_ex) if masked else None
         probe = ag.constant(rng.normal(size=(n_ex, model.vocab.n_locations)))
         names = ["emb/user", "attn/W_A", "out/W_loc"]
         params = [model.params[n] for n in names]
         results = []
-        for decode in (model._decode, lambda *a: ref.decode(model, *a[:4], None, a[4])):
+        for decode in (model._decode, lambda *a: ref.decode(model, *a, None, masked)):
             inputs = [ag.parameter(v.copy()) for v in values]
             _zero(params)
-            logits, alpha = decode(*inputs, 2, mask)
+            logits, alpha = decode(*inputs, 2)
             ref.mean_all(ref.mul(logits, probe)).backward()
-            results.append((logits.value, getattr(alpha, "value", alpha), _grads(inputs + params)))
-        (got_logits, got_alpha, got_grads), (want_logits, want_alpha, want_grads) = results
+            results.append((logits.value, alpha, _grads(inputs + params)))
+        (got_logits, blocks, got_grads), (want_logits, want_alpha, want_grads) = results
+        got_alpha, want_alpha = ref.full_alpha(blocks, n_ex), want_alpha.value
         assert got_logits.tobytes() == want_logits.tobytes()
         assert got_alpha.tobytes() == want_alpha.tobytes()
         labels = ["states", "o_emb", "d_emb", *names]
@@ -501,8 +544,11 @@ class TestDecoderKernel:
         grads = []
         for swap in (False, True):
             if swap:
+                causal = context == "causal"
                 monkeypatch.setattr(
-                    model, "_decode", lambda s, o, d, u, m: ref.decode(model, s, o, d, u, None, m)
+                    model,
+                    "_decode",
+                    lambda s, o, d, u: ref.decode(model, s, o, d, u, None, causal),
                 )
             _zero(model.params.values())
             loss = model._loss(1, batch)

@@ -148,7 +148,7 @@ class TestAttention:
     def test_weights_sum_to_one_per_dimension(self, small_world):
         corpus, _, _ = small_world
         m = make_model(small_world)
-        _, alpha = m._forward(m._batch(corpus.trips_by_user[1]), 1)
+        _, [(_, alpha, _)] = m._forward(m._batch(corpus.trips_by_user[1]), 1)
         sums = alpha.sum(axis=0)  # (S, E, sd): over the states
         np.testing.assert_allclose(sums, 1.0, atol=1e-9)
 
@@ -244,7 +244,7 @@ class TestCacheEquivalence:
         origins = np.array([0, 2], dtype=np.int64)
         dprevs = np.array([1, 1], dtype=np.int64)
         cached = m.predict_batch(cache, user, origins, dprevs)
-        so, sd, _, _ = m._encode(m._batch(corpus.trips_by_user[user])[0])
+        so, sd, _, _ = m._encode(m._batch(corpus.trips_by_user[user]))
         fresh_states = np.concatenate([so.value, sd.value], axis=0)
         fresh, _ = m._predict_states(fresh_states, origins, dprevs, user_vector(m, user))
         np.testing.assert_allclose(cached, fresh, atol=1e-12)
