@@ -126,7 +126,19 @@ class Adam:
     """Adam with bias correction; one shared step counter for all params.
 
     Only the learning rate is set per optimizer; the moment decays and
-    the denominator's epsilon are the module constants."""
+    the denominator's epsilon are the module constants.
+
+    The bias corrections are folded into two scalars per step, as at the
+    end of section 2 of Kingma & Ba (2015): with r = sqrt(1 - b2^t),
+    `lr_t = lr * r / (1 - b1^t)` and `eps_t = ADAM_EPS * r`, the update
+    `lr_t * m / (sqrt(v) + eps_t)` equals `lr * m_hat / (sqrt(v_hat) +
+    ADAM_EPS)` in exact arithmetic.  `eps_t` scales epsilon with the
+    folded correction; a constant epsilon there would be another
+    optimizer.  The moments keep the textbook's order of operations, so
+    only the update's rounding differs from it.  Each element takes one
+    sqrt and one divide, and every parameter is updated in place through
+    one scratch array the size of the largest parameter, so a step
+    allocates no parameter-sized temporary."""
 
     def __init__(self, params: Mapping[str, Tensor], lr: float = 1e-4):
         self.params = dict(params)
@@ -134,23 +146,33 @@ class Adam:
         self.t = 0
         self.m = {k: np.zeros_like(p.value) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.value) for k, p in self.params.items()}
+        self._scratch = np.empty(max((p.value.size for p in self.params.values()), default=0))
 
     def step(self) -> None:
         self.t += 1
         b1, b2 = ADAM_BETA1, ADAM_BETA2
+        root = math.sqrt(1.0 - b2**self.t)
+        lr_t = self.lr * root / (1.0 - b1**self.t)
+        eps_t = ADAM_EPS * root
         for name, p in self.params.items():
             g = p.grad
             if g is None:
                 continue
             m = self.m[name]
             v = self.v[name]
+            s = self._scratch[: m.size].reshape(m.shape)
             m *= b1
-            m += (1.0 - b1) * g
+            np.multiply(g, 1.0 - b1, out=s)
+            m += s
             v *= b2
-            v += (1.0 - b2) * g * g
-            m_hat = m / (1.0 - b1**self.t)
-            v_hat = v / (1.0 - b2**self.t)
-            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            np.multiply(g, 1.0 - b2, out=s)
+            s *= g
+            v += s
+            np.sqrt(v, out=s)
+            s += eps_t
+            np.divide(m, s, out=s)
+            s *= lr_t
+            p.value -= s
 
     def zero_grad(self) -> None:
         for p in self.params.values():

@@ -2,12 +2,13 @@
 step-by-step recurrent cells, the decoder as the taped composition the
 decoder kernel replaced, the full causal mask that the attention's
 oracles apply, one-sequence-at-a-time versions of the row-axis
-encodes, a finite-difference gradient checker, and the scalar time slot
-of one timestamp.
+encodes, a finite-difference gradient checker, the scalar time slot
+of one timestamp, and Adam's textbook update loop.
 
 The fused kernels of `odnext` (the encoders, the decoder, the mean
 cross-entropy) are tested against compositions of these functions, every
-gradient against `grad_check`, and `geo.timeslots` against `timeslot_of`.
+gradient against `grad_check`, `geo.timeslots` against `timeslot_of`,
+and `nn.Adam` against `adam_loop`.
 The ops build their nodes through `ag.fused`, as the kernels do, so one
 graph may mix both.
 """
@@ -25,6 +26,7 @@ from odnext.data import encoder_sequences
 from odnext.geo import TIMESLOT_HOURS
 from odnext.model import _MASK_OFF, attend_backward
 from odnext.model import attend as attend_arrays
+from odnext.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from odnext.stlstm import lstm_encode
 
 # -- autograd ops -----------------------------------------------------------
@@ -340,6 +342,33 @@ def timeslot_of(ts: float, utc_offset_hours: int = 0) -> int:
         raise ValueError(f"non-finite timestamp {ts}")
     hour = int(math.floor(ts / 3600.0) + utc_offset_hours) % 24
     return hour // TIMESLOT_HOURS
+
+
+# -- optimizer ----------------------------------------------------------------
+
+
+def adam_loop(values, grads, lr):
+    """Adam as written in Kingma & Ba's Algorithm 1, one parameter at a
+    time: `values` maps each name to its initial array, and `grads` gives
+    per step a map of name -> gradient, where None skips that parameter
+    but not the shared step counter.  Returns the values and the first
+    and second moments after the last step, as new arrays."""
+    values = {k: x.copy() for k, x in values.items()}
+    m = {k: np.zeros_like(x) for k, x in values.items()}
+    v = {k: np.zeros_like(x) for k, x in values.items()}
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    for t, step in enumerate(grads, start=1):
+        for name, g in step.items():
+            if g is None:
+                continue
+            m[name] *= b1
+            m[name] += (1.0 - b1) * g
+            v[name] *= b2
+            v[name] += (1.0 - b2) * g * g
+            m_hat = m[name] / (1.0 - b1**t)
+            v_hat = v[name] / (1.0 - b2**t)
+            values[name] -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return values, m, v
 
 
 # -- finite differences -----------------------------------------------------

@@ -1,7 +1,9 @@
 """Init, parameter scopes, Adam, and the gradient-check harness itself."""
 
+import tracemalloc
+
 import numpy as np
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import odnext.autograd as ag
 import reference as ref
@@ -79,21 +81,83 @@ class TestAdam:
     def test_matches_reference_loop(self):
         rng = np.random.default_rng(9)
         p = ag.parameter(rng.normal(size=(3, 2)))
-        ref = p.value.copy()
-        m = np.zeros_like(ref)
-        v = np.zeros_like(ref)
+        start = p.value.copy()
         opt = Adam({"p": p}, lr=0.05)
-        for t in range(1, 6):
-            g = rng.normal(size=(3, 2))
-            p.grad = g.copy()
+        grads = []
+        for _ in range(5):
+            grads.append({"p": rng.normal(size=(3, 2))})
+            p.grad = grads[-1]["p"].copy()
             opt.step()
-            m = 0.9 * m + 0.1 * g
-            v = 0.999 * v + 0.001 * g * g
-            mh = m / (1 - 0.9**t)
-            vh = v / (1 - 0.999**t)
-            ref -= 0.05 * mh / (np.sqrt(vh) + 1e-8)
-            np.testing.assert_allclose(p.value, ref, atol=1e-12)
+            want, _, _ = ref.adam_loop({"p": start}, grads, lr=0.05)
+            np.testing.assert_allclose(p.value, want["p"], atol=1e-12)
             p.zero_grad()
+
+    @settings(max_examples=60)
+    @given(
+        shapes=st.lists(
+            st.one_of(
+                st.tuples(st.integers(1, 9)),
+                st.tuples(st.integers(1, 6), st.integers(1, 6)),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        lr=st.sampled_from([1e-4, 1e-3, 0.05, 1.0]),
+        steps=st.integers(1, 60),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_folded_step_matches_the_textbook_loop(self, shapes, lr, steps, seed):
+        """Several parameters, gradients from 1e-9 to 1e3 with exact zeros
+        among them, and one parameter ("skip") whose grad is None on some
+        steps: on those its value and moments stay put while the shared
+        counter advances, and after every step the values and moments
+        agree with the textbook loop."""
+        rng = np.random.default_rng(seed)
+        shapes = {f"p{i}": shape for i, shape in enumerate(shapes)}
+        shapes["skip"] = (3, 2)
+        start = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+        params = {k: ag.parameter(x.copy()) for k, x in start.items()}
+        opt = Adam(params, lr=lr)
+        grads = []
+        for t in range(1, steps + 1):
+            step = {}
+            for k, shape in shapes.items():
+                g = rng.normal(size=shape) * 10.0 ** rng.uniform(-9, 3, size=shape)
+                g[rng.random(shape) < 0.2] = 0.0
+                step[k] = None if k == "skip" and rng.random() < 0.4 else g
+            grads.append(step)
+            held = {k: (params[k].value.copy(), opt.m[k].copy(), opt.v[k].copy()) for k in shapes}
+            for k, p in params.items():
+                p.grad = None if step[k] is None else step[k].copy()
+            opt.step()
+            assert opt.t == t
+            for k, (value, m, v) in held.items():
+                if step[k] is None:
+                    np.testing.assert_array_equal(params[k].value, value)
+                    np.testing.assert_array_equal(opt.m[k], m)
+                    np.testing.assert_array_equal(opt.v[k], v)
+        want, want_m, want_v = ref.adam_loop(start, grads, lr)
+        for k, p in params.items():
+            np.testing.assert_allclose(p.value, want[k], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(opt.m[k], want_m[k], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(opt.v[k], want_v[k], rtol=0, atol=1e-12)
+
+    def test_step_allocates_no_parameter_sized_array(self):
+        """After one warm-up step, a step's peak allocation stays below the
+        bytes of the smallest parameter: the update runs in place."""
+        rng = np.random.default_rng(3)
+        params = {"w": ag.parameter(rng.normal(size=(300, 200))), "b": ag.parameter(rng.normal(size=200))}
+        opt = Adam(params, lr=1e-3)
+        for p in params.values():
+            p.grad = rng.normal(size=p.value.shape)
+        opt.step()
+        tracemalloc.start()
+        try:
+            opt.step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < params["b"].value.nbytes
 
     def test_none_grad_is_skipped(self):
         p = ag.parameter(np.ones(2))
