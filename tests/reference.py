@@ -26,7 +26,6 @@ from odnext.data import encoder_sequences
 from odnext.geo import TIMESLOT_HOURS
 from odnext.model import _MASK_OFF, attend_backward
 from odnext.model import attend as attend_arrays
-from odnext.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from odnext.stlstm import lstm_encode
 
 # -- autograd ops -----------------------------------------------------------
@@ -352,11 +351,13 @@ def adam_loop(values, grads, lr):
     time: `values` maps each name to its initial array, and `grads` gives
     per step a map of name -> gradient, where None skips that parameter
     but not the shared step counter.  Returns the values and the first
-    and second moments after the last step, as new arrays."""
+    and second moments after the last step, as new arrays.  The decays
+    and epsilon are the paper's defaults written out, not read from
+    `odnext.nn`, so a changed constant there fails the tests."""
     values = {k: x.copy() for k, x in values.items()}
     m = {k: np.zeros_like(x) for k, x in values.items()}
     v = {k: np.zeros_like(x) for k, x in values.items()}
-    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    b1, b2, eps = 0.9, 0.999, 1e-8  # Algorithm 1's defaults, pinned here
     for t, step in enumerate(grads, start=1):
         for name, g in step.items():
             if g is None:
@@ -367,7 +368,7 @@ def adam_loop(values, grads, lr):
             v[name] += (1.0 - b2) * g * g
             m_hat = m[name] / (1.0 - b1**t)
             v_hat = v[name] / (1.0 - b2**t)
-            values[name] -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            values[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)
     return values, m, v
 
 
