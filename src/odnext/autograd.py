@@ -2,15 +2,16 @@
 
 The tape holds only what one training step records: embedding gathers
 (`take_rows`, whose backward `scatter_rows` the decoder kernel reuses),
-`concat`, `matmul`, the mean cross-entropy, and the kernels of the
-encoders and the decoder.  Each computes its value, writes its backward
-by hand and hands both to `fused`, the one constructor that puts a node
-on the tape: it records the inputs for which `needs_grad` holds, so a
-node over constants alone is a constant.  There is no mode that switches
-the tape off: an inference path stays off it because it computes on
-constants or plain arrays.  The per-op functions the kernels are checked
-against (`add` and the other elementwise ops, indexing, reductions,
-softmax) and the finite-difference checker live in the test suite, in
+`concat`, the kernels of the encoders and the decoder, and `output_loss`,
+the output layer and its mean cross-entropy, through which every head
+trains.  Each computes its value, writes its backward by hand and hands
+both to `fused`, the one constructor that puts a node on the tape: it
+records the inputs for which `needs_grad` holds, so a node over constants
+alone is a constant.  There is no mode that switches the tape off: an
+inference path stays off it because it computes on constants or plain
+arrays.  The per-op functions the kernels are checked against (`add` and
+the other elementwise ops, `matmul`, indexing, reductions, softmax) and
+the finite-difference checker live in the test suite, in
 `tests/reference.py`, and build their nodes through `fused` too.
 """
 
@@ -118,30 +119,6 @@ def fused(value, inputs: Sequence[Tensor], backward: Callable[[np.ndarray], None
     return Tensor(value, parents=parents, backward=backward)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product: numpy @ semantics for 1-D/2-D operands plus a
-    batched n-D left operand against a 2-D right operand."""
-    av, bv = a.value, b.value
-
-    def backward(g):
-        if needs_grad(a):
-            if bv.ndim == 1:
-                a.accumulate(g * bv if av.ndim == 1 else g[..., None] * bv)
-            else:
-                a.accumulate(g @ bv.T)
-        if needs_grad(b):
-            if av.ndim == 1:
-                b.accumulate(g * av if bv.ndim == 1 else np.outer(av, g))
-            elif av.ndim == 2:
-                b.accumulate(av.T @ g)
-            else:
-                # batched: contract every axis but the last
-                axes = tuple(range(av.ndim - 1))
-                b.accumulate(np.tensordot(av, g, axes=(axes, axes)))
-
-    return fused(av @ bv, (a, b), backward)
-
-
 def scatter_rows(a: Tensor, idx: np.ndarray, g: np.ndarray) -> None:
     """Add `g`, the gradient of `a.value[idx]`, into `a.grad` in place;
     repeated rows accumulate additively.
@@ -179,15 +156,18 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return fused(np.concatenate([t.value for t in tensors], axis=axis), tensors, backward)
 
 
-def mean_cross_entropy(logits: Tensor, targets) -> Tensor:
-    """Mean over rows of -log softmax(logits)[row, targets[row]], as one node.
+def output_loss(x: Tensor, w_out: Tensor, targets) -> Tensor:
+    """The output layer and its loss as one node: the mean over rows of
+    -log softmax(x @ w_out)[row, targets[row]].
 
-    Equals scale(mean_all(take_per_row(log_softmax(logits), targets)), -1)
-    operation for operation, so losses and gradients match that chain.
+    Equals scale(mean_all(take_per_row(log_softmax(x @ w_out), targets)),
+    -1) operation for operation, the product's backward included, so losses
+    and gradients match that chain.
     """
-    targets = np.asarray(targets)
-    rows = np.arange(logits.value.shape[0])
-    shifted = logits.value - logits.value.max(axis=1, keepdims=True)
+    xv, wv = x.value, w_out.value
+    logits = xv @ wv
+    rows = np.arange(logits.shape[0])
+    shifted = logits - logits.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     out_val = np.asarray(np.mean(shifted[rows, targets] - lse[:, 0])) * -1.0
 
@@ -195,6 +175,9 @@ def mean_cross_entropy(logits: Tensor, targets) -> Tensor:
         per_row = g * -1.0 / len(rows)
         grad = np.exp(shifted - lse) * -per_row
         grad[rows, targets] += per_row
-        logits.accumulate(grad)
+        if needs_grad(x):
+            x.accumulate(grad @ wv.T)
+        if needs_grad(w_out):
+            w_out.accumulate(xv.T @ grad)
 
-    return fused(out_val, (logits,), backward)
+    return fused(out_val, (x, w_out), backward)

@@ -119,8 +119,7 @@ class ODLSTM:
 
     def _loss(self, user: int, seqs: Sequences) -> Tensor:
         states, _, _ = lstm_encode(self.lstm, self._inputs(seqs.oseq, seqs.dseq))
-        logits = ag.matmul(states, self.params["out/W_loc"])
-        return ag.mean_cross_entropy(logits, seqs.targets)
+        return ag.output_loss(states, self.params["out/W_loc"], seqs.targets)
 
     def fit(self, train: Corpus) -> list[float]:
         """Train in place, then store each user's final (h, c) after the

@@ -17,12 +17,12 @@ the attention's state block (the keys, which depend on no query);
 prediction only re-runs the decoder against the cached states and keys.
 One decoder serves training, cached prediction and cold start:
 `Model._decode_forward` computes it on plain arrays (query rows,
-attention, the user-add or user-concat step, output layer).  Training
-wraps that forward in one tape node with a hand-written backward
-(`Model._decode`); every prediction calls it on plain arrays, through
-`Model._probs`, and a cold user's vector is the mean user embedding.
-Encoder-only has no decoder: `_forward` and `_probs` multiply its
-aligned state pairs by the output layer.
+attention, the user-add or user-concat step) up to the summary.
+Training wraps it in one tape node with a hand-written backward
+(`Model._decode`); every prediction calls it through `Model._probs`,
+and a cold user's vector is the mean user embedding.  Encoder-only's
+aligned state pairs stand in for the summary.  Both meet one output
+layer: `autograd.output_loss` in training, `_probs` in prediction.
 
 One encode path (`Model._encode`) serves training and inference.  For
 inference every history goes through `stlstm.encode_by_length`
@@ -482,14 +482,14 @@ class Model:
         causal: bool,
         keys: np.ndarray | None = None,
         taped: bool = False,
-    ) -> tuple[np.ndarray, np.ndarray, tuple]:
-        """The attending decoder on arrays: (logits (E, |L|), blocks, saved)
-        for E queries (user_vec, o_rows[e], d_rows[e]) against `states`
-        (the origin block over the destination block), query e seeing only
-        states 0..e of each block when `causal`.  `blocks` are `attend`'s,
-        with their sign masks only when `taped`; `saved` is what else
-        `_decode`'s backward reads: the queries and the output layer's
-        input.  `keys` go to `attend`."""
+    ) -> tuple[np.ndarray, list, np.ndarray]:
+        """The attending decoder on arrays: (summary, blocks, q) for E
+        queries q = (user_vec, o_rows[e], d_rows[e]) against `states` (the
+        origin block over the destination block), query e seeing only
+        states 0..e of each block when `causal`.  The summary, with the
+        user vector added (user-add) or joined (user-concat), is the
+        output layer's input.  `blocks` are `attend`'s, with their sign
+        masks only when `taped`; `keys` go to `attend`."""
         c, w_a = self.config, self.params["attn/W_A"].value
         user_rows = user_vec[None].repeat(len(o_rows), axis=0)
         personal = c.variant not in ("user-add", "user-concat")
@@ -499,40 +499,35 @@ class Model:
             summary += user_vec
         elif c.variant == "user-concat":
             summary = np.concatenate((summary, user_rows), axis=1)
-        return summary @ self.params["out/W_loc"].value, blocks, (q, summary)
+        return summary, blocks, q
 
     def _decode(
         self, states: Tensor, o_emb: Tensor, d_emb: Tensor, user: int
-    ) -> tuple[Tensor, np.ndarray]:
-        """(logits, blocks) of `_decode_forward` for user `user`'s queries
+    ) -> tuple[Tensor, list]:
+        """(summary, blocks) of `_decode_forward` for user `user`'s queries
         (o_emb[e], d_emb[e]), causal under the configured attention
-        context, the logits as one tape node.
+        context, the summary as one tape node.
 
         The backward is that of the taped composition it replaces (the
         user rows' `take_rows`, the queries' `concat`, the attention, the
-        user-add `add` or user-concat `concat`, the output `matmul`),
-        expression for expression.  Each input takes one gradient from
-        this node, so the order in which they take them changes no bit.
+        user-add `add` or user-concat `concat`), expression for
+        expression.  Each input takes one gradient from this node, so the
+        order in which they take them changes no bit.
         """
         c, p = self.config, self.params
-        v, table, w_a, w_out = c.variant, p["emb/user"], p["attn/W_A"], p["out/W_loc"]
+        v, table, w_a = c.variant, p["emb/user"], p["attn/W_A"]
         causal = c.attention_context == "causal"
-        logits, blocks, (q, out) = self._decode_forward(
+        summary, blocks, q = self._decode_forward(
             states.value, o_emb.value, d_emb.value, table.value[user], causal, taped=True
         )
 
         def backward(g):
-            d_out = g @ w_out.value.T
-            if ag.needs_grad(w_out):
-                w_out.accumulate(out.T @ g)
             rows = np.full(len(q), user, dtype=np.int64)  # the gathered user rows
             if v == "user-add":
-                rows, d_user = np.asarray(user), d_out.sum(axis=0)
+                rows, d_user = np.asarray(user), g.sum(axis=0)
             elif v == "user-concat":
-                d_user, d_out = d_out[:, c.state_dim :], d_out[:, : c.state_dim]
-            d_q, d_s, d_w = attend_backward(
-                d_out, q, states.value, w_a.value, blocks, c.leaky_slope
-            )
+                d_user, g = g[:, c.state_dim :], g[:, : c.state_dim]
+            d_q, d_s, d_w = attend_backward(g, q, states.value, w_a.value, blocks, c.leaky_slope)
             if v not in ("user-add", "user-concat"):  # the user rows lead the queries
                 d_user, d_q = d_q[:, : c.dim], d_q[:, c.dim :]
             o_d = (o_emb, d_q[:, : c.dim]), (d_emb, d_q[:, c.dim :])
@@ -542,21 +537,21 @@ class Model:
             if ag.needs_grad(table):
                 ag.scatter_rows(table, rows, d_user)
 
-        return ag.fused(logits, (states, o_emb, d_emb, table, w_a, w_out), backward), blocks
+        return ag.fused(summary, (states, o_emb, d_emb, table, w_a), backward), blocks
 
     def _forward(self, seqs: Sequences, user: int) -> tuple[Tensor, list | None]:
-        """(logits (E, |L|), `attend`'s blocks) for every example of one
-        `_batch`; for encoder-only one aligned state pair per example goes
-        straight into the output layer, and the blocks are None."""
+        """(head, `attend`'s blocks) for every example of one `_batch`: the
+        output layer's input, the decoder's summary, or for encoder-only
+        one aligned state pair per example, and then the blocks are None."""
         states_o, states_d, o_emb, d_emb = self._encode(seqs)
         states = ag.concat([states_o, states_d], axis=self._stack_axis)
         if not self._has_attention:
-            return ag.matmul(states, self.params["out/W_loc"]), None
+            return states, None
         return self._decode(states, o_emb, d_emb, user)
 
     def _loss(self, user: int, seqs: Sequences) -> Tensor:
-        logits, _ = self._forward(seqs, user)
-        return ag.mean_cross_entropy(logits, seqs.targets)
+        head, _ = self._forward(seqs, user)
+        return ag.output_loss(head, self.params["out/W_loc"], seqs.targets)
 
     # -- training ---------------------------------------------------------
 
@@ -608,14 +603,13 @@ class Model:
         keys: np.ndarray | None = None,
     ) -> tuple[np.ndarray, list | None]:
         """(probs, `attend`'s blocks) of the queries (o_rows[e], d_rows[e])
-        for the user vector `user_vec`: `_decode_forward` on arrays, then
-        `softmax_rows`; for encoder-only, `states` (one pair row per query)
-        times the output layer, and the blocks are None."""
-        if not self._has_attention:
-            logits, blocks = states @ self.params["out/W_loc"].value, None
-        else:
-            logits, blocks, _ = self._decode_forward(states, o_rows, d_rows, user_vec, causal, keys)
-        return softmax_rows(logits), blocks
+        for the user vector `user_vec`: `softmax_rows` of the output layer
+        over the head, `_decode_forward`'s summary or for encoder-only
+        `states` (one pair row per query), whose blocks are None."""
+        head, blocks = states, None
+        if self._has_attention:
+            head, blocks, _ = self._decode_forward(states, o_rows, d_rows, user_vec, causal, keys)
+        return softmax_rows(head @ self.params["out/W_loc"].value), blocks
 
     def _predict_states(
         self,

@@ -5,10 +5,10 @@ oracles apply, one-sequence-at-a-time versions of the row-axis
 encodes, a finite-difference gradient checker, the scalar time slot
 of one timestamp, and Adam's textbook update loop.
 
-The fused kernels of `odnext` (the encoders, the decoder, the mean
-cross-entropy) are tested against compositions of these functions, every
-gradient against `grad_check`, `geo.timeslots` against `timeslot_of`,
-and `nn.Adam` against `adam_loop`.
+The fused kernels of `odnext` (the encoders, the decoder, the output
+layer and its loss) are tested against compositions of these
+functions, every gradient against `grad_check`, `geo.timeslots` against
+`timeslot_of`, and `nn.Adam` against `adam_loop`.
 The ops build their nodes through `ag.fused`, as the kernels do, so one
 graph may mix both.
 """
@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 import odnext.autograd as ag
-from odnext.autograd import Tensor, concat, matmul, take_rows
+from odnext.autograd import Tensor, concat, take_rows
 from odnext.data import encoder_sequences
 from odnext.geo import TIMESLOT_HOURS
 from odnext.model import _MASK_OFF, attend_backward
@@ -64,6 +64,19 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             b.accumulate(g * a.value)
 
     return ag.fused(a.value * b.value, (a, b), backward)
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b for a 2-D `b` and a 1-D or 2-D `a` (a 1-D `a` as one row)."""
+    av, bv = a.value, b.value
+
+    def backward(g):
+        if ag.needs_grad(a):
+            a.accumulate(g @ bv.T)
+        if ag.needs_grad(b):
+            b.accumulate(av.reshape(-1, len(bv)).T @ g.reshape(-1, bv.shape[1]))
+
+    return ag.fused(av @ bv, (a, b), backward)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -265,14 +278,15 @@ def attend(
 
 
 def decode(model, states, o_emb, d_emb, user, users, causal) -> tuple[Tensor, Tensor | None]:
-    """`Model._decode` as the taped composition it replaced: (logits,
+    """`Model._decode` as the taped composition it replaced: (summary,
     alpha) of the queries (user, o_emb[e], d_emb[e]) against `states`,
     causal or not, the user row `user` of `users`, or of the user
-    embedding when `users` is None."""
-    c, w_out = model.config, model.params["out/W_loc"]
+    embedding when `users` is None.  The summary is the output layer's
+    input; for encoder-only that is `states`, and alpha is None."""
+    c = model.config
     v = c.variant
     if v == "encoder-only":
-        return matmul(states, w_out), None
+        return states, None
     table = model.params["emb/user"] if users is None else users
 
     def user_rows() -> Tensor:
@@ -287,7 +301,7 @@ def decode(model, states, o_emb, d_emb, user, users, causal) -> tuple[Tensor, Te
         summary = add(summary, take_rows(table, user))
     elif v == "user-concat":
         summary = concat([summary, user_rows()], axis=1)
-    return matmul(summary, w_out), alpha
+    return summary, alpha
 
 
 # -- the row-axis encodes, one sequence at a time -----------------------------
@@ -320,7 +334,7 @@ def cold_history(model, trips) -> np.ndarray:
     seqs = encoder_sequences(trips[:-1], model.config.utc_offset_hours, aligned=True)
     queries = np.array([t.origin_loc for t in trips[1:]], dtype=np.int64)
     states_o, states_d, _, d_emb = model._encode(seqs)
-    logits, _ = decode(
+    head, _ = decode(
         model,
         concat([states_o, states_d], axis=model._stack_axis),
         take_rows(model.params["emb/loc"], queries),
@@ -329,7 +343,7 @@ def cold_history(model, trips) -> np.ndarray:
         ag.constant(model.cold_user_vector()[None]),
         True,
     )
-    return softmax(logits, axis=1).value
+    return softmax(matmul(head, model.params["out/W_loc"]), axis=1).value
 
 
 # -- time slots ---------------------------------------------------------------

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-import odnext.autograd as ag
 import reference as ref
 from odnext import baselines
 from helpers import random_corpus
@@ -167,7 +166,7 @@ class TestODLSTM:
         oseq = np.array([t.origin_loc for t in full[1:]])
         dseq = np.array([t.dest_loc for t in full[:-1]])
         states, _, _ = lstm_encode(m.lstm, m._inputs(oseq, dseq))
-        logits = ag.matmul(states, m.params["out/W_loc"])
+        logits = ref.matmul(states, m.params["out/W_loc"])
         probs = ref.softmax(logits, axis=1).value
         n_train = len(split.train.trips_by_user[user])
         for k, q in enumerate(queries):

@@ -1,11 +1,11 @@
 """Fused kernels against the per-step / per-op compositions they replace.
 
-The recurrent encoders, the attention decoder and the loss each run as
-one tape node with a hand-written backward.  Each is checked here
-against the unfused reference: the step functions, the taped
-composition the decoder used to be (`reference.decode`), the autograd
-chain the attention used to be, and log_softmax + take_per_row +
-mean_all.
+The recurrent encoders, the attention decoder and the output layer with
+its loss each run as one tape node with a hand-written backward.  Each
+is checked here against the unfused reference: the step functions, the
+taped composition the decoder used to be (`reference.decode`), the
+autograd chain the attention used to be, and matmul + log_softmax +
+take_per_row + mean_all.
 """
 
 import tracemalloc
@@ -153,8 +153,8 @@ def reference_attend(queries, states, w_a, mask, slope):
     (`reference.causal_mask`) and returns alpha as (E, S, sd)."""
     n_ex, qw = queries.value.shape
     n_states, sd = states.value.shape
-    q_proj = ag.matmul(queries, ref.index(w_a, (slice(0, qw), slice(None))))
-    h_proj = ag.matmul(states, ref.index(w_a, (slice(qw, None), slice(None))))
+    q_proj = ref.matmul(queries, ref.index(w_a, (slice(0, qw), slice(None))))
+    h_proj = ref.matmul(states, ref.index(w_a, (slice(qw, None), slice(None))))
     scores = ref.leaky_relu(
         ref.add(ref.reshape(q_proj, (n_ex, 1, sd)), ref.reshape(h_proj, (1, n_states, sd))),
         slope,
@@ -459,24 +459,32 @@ class TestMaskFreeLeakyRelu:
 
 
 class TestCrossEntropyKernel:
+    """`autograd.output_loss`, the output layer and its mean cross-entropy
+    as one node, against the chain it stands for: `matmul`, `log_softmax`,
+    `take_per_row`, `mean_all`, `scale(-1)`."""
+
     @pytest.mark.parametrize("scale", [1.0, 50.0, 800.0, 1e5])
     def test_matches_log_softmax_chain(self, scale):
         rng = np.random.default_rng([14, int(scale)])
-        logits = rng.normal(size=(9, 13)) * scale
-        logits[0, :] = logits[0, 0]  # a row of ties
-        logits[1, 3] = 1e300  # one overwhelming logit
+        x = rng.normal(size=(9, 5))
+        w = rng.normal(size=(5, 13)) * scale
+        x[0] = 0.0  # a row of tied logits, all exactly 0
+        # the last input column selects one overwhelming logit, (1, 3)
+        x[:, 4], x[1, 4], w[4], w[4, 3] = 0.0, 1.0, 0.0, 1e300
         targets = rng.integers(0, 13, size=9)
         targets[1] = 4  # its target is not the overwhelming one
-        fused_in = ag.parameter(logits.copy())
-        fused = ag.mean_cross_entropy(fused_in, targets)
+        fused_x, fused_w = ag.parameter(x.copy()), ag.parameter(w.copy())
+        fused = ag.output_loss(fused_x, fused_w, targets)
         fused.backward()
-        chain_in = ag.parameter(logits.copy())
-        log_probs = ref.log_softmax(chain_in, axis=1)
+        chain_x, chain_w = ag.parameter(x.copy()), ag.parameter(w.copy())
+        log_probs = ref.log_softmax(ref.matmul(chain_x, chain_w), axis=1)
         chain = ref.scale(ref.mean_all(ref.take_per_row(log_probs, targets)), -1.0)
         chain.backward()
-        np.testing.assert_array_equal(fused.value, chain.value)
-        np.testing.assert_array_equal(fused_in.grad, chain_in.grad)
-        assert np.isfinite(fused_in.grad).all()
+        assert (fused_x.value @ fused_w.value)[1, 3] == 1e300
+        assert fused.value.tobytes() == chain.value.tobytes()
+        assert fused_x.grad.tobytes() == chain_x.grad.tobytes()
+        assert fused_w.grad.tobytes() == chain_w.grad.tobytes()
+        assert np.isfinite(fused_x.grad).all() and np.isfinite(fused_w.grad).all()
 
 
 def _decoder_world(variant, context="causal"):
@@ -497,9 +505,9 @@ def _bytes(arrays):
 
 class TestDecoderKernel:
     """`Model._decode`, one tape node, against the taped composition it
-    replaced (`reference.decode`), bit for bit: the logits, alpha and the
-    gradient of every input.  Every variant but encoder-only attends
-    through it; encoder-only's output layer is one `matmul`."""
+    replaced (`reference.decode`), bit for bit: the summary, alpha and
+    the gradient of every input.  Every variant but encoder-only attends
+    through it; encoder-only has no decoder."""
 
     @pytest.mark.parametrize("masked", [False, True])
     @pytest.mark.parametrize("variant", ATTENDING)
@@ -513,19 +521,20 @@ class TestDecoderKernel:
             rng.normal(size=(n_ex, c.dim)),
             rng.normal(size=(n_ex, c.dim)),
         ]
-        probe = ag.constant(rng.normal(size=(n_ex, model.vocab.n_locations)))
-        names = ["emb/user", "attn/W_A", "out/W_loc"]
+        head_width = model.params["out/W_loc"].shape[0]  # the summary's
+        probe = ag.constant(rng.normal(size=(n_ex, head_width)))
+        names = ["emb/user", "attn/W_A"]
         params = [model.params[n] for n in names]
         results = []
         for decode in (model._decode, lambda *a: ref.decode(model, *a, None, masked)):
             inputs = [ag.parameter(v.copy()) for v in values]
             _zero(params)
-            logits, alpha = decode(*inputs, 2)
-            ref.mean_all(ref.mul(logits, probe)).backward()
-            results.append((logits.value, alpha, _grads(inputs + params)))
-        (got_logits, blocks, got_grads), (want_logits, want_alpha, want_grads) = results
+            summary, alpha = decode(*inputs, 2)
+            ref.mean_all(ref.mul(summary, probe)).backward()
+            results.append((summary.value, alpha, _grads(inputs + params)))
+        (got_summary, blocks, got_grads), (want_summary, want_alpha, want_grads) = results
         got_alpha, want_alpha = ref.full_alpha(blocks, n_ex), want_alpha.value
-        assert got_logits.tobytes() == want_logits.tobytes()
+        assert got_summary.tobytes() == want_summary.tobytes()
         assert got_alpha.tobytes() == want_alpha.tobytes()
         labels = ["states", "o_emb", "d_emb", *names]
         for label, got, want in zip(labels, got_grads, want_grads, strict=True):
@@ -560,12 +569,13 @@ class TestDecoderKernel:
 
 class TestTapeSize:
     # one causal step's tape, leaves included: the decoder is one node over
-    # the states, the two embedding gathers and its three parameters (the
+    # the states, the two embedding gathers and its two parameters, and the
+    # output layer and loss one node over its input and out/W_loc (the
     # composition took 44, 20, 39, 12, 45 and 45)
     NODES = {
         "stod-ppa": 41,
         "od-ppa": 17,
-        "encoder-only": 39,
+        "encoder-only": 38,
         "decoder-only": 9,
         "user-add": 41,
         "user-concat": 41,

@@ -174,21 +174,19 @@ class TestCausalContext:
         corpus, _, _ = small_world
         m = make_model(small_world, attention_context="causal")
         trips = corpus.trips_by_user[0]
-        full_logits, _ = m._forward(m._batch(trips), 0)
+        full_head, _ = m._forward(m._batch(trips), 0)
         cut = 4
-        cut_logits, _ = m._forward(m._batch(trips[: cut + 1]), 0)
-        np.testing.assert_allclose(
-            full_logits.value[:cut], cut_logits.value, atol=1e-12
-        )
+        cut_head, _ = m._forward(m._batch(trips[: cut + 1]), 0)
+        np.testing.assert_allclose(full_head.value[:cut], cut_head.value, atol=1e-12)
 
     def test_default_context_attends_to_future(self, small_world):
         corpus, _, _ = small_world
         m = make_model(small_world, attention_context="all")
         trips = corpus.trips_by_user[0]
-        full_logits, _ = m._forward(m._batch(trips), 0)
+        full_head, _ = m._forward(m._batch(trips), 0)
         cut = 4
-        cut_logits, _ = m._forward(m._batch(trips[: cut + 1]), 0)
-        assert np.abs(full_logits.value[:cut] - cut_logits.value).max() > 1e-9
+        cut_head, _ = m._forward(m._batch(trips[: cut + 1]), 0)
+        assert np.abs(full_head.value[:cut] - cut_head.value).max() > 1e-9
 
 
 class TestTraining:
