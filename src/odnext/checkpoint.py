@@ -256,7 +256,7 @@ def load_checkpoint(path: str) -> CheckpointBundle:
             raise CheckpointFormatError(f"{path}: truncated header")
         try:
             header = json.loads(line[:-1].decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
             raise CheckpointFormatError(f"{path}: bad header ({e})") from None
 
         try:

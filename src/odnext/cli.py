@@ -79,7 +79,10 @@ def config_sha256(d: dict) -> str:
 
 def load_json(path: str) -> dict:
     with open(path, encoding="utf-8") as f:
-        d = json.load(f)
+        try:
+            d = json.load(f)
+        except (json.JSONDecodeError, RecursionError) as e:  # the latter: nesting too deep
+            raise CorpusFormatError(f"{path}: {e}") from None
     if not isinstance(d, dict):
         raise ContractViolation(f"{path}: configuration must be a JSON object")
     return d
@@ -455,9 +458,7 @@ def guarded(func, *args) -> int:
     and a contract violation in exit 1, each as one `error:` line."""
     try:
         return func(*args)
-    except (
-        CorpusFormatError, CheckpointFormatError, json.JSONDecodeError, UnicodeDecodeError, OSError
-    ) as e:
+    except (CorpusFormatError, CheckpointFormatError, UnicodeDecodeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except ValueError as e:  # ContractViolation among them

@@ -79,18 +79,21 @@ def _sort_trips(trips: list[Trip]) -> list[Trip]:
 
 def _csv_rows(path: str, header: list[str]):
     """(line, fields) of each non-blank row of the CSV at `path` after its
-    header, which must be `header`; every row has the header's width.  The
-    line is the file line a row ends on (a quoted field may span lines)."""
+    header `header`, each of its width; the line, where a row ends (a quoted
+    field may span lines), also names a row that the csv module refuses."""
     with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        if next(reader, None) != header:
-            raise CorpusFormatError(f"{path}:1: expected header {','.join(header)}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise CorpusFormatError(f"{path}:{reader.line_num}: expected {len(header)} fields")
-            yield reader.line_num, row
+        reader, width = csv.reader(f), len(header)
+        try:
+            if next(reader, None) != header:
+                raise CorpusFormatError(f"{path}:1: expected header {','.join(header)}")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != width:
+                    raise CorpusFormatError(f"{path}:{reader.line_num}: expected {width} fields")
+                yield reader.line_num, row
+        except csv.Error as e:
+            raise CorpusFormatError(f"{path}:{reader.line_num}: {e}") from None
 
 
 def load_locations(locations_path: str) -> list[LocationRecord]:

@@ -628,6 +628,57 @@ class TestExitCodes:
         assert rc == 2
         assert err == f"error: {trips}:3: unknown loc_id 'Z'\n"
 
+    @pytest.mark.parametrize("command", ["preprocess", "eval"])
+    def test_over_long_csv_field_is_2_and_names_its_line(self, pipeline, tmp_path, command):
+        """A field over the csv module's size limit ends in one `path:line:`
+        error line, not in a traceback, and the limit stays as it is."""
+        source = pipeline["trips" if command == "preprocess" else "test"]
+        header, first = source.read_text().splitlines()[:2]
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"{header}\n{'u' * 200_000}{first[first.index(','):]}\n")
+        args = {
+            "preprocess": [
+                "--trips", str(bad), "--locations", str(pipeline["locs"]),
+                "--out-trips", str(tmp_path / "o.csv"),
+                "--out-locations", str(tmp_path / "ol.csv"),
+            ],
+            "eval": ["--checkpoint", str(pipeline["ckpt"]), "--test", str(bad)],
+        }[command]
+        proc = subprocess.run(
+            [sys.executable, "-m", "odnext", command, *args], capture_output=True, text=True
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"error: {bad}:2: field larger than field limit")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("where", ["config", "checkpoint"])
+    def test_deeply_nested_json_is_2_and_names_the_file(self, pipeline, tmp_path, where):
+        """JSON nested deeper than the decoder can recurse, in a config file
+        or in a checkpoint's header line, ends in one `error:` line naming
+        the file, as a JSON syntax error does."""
+        nested = "[" * 100_000
+        if where == "config":
+            bad = tmp_path / "cfg.json"
+            bad.write_text(nested)
+            args = [
+                "synth", "--config", str(bad),
+                "--out-trips", str(tmp_path / "t.csv"),
+                "--out-locations", str(tmp_path / "l.csv"),
+            ]
+        else:
+            bad = tmp_path / "bad.ckpt"
+            magic = pipeline["ckpt"].read_bytes().split(b"\n", 1)[0]
+            bad.write_bytes(magic + b"\n" + nested.encode() + b"\n")
+            args = ["eval", "--checkpoint", str(bad), "--test", str(pipeline["test"])]
+        proc = subprocess.run(
+            [sys.executable, "-m", "odnext", *args], capture_output=True, text=True
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"error: {bad}: ")
+        assert "recursion" in proc.stderr
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert not (tmp_path / "t.csv").exists()
+
     def test_corrupt_checkpoint_is_2(self, pipeline, tmp_path, capsys):
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"garbage\n{}\n")
