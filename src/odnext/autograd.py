@@ -1,18 +1,18 @@
 """Minimal reverse-mode autodiff over dense float64 numpy arrays.
 
 The tape holds only what one training step records: embedding gathers
-(`take_rows`, whose backward `scatter_rows` the decoder kernel reuses),
-`concat`, the kernels of the encoders and the decoder, and `output_loss`,
-the output layer and its mean cross-entropy, through which every head
-trains.  Each computes its value, writes its backward by hand and hands
-both to `fused`, the one constructor that puts a node on the tape: it
-records the inputs for which `needs_grad` holds, so a node over constants
-alone is a constant.  There is no mode that switches the tape off: an
-inference path stays off it because it computes on constants or plain
-arrays.  The per-op functions the kernels are checked against (`add` and
-the other elementwise ops, `matmul`, indexing, reductions, softmax) and
-the finite-difference checker live in the test suite, in
-`tests/reference.py`, and build their nodes through `fused` too.
+(`take_rows`; its backward `scatter_rows`, which the decoder kernel
+reuses, sums each gather into a zero table), `concat`, the kernels of the
+encoders and the decoder, and `output_loss`, the output layer and its mean
+cross-entropy, through which every head trains.  Each computes its value,
+writes its backward by hand and hands both to `fused`, the one constructor
+that puts a node on the tape: it records the inputs for which `needs_grad`
+holds, so a node over constants alone is a constant.  There is no mode
+that switches the tape off: an inference path stays off it because it
+computes on constants or plain arrays.  The per-op functions the kernels
+are checked against (`add` and the other elementwise ops, `matmul`,
+indexing, reductions, softmax) and the finite-difference checker live in
+`tests/reference.py` and build their nodes through `fused` too.
 """
 
 from __future__ import annotations
@@ -120,22 +120,15 @@ def fused(value, inputs: Sequence[Tensor], backward: Callable[[np.ndarray], None
 
 
 def scatter_rows(a: Tensor, idx: np.ndarray, g: np.ndarray) -> None:
-    """Add `g`, the gradient of `a.value[idx]`, into `a.grad` in place;
-    repeated rows accumulate additively.
-
-    Once `a.grad` holds an earlier gradient, each gathered row's
-    contributions are summed first, in index order, and then added, so
-    the result equals adding a separate zeros + np.add.at buffer, bit for
-    bit.
-    """
+    """Add `g`, the gradient of `a.value[idx]`, into `a.grad`: `g`'s rows
+    are summed into a table of zeros in index order, which becomes the
+    gradient or is added to the one `a` holds."""
+    sums = np.zeros_like(a.value)
+    np.add.at(sums, idx, g)
     if a.grad is None:
-        a.grad = np.zeros_like(a.value)
-        np.add.at(a.grad, idx, g)
-        return
-    rows, slot = np.unique(idx, return_inverse=True)
-    sums = np.zeros((rows.size,) + a.value.shape[1:])
-    np.add.at(sums, slot.reshape(idx.shape), g)
-    a.grad[rows] += sums
+        a.grad = sums
+    else:
+        a.grad += sums
 
 
 def take_rows(a: Tensor, idx) -> Tensor:

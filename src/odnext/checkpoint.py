@@ -268,8 +268,6 @@ def load_checkpoint(path: str) -> CheckpointBundle:
                 n_timeslots=header["vocab"]["n_timeslots"],
                 geohash_codes=_field(header, "vocab", "geohash_codes", list),
                 loc_geohash=None,  # read from the payload, once it is mapped
-                geohash_precision=config.geohash_precision,
-                utc_offset_hours=config.utc_offset_hours,
             )
             d_max_km = _field(header, "scales", "d_max_km", float)
             t_max_hours = _field(header, "scales", "t_max_hours", float)

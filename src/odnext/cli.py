@@ -131,9 +131,9 @@ def _emit(lines: list[str], report_path: str | None) -> None:
     print(text)
 
 
-def _report_lines(report: EvalReport, prefix: str = "") -> list[str]:
+def _report_lines(report: EvalReport) -> list[str]:
     return [
-        f"{prefix}{key}={value:.6f}" if isinstance(value, float) else f"{prefix}{key}={value}"
+        f"{key}={value:.6f}" if isinstance(value, float) else f"{key}={value}"
         for key, value in report.as_dict().items()
     ]
 
@@ -219,7 +219,7 @@ def _test_queries_from_rows(bundle, rows) -> tuple[list[list[TrainingExample]], 
             skipped += 1
             continue
         per_user.setdefault(user_index[user_id], []).append(
-            Trip(user_id, loc_index[origin_id], loc_index[dest_id], pickup, dropoff)
+            Trip(loc_index[origin_id], loc_index[dest_id], pickup, dropoff)
         )
     queries: list[list[TrainingExample]] = [[] for _ in bundle.user_ids]
     cache = bundle.cache
@@ -257,6 +257,8 @@ def cmd_predict(args) -> int:
         if loc not in loc_index:
             raise ContractViolation(f"unknown location id {loc!r}")
     user = user_index[args.user]
+    if (n := cache.n_train[user]) < 2:  # no encoder states
+        raise ContractViolation(f"user {args.user!r} has {n} training trip(s); predict needs 2")
     origin = loc_index[args.origin]
     prev_dest = loc_index[args.prev_dest]
     if args.explain:

@@ -32,9 +32,9 @@ class CorpusFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Trip:
-    """One origin->destination taxi record (location fields are indices)."""
+    """One origin->destination taxi record (location fields are indices).
+    Its user is the `Corpus.trips_by_user` list that holds it."""
 
-    user_id: str
     origin_loc: int
     dest_loc: int
     pickup_ts: int
@@ -152,7 +152,7 @@ def load_corpus(trips_path: str, locations_path: str) -> Corpus:
             users.append(user_id)
             trips_by_user[user_index[user_id]] = []
         trips_by_user[user_index[user_id]].append(
-            Trip(user_id, loc_index[origin_id], loc_index[dest_id], pickup, dropoff)
+            Trip(loc_index[origin_id], loc_index[dest_id], pickup, dropoff)
         )
 
     return Corpus(
@@ -224,7 +224,7 @@ def preprocess(corpus: Corpus, min_trips: int = 10, min_users: int = 10) -> Corp
         users=[corpus.users[u] for u in kept_users],
         trips_by_user=[
             [
-                Trip(t.user_id, loc_map[t.origin_loc], loc_map[t.dest_loc], t.pickup_ts, t.dropoff_ts)
+                Trip(loc_map[t.origin_loc], loc_map[t.dest_loc], t.pickup_ts, t.dropoff_ts)
                 for t in user_trips[u]
             ]
             for u in kept_users
@@ -316,8 +316,6 @@ class Vocab:
     n_timeslots: int
     geohash_codes: list[str]  # distinct codes, index = geohash id
     loc_geohash: np.ndarray  # |L| -> geohash id
-    geohash_precision: int
-    utc_offset_hours: int
 
     @property
     def n_geohashes(self) -> int:
@@ -327,6 +325,8 @@ class Vocab:
 def build_vocab(
     corpus: Corpus, geohash_precision: int = 5, utc_offset_hours: int = 0
 ) -> Vocab:
+    """`corpus`'s vocabulary, with geohash cells at `geohash_precision`.
+    `utc_offset_hours` is read by nothing (ModelConfig owns the offset)."""
     codes: list[str] = []
     code_index: dict[str, int] = {}
     loc_geohash = np.zeros(corpus.n_locations, dtype=np.int64)
@@ -342,8 +342,6 @@ def build_vocab(
         n_timeslots=N_TIMESLOTS,
         geohash_codes=codes,
         loc_geohash=loc_geohash,
-        geohash_precision=geohash_precision,
-        utc_offset_hours=utc_offset_hours,
     )
 
 

@@ -136,9 +136,7 @@ def remap_user_trips(
         o_id = source.locations[t.origin_loc].loc_id
         d_id = source.locations[t.dest_loc].loc_id
         if o_id in target_index and d_id in target_index:
-            out.append(
-                Trip(t.user_id, target_index[o_id], target_index[d_id], t.pickup_ts, t.dropoff_ts)
-            )
+            out.append(Trip(target_index[o_id], target_index[d_id], t.pickup_ts, t.dropoff_ts))
     return out
 
 
@@ -177,7 +175,7 @@ def prepare_split(
 ) -> tuple[SplitResult, Vocab, IntervalTables]:
     """Chronological split; vocabulary over the corpus, tables over its training part."""
     split = chronological_split(corpus, train_ratio)
-    vocab = build_vocab(corpus, cfg.geohash_precision, cfg.utc_offset_hours)
+    vocab = build_vocab(corpus, cfg.geohash_precision)
     return split, vocab, build_interval_tables(split.train)
 
 

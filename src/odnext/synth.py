@@ -168,7 +168,7 @@ def generate(cfg: SynthConfig) -> tuple[Corpus, dict]:
             if rng.random() < cfg.p_noise:
                 dest = int(rng.integers(0, cfg.n_locations))
             prev_dest_cluster = int(cluster_of[dest])
-            trips.append(Trip(user_id, origin, dest, pickup, pickup + duration))
+            trips.append(Trip(origin, dest, pickup, pickup + duration))
 
         users.append(user_id)
         trips_by_user.append(trips)

@@ -59,7 +59,7 @@ def micro_corpus(seed):
         for j in range(4):
             o, d = int(rng.integers(0, 10)), int(rng.integers(0, 10))
             pu = 1_599_955_200 + j * 86400 + int(rng.integers(0, 82800))
-            seq.append(Trip(users[u], o, d, pu, pu + int(rng.integers(300, 3600))))
+            seq.append(Trip(o, d, pu, pu + int(rng.integers(300, 3600))))
         trips.append(seq)
     return Corpus(locs, users, trips)
 

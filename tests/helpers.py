@@ -57,7 +57,7 @@ def corpus_from(trip_rows, n_locations, locations=None):
             index[u] = len(users)
             users.append(f"U{u:03d}")
             by_user.append([])
-        by_user[index[u]].append(Trip(users[index[u]], o, d, t0, t1))
+        by_user[index[u]].append(Trip(o, d, t0, t1))
     return Corpus(locations=locations, users=users, trips_by_user=by_user)
 
 

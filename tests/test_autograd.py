@@ -88,22 +88,24 @@ class TestIndexing:
         np.testing.assert_allclose(table.grad, expected)
 
     def test_take_rows_sums_per_gather_before_adding(self):
-        # Two gathers from one table, each repeating rows: the table's
-        # gradient is (sum of gather 1) + (sum of gather 2) row by row,
-        # bit for bit, whatever order the gathers' backwards run in.
+        # Three gathers from one table: two repeat rows, rows 0 and 1 only
+        # the first touches, and the third takes one row by a 0-d index, as
+        # user-add's decoder does.  The table's gradient is each gather's
+        # row sums added in the order the backwards run (a, b, c), bit for bit.
         r = rng_of(5)
         table = ag.parameter(r.normal(size=(6, 3)))
-        idx_a, idx_b = np.array([4, 1, 4, 0, 4]), np.array([[4, 2], [4, 4]])
-        g_a, g_b = r.normal(size=(5, 3)) * 1e3, r.normal(size=(2, 2, 3))
-        loss = ref.add(
-            ref.mean_all(ref.mul(ag.take_rows(table, idx_a), ag.constant(g_a))),
-            ref.mean_all(ref.mul(ag.take_rows(table, idx_b), ag.constant(g_b))),
-        )
-        loss.backward()
-        sum_a, sum_b = np.zeros((6, 3)), np.zeros((6, 3))
+        idx_a, idx_b, idx_c = np.array([4, 1, 4, 0, 4]), np.array([[4, 2], [4, 4]]), np.asarray(2)
+        g_a, g_b, g_c = r.normal(size=(5, 3)) * 1e3, r.normal(size=(2, 2, 3)), r.normal(size=3)
+        terms = [
+            ref.mean_all(ref.mul(ag.take_rows(table, idx), ag.constant(g)))
+            for idx, g in ((idx_a, g_a), (idx_b, g_b), (idx_c, g_c))
+        ]
+        ref.add(ref.add(*terms[:2]), terms[2]).backward()
+        sum_a, sum_b, sum_c = np.zeros((3, 6, 3))
         np.add.at(sum_a, idx_a, (1.0 / g_a.size) * g_a)
         np.add.at(sum_b, idx_b, (1.0 / g_b.size) * g_b)
-        np.testing.assert_array_equal(table.grad, sum_a + sum_b)
+        np.add.at(sum_c, idx_c, (1.0 / g_c.size) * g_c)
+        np.testing.assert_array_equal(table.grad, sum_a + sum_b + sum_c)
 
     def test_take_per_row(self):
         m = ag.parameter(np.arange(6.0).reshape(2, 3))

@@ -413,29 +413,38 @@ def test_eval_chains_tied_trips_in_file_order(tmp_path, capsys):
         assert out[key] == (f"{value:.6f}" if isinstance(value, float) else str(value)), key
 
 
-def test_eval_and_ablate_skip_users_without_encoder_states(tmp_path, capsys):
-    """A user with one training trip has no encoder states.  `eval` counts
-    that user's test rows as skipped and `build_test_queries` gives the
-    user no queries, so both commands finish, and `eval` agrees with
-    scoring in process."""
+@pytest.fixture(scope="module")
+def short_history(tmp_path_factory):
+    """(train config, trips, locations, checkpoint, test file) of a run in
+    which some users keep one training trip, and so have no encoder states."""
+    d = tmp_path_factory.mktemp("short")
     # the cold users have 3-9 trips; a 3-trip user keeps ceil(0.9) = 1
     synth = {"n_users": 12, "n_locations": 12, "n_clusters": 3, "trips_per_user": 10,
              "n_cold_users": 8, "seed": 0}
-    (tmp_path / "synth.json").write_text(json.dumps(synth))
-    train_cfg = str(tmp_path / "train.json")
-    (tmp_path / "train.json").write_text(
+    (d / "synth.json").write_text(json.dumps(synth))
+    train_cfg = str(d / "train.json")
+    (d / "train.json").write_text(
         json.dumps({"dim": 4, "hdim": 4, "epochs": 1, "lr": 0.01, "train_ratio": 0.3})
     )
-    trips, locs = str(tmp_path / "trips.csv"), str(tmp_path / "locs.csv")
-    ckpt, test = str(tmp_path / "m.ckpt"), str(tmp_path / "test.csv")
+    trips, locs = str(d / "trips.csv"), str(d / "locs.csv")
+    ckpt, test = str(d / "m.ckpt"), str(d / "test.csv")
     assert main([
-        "synth", "--config", str(tmp_path / "synth.json"),
+        "synth", "--config", str(d / "synth.json"),
         "--out-trips", trips, "--out-locations", locs,
     ]) == 0
     assert main([
         "train", "--config", train_cfg, "--trips", trips, "--locations", locs,
         "--out", ckpt, "--out-test", test,
     ]) == 0
+    return train_cfg, trips, locs, ckpt, test
+
+
+def test_eval_and_ablate_skip_users_without_encoder_states(short_history, capsys):
+    """A user with one training trip has no encoder states.  `eval` counts
+    that user's test rows as skipped and `build_test_queries` gives the
+    user no queries, so both commands finish, and `eval` agrees with
+    scoring in process."""
+    train_cfg, trips, locs, ckpt, test = short_history
     capsys.readouterr()
     assert main(["eval", "--checkpoint", ckpt, "--test", test]) == 0
     out = kv(capsys.readouterr().out)
@@ -454,6 +463,24 @@ def test_eval_and_ablate_skip_users_without_encoder_states(tmp_path, capsys):
     report.n_skipped = sum(len(split.test.trips_by_user[u]) for u in short)
     for key, value in report.as_dict().items():
         assert out[key] == (f"{value:.6f}" if isinstance(value, float) else str(value)), key
+
+
+@pytest.mark.parametrize("explain", [[], ["--explain"]], ids=["plain", "explain"])
+def test_predict_names_a_user_without_encoder_states(short_history, capsys, explain):
+    """`predict` for a user with under two training trips is refused with
+    exit 1 and one `error:` line naming the user and the trip count."""
+    ckpt = short_history[3]
+    bundle = load_checkpoint(ckpt)
+    u = int(np.flatnonzero(bundle.cache.n_train < 2)[0])
+    user, loc = bundle.user_ids[u], bundle.location_ids[0]
+    capsys.readouterr()
+    argv = ["predict", "--checkpoint", ckpt, "--user", user, "--origin", loc, "--prev-dest", loc]
+    assert main(argv + explain) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: user {user!r} has {bundle.cache.n_train[u]} training trip(s); predict needs 2\n"
+    )
 
 
 TINY_STUDY = {

@@ -262,13 +262,13 @@ class TestSequences:
             assert s.targets[k] == trips[k + 1].dest_loc
 
     def test_short_sequences_empty(self):
-        for trips in ([], [Trip("u", 0, 1, 0, 1)]):
+        for trips in ([], [Trip(0, 1, 0, 1)]):
             s = encoder_sequences(trips)
             for seq in (s.oseq, s.dseq, s.o_slots, s.d_slots, s.targets):
                 assert seq.shape == (0,) and seq.dtype == np.int64
 
     def test_slots_and_aligned_form(self):
-        trips = [Trip("u", 1, 2, 3600 * 2, 3600 * 4), Trip("u", 3, 4, 3600 * 23, 3600 * 25)]
+        trips = [Trip(1, 2, 3600 * 2, 3600 * 4), Trip(3, 4, 3600 * 23, 3600 * 25)]
         s = encoder_sequences(trips, utc_offset_hours=2)
         assert (s.oseq.tolist(), s.o_slots.tolist()) == ([3], [0])  # 23h + 2 -> 1h
         assert (s.dseq.tolist(), s.d_slots.tolist()) == ([2], [2])  # 4h + 2 -> 6h
@@ -278,7 +278,7 @@ class TestSequences:
         assert a.targets.tolist() == [2, 4]
 
     def test_training_examples(self):
-        trips = [Trip("u", 1, 2, 0, 1), Trip("u", 3, 4, 2, 3), Trip("u", 5, 6, 4, 5)]
+        trips = [Trip(1, 2, 0, 1), Trip(3, 4, 2, 3), Trip(5, 6, 4, 5)]
         ex = chain_queries(7, trips[0].dest_loc, trips[1:])
         assert [(e.user, e.origin, e.prev_dest, e.target) for e in ex] == [
             (7, 3, 2, 4),
@@ -287,8 +287,7 @@ class TestSequences:
 
     def test_chain_queries_sorts_as_load_corpus_does(self):
         # out of order, with a pickup tie broken by dropoff, then by input order
-        trips = [Trip("u", 5, 6, 9, 9), Trip("u", 1, 2, 0, 5), Trip("u", 3, 4, 0, 3),
-                 Trip("u", 7, 8, 0, 5)]
+        trips = [Trip(5, 6, 9, 9), Trip(1, 2, 0, 5), Trip(3, 4, 0, 3), Trip(7, 8, 0, 5)]
         ex = chain_queries(0, 9, trips)
         assert [(e.origin, e.prev_dest, e.target) for e in ex] == [
             (3, 9, 4), (1, 4, 2), (7, 2, 8), (5, 8, 6),

@@ -40,13 +40,13 @@ def history_corpus(counts: list[int], seed: int) -> Corpus:
     rng = np.random.default_rng(seed)
     users = [f"U{u:03d}" for u in range(len(counts))]
     histories = []
-    for user, n in zip(users, counts):
+    for n in counts:
         t = int(rng.integers(0, DAY))
         trips = []
         for _ in range(n):
             dur = int(rng.integers(300, 3600))
             o, d = (int(x) for x in rng.integers(0, N_LOCATIONS, size=2))
-            trips.append(Trip(user, o, d, t, t + dur))
+            trips.append(Trip(o, d, t, t + dur))
             t += dur + int(rng.integers(600, DAY))
         histories.append(trips)
     return Corpus(make_locations(N_LOCATIONS, rng), users, histories)
@@ -68,7 +68,7 @@ def noisy_model(corpus: Corpus, variant: str, context: str) -> Model:
     cfg = ModelConfig(
         dim=4, hdim=5, seed=3, variant=variant, attention_context=context, utc_offset_hours=-5
     )
-    model = Model(cfg, build_vocab(corpus, utc_offset_hours=-5), build_interval_tables(corpus))
+    model = Model(cfg, build_vocab(corpus), build_interval_tables(corpus))
     rng = np.random.default_rng(4)
     for p in model.params.values():
         p.value += rng.normal(scale=0.1, size=p.value.shape)
