@@ -101,7 +101,6 @@ class ODLSTM:
         if n_locations < 1:
             raise ContractViolation("need at least one location")
         self.config = config
-        self.n_locations = n_locations
         specs = [
             ParamSpec("emb/loc", (n_locations, config.dim), embedding_init),
             *prefixed("lstm", lstm_spec(2 * config.dim, config.hdim)),

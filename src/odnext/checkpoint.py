@@ -1,8 +1,8 @@
 """Checkpoint format 4: one magic line, one JSON header line, raw tensors.
 
 The header holds only what the program cannot derive: the configuration,
-the location and user ids, the geohash codes, the time-slot count and the
-interval-table scale constants.  No tensor table is stored: the tensors
+the location and user ids and the geohash codes; a load ignores any
+other key.  No tensor table is stored: the tensors
 follow as raw little-endian bytes, 8 per element, in the order and with
 the shapes that `_expected_tensors` derives from the header.  They are
 the model parameters, the two interval tables, each location's geohash id
@@ -46,7 +46,6 @@ from itertools import accumulate
 import numpy as np
 
 from .data import IntervalTables, Vocab
-from .geo import N_TIMESLOTS
 from .model import EncodedCache, Model, ModelConfig, history_bounds, in_range, param_specs
 from .nn import ContractViolation
 
@@ -126,11 +125,7 @@ def save_checkpoint(
     header = {
         "config": config.as_dict(),
         "ids": {"locations": list(location_ids), "users": list(user_ids)},
-        "vocab": {"geohash_codes": list(vocab.geohash_codes), "n_timeslots": vocab.n_timeslots},
-        "scales": {
-            "d_max_km": model.tables.d_max_km,
-            "t_max_hours": model.tables.t_max_hours,
-        },
+        "vocab": {"geohash_codes": list(vocab.geohash_codes)},
     }
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
     try:
@@ -158,17 +153,18 @@ def _field(header: dict, section: str, key: str, convert):
 
 def _check_header(vocab: Vocab, ids: tuple) -> None:
     """Raise ValueError where the header disagrees with itself or with the
-    program: no location ids, a time-slot count other than
-    `geo.N_TIMESLOTS`, or id lists that are not the vocabulary's size or
-    repeat an id.  Every count that sizes a tensor is then an int."""
+    program: no location ids, or id lists that are not the vocabulary's
+    size, hold an id that is not a string or repeat an id."""
     n_loc = vocab.n_locations
     if n_loc < 1:
         raise ValueError("no location ids")
-    if type(vocab.n_timeslots) is not int or vocab.n_timeslots != N_TIMESLOTS:
-        raise ValueError(f"n_timeslots {vocab.n_timeslots!r} is not the program's {N_TIMESLOTS}")
     for what, names, n in zip(("location", "user"), ids, (n_loc, vocab.n_users)):
         if len(names) != n:
             raise ValueError(f"{len(names)} {what} ids for a vocabulary of {n}")
+        try:
+            "".join(names)  # one C pass that stops at the first non-string
+        except TypeError:
+            raise ValueError(f"{what} ids must be strings") from None
         if len(set(names)) != len(names):  # counted only when there are repeats
             repeated = [i for i, count in Counter(names).items() if count > 1]
             raise ValueError(f"duplicate {what} ids {repeated[:3]}")
@@ -265,12 +261,9 @@ def load_checkpoint(path: str) -> CheckpointBundle:
             vocab = Vocab(
                 n_locations=len(ids[0]),
                 n_users=len(ids[1]),
-                n_timeslots=header["vocab"]["n_timeslots"],
                 geohash_codes=_field(header, "vocab", "geohash_codes", list),
                 loc_geohash=None,  # read from the payload, once it is mapped
             )
-            d_max_km = _field(header, "scales", "d_max_km", float)
-            t_max_hours = _field(header, "scales", "t_max_hours", float)
             _check_header(vocab, ids)
         except (KeyError, TypeError, ValueError, OverflowError) as e:
             # ValueError covers ContractViolation from an invalid stored config
@@ -306,9 +299,7 @@ def load_checkpoint(path: str) -> CheckpointBundle:
     if not (in_range(oseq, n_loc) and in_range(dseq, n_loc)):
         raise CheckpointFormatError(f"{path}: cached location outside [0, {n_loc})")
 
-    tables = IntervalTables(
-        spatial=spatial, temporal=temporal, d_max_km=d_max_km, t_max_hours=t_max_hours
-    )
+    tables = IntervalTables(spatial=spatial, temporal=temporal)
     model = Model(config, vocab, tables, dict(zip((s.name for s in params), values)))
     keys = keys[0] if keys else None
     cache = EncodedCache.from_flat(states, keys, oseq, dseq, last_dest, n_train)

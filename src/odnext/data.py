@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geo import GeoPoint, geohash_encode, haversine_km, timeslots, N_TIMESLOTS
+from .geo import GeoPoint, geohash_encode, haversine_km, timeslots
 
 log = logging.getLogger(__name__)
 
@@ -309,11 +309,10 @@ class TrainingExample:
 
 @dataclass
 class Vocab:
-    """Index maps shared by the model: locations, users, geohash cells, slots."""
+    """Index maps of locations, users and geohash cells (slots: `geo.N_TIMESLOTS`)."""
 
     n_locations: int
     n_users: int
-    n_timeslots: int
     geohash_codes: list[str]  # distinct codes, index = geohash id
     loc_geohash: np.ndarray  # |L| -> geohash id
 
@@ -339,7 +338,6 @@ def build_vocab(
     return Vocab(
         n_locations=corpus.n_locations,
         n_users=corpus.n_users,
-        n_timeslots=N_TIMESLOTS,
         geohash_codes=codes,
         loc_geohash=loc_geohash,
     )
@@ -349,15 +347,13 @@ def build_vocab(
 class IntervalTables:
     """Global-view pairwise tables, max-scaled into [0, 1].
 
-    spatial[i, j]  = haversine(loc_i, loc_j) / d_max_km
+    spatial[i, j]  = haversine(loc_i, loc_j) / its maximum over all pairs
     temporal[i, j] = mean trip duration (hours) over training trips between
-                     i and j in either direction, / t_max_hours; 0 if none.
+                     i and j in either direction, / its maximum; 0 if none.
     """
 
     spatial: np.ndarray
     temporal: np.ndarray
-    d_max_km: float
-    t_max_hours: float
 
 
 def build_interval_tables(train: Corpus) -> IntervalTables:
@@ -388,7 +384,7 @@ def build_interval_tables(train: Corpus) -> IntervalTables:
     temporal = np.divide(dur_sum, dur_count, out=np.zeros_like(dur_sum), where=dur_count > 0)
     t_max = float(temporal.max()) if temporal.max() > 0 else 1.0
     temporal /= t_max
-    return IntervalTables(spatial, temporal, d_max, t_max)
+    return IntervalTables(spatial, temporal)
 
 
 def chain_queries(user: int, prev_dest: int, trips: list[Trip]) -> list[TrainingExample]:

@@ -50,6 +50,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .data import Corpus, IntervalTables, Sequences, Trip, Vocab, encoder_sequences
+from .geo import N_TIMESLOTS
 from .nn import (
     ContractViolation,
     ParamSpec,
@@ -365,7 +366,7 @@ def param_specs(config: ModelConfig, vocab: Vocab) -> list[ParamSpec]:
     if c.variant in ("stod-ppa", "encoder-only", "user-add", "user-concat"):
         specs += [
             ParamSpec("emb/geo", (v.n_geohashes, c.dim), embedding_init),
-            ParamSpec("emb/slot", (v.n_timeslots, c.dim), embedding_init),
+            ParamSpec("emb/slot", (N_TIMESLOTS, c.dim), embedding_init),
         ]
     if c.variant != "encoder-only":
         # user-add sums the user vector into the H-sized summary, so its

@@ -7,9 +7,12 @@ over every trainable coordinate stays fast.
 Seed choice matters: central differences at h=1e-5 carry irreducible
 rounding noise of roughly eps*|loss|/(2h) ~ 3e-11 per coordinate.  Where
 a true gradient coordinate sits near that floor, the relative-error
-comparison measures noise instead of analytic correctness, so the
-(corpus_seed, model_seed) pair for each variant was screened to keep
-every nonzero gradient coordinate comfortably above the floor.
+comparison measures noise instead of analytic correctness.  The
+(corpus_seed, model_seed) pair for each variant was screened against
+that, but the worst coordinate may still sit at the floor: criterion 1
+names it with its analytic gradient (od-ppa's is about 2e-7).
+`tests/test_kernels.py`'s oracles, which compare each fused kernel with
+its unfused composition, separate analytic error from that noise.
 """
 
 import numpy as np

@@ -393,8 +393,9 @@ def grad_check(
     loss_fn: Callable[[], Tensor],
     params: Mapping[str, Tensor],
     h: float = 1e-5,
-) -> float:
-    """Max relative error between analytic and central-difference gradients.
+) -> tuple[float, str, int, float]:
+    """(error, parameter, flat index, analytic gradient) of the coordinate
+    where analytic and central-difference gradients differ most, relatively.
 
     `loss_fn` must rebuild the graph on every call (it is re-run with
     perturbed parameter values).  The relative error per coordinate uses
@@ -409,7 +410,7 @@ def grad_check(
         for k, p in params.items()
     }
 
-    worst = 0.0
+    worst = (0.0, "", 0, 0.0)
     for name, p in params.items():
         flat = p.value.ravel()
         a_flat = analytic[name].ravel()
@@ -422,7 +423,7 @@ def grad_check(
             flat[i] = orig
             numeric = (f_plus - f_minus) / (2.0 * h)
             denom = max(abs(a_flat[i]), abs(numeric), 1e-8)
-            worst = max(worst, abs(a_flat[i] - numeric) / denom)
+            worst = max(worst, (abs(a_flat[i] - numeric) / denom, name, i, float(a_flat[i])))
     for p in params.values():
         p.zero_grad()
     return worst

@@ -80,11 +80,12 @@ def test_criterion_01_gradient_correctness(capsys):
              for name in GRADCHECK_SEEDS
              for params, closure in [micro_loss(name)]}
     elapsed = time.perf_counter() - t0
-    top_name = max(worst, key=worst.get)
-    ok = max(worst.values()) <= 1e-4 and elapsed < 30.0
+    top_name = max(worst, key=lambda name: worst[name][0])
+    err, param, index, analytic = worst[top_name]
+    ok = err <= 1e-4 and elapsed < 30.0
     _verdict(
-        capsys, 1, "finite-difference gradients, all variants",
-        ok, f"worst {worst[top_name]:.2e} [{top_name}], {elapsed:.1f}s",
+        capsys, 1, "finite-difference gradients, all variants", ok,
+        f"worst {err:.2e} [{top_name} {param}[{index}], analytic {analytic:.2e}], {elapsed:.1f}s",
     )
 
 

@@ -19,7 +19,7 @@ def fd_check(build, arrays, tol=1e-6, h=1e-6):
     def loss():
         return build(params)
 
-    err = grad_check(loss, params, h=h)
+    err, *_ = grad_check(loss, params, h=h)
     assert err < tol, f"max relative gradient error {err:.3e}"
 
 

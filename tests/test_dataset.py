@@ -337,15 +337,14 @@ class TestIntervalTables:
         for i in range(3):
             for j in range(3):
                 raw[i, j] = haversine_km(pts[i], pts[j])
-        assert tables.d_max_km == pytest.approx(raw.max())
         np.testing.assert_allclose(tables.spatial, raw / raw.max(), atol=1e-12)
         assert tables.spatial.max() == pytest.approx(1.0)
         np.testing.assert_allclose(np.diag(tables.spatial), 0.0)
 
     def test_temporal_pooling_and_scaling(self):
         tables = build_interval_tables(self.corpus())
-        # (0,1) pool: 2h, 1h, 3h -> mean 2h = t_max; self-loop (2,2): 0.5h.
-        assert tables.t_max_hours == pytest.approx(2.0)
+        # (0,1) pool: 2h, 1h, 3h -> mean 2h, the maximum, so the self-loop
+        # (2,2) of 0.5h scales to 0.25.
         assert tables.temporal[0, 1] == pytest.approx(1.0)
         assert tables.temporal[1, 0] == pytest.approx(1.0)
         assert tables.temporal[2, 2] == pytest.approx(0.25)

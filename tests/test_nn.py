@@ -196,7 +196,7 @@ class TestAdam:
 class TestGradCheck:
     def test_quadratic_exact(self):
         p = ag.parameter(np.array([3.0]))
-        err = grad_check(lambda: ref.mean_all(ref.mul(p, p)), {"p": p})
+        err, *_ = grad_check(lambda: ref.mean_all(ref.mul(p, p)), {"p": p})
         assert err < 1e-8
 
     def test_linear_softmax_ce(self):
@@ -207,7 +207,7 @@ class TestGradCheck:
         def loss():
             return ag.output_loss(x, W, [4, 0])
 
-        assert grad_check(loss, {"W": W, "x": x}) < 1e-6
+        assert grad_check(loss, {"W": W, "x": x})[0] < 1e-6
 
     def test_detects_a_wrong_gradient(self):
         p = ag.parameter(np.array([1.5]))
@@ -223,7 +223,8 @@ class TestGradCheck:
             extra.backward()  # pollutes p.grad before the checker's backward
             return out
 
-        assert grad_check(bad_loss, {"p": p}) > 0.3
+        err, name, index, analytic = grad_check(bad_loss, {"p": p})
+        assert err > 0.3 and (name, index, analytic) == ("p", 0, 6.0)
 
     def test_leaves_grads_clean(self):
         p = ag.parameter(np.array([2.0]))
