@@ -120,6 +120,7 @@ def save_checkpoint(
         raise ContractViolation(f"tensors that do not cast safely to their stored dtype: {unsafe}")
     try:
         _check_indices(vocab, cache.last_dest, cache.n_train)
+        _check_cached(vocab.n_locations, cache.oseq.flat, cache.dseq.flat)
     except ValueError as e:
         raise ContractViolation(str(e)) from None
     header = {
@@ -142,13 +143,12 @@ def save_checkpoint(
         raise
 
 
-def _field(header: dict, section: str, key: str, convert):
-    """`convert(header[section][key])`; a value it refuses names its key."""
+def _field(header: dict, section: str, key: str) -> list:
+    """`header[section][key]`, which must be a JSON array; another value names its key."""
     value = header[section][key]
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ValueError(f"{section}.{key}: {e}") from None
+    if type(value) is not list:
+        raise ValueError(f"{section}.{key} must be a JSON array, not {type(value).__name__}")
+    return value
 
 
 def _check_header(vocab: Vocab, ids: tuple) -> None:
@@ -181,6 +181,12 @@ def _check_indices(vocab: Vocab, last_dest: np.ndarray, n_train: np.ndarray) -> 
     if (n_train < 0).any() or (last_dest[n_train == 0] != -1).any():
         raise ValueError("n_train must be non-negative, and last_dest -1 exactly where it is 0")
     if not in_range(last_dest[n_train > 0], n_loc):
+        raise ValueError(f"cached location outside [0, {n_loc})")
+
+
+def _check_cached(n_loc: int, oseq: np.ndarray, dseq: np.ndarray) -> None:
+    """Raise ValueError where a cached origin or destination is not a location."""
+    if not (in_range(oseq, n_loc) and in_range(dseq, n_loc)):
         raise ValueError(f"cached location outside [0, {n_loc})")
 
 
@@ -257,11 +263,11 @@ def load_checkpoint(path: str) -> CheckpointBundle:
 
         try:
             config = ModelConfig(**header["config"])
-            ids = _field(header, "ids", "locations", list), _field(header, "ids", "users", list)
+            ids = _field(header, "ids", "locations"), _field(header, "ids", "users")
             vocab = Vocab(
                 n_locations=len(ids[0]),
                 n_users=len(ids[1]),
-                geohash_codes=_field(header, "vocab", "geohash_codes", list),
+                geohash_codes=_field(header, "vocab", "geohash_codes"),
                 loc_geohash=None,  # read from the payload, once it is mapped
             )
             _check_header(vocab, ids)
@@ -295,9 +301,10 @@ def load_checkpoint(path: str) -> CheckpointBundle:
     if trailing := end - at - sum(sizes):
         raise CheckpointFormatError(f"{path}: {trailing} trailing bytes ({_CAUSE})")
     oseq, dseq, states, *keys = _views(mapped, cached, sizes, at)
-    n_loc = vocab.n_locations
-    if not (in_range(oseq, n_loc) and in_range(dseq, n_loc)):
-        raise CheckpointFormatError(f"{path}: cached location outside [0, {n_loc})")
+    try:
+        _check_cached(vocab.n_locations, oseq, dseq)
+    except ValueError as e:
+        raise CheckpointFormatError(f"{path}: {e}") from None
 
     tables = IntervalTables(spatial=spatial, temporal=temporal)
     model = Model(config, vocab, tables, dict(zip((s.name for s in params), values)))

@@ -31,14 +31,13 @@ from .data import (
     load_corpus,
     load_trip_rows,
     preprocess,
-    save_locations,
+    save_corpus,
     save_trips,
 )
 from .evaluation import (
     METHODS,
     STUDY_MODEL,
     STUDY_SYNTH,
-    EvalReport,
     ModelRanker,
     evaluate,
     fit_ranker,
@@ -131,16 +130,12 @@ def _emit(lines: list[str], report_path: str | None) -> None:
     print(text)
 
 
-def _report_lines(report: EvalReport) -> list[str]:
+def _metric_lines(prefix: str, values: dict) -> list[str]:
+    """One `<prefix><key>=<value>` line per metric, a float at six decimals."""
     return [
-        f"{key}={value:.6f}" if isinstance(value, float) else f"{key}={value}"
-        for key, value in report.as_dict().items()
+        f"{prefix}{key}=" + (f"{value:.6f}" if isinstance(value, float) else f"{value}")
+        for key, value in values.items()
     ]
-
-
-def _mean_lines(method: str, reports: list[EvalReport]) -> list[str]:
-    """The mean acc@1/5/10 and MAP of `method` over runs, one line each."""
-    return [f"{method}.{key}={value:.6f}" for key, value in mean_reports(reports).items()]
 
 
 # -- subcommands ----------------------------------------------------------
@@ -149,8 +144,7 @@ def _mean_lines(method: str, reports: list[EvalReport]) -> list[str]:
 def cmd_preprocess(args) -> int:
     corpus = load_corpus(args.trips, args.locations)
     result = preprocess(corpus, args.min_trips, args.min_users)
-    save_trips(result, args.out_trips)
-    save_locations(result, args.out_locations)
+    save_corpus(result, args.out_trips, args.out_locations)
     _emit(
         [
             f"users_before={corpus.n_users}",
@@ -240,7 +234,7 @@ def cmd_eval(args) -> int:
     lines = [
         f"config_sha256={config_sha256(bundle.model.config.as_dict())}",
         f"variant={bundle.model.config.variant}",
-    ] + _report_lines(report)
+    ] + _metric_lines("", report.as_dict())
     _emit(lines, args.report)
     return 0
 
@@ -282,8 +276,7 @@ def cmd_predict(args) -> int:
 def cmd_synth(args) -> int:
     cfg = parse_overrides(SynthConfig(), load_json(args.config))
     corpus, manifest = generate(cfg)
-    save_trips(corpus, args.out_trips)
-    save_locations(corpus, args.out_locations)
+    save_corpus(corpus, args.out_trips, args.out_locations)
     if args.manifest:
         with open(args.manifest, "w", encoding="utf-8") as f:
             json.dump(manifest, f, indent=2, sort_keys=True)
@@ -314,10 +307,10 @@ def cmd_ablate(args) -> int:
     lines = [f"config_sha256={config_sha256(cfg.as_dict())}"]
     for v in variants:
         runs = seeds[:1] if v in FREQUENCY_KINDS else seeds  # counting needs no seed
-        lines += _mean_lines(v, [
+        lines += _metric_lines(f"{v}.", mean_reports([
             evaluate(fit_ranker(v, replace(cfg.model, seed=s), split, vocab, tables), queries)
             for s in runs
-        ])
+        ]))
     _emit(lines, args.report)
     return 0
 
@@ -345,7 +338,7 @@ def cmd_study(args) -> int:
     for s, study in zip(seeds, studies):
         lines += [f"seed{s}.{m}.acc1={r.acc1:.6f}" for m, r in study.reports.items()]
     for m in STUDY_METHODS:
-        lines += _mean_lines(m, [study.reports[m] for study in studies])
+        lines += _metric_lines(f"{m}.", mean_reports([study.reports[m] for study in studies]))
     lines.append(f"oracle_accuracy={fmean(study.oracle_accuracy for study in studies):.6f}")
     cold = [study.cold for study in studies if study.cold]
     if cold:
@@ -370,9 +363,7 @@ def cmd_sweep(args) -> int:
     results = sensitivity_sweep(cfg.model, args.param, parsed, split, vocab, tables)
     lines = [f"config_sha256={config_sha256(cfg.as_dict())}", f"param={args.param}"]
     for value, report in results:
-        for key, metric in report.as_dict().items():
-            if key in ("acc1", "acc5", "acc10", "map"):
-                lines.append(f"{args.param}[{value:g}].{key}={metric:.6f}")
+        lines += _metric_lines(f"{args.param}[{value:g}].", mean_reports([report]))
     _emit(lines, args.report)
     return 0
 

@@ -433,10 +433,6 @@ class Model:
 
     # -- forward pieces ---------------------------------------------------
 
-    def _batch(self, trips: list[Trip]) -> Sequences:
-        """One user's training arrays: the encoder sequences."""
-        return encoder_sequences(trips, self.config.utc_offset_hours)
-
     def _st_input(self, seq: np.ndarray, slots: np.ndarray, loc_emb: Tensor) -> STLSTMInput:
         return STLSTMInput(
             loc=loc_emb,
@@ -541,9 +537,9 @@ class Model:
         return ag.fused(summary, (states, o_emb, d_emb, table, w_a), backward), blocks
 
     def _forward(self, seqs: Sequences, user: int) -> tuple[Tensor, list | None]:
-        """(head, `attend`'s blocks) for every example of one `_batch`: the
-        output layer's input, the decoder's summary, or for encoder-only
-        one aligned state pair per example, and then the blocks are None."""
+        """(head, `attend`'s blocks) for every example of one user's
+        `encoder_sequences`: the output layer's input, the decoder's summary,
+        or for encoder-only one aligned state pair per example and None."""
         states_o, states_d, o_emb, d_emb = self._encode(seqs)
         states = ag.concat([states_o, states_d], axis=self._stack_axis)
         if not self._has_attention:
@@ -561,7 +557,7 @@ class Model:
         if train.n_users != self.vocab.n_users:
             raise ContractViolation("training corpus does not match the vocabulary")
         usable = [
-            (u, self._batch(trips))
+            (u, encoder_sequences(trips, self.config.utc_offset_hours))
             for u, trips in enumerate(train.trips_by_user)
             if len(trips) >= 2
         ]

@@ -81,4 +81,5 @@ def micro_loss(name):
         return od.params, lambda: ref.scale(od._loss(0, encoder_sequences(trips0)), n)
     assert name in VARIANTS
     m = Model(ModelConfig(dim=4, hdim=6, seed=model_seed, variant=name), vocab, tables)
-    return m.params, lambda: ref.scale(m._loss(0, m._batch(trips0)), n)
+    seqs = encoder_sequences(trips0, m.config.utc_offset_hours)
+    return m.params, lambda: ref.scale(m._loss(0, seqs), n)

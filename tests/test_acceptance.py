@@ -17,7 +17,7 @@ import pytest
 
 import odnext.autograd as ag
 from odnext.checkpoint import load_checkpoint, save_checkpoint
-from odnext.data import build_interval_tables, build_vocab, preprocess
+from odnext.data import build_interval_tables, build_vocab, encoder_sequences, preprocess
 from odnext.evaluation import STUDY_MODEL, STUDY_SYNTH, study_seed
 from odnext.geo import GeoPoint, geohash_encode
 from odnext.model import Model, ModelConfig
@@ -183,7 +183,7 @@ def test_criterion_05_cache_equivalence(bench, capsys, tmp_path_factory):
         cached = m.predict_batch(cache, u, origins, dprevs)
         cached_probs[u] = (origins, dprevs, cached)
         trips = split.train.trips_by_user[u]
-        so, sd, _, _ = m._encode(m._batch(trips))
+        so, sd, _, _ = m._encode(encoder_sequences(trips, m.config.utc_offset_hours))
         states = np.concatenate([so.value, sd.value], axis=0)
         fresh, _ = m._predict_states(states, origins, dprevs, user_vector(m, u))
         worst = max(worst, float(np.abs(cached - fresh).max()))

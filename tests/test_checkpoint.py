@@ -414,15 +414,24 @@ class TestFailureModes:
                 save_checkpoint(str(tmp_path / "x.ckpt"), model, _rebuilt(cache, keys=bad), *ids)
 
     @pytest.mark.parametrize(
-        "mutation", ["param-shape", "param-names", "last-dest", "loc-geohash"]
+        "mutation",
+        [
+            "param-shape",
+            "param-names",
+            "last-dest",
+            "cached-origin",
+            "cached-destination",
+            "loc-geohash",
+        ],
     )
     def test_save_refuses_what_load_refuses(self, trained, tmp_path, monkeypatch, mutation):
         """Save checks the header and tensor list with the loader's own
         checks: a parameter whose shape departs from its declaration, a
         parameter missing or not declared (a model wraps any arrays it is
         given), a last destination outside the vocabulary for a user with
-        history, or a location's geohash id outside the geohash codes is a
-        contract violation at save, and no file is written."""
+        history, a cached origin or destination outside the vocabulary, or
+        a location's geohash id outside the geohash codes is a contract
+        violation at save, and no file is written."""
         corpus, _, model, cache, _ = trained
         if mutation == "param-shape":
             w_a = model.params["attn/W_A"]
@@ -437,6 +446,12 @@ class TestFailureModes:
             last_dest[np.flatnonzero(cache.n_train)[0]] = model.vocab.n_locations
             cache = _rebuilt(cache, last_dest=last_dest)
             message = "cached location outside"
+        elif mutation in ("cached-origin", "cached-destination"):
+            name = "oseq" if mutation == "cached-origin" else "dseq"
+            seq = getattr(cache, name).flat.copy()
+            seq[0] = model.vocab.n_locations
+            cache = _rebuilt(cache, **{name: seq})
+            message = rf"cached location outside \[0, {model.vocab.n_locations}\)"
         else:
             loc_geohash = model.vocab.loc_geohash.copy()
             loc_geohash[-1] = model.vocab.n_geohashes

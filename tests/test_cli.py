@@ -32,6 +32,7 @@ from odnext.evaluation import (
     fit_ranker,
     mean_reports,
     prepare_split,
+    sensitivity_sweep,
     study_seed,
 )
 from odnext.geo import N_TIMESLOTS
@@ -102,6 +103,16 @@ def _long_payload(fields, payload, at):
 def _int_ids(stored):
     """As many ids as `stored` holds, as JSON ints."""
     return list(range(len(stored)))
+
+
+def _distinct_chars(stored):
+    """A JSON string of as many distinct characters as `stored` holds ids."""
+    return "".join(chr(0x4E00 + i) for i in range(len(stored)))
+
+
+def _keyed_by(stored):
+    """A JSON object keyed by the stored list's entries."""
+    return dict.fromkeys(stored, 0)
 
 
 # edits of the header or of the payload bytes (a bytearray), each in place,
@@ -363,7 +374,14 @@ class TestPipeline:
         )
         out = kv(capsys.readouterr().out)
         assert rc == 0
-        assert "epochs[0].acc1" in out and "epochs[1].acc1" in out
+        cfg = parse_train_config(TRAIN_CFG)
+        corpus = load_corpus(str(pipeline["p_trips"]), str(pipeline["p_locs"]))
+        split, vocab, tables = prepare_split(corpus, cfg.model, cfg.train_ratio)
+        expected = {"config_sha256": config_sha256(cfg.as_dict()), "param": "epochs"}
+        for value, report in sensitivity_sweep(cfg.model, "epochs", [0, 1], split, vocab, tables):
+            for key in ("acc1", "acc5", "acc10", "map"):  # and no other metric
+                expected[f"epochs[{value:g}].{key}"] = f"{getattr(report, key):.6f}"
+        assert out == expected
 
     def test_module_entry_point(self, pipeline):
         proc = subprocess.run(
@@ -737,6 +755,9 @@ class TestExitCodes:
             # ids of the stored count that are not strings
             ("ids", "users", _int_ids),
             ("ids", "locations", _int_ids),
+            # a string or an object where a list belongs, of the stored size
+            ("ids", "users", _distinct_chars),
+            ("vocab", "geohash_codes", _keyed_by),
             # each of the wrong JSON type for its setting; 5.0 is the stored
             # dim as a float, which would build the same parameters
             ("config", "dim", 4.0),
@@ -757,7 +778,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error:")
-        if callable(value):
+        if value is _int_ids:
             assert f"header ({key[:-1]} ids must be strings)" in err, err
         else:
             assert key in err, err

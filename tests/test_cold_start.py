@@ -15,7 +15,13 @@ import pytest
 
 import odnext.autograd as ag
 from odnext.baselines import ODLSTM, ODLSTMConfig
-from odnext.data import Corpus, build_interval_tables, build_vocab, chain_queries
+from odnext.data import (
+    Corpus,
+    build_interval_tables,
+    build_vocab,
+    chain_queries,
+    encoder_sequences,
+)
 from odnext.evaluation import ModelRanker, cold_start_eval, evaluate, rank_descending
 from odnext.model import VARIANTS, ColdStartError, Model, ModelConfig
 from odnext.nn import ContractViolation
@@ -202,7 +208,8 @@ def test_grad_mode_restored_after_a_refused_cohort(model, world):
     try:
         for p in model.params.values():
             p.zero_grad()
-        loss = model._loss(0, model._batch(corpus.trips_by_user[0]))
+        utc = model.config.utc_offset_hours
+        loss = model._loss(0, encoder_sequences(corpus.trips_by_user[0], utc))
         assert loss._parents
         loss.backward()
         for n, p in model.params.items():

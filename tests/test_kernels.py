@@ -16,7 +16,7 @@ from hypothesis import given, strategies as st
 
 import odnext.autograd as ag
 import reference as ref
-from odnext.data import build_interval_tables, build_vocab
+from odnext.data import build_interval_tables, build_vocab, encoder_sequences
 from odnext.model import (
     ATTEND_BLOCK,
     ATTENTION_CONTEXTS,
@@ -549,7 +549,7 @@ class TestDecoderKernel:
         parameter the same gradient bits with the kernel as with the
         composition, so the tape accumulates in an order that keeps them."""
         corpus, model = _decoder_world(variant, context)
-        batch = model._batch(corpus.trips_by_user[1])
+        batch = encoder_sequences(corpus.trips_by_user[1], model.config.utc_offset_hours)
         grads = []
         for swap in (False, True):
             if swap:
@@ -592,8 +592,9 @@ class TestTapeSize:
             build_interval_tables(corpus),
         )
         trips = corpus.trips_by_user[0]
-        short = tape_size(model._loss(0, model._batch(trips[:5])))
-        long = tape_size(model._loss(0, model._batch(trips)))
+        utc = model.config.utc_offset_hours
+        short = tape_size(model._loss(0, encoder_sequences(trips[:5], utc)))
+        long = tape_size(model._loss(0, encoder_sequences(trips, utc)))
         assert short == long == self.NODES[variant]
         # the per-step tape held 772 tensors for a 21-trip stod-ppa user
         assert long <= 772 // 10

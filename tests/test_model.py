@@ -1,10 +1,17 @@
 """End-to-end model behavior across the ablation variants."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from helpers import user_vector
-from odnext.data import build_interval_tables, build_vocab, chronological_split
+from odnext.data import (
+    build_interval_tables,
+    build_vocab,
+    chronological_split,
+    encoder_sequences,
+)
 from odnext.model import ATTENTION_CONTEXTS, VARIANTS, ColdStartError, Model, ModelConfig
 from odnext.nn import ContractViolation
 from odnext.synth import SynthConfig, generate
@@ -130,7 +137,8 @@ class TestForward:
     def test_initial_loss_near_uniform(self, small_world, variant):
         corpus, vocab, _ = small_world
         m = make_model(small_world, variant=variant)
-        loss = m._loss(0, m._batch(corpus.trips_by_user[0])).item()
+        seqs = encoder_sequences(corpus.trips_by_user[0], m.config.utc_offset_hours)
+        loss = m._loss(0, seqs).item()
         assert loss == pytest.approx(np.log(vocab.n_locations), rel=0.2)
 
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -148,7 +156,8 @@ class TestAttention:
     def test_weights_sum_to_one_per_dimension(self, small_world):
         corpus, _, _ = small_world
         m = make_model(small_world)
-        _, [(_, alpha, _)] = m._forward(m._batch(corpus.trips_by_user[1]), 1)
+        seqs = encoder_sequences(corpus.trips_by_user[1], m.config.utc_offset_hours)
+        _, [(_, alpha, _)] = m._forward(seqs, 1)
         sums = alpha.sum(axis=0)  # (S, E, sd): over the states
         np.testing.assert_allclose(sums, 1.0, atol=1e-9)
 
@@ -174,18 +183,18 @@ class TestCausalContext:
         corpus, _, _ = small_world
         m = make_model(small_world, attention_context="causal")
         trips = corpus.trips_by_user[0]
-        full_head, _ = m._forward(m._batch(trips), 0)
+        full_head, _ = m._forward(encoder_sequences(trips, m.config.utc_offset_hours), 0)
         cut = 4
-        cut_head, _ = m._forward(m._batch(trips[: cut + 1]), 0)
+        cut_head, _ = m._forward(encoder_sequences(trips[: cut + 1], m.config.utc_offset_hours), 0)
         np.testing.assert_allclose(full_head.value[:cut], cut_head.value, atol=1e-12)
 
     def test_default_context_attends_to_future(self, small_world):
         corpus, _, _ = small_world
         m = make_model(small_world, attention_context="all")
         trips = corpus.trips_by_user[0]
-        full_head, _ = m._forward(m._batch(trips), 0)
+        full_head, _ = m._forward(encoder_sequences(trips, m.config.utc_offset_hours), 0)
         cut = 4
-        cut_head, _ = m._forward(m._batch(trips[: cut + 1]), 0)
+        cut_head, _ = m._forward(encoder_sequences(trips[: cut + 1], m.config.utc_offset_hours), 0)
         assert np.abs(full_head.value[:cut] - cut_head.value).max() > 1e-9
 
 
@@ -231,6 +240,37 @@ class TestTraining:
         with pytest.raises(ContractViolation):
             m.fit(other)
 
+    def test_utc_offset_is_a_shift_of_every_timestamp(self, small_world):
+        """`utc_offset_hours=-5` on a corpus trains, caches and cold-starts
+        bit for bit as offset 0 on the same corpus with every timestamp 5 h
+        earlier, whose slots, durations and trip order are the same; offset
+        0 on the unshifted corpus trains otherwise, so the offset is read."""
+        corpus, vocab, tables = small_world
+        shift = 5 * 3600
+        shifted = replace(corpus, trips_by_user=[
+            [replace(t, pickup_ts=t.pickup_ts - shift, dropoff_ts=t.dropoff_ts - shift)
+             for t in trips]
+            for trips in corpus.trips_by_user
+        ])
+        np.testing.assert_array_equal(build_interval_tables(shifted).temporal, tables.temporal)
+        runs = []
+        for world, utc in ((corpus, -5), (shifted, 0), (corpus, 0)):
+            cfg = ModelConfig(dim=DIM, hdim=HDIM, lr=1e-2, epochs=2, seed=1, utc_offset_hours=utc)
+            m = Model(cfg, vocab, tables)
+            curve = m.fit(world)
+            cache = m.build_cache(world)
+            cold = m.predict_cold_cohort(world.trips_by_user[:4])
+            runs.append((curve, m.params, cache, cold))
+        (curve, params, cache, cold), (curve0, params0, cache0, cold0), (other, *_) = runs
+        assert curve == curve0
+        assert other != curve
+        for name, p in params.items():
+            assert p.value.tobytes() == params0[name].value.tobytes(), name
+        for field in ("states", "keys", "oseq", "dseq"):
+            assert getattr(cache, field).flat.tobytes() == getattr(cache0, field).flat.tobytes()
+        assert [r.tobytes() for r in cold] == [r.tobytes() for r in cold0]
+        assert sum(len(r) for r in cold) > 0
+
 
 class TestCacheEquivalence:
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -242,7 +282,8 @@ class TestCacheEquivalence:
         origins = np.array([0, 2], dtype=np.int64)
         dprevs = np.array([1, 1], dtype=np.int64)
         cached = m.predict_batch(cache, user, origins, dprevs)
-        so, sd, _, _ = m._encode(m._batch(corpus.trips_by_user[user]))
+        seqs = encoder_sequences(corpus.trips_by_user[user], m.config.utc_offset_hours)
+        so, sd, _, _ = m._encode(seqs)
         fresh_states = np.concatenate([so.value, sd.value], axis=0)
         fresh, _ = m._predict_states(fresh_states, origins, dprevs, user_vector(m, user))
         np.testing.assert_allclose(cached, fresh, atol=1e-12)
